@@ -177,16 +177,12 @@ fn bench_incremental(c: &mut Criterion) {
     }
 
     // End-to-end cost evaluation (pack + realization + metrics + memo) on the
-    // largest paper circuit, with the incremental layers on and off.
+    // largest paper circuit, with incremental realization on and off.
     let circuit = generators::bias19();
     let problem = Problem::new(&circuit);
-    for (label, realize, metrics) in [
-        ("cost_walk_incremental", true, true),
-        ("cost_walk_full", false, false),
-    ] {
+    for (label, realize) in [("cost_walk_incremental", true), ("cost_walk_full", false)] {
         let mut cache = CostCache::new(&problem);
         cache.set_incremental(realize);
-        cache.set_incremental_metrics(metrics);
         let mut rng = StdRng::seed_from_u64(0x1C4E);
         let mut walk = Candidate::random(problem.num_blocks(), &mut rng);
         group.bench_function(BenchmarkId::new(label, "bias19"), |b| {

@@ -443,12 +443,10 @@ fn main() {
     }
 
     // Large-n workload tier: 200/500/1000-block synthetic circuits through
-    // the full incremental cost pipeline — multi-word occupancy grids
-    // (grid_side_for picks 64/96/128 cells per side) and spilled per-block /
-    // per-constraint metric masks. Each row records the warm per-move SA
-    // cost, a 6-candidate EvalPool generation, a 2-chain multi-start run,
-    // and the fallback tripwire (must read 0: the incremental engines never
-    // abandon their term state at any n).
+    // the full incremental cost pipeline on multi-word occupancy grids
+    // (grid_side_for picks 64/96/128 cells per side). Each row records the
+    // warm per-move SA cost, a 6-candidate EvalPool generation and a 2-chain
+    // multi-start run.
     let mut large_n_rows = Vec::new();
     for &n in &LARGE_N_SIZES {
         let circuit = synthetic_circuit(n);
@@ -480,18 +478,13 @@ fn main() {
         let multistart_ns = median_ns(|| {
             let _ = multistart_sa(&circuit, &ms_cfg);
         });
-        let fallback_rescans = cache.fallback_rescans() + pool.fallback_rescans();
         println!(
-            "large_n n={n:>4}: grid {grid_side:>3}  sa {sa_move_ns:>10.1} ns/move  pool-gen {pool_generation_ns:>12.1} ns  multistart {:.1} ms  fallbacks {fallback_rescans}",
+            "large_n n={n:>4}: grid {grid_side:>3}  sa {sa_move_ns:>10.1} ns/move  pool-gen {pool_generation_ns:>12.1} ns  multistart {:.1} ms",
             multistart_ns / 1e6,
         );
         large_n_rows.push(format!(
-            "    {{\"blocks\": {n}, \"grid_side\": {grid_side}, \"sa_move_ns\": {sa_move_ns:.1}, \"eval_pool_generation_ns\": {pool_generation_ns:.1}, \"multistart_ns\": {multistart_ns:.1}, \"fallback_rescans\": {fallback_rescans}}}"
+            "    {{\"blocks\": {n}, \"grid_side\": {grid_side}, \"sa_move_ns\": {sa_move_ns:.1}, \"eval_pool_generation_ns\": {pool_generation_ns:.1}, \"multistart_ns\": {multistart_ns:.1}}}"
         ));
-        assert_eq!(
-            fallback_rescans, 0,
-            "incremental metrics fell back at n = {n}"
-        );
     }
 
     // Positional-mask (f_p) construction from the free-anchor bitmask — the
@@ -502,33 +495,24 @@ fn main() {
     });
     println!("masks bias19: positional_masks {masks_ns:>12.1} ns");
 
-    // The incremental cost pipeline vs the always-full oracle paths, on an
-    // SA-style perturbation walk over Bias-2: per-move cost of (a) the full
-    // stack (dirty-block realization + dirty-set pack + dirty-set metrics),
-    // (b) incremental realization with the full metrics rescan, and (c) the
-    // all-full oracle — plus the engines' observability counters (snap-skip
-    // hit rate, FAST-SP pass-position replay rate).
+    // The incremental cost pipeline vs the always-full oracle path, on an
+    // SA-style perturbation walk over Bias-2: per-move cost of (a) the
+    // default stack (dirty-block realization + dirty-set pack, full metrics
+    // rescan) and (b) the full-rebuild realization oracle — plus the
+    // engines' observability counters (snap-skip hit rate, FAST-SP
+    // pass-position replay rate).
     let circuit = generators::bias19();
     let problem = Problem::new(&circuit);
     let mut rng = StdRng::seed_from_u64(0x1C4E);
     let mut walk = Candidate::random(problem.num_blocks(), &mut rng);
     let mut inc_cache = CostCache::new(&problem);
     inc_cache.set_incremental(true);
-    inc_cache.set_incremental_metrics(true);
     let incremental_ns = median_ns(|| {
         let _ = walk.perturb(&mut rng);
         let _ = problem.cost_cached(&walk, &mut inc_cache);
     });
-    let mut mixed_cache = CostCache::new(&problem);
-    mixed_cache.set_incremental(true);
-    mixed_cache.set_incremental_metrics(false);
-    let realize_only_ns = median_ns(|| {
-        let _ = walk.perturb(&mut rng);
-        let _ = problem.cost_cached(&walk, &mut mixed_cache);
-    });
     let mut full_cache = CostCache::new(&problem);
     full_cache.set_incremental(false);
-    full_cache.set_incremental_metrics(false);
     let full_ns = median_ns(|| {
         let _ = walk.perturb(&mut rng);
         let _ = problem.cost_cached(&walk, &mut full_cache);
@@ -538,7 +522,7 @@ fn main() {
     let pack_replay_rate = stats.pack_stats().replay_rate();
     let realize_speedup = full_ns / incremental_ns.max(1e-9);
     println!(
-        "incremental bias19: {incremental_ns:>8.1} ns/move (realize-only {realize_only_ns:.1} ns, full {full_ns:.1} ns, {realize_speedup:.2}x) snap hit {:.1}% pack replay {:.1}%",
+        "incremental bias19: {incremental_ns:>8.1} ns/move (full {full_ns:.1} ns, {realize_speedup:.2}x) snap hit {:.1}% pack replay {:.1}%",
         100.0 * hit_rate,
         100.0 * pack_replay_rate,
     );
@@ -642,7 +626,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, incremental dirty-block realization + dirty-set pack/metrics, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, and SA cost-evaluation throughput\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n  \"incremental_realize\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"incremental_move_ns\": {:.1},\n    \"incremental_realize_full_metrics_move_ns\": {:.1},\n    \"full_move_ns\": {:.1},\n    \"speedup\": {:.2},\n    \"replay_hit_rate\": {:.3},\n    \"pack_replay_rate\": {:.3}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, incremental dirty-block realization + dirty-set pack, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, and SA cost-evaluation throughput\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n  \"incremental_realize\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"incremental_move_ns\": {:.1},\n    \"full_move_ns\": {:.1},\n    \"speedup\": {:.2},\n    \"replay_hit_rate\": {:.3},\n    \"pack_replay_rate\": {:.3}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
         pack_rows.join(",\n"),
         snap_rows.join(",\n"),
         large_n_rows.join(",\n"),
@@ -651,7 +635,6 @@ fn main() {
         circuit.name,
         circuit.num_blocks(),
         incremental_ns,
-        realize_only_ns,
         full_ns,
         realize_speedup,
         hit_rate,

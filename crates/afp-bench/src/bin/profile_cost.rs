@@ -24,7 +24,7 @@ fn main() {
         let _ = candidate.perturb(&mut rng);
         let _ = problem.cost_cached(&candidate, &mut cache);
     });
-    println!("perturb + cost_cached:      {full_ns:>10.1} ns  (incremental realize + metrics)");
+    println!("perturb + cost_cached:      {full_ns:>10.1} ns  (incremental realize)");
     {
         let s = cache.realize_stats();
         let episodes = s.episodes.max(1);
@@ -44,22 +44,13 @@ fn main() {
             100.0 * p.y_replayed as f64 / (p.y_replayed + p.y_swept).max(1) as f64,
         );
     }
-    let mut mixed_cache = CostCache::new(&problem);
-    mixed_cache.set_incremental(true);
-    mixed_cache.set_incremental_metrics(false);
-    let mixed_ns = median_ns(|| {
-        let _ = candidate.perturb(&mut rng);
-        let _ = problem.cost_cached(&candidate, &mut mixed_cache);
-    });
-    println!("perturb + cost_cached:      {mixed_ns:>10.1} ns  (incremental realize, full metrics)");
     let mut full_cache = CostCache::new(&problem);
     full_cache.set_incremental(false);
-    full_cache.set_incremental_metrics(false);
     let oracle_ns = median_ns(|| {
         let _ = candidate.perturb(&mut rng);
         let _ = problem.cost_cached(&candidate, &mut full_cache);
     });
-    println!("perturb + cost_cached:      {oracle_ns:>10.1} ns  (full realize + metrics)");
+    println!("perturb + cost_cached:      {oracle_ns:>10.1} ns  (full realize)");
 
     let shapes = problem.shapes_for(&candidate);
     let sp = candidate.to_sequence_pair(&shapes);
@@ -130,38 +121,6 @@ fn main() {
         let _ = metrics::episode_reward_with(&circuit, &fp, hpwl_min, &weights, &mut warm_scratch);
     });
     println!("  episode_reward (warm):    {reward_warm_ns:>10.1} ns");
-
-    // Metrics stage alone on the realization walk: the dirty-set evaluation
-    // (terms deferred across penalized episodes) vs the full rescan.
-    let mut inc_metrics = metrics::MetricsScratch::new();
-    let walk_inc_metrics_ns = median_ns(|| {
-        let _ = candidate.perturb(&mut rng);
-        problem.shapes_for_into(&candidate, &mut walk_shapes);
-        afp_layout::sequence_pair::realize_floorplan_incremental(
-            &candidate.positive,
-            &candidate.negative,
-            &walk_shapes,
-            &circuit,
-            canvas,
-            &mut scratch,
-            &mut walk_fp,
-            &mut walk_cache,
-        );
-        let dirty = if walk_cache.last_was_full_rebuild() {
-            metrics::DirtySet::Full
-        } else {
-            metrics::DirtySet::Blocks(walk_cache.dirty_blocks())
-        };
-        let _ = metrics::episode_reward_incremental(
-            &circuit,
-            &walk_fp,
-            hpwl_min,
-            &weights,
-            &mut inc_metrics,
-            dirty,
-        );
-    });
-    println!("  walk realize + inc metrics: {walk_inc_metrics_ns:>8.1} ns");
 
     let hpwl_ns = median_ns(|| {
         let _ = metrics::hpwl(&circuit, &fp);

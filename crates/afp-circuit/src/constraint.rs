@@ -166,13 +166,6 @@ impl ConstraintSet {
         self.constraints.iter()
     }
 
-    /// The constraint at `index` (the position [`ConstraintSet::iter`]
-    /// yields it at), if any — the stable index the incremental metrics
-    /// layer caches per-constraint state under.
-    pub fn get(&self, index: usize) -> Option<&Constraint> {
-        self.constraints.get(index)
-    }
-
     /// Constraints that involve the given block.
     pub fn involving(&self, block: BlockId) -> Vec<&Constraint> {
         self.constraints

@@ -244,13 +244,12 @@ pub fn has_violations(circuit: &Circuit, floorplan: &Floorplan) -> bool {
 }
 
 /// Whether one constraint is violated by a floorplan — the per-constraint
-/// predicate [`count_violations`] counts, exposed so the incremental metrics
-/// layer can re-evaluate only the constraints whose members moved.
+/// predicate [`count_violations`] counts.
 ///
 /// The missing-member check iterates the member lists directly rather than
 /// materializing `Constraint::members()` — this predicate runs per constraint
 /// per cost evaluation, where the `Vec` allocation dominated.
-pub fn is_violated(floorplan: &Floorplan, constraint: &Constraint) -> bool {
+fn is_violated(floorplan: &Floorplan, constraint: &Constraint) -> bool {
     match constraint {
         Constraint::Symmetry(group) => {
             group

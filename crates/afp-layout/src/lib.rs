@@ -21,18 +21,17 @@
 //! # The incremental cost pipeline
 //!
 //! The optimizer hot path (pack → realize → metrics, millions of evaluations
-//! per Table I sweep) is incremental at every layer, each bit-identical to
-//! its from-scratch counterpart and differential-tested against it:
+//! per Table I sweep) keeps its pack and realize layers incremental, each
+//! bit-identical to its from-scratch counterpart and differential-tested
+//! against it:
 //!
 //! * [`lcs_pack::PackCache`] / [`lcs_pack::pack_coords_cached`] — FAST-SP
 //!   sweeps replay their unchanged prefix/suffix positions,
 //! * [`RealizeCache`] / [`sequence_pair::realize_floorplan_incremental`] —
-//!   unchanged snap decisions are kept or replayed instead of re-searched,
-//!   and the engine exports the dirty-block set it re-searched,
-//! * [`metrics::MetricsScratch`] / [`metrics::episode_reward_incremental`] —
-//!   per-net HPWL terms and per-constraint violation flags are recomputed
-//!   only for the dirty set, with recomputation deferred past penalized
-//!   episodes.
+//!   unchanged snap decisions are kept or replayed instead of re-searched.
+//!
+//! The metrics stage is a plain rescan ([`metrics::episode_reward_with`])
+//! over a reusable [`metrics::MetricsScratch`] center cache.
 //!
 //! See `ARCHITECTURE.md` at the repository root for the full stack picture
 //! and the bit-identity contract.

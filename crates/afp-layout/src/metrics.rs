@@ -10,9 +10,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use afp_circuit::{BlockId, Circuit};
+use afp_circuit::Circuit;
 
-use crate::constraints::{has_violations, is_violated};
+use crate::constraints::has_violations;
 use crate::placement::Floorplan;
 
 /// Snapshot of the quality metrics of a (possibly partial) floorplan.
@@ -40,201 +40,17 @@ impl FloorplanMetrics {
     }
 }
 
-/// Reusable per-block center cache for the HPWL sweeps, plus the per-term
-/// state of the incremental metrics engine.
+/// Reusable per-block center cache for the HPWL sweeps.
 ///
 /// `Floorplan::block_center` is a linear scan over the placed list, and
 /// `Net::blocks()` allocates a deduplicated vector — per pin, per net, per
 /// evaluation. The scratch turns one HPWL evaluation into a single pass over
 /// the placed blocks followed by direct center lookups per pin, which is what
 /// lets the metaheuristics' cost function skip the unplaced-pin rescans.
-///
-/// # Incremental terms
-///
-/// On top of the center cache, the scratch can keep the per-net HPWL terms
-/// and per-constraint violation flags of the floorplan it last evaluated.
-/// [`metrics_incremental`] / [`episode_reward_incremental`] then recompute
-/// only the terms incident to a dirty block set (typically the one
-/// [`RealizeCache::dirty_blocks`] exposes) and re-reduce the cached terms in
-/// the same order the full rescan uses — so the results are bit-identical to
-/// [`metrics_with`] / [`episode_reward_with`] while touching O(dirty) nets
-/// and constraints instead of all of them.
-///
-/// The incremental state is keyed to **one circuit**: the block → net /
-/// constraint adjacency is fingerprinted by the circuit's block / net /
-/// constraint counts, and any full center fill (a plain [`hpwl_with`] or
-/// [`metrics_with`] call) drops the term state. One full-path entry does
-/// **not** reliably fill: [`episode_reward_with`] returns its penalty before
-/// touching the scratch — callers interleaving it with incremental
-/// evaluations must call [`MetricsScratch::invalidate_terms`] after it (as
-/// the metaheuristics' `CostCache` does). Reusing one scratch across
-/// circuits that share all three counts but differ in connectivity is the
-/// one misuse the fingerprint cannot catch — own one scratch per problem.
-///
-/// [`RealizeCache::dirty_blocks`]: crate::RealizeCache::dirty_blocks
 #[derive(Debug, Clone, Default)]
 pub struct MetricsScratch {
     /// `centers[b]` = center of block index `b`, or `None` while unplaced.
     centers: Vec<Option<(f64, f64)>>,
-    /// Whether `centers` / `net_terms` / `constraint_violated` describe the
-    /// floorplan of the previous incremental evaluation.
-    inc_valid: bool,
-    /// Cached half-perimeter per net (`None` = fewer than 2 placed pins).
-    net_terms: Vec<Option<f64>>,
-    /// CSR adjacency: `net_adj[net_adj_off[b]..net_adj_off[b + 1]]` are the
-    /// net indices incident to block `b`.
-    net_adj_off: Vec<u32>,
-    net_adj: Vec<u32>,
-    /// `block_con_mask[b]` = bitmask of constraint indices involving block
-    /// `b`. Constraint and pending bookkeeping are [`DynMask`] bitsets — one
-    /// inline `u64` word for every paper-scale circuit, spilled words past 64
-    /// — so a penalized episode's bookkeeping is a handful of OR/AND-NOT ops
-    /// at any circuit size.
-    block_con_mask: Vec<DynMask>,
-    /// Fingerprint the adjacency was built for: (blocks, nets, constraints).
-    adj_key: Option<(usize, usize, usize)>,
-    /// Nets whose cached term is stale (a pin's center changed since it was
-    /// last computed). Recomputation is deferred until something reads the
-    /// HPWL — penalized episodes never do, mirroring the full path's
-    /// short-circuit — so the list accumulates across penalized episodes.
-    net_stale: Vec<bool>,
-    stale_nets: Vec<u32>,
-    /// Cached violation flags, one bit per constraint; a bit is only
-    /// meaningful while its `con_stale_mask` bit is clear.
-    violated_mask: DynMask,
-    /// Constraints whose cached flag is stale (a member was reported dirty).
-    /// Also lazy: the violation gate first looks for a standing violation
-    /// among non-stale constraints (one mask op) and only then rechecks,
-    /// early-outing on the first violation — the rest stay stale and
-    /// accumulate, exactly like the net terms.
-    con_stale_mask: DynMask,
-    /// The constraint the gate last found violated. Rechecked first on the
-    /// next flush: violations persist across episodes, so this usually
-    /// answers the gate with a single predicate evaluation.
-    last_violated: Option<u32>,
-    /// Blocks reported dirty since the center/term state was last resolved
-    /// against a floorplan (a superset of the truly moved blocks).
-    /// Penalized episodes only OR bits in here — the floorplan is not even
-    /// read for them — and [`MetricsScratch::resolve_pending`] settles the
-    /// accumulation when a feasible episode needs the wirelength.
-    pending_mask: DynMask,
-    /// Swap buffer for [`MetricsScratch::resolve_pending`], kept zeroed so
-    /// the walk never reallocates spilled words.
-    pending_scratch: DynMask,
-    /// Incremental evaluations that had to abandon the incremental engine
-    /// and re-derive every term with the full rescan because the scratch
-    /// could not represent the circuit. The historical `u64` bookkeeping
-    /// silently fell back past 64 blocks/constraints; with `DynMask`
-    /// bitsets no such representation limit exists, so this counter reads 0
-    /// at every circuit size — it is retained as the observable tripwire
-    /// that would expose any future capacity cliff.
-    pub fallback_rescans: u64,
-}
-
-/// Growable bitset with one inline word: bits 0–63 live in `head` (no heap
-/// traffic for every paper-scale circuit), higher bits spill to `tail` words.
-/// `tail` never shrinks, so a warm scratch's mask ops stay allocation-free.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct DynMask {
-    head: u64,
-    tail: Vec<u64>,
-}
-
-impl DynMask {
-    /// Zeroes every bit, keeping spilled capacity.
-    fn clear(&mut self) {
-        self.head = 0;
-        self.tail.iter_mut().for_each(|w| *w = 0);
-    }
-
-    #[inline]
-    fn word(&self, wi: usize) -> u64 {
-        if wi == 0 {
-            self.head
-        } else {
-            self.tail.get(wi - 1).copied().unwrap_or(0)
-        }
-    }
-
-    #[inline]
-    fn word_mut(&mut self, wi: usize) -> &mut u64 {
-        if wi == 0 {
-            &mut self.head
-        } else {
-            if self.tail.len() < wi {
-                self.tail.resize(wi, 0);
-            }
-            &mut self.tail[wi - 1]
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, bit: usize) {
-        *self.word_mut(bit / 64) |= 1u64 << (bit % 64);
-    }
-
-    #[inline]
-    fn clear_bit(&mut self, bit: usize) {
-        *self.word_mut(bit / 64) &= !(1u64 << (bit % 64));
-    }
-
-    #[inline]
-    fn get(&self, bit: usize) -> bool {
-        (self.word(bit / 64) >> (bit % 64)) & 1 == 1
-    }
-
-    fn count_ones(&self) -> usize {
-        self.head.count_ones() as usize
-            + self.tail.iter().map(|w| w.count_ones() as usize).sum::<usize>()
-    }
-
-    /// The lowest set bit, or `None` when empty.
-    fn first_set(&self) -> Option<usize> {
-        if self.head != 0 {
-            return Some(self.head.trailing_zeros() as usize);
-        }
-        self.tail
-            .iter()
-            .position(|&w| w != 0)
-            .map(|i| (i + 1) * 64 + self.tail[i].trailing_zeros() as usize)
-    }
-
-    /// `self |= other`, growing the spill as needed.
-    fn or_assign(&mut self, other: &DynMask) {
-        self.head |= other.head;
-        if self.tail.len() < other.tail.len() {
-            self.tail.resize(other.tail.len(), 0);
-        }
-        for (t, &o) in self.tail.iter_mut().zip(&other.tail) {
-            *t |= o;
-        }
-    }
-
-    /// Whether any bit is set in `self` but not in `other` — the
-    /// "standing violation among non-stale constraints" gate.
-    fn any_and_not(&self, other: &DynMask) -> bool {
-        if self.head & !other.head != 0 {
-            return true;
-        }
-        self.tail
-            .iter()
-            .enumerate()
-            .any(|(i, &w)| w & !other.tail.get(i).copied().unwrap_or(0) != 0)
-    }
-}
-
-/// The dirty-block interface between the incremental realization engine and
-/// the incremental metrics layer: which blocks may have moved, appeared or
-/// disappeared since the floorplan the scratch last evaluated.
-#[derive(Debug, Clone, Copy)]
-pub enum DirtySet<'a> {
-    /// Every placement may have changed — recompute every term. Also the
-    /// right answer whenever no reliable dirty information exists.
-    Full,
-    /// Only these block indices may have changed. Must be a superset of the
-    /// blocks whose placement differs; blocks whose center turns out
-    /// unchanged are skipped cheaply.
-    Blocks(&'a [u32]),
 }
 
 impl MetricsScratch {
@@ -243,24 +59,8 @@ impl MetricsScratch {
         MetricsScratch::default()
     }
 
-    /// Drops the incremental term state, forcing the next incremental
-    /// evaluation onto a full refresh.
-    ///
-    /// Callers that interleave incremental evaluations with evaluations that
-    /// do **not** maintain the term state must call this after each of the
-    /// latter. A full center fill drops the state automatically, but the
-    /// full-rescan reward path ([`episode_reward_with`]) returns its penalty
-    /// *before* any fill runs, so a penalized full-path evaluation would
-    /// otherwise leave stale terms behind for the next incremental call.
-    pub fn invalidate_terms(&mut self) {
-        self.inc_valid = false;
-    }
-
-    /// Fills the center cache from the floorplan's placed list. Any full
-    /// fill invalidates the incremental term state: the caller is evaluating
-    /// an arbitrary floorplan, so the cached terms no longer describe it.
+    /// Fills the center cache from the floorplan's placed list.
     fn fill(&mut self, circuit: &Circuit, floorplan: &Floorplan) {
-        self.inc_valid = false;
         self.centers.clear();
         self.centers.resize(circuit.num_blocks(), None);
         for placed in floorplan.placed() {
@@ -268,184 +68,6 @@ impl MetricsScratch {
             if index < self.centers.len() {
                 self.centers[index] = Some(placed.rect.center());
             }
-        }
-    }
-
-    /// (Re)builds the block → net / constraint adjacency when the circuit
-    /// shape changed; returns `true` if the term state was dropped. The
-    /// [`DynMask`] bookkeeping grows with the constraint count, so any
-    /// circuit size is representable.
-    fn ensure_adjacency(&mut self, circuit: &Circuit) -> bool {
-        let key = (
-            circuit.num_blocks(),
-            circuit.num_nets(),
-            circuit.constraints.len(),
-        );
-        if self.adj_key == Some(key) {
-            return false;
-        }
-        let (nb, nn, _nc) = key;
-        let mut net_lists: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        for (ni, net) in circuit.nets.iter().enumerate() {
-            for block in net.blocks() {
-                if block.index() < nb {
-                    net_lists[block.index()].push(ni as u32);
-                }
-            }
-        }
-        self.net_adj_off.clear();
-        self.net_adj.clear();
-        self.net_adj_off.push(0);
-        for list in net_lists {
-            self.net_adj.extend_from_slice(&list);
-            self.net_adj_off.push(self.net_adj.len() as u32);
-        }
-        self.block_con_mask.clear();
-        self.block_con_mask.resize(nb, DynMask::default());
-        for (ci, constraint) in circuit.constraints.iter().enumerate() {
-            for block in constraint.members() {
-                if block.index() < nb {
-                    self.block_con_mask[block.index()].set(ci);
-                }
-            }
-        }
-        self.net_stale.clear();
-        self.net_stale.resize(nn, false);
-        self.stale_nets.clear();
-        self.violated_mask.clear();
-        self.con_stale_mask.clear();
-        self.last_violated = None;
-        self.pending_mask.clear();
-        self.adj_key = Some(key);
-        self.inc_valid = false;
-        true
-    }
-
-    /// Recomputes every term from scratch — the cold start (and the
-    /// [`DirtySet::Full`] path) of the incremental engine.
-    fn refresh_all_terms(&mut self, circuit: &Circuit, floorplan: &Floorplan) {
-        self.fill(circuit, floorplan);
-        self.net_terms.clear();
-        self.net_terms.reserve(circuit.num_nets());
-        for net in &circuit.nets {
-            self.net_terms
-                .push(net_bbox_halfperimeter(net, &self.centers));
-        }
-        for k in 0..self.stale_nets.len() {
-            self.net_stale[self.stale_nets[k] as usize] = false;
-        }
-        self.stale_nets.clear();
-        self.violated_mask.clear();
-        for (ci, constraint) in circuit.constraints.iter().enumerate() {
-            if is_violated(floorplan, constraint) {
-                self.violated_mask.set(ci);
-            }
-        }
-        self.con_stale_mask.clear();
-        self.pending_mask.clear();
-        self.inc_valid = true;
-    }
-
-    /// Notes a dirty block set: a few mask ORs per block — the floorplan is
-    /// not read. Blocks join the pending accumulation (resolved by
-    /// [`MetricsScratch::resolve_pending`] when HPWL is next needed) and
-    /// their incident constraints go stale immediately, since the violation
-    /// gate is consulted on every evaluation.
-    fn note_dirty(&mut self, dirty: &[u32]) {
-        let nb = self.block_con_mask.len();
-        for &b in dirty {
-            let bi = b as usize;
-            if bi >= nb {
-                continue;
-            }
-            self.pending_mask.set(bi);
-            self.con_stale_mask.or_assign(&self.block_con_mask[bi]);
-        }
-    }
-
-    /// Settles the pending dirty accumulation against the current floorplan:
-    /// refreshes the placement records of blocks that actually changed and
-    /// marks their incident nets stale for [`MetricsScratch::flush_stale_terms`].
-    fn resolve_pending(&mut self, floorplan: &Floorplan) {
-        // Walk through the zeroed swap buffer so the pending mask's spilled
-        // words are retained (the walk leaves the buffer zero again).
-        std::mem::swap(&mut self.pending_mask, &mut self.pending_scratch);
-        while let Some(bi) = self.pending_scratch.first_set() {
-            self.pending_scratch.clear_bit(bi);
-            let center = floorplan.block_center(BlockId(bi));
-            if center == self.centers[bi] {
-                // Same center as when the terms were last resolved (or
-                // unplaced throughout): no net term can have changed.
-                continue;
-            }
-            self.centers[bi] = center;
-            for k in self.net_adj_off[bi]..self.net_adj_off[bi + 1] {
-                let ni = self.net_adj[k as usize];
-                if !std::mem::replace(&mut self.net_stale[ni as usize], true) {
-                    self.stale_nets.push(ni);
-                }
-            }
-        }
-    }
-
-    /// Recomputes the accumulated stale net terms from the current centers.
-    /// Deferred from [`MetricsScratch::apply_dirty`] so evaluations that end
-    /// in the violation penalty never pay for HPWL terms they do not read.
-    fn flush_stale_terms(&mut self, circuit: &Circuit) {
-        for k in 0..self.stale_nets.len() {
-            let ni = self.stale_nets[k] as usize;
-            self.net_terms[ni] = net_bbox_halfperimeter(&circuit.nets[ni], &self.centers);
-            self.net_stale[ni] = false;
-        }
-        self.stale_nets.clear();
-    }
-
-    /// Re-evaluates constraint `ci` against the floorplan, updating the
-    /// masks; returns whether it is violated.
-    fn recheck_constraint(&mut self, circuit: &Circuit, floorplan: &Floorplan, ci: u32) -> bool {
-        let constraint = circuit
-            .constraints
-            .get(ci as usize)
-            .expect("constraint index from adjacency mask");
-        let violated = is_violated(floorplan, constraint);
-        self.con_stale_mask.clear_bit(ci as usize);
-        if violated {
-            self.violated_mask.set(ci as usize);
-            self.last_violated = Some(ci);
-        } else {
-            self.violated_mask.clear_bit(ci as usize);
-        }
-        violated
-    }
-
-    /// Whether any constraint is violated, resolving as little staleness as
-    /// possible: a standing violation among unmoved constraints answers with
-    /// one mask op; otherwise stale constraints are re-evaluated one by one
-    /// (most recent offender first), early-outing on the first violation —
-    /// the remainder stay stale and accumulate, exactly like the net terms.
-    fn any_violation(&mut self, circuit: &Circuit, floorplan: &Floorplan) -> bool {
-        if self.violated_mask.any_and_not(&self.con_stale_mask) {
-            return true;
-        }
-        if let Some(lv) = self.last_violated {
-            if self.con_stale_mask.get(lv as usize)
-                && self.recheck_constraint(circuit, floorplan, lv)
-            {
-                return true;
-            }
-        }
-        while let Some(ci) = self.con_stale_mask.first_set() {
-            if self.recheck_constraint(circuit, floorplan, ci as u32) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Resolves *all* stale constraints, making the violation count exact.
-    fn flush_stale_constraints(&mut self, circuit: &Circuit, floorplan: &Floorplan) {
-        while let Some(ci) = self.con_stale_mask.first_set() {
-            let _ = self.recheck_constraint(circuit, floorplan, ci as u32);
         }
     }
 }
@@ -599,10 +221,8 @@ pub fn episode_reward(
     episode_reward_with(circuit, floorplan, hpwl_min, weights, &mut MetricsScratch::new())
 }
 
-/// [`episode_reward`] with a caller-held [`MetricsScratch`] — the full-rescan
-/// evaluation of the metaheuristics' cached cost function, and the oracle the
-/// incremental path ([`episode_reward_incremental`]) is differential-tested
-/// against.
+/// [`episode_reward`] with a caller-held [`MetricsScratch`] — the evaluation
+/// behind the metaheuristics' cached cost function.
 pub fn episode_reward_with(
     circuit: &Circuit,
     floorplan: &Floorplan,
@@ -614,18 +234,6 @@ pub fn episode_reward_with(
         return weights.violation_penalty;
     }
     let m = metrics_with(circuit, floorplan, scratch);
-    combine_reward(circuit, &m, hpwl_min, weights)
-}
-
-/// The weighted combination of Eq. 5 from an already computed metric
-/// snapshot — shared verbatim by the full and incremental reward paths so
-/// their results cannot drift.
-fn combine_reward(
-    circuit: &Circuit,
-    m: &FloorplanMetrics,
-    hpwl_min: f64,
-    weights: &RewardWeights,
-) -> f64 {
     let total_area = circuit.total_block_area().max(1e-9);
     let area_term = weights.alpha * m.area_um2 / total_area;
     let hpwl_term = weights.beta * m.hpwl_um / hpwl_min.max(1e-9);
@@ -634,103 +242,6 @@ fn combine_reward(
         None => 0.0,
     };
     -(area_term + hpwl_term + outline_term)
-}
-
-/// Incremental counterpart of [`metrics_with`] + [`count_violations`](crate::constraints::count_violations):
-/// returns the metric snapshot and the violation count, recomputing only the
-/// per-net HPWL terms and per-constraint flags incident to `dirty` (see
-/// [`MetricsScratch`], *Incremental terms*).
-///
-/// The HPWL is re-reduced from the cached terms in net order — the same
-/// addition sequence the full rescan performs — and every recomputed term
-/// runs the same function on the same inputs, so the snapshot is
-/// bit-identical to [`metrics_with`] and the count to [`count_violations`](crate::constraints::count_violations)
-/// (differential-tested in `tests/properties.rs`). Bounding-box quantities
-/// (area, dead space, aspect) are O(placed) and recomputed directly.
-///
-/// Pass [`DirtySet::Full`] (or call with a cold scratch) to fall back to a
-/// full term refresh; the dirty path engages only while the scratch's term
-/// state is warm and the circuit shape is unchanged.
-pub fn metrics_incremental(
-    circuit: &Circuit,
-    floorplan: &Floorplan,
-    scratch: &mut MetricsScratch,
-    dirty: DirtySet<'_>,
-) -> (FloorplanMetrics, usize) {
-    update_terms(circuit, floorplan, scratch, dirty);
-    scratch.flush_stale_constraints(circuit, floorplan);
-    scratch.resolve_pending(floorplan);
-    scratch.flush_stale_terms(circuit);
-    let violations = scratch.violated_mask.count_ones();
-    (reduce_metrics(floorplan, scratch), violations)
-}
-
-/// Brings the scratch's dirty bookkeeping up to date with `floorplan` — the
-/// shared first phase of the incremental entry points. Everything that reads
-/// the floorplan is deferred to the resolve/flush methods.
-fn update_terms(
-    circuit: &Circuit,
-    floorplan: &Floorplan,
-    scratch: &mut MetricsScratch,
-    dirty: DirtySet<'_>,
-) {
-    let rebuilt = scratch.ensure_adjacency(circuit);
-    match dirty {
-        DirtySet::Blocks(blocks) if scratch.inc_valid && !rebuilt => {
-            scratch.note_dirty(blocks);
-        }
-        _ => scratch.refresh_all_terms(circuit, floorplan),
-    }
-}
-
-/// Reduces the cached terms to a metric snapshot. The HPWL reduction visits
-/// the cached per-net terms in net order, skipping unplaced nets — the same
-/// addition sequence as `hpwl_with`.
-fn reduce_metrics(floorplan: &Floorplan, scratch: &MetricsScratch) -> FloorplanMetrics {
-    let hpwl_um: f64 = scratch.net_terms.iter().copied().flatten().sum();
-    let bb = floorplan.bounding_box();
-    FloorplanMetrics {
-        hpwl_um,
-        dead_space: dead_space(floorplan),
-        area_um2: bb.map(|r| r.area()).unwrap_or(0.0),
-        aspect_ratio: bb.map(|r| r.aspect()).unwrap_or(1.0),
-    }
-}
-
-/// [`episode_reward_with`] through the incremental term state: bit-identical
-/// rewards, but only the nets and constraints incident to `dirty` are
-/// re-evaluated. This is the metrics half of the incremental cost pipeline;
-/// the dirty set comes from the realization half
-/// ([`RealizeCache::dirty_blocks`](crate::RealizeCache::dirty_blocks)).
-///
-/// Unlike the full path, the center cache and violation flags are updated
-/// even when the penalty short-circuit fires — the next call's dirty set is
-/// relative to this floorplan, so the cached state must track it. HPWL term
-/// recomputation and the reductions (HPWL sum, bounding box, dead space) are
-/// deferred exactly as the full path skips them: stale nets accumulate across
-/// penalized episodes and are recomputed only when a feasible episode reads
-/// the wirelength, which matters on walks that spend most episodes in the
-/// penalty.
-pub fn episode_reward_incremental(
-    circuit: &Circuit,
-    floorplan: &Floorplan,
-    hpwl_min: f64,
-    weights: &RewardWeights,
-    scratch: &mut MetricsScratch,
-    dirty: DirtySet<'_>,
-) -> f64 {
-    update_terms(circuit, floorplan, scratch, dirty);
-    if floorplan.num_placed() < circuit.num_blocks()
-        || scratch.any_violation(circuit, floorplan)
-    {
-        // Pending blocks and stale terms stay accumulated — nothing read
-        // them; this episode cost a few mask ops plus the gate only.
-        return weights.violation_penalty;
-    }
-    scratch.resolve_pending(floorplan);
-    scratch.flush_stale_terms(circuit);
-    let m = reduce_metrics(floorplan, scratch);
-    combine_reward(circuit, &m, hpwl_min, weights)
 }
 
 /// A crude but fast lower-bound estimate of the achievable HPWL used to
@@ -860,174 +371,6 @@ mod tests {
         let without = episode_reward(&c, &fp, 1.0, &RewardWeights::default());
         // The placed row is 12×4, far from square ⇒ outline penalty applies.
         assert!(with_outline < without);
-    }
-
-    /// A constrained circuit so the incremental tests exercise the
-    /// per-constraint flags, not just the per-net terms.
-    fn constrained_circuit() -> Circuit {
-        Circuit::builder("inc")
-            .block("L", BlockKind::CurrentMirror, 16.0, 3)
-            .block("R", BlockKind::CurrentMirror, 16.0, 3)
-            .block("T", BlockKind::CurrentSource, 16.0, 2)
-            .net("lr", &[("L", "d"), ("R", "d")], NetClass::Signal)
-            .net("rt", &[("R", "s"), ("T", "g")], NetClass::Critical)
-            .symmetry_v(&[("L", "R")])
-            .build()
-            .unwrap()
-    }
-
-    /// Asserts the incremental snapshot equals the full rescan bit-for-bit.
-    fn assert_incremental_matches(
-        circuit: &Circuit,
-        fp: &Floorplan,
-        scratch: &mut MetricsScratch,
-        dirty: DirtySet<'_>,
-    ) {
-        let (m, violations) = metrics_incremental(circuit, fp, scratch, dirty);
-        assert_eq!(m, metrics(circuit, fp), "metric snapshot diverged");
-        assert_eq!(
-            violations,
-            crate::constraints::count_violations(circuit, fp),
-            "violation count diverged"
-        );
-        let w = RewardWeights::default();
-        let hpwl_min = hpwl_lower_bound(circuit);
-        // Reward through a *separate* warm scratch walked by the same dirty
-        // sets (metrics_incremental above already consumed this one's state).
-        assert_eq!(
-            episode_reward_incremental(circuit, fp, hpwl_min, &w, scratch, DirtySet::Blocks(&[])),
-            episode_reward(circuit, fp, hpwl_min, &w),
-            "episode reward diverged"
-        );
-    }
-
-    #[test]
-    fn incremental_metrics_track_single_block_moves() {
-        let c = constrained_circuit();
-        let mut fp = Floorplan::new(Canvas::new(32.0, 32.0));
-        fp.place(BlockId(0), 0, Shape::new(4.0, 4.0), Cell::new(2, 10)).unwrap();
-        fp.place(BlockId(1), 0, Shape::new(4.0, 4.0), Cell::new(20, 10)).unwrap();
-        fp.place(BlockId(2), 0, Shape::new(4.0, 4.0), Cell::new(10, 0)).unwrap();
-        let mut scratch = MetricsScratch::new();
-        assert_incremental_matches(&c, &fp, &mut scratch, DirtySet::Full);
-
-        // Move block T: only its incident net ("rt") and no constraint are
-        // re-evaluated; results still match the full rescan.
-        fp.unplace_last();
-        fp.place(BlockId(2), 0, Shape::new(4.0, 4.0), Cell::new(0, 0)).unwrap();
-        assert_incremental_matches(&c, &fp, &mut scratch, DirtySet::Blocks(&[2]));
-
-        // Move R off the symmetry row: the constraint flag must flip to
-        // violated through the dirty path (reward becomes the penalty).
-        let placed_r = fp.placed().iter().position(|p| p.block == BlockId(1)).unwrap();
-        assert_eq!(placed_r, 1);
-        // Rebuild without R at a broken position.
-        let mut fp2 = Floorplan::new(Canvas::new(32.0, 32.0));
-        fp2.place(BlockId(0), 0, Shape::new(4.0, 4.0), Cell::new(2, 10)).unwrap();
-        fp2.place(BlockId(1), 0, Shape::new(4.0, 4.0), Cell::new(20, 14)).unwrap();
-        fp2.place(BlockId(2), 0, Shape::new(4.0, 4.0), Cell::new(0, 0)).unwrap();
-        let mut scratch2 = MetricsScratch::new();
-        assert_incremental_matches(&c, &fp2, &mut scratch2, DirtySet::Full);
-        let (_, violations) = metrics_incremental(&c, &fp2, &mut scratch2, DirtySet::Blocks(&[]));
-        assert_eq!(violations, 1, "broken symmetry must be flagged");
-    }
-
-    #[test]
-    fn incremental_terms_stay_current_through_penalty_evaluations() {
-        // Unlike the full path, the incremental path must update its term
-        // state even when it returns the violation penalty, because the next
-        // dirty set is relative to the penalized floorplan.
-        let c = constrained_circuit();
-        let w = RewardWeights::default();
-        let hpwl_min = hpwl_lower_bound(&c);
-        let mut fp = Floorplan::new(Canvas::new(32.0, 32.0));
-        fp.place(BlockId(0), 0, Shape::new(4.0, 4.0), Cell::new(2, 10)).unwrap();
-        let mut scratch = MetricsScratch::new();
-        let r = episode_reward_incremental(&c, &fp, hpwl_min, &w, &mut scratch, DirtySet::Full);
-        assert_eq!(r, w.violation_penalty, "incomplete floorplan must be penalized");
-
-        // Complete the floorplan; only the newly placed blocks are dirty.
-        fp.place(BlockId(1), 0, Shape::new(4.0, 4.0), Cell::new(20, 10)).unwrap();
-        fp.place(BlockId(2), 0, Shape::new(4.0, 4.0), Cell::new(10, 0)).unwrap();
-        let r = episode_reward_incremental(
-            &c, &fp, hpwl_min, &w, &mut scratch, DirtySet::Blocks(&[1, 2]),
-        );
-        assert_eq!(r, episode_reward(&c, &fp, hpwl_min, &w));
-        assert!(r > w.violation_penalty);
-    }
-
-    #[test]
-    fn full_fill_invalidates_incremental_state() {
-        // Interleaving a plain scratch evaluation of a *different* floorplan
-        // must not leave stale terms behind: the next incremental call falls
-        // back to a full refresh.
-        let c = constrained_circuit();
-        let (mut fp_a, mut fp_b) = (
-            Floorplan::new(Canvas::new(32.0, 32.0)),
-            Floorplan::new(Canvas::new(32.0, 32.0)),
-        );
-        for (fp, x) in [(&mut fp_a, 20usize), (&mut fp_b, 24)] {
-            fp.place(BlockId(0), 0, Shape::new(4.0, 4.0), Cell::new(2, 10)).unwrap();
-            fp.place(BlockId(1), 0, Shape::new(4.0, 4.0), Cell::new(x, 10)).unwrap();
-            fp.place(BlockId(2), 0, Shape::new(4.0, 4.0), Cell::new(10, 0)).unwrap();
-        }
-        let mut scratch = MetricsScratch::new();
-        let _ = metrics_incremental(&c, &fp_a, &mut scratch, DirtySet::Full);
-        // Full fill against fp_b through the same scratch...
-        let _ = hpwl_with(&c, &fp_b, &mut scratch);
-        assert!(!scratch.inc_valid, "full fill must invalidate the term state");
-        // ...then an incremental call claiming "nothing dirty" against fp_b
-        // must still be correct (falls back to a refresh).
-        assert_incremental_matches(&c, &fp_b, &mut scratch, DirtySet::Blocks(&[]));
-    }
-
-    #[test]
-    fn large_circuits_run_incrementally_with_zero_fallbacks() {
-        // The incremental bookkeeping is spillable bitsets; circuits beyond
-        // 64 blocks run the same dirty-tracking path as small ones, with no
-        // silent full-rescan cliff. `fallback_rescans` is the tripwire.
-        let mut builder = Circuit::builder("big");
-        for i in 0..70 {
-            builder = builder.block(&format!("B{i}"), BlockKind::CurrentMirror, 4.0, 2);
-        }
-        for i in 0..69 {
-            builder = builder.net(
-                &format!("n{i}"),
-                &[(&format!("B{i}") as &str, "d"), (&format!("B{}", i + 1) as &str, "s")],
-                NetClass::Signal,
-            );
-        }
-        let c = builder.build().unwrap();
-        let mut fp = Floorplan::new(Canvas::new(32.0, 32.0));
-        for i in 0..70 {
-            fp.place(BlockId(i), 0, Shape::new(2.0, 2.0), Cell::new((i % 16) * 2, (i / 16) * 2))
-                .unwrap();
-        }
-        let mut scratch = MetricsScratch::new();
-        let (m, violations) = metrics_incremental(&c, &fp, &mut scratch, DirtySet::Full);
-        assert_eq!(m, metrics(&c, &fp));
-        assert_eq!(violations, 0);
-        // Move a block past the 64-bit boundary index and verify the warm
-        // dirty path stays exact.
-        let mut fp2 = Floorplan::new(Canvas::new(32.0, 32.0));
-        for i in 0..70 {
-            let cell = if i == 67 {
-                Cell::new(24, 20)
-            } else {
-                Cell::new((i % 16) * 2, (i / 16) * 2)
-            };
-            fp2.place(BlockId(i), 0, Shape::new(2.0, 2.0), cell).unwrap();
-        }
-        let (m2, v2) = metrics_incremental(&c, &fp2, &mut scratch, DirtySet::Blocks(&[67]));
-        assert_eq!(m2, metrics(&c, &fp2));
-        assert_eq!(v2, crate::constraints::count_violations(&c, &fp2));
-        let w = RewardWeights::default();
-        let hpwl_min = hpwl_lower_bound(&c);
-        assert_eq!(
-            episode_reward_incremental(&c, &fp2, hpwl_min, &w, &mut scratch, DirtySet::Blocks(&[])),
-            episode_reward(&c, &fp2, hpwl_min, &w),
-        );
-        assert_eq!(scratch.fallback_rescans, 0, "no fallback at any size");
     }
 
     #[test]

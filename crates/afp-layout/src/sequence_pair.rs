@@ -458,12 +458,6 @@ pub struct RealizeCache {
     /// Per-position state of the incremental FAST-SP pack (the previous
     /// evaluation's LCS sweeps); see [`PackCache`].
     pack: PackCache,
-    /// Block indices re-searched by the most recent episode — the dirty set
-    /// the incremental metrics layer consumes ([`RealizeCache::dirty_blocks`]).
-    dirty: Vec<u32>,
-    /// Whether the most recent episode realized from scratch (the dirty set
-    /// is then the whole circuit).
-    last_full_rebuild: bool,
     /// Canvas of the cached episode.
     canvas: Option<Canvas>,
     /// Canvas scale factor of the cached episode.
@@ -512,23 +506,6 @@ impl RealizeCache {
         &self.pack
     }
 
-    /// Block indices whose placement **may** differ from the episode before —
-    /// the blocks the most recent [`realize_floorplan_incremental`] call
-    /// re-ran the snap search for. Blocks absent from this set (kept prefix,
-    /// replays) provably kept their exact placement record, so downstream
-    /// consumers (the incremental metrics layer) can skip them. Meaningless
-    /// when [`RealizeCache::last_was_full_rebuild`] returns `true`.
-    pub fn dirty_blocks(&self) -> &[u32] {
-        &self.dirty
-    }
-
-    /// Whether the most recent episode realized from scratch (cold cache,
-    /// canvas/scale change, external floorplan mutation): every placement may
-    /// then differ and [`RealizeCache::dirty_blocks`] must not be trusted.
-    pub fn last_was_full_rebuild(&self) -> bool {
-        self.last_full_rebuild
-    }
-
     /// Fraction of blocks across all episodes that skipped the snap search
     /// (kept or replayed), or 0.0 before the first episode.
     pub fn hit_rate(&self) -> f64 {
@@ -547,11 +524,6 @@ impl RealizeCache {
 /// the floorplan produced by the previous call with this cache (or any
 /// floorplan if the cache is fresh/invalidated — the fingerprint check
 /// degrades mismatches to a full rebuild).
-///
-/// After the call, [`RealizeCache::dirty_blocks`] /
-/// [`RealizeCache::last_was_full_rebuild`] describe which placements may have
-/// changed — the dirty set the incremental metrics layer
-/// (`afp_layout::metrics::episode_reward_incremental`) consumes.
 ///
 /// # Examples
 ///
@@ -628,7 +600,6 @@ pub fn realize_floorplan_incremental(
     cache.last_kept = 0;
     cache.last_replayed = 0;
     cache.last_searched = 0;
-    cache.dirty.clear();
     // The cached episode is reusable only if it was produced under the same
     // canvas/scale/block count AND `fp` still fingerprints as its output.
     let reusable = cache.canvas == Some(canvas)
@@ -637,7 +608,6 @@ pub fn realize_floorplan_incremental(
         && fp.canvas() == &canvas
         && fp.num_placed() == cache.placed_count
         && *fp.grid() == cache.final_grid;
-    cache.last_full_rebuild = !reusable;
 
     // Hoisted once per episode (bit-identical to the per-block calls the
     // full path's loop makes — same operands, same operations).
@@ -767,17 +737,10 @@ pub fn realize_floorplan_incremental(
             anchor_y: anchor.map_or(0, |c| c.y as u8),
         };
         if full_rebuild {
-            // The dirty list stays empty: a full rebuild reports itself via
-            // `last_was_full_rebuild` and consumers treat everything as dirty.
             cache.steps.push(step);
         } else {
             grid_matches = grid_matches && step.same_footprint(&cache.steps[pos]);
             cache.steps[pos] = step;
-            // Conservative superset: every re-searched block is reported,
-            // including the many that land exactly where they did the episode
-            // before — consumers dedup and filter by actual movement, which
-            // is cheaper than a precise per-step comparison here.
-            cache.dirty.push(i as u32);
         }
         cache.searched_blocks += 1;
         cache.last_searched += 1;

@@ -74,7 +74,7 @@ impl Candidate {
     /// cheapest: a swap at sequence positions `i < j` forces the FAST-SP
     /// pack to re-sweep `(n − i) + (j + 1)` positions and dirties every block
     /// whose packed coordinates shift, so pulling `j − i` down to 1 shrinks
-    /// both the pack re-sweep and the realization/metrics dirty sets (see
+    /// both the pack re-sweep and the realization dirty set (see
     /// `ARCHITECTURE.md`, *Layer 5*, and `docs/TUNING.md` for how to pick the
     /// bias). At `locality_bias = 0.0` this is exactly [`Candidate::perturb`]
     /// — including the RNG stream, so existing seeds reproduce old walks.
@@ -414,7 +414,7 @@ impl Problem {
     /// [`Problem::cost`] through a [`CostCache`]: identical values, but
     /// repeated evaluations reuse every buffer (pack scratch, shapes,
     /// floorplan, HPWL centers), run the incremental cost pipeline
-    /// (dirty-set pack → dirty-block realization → dirty-set metrics), and
+    /// (dirty-set pack → dirty-block realization → full metrics rescan), and
     /// candidates seen recently — e.g. the pre-move state SA returns to after
     /// a rejected move, or a GA elite carried into the next generation — are
     /// answered from the memo without re-packing.
@@ -482,39 +482,13 @@ impl Problem {
             // floorplan it did not produce.
             cache.realize.invalidate();
         }
-        let cost = if cache.use_incremental && cache.use_incremental_metrics {
-            // Incremental metrics: the realization engine just reported which
-            // blocks it re-searched; only their incident nets and constraints
-            // are re-evaluated. Bit-identical to the full rescan below.
-            let dirty = if cache.realize.last_was_full_rebuild() {
-                metrics::DirtySet::Full
-            } else {
-                metrics::DirtySet::Blocks(cache.realize.dirty_blocks())
-            };
-            -metrics::episode_reward_incremental(
-                &self.circuit,
-                &cache.floorplan,
-                self.hpwl_min,
-                &self.weights,
-                &mut cache.metrics,
-                dirty,
-            )
-        } else {
-            // Full rescan (the metrics oracle). It does not maintain the
-            // incremental term state — and its penalty gate can return before
-            // the center fill that would drop that state runs — so the state
-            // is invalidated explicitly here; switching paths mid-run then
-            // just costs the next incremental call a full term refresh.
-            let cost = -metrics::episode_reward_with(
-                &self.circuit,
-                &cache.floorplan,
-                self.hpwl_min,
-                &self.weights,
-                &mut cache.metrics,
-            );
-            cache.metrics.invalidate_terms();
-            cost
-        };
+        let cost = -metrics::episode_reward_with(
+            &self.circuit,
+            &cache.floorplan,
+            self.hpwl_min,
+            &self.weights,
+            &mut cache.metrics,
+        );
         cache.insert(key, cost);
         cost
     }
@@ -525,17 +499,16 @@ const MEMO_SLOTS: usize = 1024;
 
 /// Reusable evaluation state for the metaheuristic inner loops: the FAST-SP
 /// pack scratch, shape / floorplan / metric buffers, the incremental
-/// realization and metrics engines, and a small direct-mapped memo keyed on
-/// a candidate fingerprint.
+/// realization engine, and a small direct-mapped memo keyed on a candidate
+/// fingerprint.
 ///
-/// This is the optimizer-facing handle on the incremental cost pipeline
-/// (see `ARCHITECTURE.md`, *The four-layer incremental stack*): by default
-/// [`Problem::cost_cached`] realizes through the dirty-block engine and
-/// evaluates HPWL / violations through the dirty-set term cache, both
-/// bit-identical to the full paths. The `full-realize` and `full-metrics`
-/// features (or [`CostCache::set_incremental`] /
-/// [`CostCache::set_incremental_metrics`] at runtime) select the retained
-/// full-rescan oracles instead.
+/// This is the optimizer-facing handle on the cost pipeline (see
+/// `ARCHITECTURE.md`): by default [`Problem::cost_cached`] realizes through
+/// the dirty-block engine, bit-identical to the full path, and scores the
+/// floorplan with one full HPWL / violation rescan
+/// ([`metrics::episode_reward_with`]). The `full-realize` feature (or
+/// [`CostCache::set_incremental`] at runtime) selects the retained
+/// from-scratch realization oracle instead.
 ///
 /// One `CostCache` is owned per optimizer run (it is keyed to one
 /// [`Problem`]'s canvas and circuit); sharing it across problems would mix
@@ -568,13 +541,6 @@ pub struct CostCache {
     /// the always-full oracle path (`full-realize` feature default, or
     /// [`CostCache::set_incremental`]). Both produce bit-identical costs.
     use_incremental: bool,
-    /// Whether `cost_cached` evaluates HPWL / violations through the
-    /// incremental per-net / per-constraint term cache (the default) or the
-    /// full rescan (`full-metrics` feature default, or
-    /// [`CostCache::set_incremental_metrics`]). The incremental path needs
-    /// the realization engine's dirty set, so it engages only while
-    /// `use_incremental` is also on. Both produce bit-identical costs.
-    use_incremental_metrics: bool,
     shapes: Vec<Shape>,
     /// `(fingerprint, cost)` slots; fingerprint 0 marks an empty slot.
     memo: Vec<(u64, f64)>,
@@ -596,7 +562,6 @@ impl CostCache {
             floorplan: Floorplan::with_grid_side(problem.canvas, problem.grid_side),
             realize: RealizeCache::new(),
             use_incremental: !cfg!(feature = "full-realize"),
-            use_incremental_metrics: !cfg!(feature = "full-metrics"),
             shapes: Vec::with_capacity(n),
             memo: vec![(0, 0.0); MEMO_SLOTS],
             hits: 0,
@@ -610,15 +575,6 @@ impl CostCache {
         self.use_incremental = incremental;
     }
 
-    /// Selects the metrics path at runtime: incremental per-net /
-    /// per-constraint terms vs the full rescan oracle. The incremental path
-    /// additionally requires incremental realization (it consumes that
-    /// engine's dirty set); with [`CostCache::set_incremental`]`(false)` this
-    /// flag is ignored and the full rescan runs.
-    pub fn set_incremental_metrics(&mut self, incremental: bool) {
-        self.use_incremental_metrics = incremental;
-    }
-
     /// Drops the incremental engine's cached episode. Candidate mutations
     /// (perturb/undo/crossover) never require this — it exists for callers
     /// that mutate the problem or floorplan state out of band.
@@ -630,14 +586,6 @@ impl CostCache {
     /// replayed / searched blocks, full rebuilds).
     pub fn realize_stats(&self) -> &RealizeCache {
         &self.realize
-    }
-
-    /// Times the incremental metrics engine abandoned its term state for a
-    /// silent full rescan. Structurally zero at every circuit size since the
-    /// per-block / per-constraint masks spill past one word instead of
-    /// falling back; asserted by the large-n CI gates.
-    pub fn fallback_rescans(&self) -> u64 {
-        self.metrics.fallback_rescans
     }
 
     fn lookup(&self, key: u64) -> Option<f64> {
@@ -768,12 +716,6 @@ impl EvalPool {
         self.caches.iter().map(|c| c.misses).sum()
     }
 
-    /// Total incremental-metrics fallback rescans across all worker caches
-    /// (see [`CostCache::fallback_rescans`]); structurally zero at every n.
-    pub fn fallback_rescans(&self) -> u64 {
-        self.caches.iter().map(|c| c.fallback_rescans()).sum()
-    }
-
     /// Dispatch counters of the underlying [`afp_par::WorkerPool`]: batches
     /// served, inline (single-worker) batches, thread wake-ups, and batches
     /// clamped below the worker complement.
@@ -787,16 +729,7 @@ impl EvalPool {
         for cache in &mut self.caches {
             cache.set_incremental(incremental);
         }
-    }
-
-    /// Selects the metrics path on every worker cache (see
-    /// [`CostCache::set_incremental_metrics`]).
-    pub fn set_incremental_metrics(&mut self, incremental: bool) {
-        for cache in &mut self.caches {
-            cache.set_incremental_metrics(incremental);
-        }
-    }
-}
+    }}
 
 /// Fingerprint of a candidate (sequences + shape choices). Zero is reserved
 /// as the empty-slot sentinel of the memo.
@@ -1163,29 +1096,21 @@ mod tests {
     #[test]
     fn incremental_cost_matches_full_along_sa_walk() {
         // The guarantee SA/GA/PSO rely on: along a realistic perturb/undo
-        // walk, every incremental layer combination (dirty-block realization
-        // × dirty-set metrics) returns bit-identical costs to the always-full
-        // oracle path, while actually hitting.
+        // walk, dirty-block realization returns bit-identical costs to the
+        // always-full oracle path, while actually hitting.
         let circuit = generators::bias19();
         let problem = Problem::new(&circuit);
         let mut incremental = CostCache::new(&problem);
         incremental.set_incremental(true);
-        incremental.set_incremental_metrics(true);
-        let mut inc_realize_only = CostCache::new(&problem);
-        inc_realize_only.set_incremental(true);
-        inc_realize_only.set_incremental_metrics(false);
         let mut full = CostCache::new(&problem);
         full.set_incremental(false);
-        full.set_incremental_metrics(false);
         let mut rng = StdRng::seed_from_u64(0xD1FF);
         let mut c = Candidate::random(problem.num_blocks(), &mut rng);
         for step in 0..600 {
             let undo = c.perturb(&mut rng);
             let a = problem.cost_cached(&c, &mut incremental);
             let b = problem.cost_cached(&c, &mut full);
-            let m = problem.cost_cached(&c, &mut inc_realize_only);
             assert_eq!(a, b, "cost diverged at step {step}");
-            assert_eq!(a, m, "metrics-path cost diverged at step {step}");
             assert_eq!(a, problem.cost(&c), "cached cost diverged at step {step}");
             // Reject about half the moves, as SA would.
             if step % 2 == 0 {
@@ -1202,24 +1127,27 @@ mod tests {
     }
 
     #[test]
-    fn metrics_path_can_be_toggled_mid_run() {
-        // Switching between the incremental and full metrics paths on a warm
-        // cache must stay bit-identical: the full path does not maintain the
-        // term state (and its penalty gate can skip the center fill
-        // entirely), so `cost_cached` invalidates it explicitly. Run on
-        // circuits that mix feasible and penalized episodes — on a
-        // penalty-only walk both paths return the constant penalty and a
-        // stale-term bug would be invisible.
+    fn realize_path_can_be_toggled_mid_run() {
+        // Switching between the incremental and full realization paths on a
+        // warm cache must stay bit-identical: the full path bypasses the
+        // realize cache, so `cost_cached` invalidates its episode, and the
+        // next incremental call must rebuild rather than pair stale snap
+        // decisions with a floorplan it did not produce. Run on circuits
+        // that mix feasible and penalized episodes — on a penalty-only walk
+        // both paths return the constant penalty and a stale-state bug would
+        // be invisible.
         for circuit in [generators::ota3(), generators::ota8(), generators::bias19()] {
             let problem = Problem::new(&circuit);
             let mut cache = CostCache::new(&problem);
-            cache.set_incremental(true);
             let mut rng = StdRng::seed_from_u64(0x706);
             let mut c = Candidate::random(problem.num_blocks(), &mut rng);
             let mut feasible = 0u32;
+            let mut full_path_ran = false;
             for step in 0..200 {
                 let _ = c.perturb(&mut rng);
-                cache.set_incremental_metrics(step % 3 != 2);
+                let incremental = step % 3 != 2;
+                cache.set_incremental(incremental);
+                let (misses, rebuilds) = (cache.misses, cache.realize_stats().full_rebuilds);
                 let cost = problem.cost_cached(&c, &mut cache);
                 assert_eq!(
                     cost,
@@ -1227,6 +1155,20 @@ mod tests {
                     "toggled cost diverged at step {step} on {}",
                     circuit.name
                 );
+                if incremental && full_path_ran && cache.misses > misses {
+                    // First incremental evaluation after a full-path one:
+                    // the invalidated cache must have rebuilt from scratch.
+                    assert_eq!(
+                        cache.realize_stats().full_rebuilds,
+                        rebuilds + 1,
+                        "re-entry at step {step} on {} reused a stale episode",
+                        circuit.name
+                    );
+                    full_path_ran = false;
+                }
+                if !incremental && cache.misses > misses {
+                    full_path_ran = true;
+                }
                 feasible += (cost < 49.0) as u32;
             }
             if circuit.num_blocks() <= 5 {
@@ -1262,7 +1204,7 @@ mod tests {
     }
 
     /// A deterministic large chain circuit (no constraints — feasible
-    /// episodes exercise the HPWL term cache, not just the penalty gate).
+    /// episodes exercise the HPWL rescan, not just the penalty gate).
     fn chain_circuit(n: usize) -> afp_circuit::Circuit {
         use afp_circuit::{BlockKind, NetClass};
         let mut rng = StdRng::seed_from_u64(0xC0DE ^ n as u64);
@@ -1282,10 +1224,10 @@ mod tests {
     }
 
     #[test]
-    fn large_n_cost_pipeline_runs_incrementally_with_zero_fallbacks() {
-        // 200 blocks: the incremental realize + metrics pipeline must stay
-        // active (and bit-identical to the uncached cost) past every old
-        // 64-element ceiling, with the fallback tripwire reading zero.
+    fn large_n_cost_pipeline_matches_uncached_cost() {
+        // 200 blocks: the incremental realize pipeline must stay active (and
+        // bit-identical to the uncached cost) past every old 64-element
+        // ceiling, serially and through the pool.
         let circuit = chain_circuit(200);
         let problem = Problem::new(&circuit);
         assert_eq!(problem.grid_side, 64, "200 blocks realize on a 64×64 grid");
@@ -1308,7 +1250,6 @@ mod tests {
         if cfg!(not(feature = "full-realize")) {
             assert!(cache.realize_stats().episodes > 0);
         }
-        assert_eq!(cache.fallback_rescans(), 0, "incremental metrics fell back");
 
         let mut pool = EvalPool::new(&problem, 2);
         let generation: Vec<Candidate> = (0..6)
@@ -1318,6 +1259,5 @@ mod tests {
         for (candidate, &cost) in generation.iter().zip(&costs) {
             assert_eq!(cost, problem.cost(candidate), "pool diverged at 200 blocks");
         }
-        assert_eq!(pool.fallback_rescans(), 0);
     }
 }

@@ -16,10 +16,10 @@
 //! [`BaselineResult`] (runtime, HPWL, dead space, reward) that Table I lists.
 //!
 //! All baselines evaluate candidates through [`Problem::cost_cached`], which
-//! runs `afp-layout`'s incremental cost pipeline (dirty-set FAST-SP pack →
-//! dirty-block grid realization → dirty-set HPWL/violation metrics) —
-//! bit-identical to the full recomputation, which is retained behind the
-//! `full-realize` / `full-metrics` oracle features. The population
+//! runs `afp-layout`'s cost pipeline (dirty-set FAST-SP pack → dirty-block
+//! grid realization → one full HPWL/violation rescan) — bit-identical to the
+//! full recomputation, whose realization is retained behind the
+//! `full-realize` oracle feature. The population
 //! optimizers evaluate through an [`EvalPool`] — one [`CostCache`] per
 //! worker, results bit-identical at any worker count; GA and PSO score
 //! whole generations per call, SP-RL's one-candidate-at-a-time recurrence

@@ -14,16 +14,14 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
 # Incremental-pipeline safety net: the differential proptests (incremental vs
 # full realization bit-identity, incremental FAST-SP pack vs full sweep,
-# incremental metrics vs full rescan, parallel EvalPool vs the serial
-# cost_cached loop, FAST-SP vs legacy oracle, BitGrid vs scalar oracle) run
-# as part of the workspace tests above; run them once more by name so a
-# filtered or partially-cached test run cannot silently skip them, then run
-# the metaheuristics tests again with each feature-gated oracle
-# (`full-realize`, `full-metrics`) as the CostCache default.
+# parallel EvalPool vs the serial cost_cached loop, FAST-SP vs legacy oracle,
+# BitGrid vs scalar oracle) run as part of the workspace tests above; run them
+# once more by name so a filtered or partially-cached test run cannot silently
+# skip them, then run the metaheuristics tests again with the feature-gated
+# realization oracle (`full-realize`) as the CostCache default.
 for diff_test in \
     incremental_realize_matches_full_after_perturbation_sequences \
     incremental_pack_matches_full_on_perturbation_walks \
-    incremental_metrics_match_full_rescan_oracle \
     eval_pool_matches_serial_cost_cached \
     multistart_sa_matches_serial_replay \
     sa_with_generous_deadline_replays_the_unbounded_run \
@@ -33,55 +31,40 @@ for diff_test in \
     serve_daemon_admits_while_draining_and_matches_cold_solves \
     serve_daemon_stress_submitters_race_drain \
     multiword_grid_fits_anchors_and_nearest_fit_match_scalar \
-    incremental_realize_matches_full_beyond_64_blocks \
-    incremental_metrics_match_full_beyond_64_blocks; do
+    incremental_realize_matches_full_beyond_64_blocks; do
     diff_out="$(cargo test --test properties "$diff_test" 2>&1)" \
         || { echo "$diff_out"; exit 1; }
     echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
         || { echo "ci: differential proptest filter '$diff_test' matched no tests" >&2; exit 1; }
 done
 # The EvalPool, multi-start and serve differential proptests once more under
-# each oracle feature (the root manifest forwards them to afp-metaheuristics
-# and afp-serve), so the pool's worker caches — and the serve layer's
-# memoization contract — are exercised against the full-rebuild realization
-# and full-rescan metrics paths too — a bug that only shows against an
-# oracle default would otherwise hide behind the incremental defaults above.
-for oracle_feature in full-realize full-metrics; do
-    for pool_test in eval_pool_matches_serial_cost_cached \
-        multistart_sa_matches_serial_replay \
-        serve_cache_hit_replays_the_cold_solve_bit_for_bit \
-        serve_persist_round_trip_restores_bit_identical_hits \
-        serve_daemon_admits_while_draining_and_matches_cold_solves \
-        multiword_grid_fits_anchors_and_nearest_fit_match_scalar \
-        incremental_realize_matches_full_beyond_64_blocks \
-        incremental_metrics_match_full_beyond_64_blocks; do
-        diff_out="$(cargo test --test properties "$pool_test" \
-            --features "$oracle_feature" 2>&1)" \
-            || { echo "$diff_out"; exit 1; }
-        echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
-            || { echo "ci: $pool_test matched no tests under $oracle_feature" >&2; exit 1; }
-    done
+# the oracle feature (the root manifest forwards it to afp-metaheuristics and
+# afp-serve), so the pool's worker caches — and the serve layer's memoization
+# contract — are exercised against the full-rebuild realization path too — a
+# bug that only shows against the oracle default would otherwise hide behind
+# the incremental default above.
+for pool_test in eval_pool_matches_serial_cost_cached \
+    multistart_sa_matches_serial_replay \
+    serve_cache_hit_replays_the_cold_solve_bit_for_bit \
+    serve_persist_round_trip_restores_bit_identical_hits \
+    serve_daemon_admits_while_draining_and_matches_cold_solves; do
+    diff_out="$(cargo test --test properties "$pool_test" \
+        --features full-realize 2>&1)" \
+        || { echo "$diff_out"; exit 1; }
+    echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
+        || { echo "ci: $pool_test matched no tests under full-realize" >&2; exit 1; }
 done
 cargo test -q -p afp-metaheuristics --features full-realize
-cargo test -q -p afp-metaheuristics --features full-metrics
 
-# Large-n zero-fallback tripwires: the `fallback_rescans` counter is
-# structurally never incremented (the full-rescan fallback branch was deleted
-# when the metric masks went multi-word), and these unit tests pin that claim
-# on 70- and 200-block circuits — past every historical 64-element ceiling.
-# Run them by name so a filtered run cannot silently skip them. (The
-# feature-gated `cargo test -p afp-metaheuristics` runs above exercise the
-# 200-block pipeline test against both oracle defaults as well.)
-for fallback_test in \
-    "afp-layout|large_circuits_run_incrementally_with_zero_fallbacks" \
-    "afp-metaheuristics|large_n_cost_pipeline_runs_incrementally_with_zero_fallbacks"; do
-    pkg="${fallback_test%%|*}"
-    name="${fallback_test##*|}"
-    fb_out="$(cargo test -p "$pkg" "$name" 2>&1)" \
-        || { echo "$fb_out"; exit 1; }
-    echo "$fb_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
-        || { echo "ci: zero-fallback test filter '$name' matched no tests" >&2; exit 1; }
-done
+# Large-n cost pipeline: the 200-block unit test pins the cached cost (serial
+# and through the EvalPool) to the uncached one past every historical
+# 64-element ceiling. Run it by name so a filtered run cannot silently skip
+# it. (The feature-gated `cargo test -p afp-metaheuristics` run above
+# exercises it against the oracle default as well.)
+large_out="$(cargo test -p afp-metaheuristics large_n_cost_pipeline_matches_uncached_cost 2>&1)" \
+    || { echo "$large_out"; exit 1; }
+echo "$large_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
+    || { echo "ci: large-n test filter matched no tests" >&2; exit 1; }
 
 # Robustness safety net: the deterministic fault-injection proptests (pool
 # survives injected panics/stalls; multistart winner reduces deterministically
@@ -133,9 +116,7 @@ for section in ("pack", "snap", "large_n", "masks", "incremental_realize",
     assert section in snap, f"missing snapshot section: {section}"
 # The large-n tier: one row per block count past the old 64-element ceilings,
 # each run end to end through the incremental cost pipeline on a multi-word
-# grid. `fallback_rescans` is the tripwire for the deleted full-rescan
-# branch: any nonzero value means a "large" circuit silently fell back to
-# O(n) rescans, which is exactly the regression this tier exists to catch.
+# grid.
 large = snap["large_n"]
 assert [row["blocks"] for row in large] == [200, 500, 1000], \
     "large_n tier does not cover the expected block counts"
@@ -144,11 +125,9 @@ assert [row["grid_side"] for row in large] == [64, 96, 128], \
 for row in large:
     for key in ("sa_move_ns", "eval_pool_generation_ns", "multistart_ns"):
         assert row[key] > 0.0, f"nonsensical large_n timing: {key}"
-    assert row["fallback_rescans"] == 0, \
-        f"incremental metrics fell back at n={row['blocks']}"
 inc = snap["incremental_realize"]
-for key in ("incremental_move_ns", "incremental_realize_full_metrics_move_ns",
-            "full_move_ns", "speedup", "replay_hit_rate", "pack_replay_rate"):
+for key in ("incremental_move_ns", "full_move_ns", "speedup",
+            "replay_hit_rate", "pack_replay_rate"):
     assert key in inc, f"missing incremental_realize key: {key}"
 assert 0.0 <= inc["replay_hit_rate"] <= 1.0, "hit rate out of range"
 assert 0.0 <= inc["pack_replay_rate"] <= 1.0, "pack replay rate out of range"

@@ -485,97 +485,6 @@ proptest! {
         }
     }
 
-    /// Differential test of the incremental metrics engine against the
-    /// full-rescan oracle: along random perturbation walks the dirty-set
-    /// evaluation (per-net HPWL terms, per-constraint violation flags,
-    /// deferred across penalized episodes) must report HPWL, violation
-    /// count and episode reward bit-identical to `metrics_with` +
-    /// `count_violations` + `episode_reward` recomputed from scratch.
-    #[test]
-    fn incremental_metrics_match_full_rescan_oracle(
-        seed in 0u64..1_000_000,
-        moves in 1usize..14,
-    ) {
-        use analog_floorplan::circuit::generators;
-        use analog_floorplan::layout::metrics::{
-            episode_reward_incremental, metrics_incremental, DirtySet, MetricsScratch,
-        };
-        use analog_floorplan::layout::sequence_pair::realize_floorplan_incremental;
-        use analog_floorplan::layout::{PackScratch, RealizeCache};
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let circuit = generators::random_circuit(&mut rng);
-        let canvas = Canvas::for_circuit(&circuit);
-        let n = circuit.num_blocks();
-        let mut positive: Vec<usize> = (0..n).collect();
-        let mut negative: Vec<usize> = (0..n).collect();
-        positive.shuffle(&mut rng);
-        negative.shuffle(&mut rng);
-        let mut shapes: Vec<Shape> = (0..n)
-            .map(|_| Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0)))
-            .collect();
-        let hpwl_min = metrics::hpwl_lower_bound(&circuit);
-        let weights = metrics::RewardWeights::default();
-
-        let mut scratch = PackScratch::with_capacity(n);
-        let mut fp = Floorplan::new(canvas);
-        let mut cache = RealizeCache::new();
-        // Two scratches walked through the same dirty stream: one consumed by
-        // the reward evaluation (exercising the penalty deferral), one by the
-        // metric-snapshot evaluation (exercising the exact flush).
-        let mut reward_scratch = MetricsScratch::new();
-        let mut snapshot_scratch = MetricsScratch::new();
-
-        for _ in 0..moves {
-            match rng.gen_range(0..4) {
-                0 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    positive.swap(i, j);
-                }
-                1 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    negative.swap(i, j);
-                }
-                2 => {
-                    let b = rng.gen_range(0..n);
-                    shapes[b] = Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0));
-                }
-                _ => {} // identical episode: empty dirty set
-            }
-            realize_floorplan_incremental(
-                &positive, &negative, &shapes, &circuit, canvas, &mut scratch, &mut fp,
-                &mut cache,
-            );
-            let dirty = || {
-                if cache.last_was_full_rebuild() {
-                    DirtySet::Full
-                } else {
-                    DirtySet::Blocks(cache.dirty_blocks())
-                }
-            };
-
-            // Full-rescan oracle, fresh state every episode.
-            let expected_metrics = metrics::metrics(&circuit, &fp);
-            let expected_violations =
-                analog_floorplan::layout::constraints::count_violations(&circuit, &fp);
-            let expected_reward = metrics::episode_reward(&circuit, &fp, hpwl_min, &weights);
-
-            let reward = episode_reward_incremental(
-                &circuit, &fp, hpwl_min, &weights, &mut reward_scratch, dirty(),
-            );
-            prop_assert_eq!(reward, expected_reward, "episode reward diverged");
-
-            let (m, violations) =
-                metrics_incremental(&circuit, &fp, &mut snapshot_scratch, dirty());
-            prop_assert_eq!(m.hpwl_um, expected_metrics.hpwl_um, "HPWL diverged");
-            prop_assert_eq!(m.dead_space, expected_metrics.dead_space);
-            prop_assert_eq!(m.area_um2, expected_metrics.area_um2);
-            prop_assert_eq!(m.aspect_ratio, expected_metrics.aspect_ratio);
-            prop_assert_eq!(violations, expected_violations, "violation count diverged");
-        }
-    }
-
     /// `realize_floorplan` (pack → scale → snap → bitboard nearest-fit) must
     /// produce placements bit-identical to the pre-refactor scalar path
     /// (same pack, scalar occupancy grid, spiral nearest-fit scan).
@@ -651,8 +560,8 @@ proptest! {
 
 /// A deterministic `n`-block chain circuit used by the large-n differential
 /// walks: randomized block areas, a chain net per adjacent pair and a
-/// vertical-symmetry constraint per adjacent pair — so any `n > 64` pushes
-/// the per-block *and* per-constraint incremental masks past one word.
+/// vertical-symmetry constraint per adjacent pair — so any `n > 64` is past
+/// the historical 64-block / 64-constraint bitmask ceiling.
 fn large_circuit(n: usize, seed: u64) -> analog_floorplan::circuit::Circuit {
     use analog_floorplan::circuit::{Circuit, NetClass};
     use rand::{Rng, SeedableRng};
@@ -677,10 +586,11 @@ fn large_circuit(n: usize, seed: u64) -> analog_floorplan::circuit::Circuit {
 
 proptest! {
     // 200+ random cases each: the acceptance bar of the multi-word engines —
-    // the same scalar / full-rescan differentials as the blocks above, but on
-    // grids wider than one 64-bit word and circuits past the historical
-    // 64-block / 64-constraint bitmask ceiling. Run by name in scripts/ci.sh
-    // under the default and both feature-gated oracle configurations.
+    // the same scalar / full-rebuild differentials as the blocks above, but
+    // on grids wider than one 64-bit word and circuits past the historical
+    // 64-block / 64-constraint bitmask ceiling. Run by name in scripts/ci.sh.
+    // Neither builds a `CostCache`, so the oracle features cannot change
+    // what they check.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Word-spanning occupancy queries versus the scalar oracle: on a grid
@@ -807,101 +717,12 @@ proptest! {
             prop_assert_eq!(metrics::hpwl(&circuit, &fp), metrics::hpwl(&circuit, &fresh));
         }
     }
-
-    /// The incremental metrics engine past the 64-block / 64-constraint
-    /// ceiling: along the same perturbation walks, the dirty-set evaluation
-    /// must report HPWL, violation count and episode reward bit-identical to
-    /// the full rescan — with the spilled masks never tripping a fallback
-    /// (`fallback_rescans` stays 0 at every n).
-    #[test]
-    fn incremental_metrics_match_full_beyond_64_blocks(
-        n in 65usize..201,
-        seed in 0u64..1_000_000,
-        moves in 1usize..5,
-    ) {
-        use analog_floorplan::layout::metrics::{
-            episode_reward_incremental, metrics_incremental, DirtySet, MetricsScratch,
-        };
-        use analog_floorplan::layout::sequence_pair::realize_floorplan_incremental;
-        use analog_floorplan::layout::{PackScratch, RealizeCache};
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        const SIDE: usize = 96;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let circuit = large_circuit(n, seed);
-        prop_assert!(circuit.constraints.len() > 64, "constraint masks must spill");
-        let canvas = Canvas::for_circuit(&circuit);
-        let mut positive: Vec<usize> = (0..n).collect();
-        let mut negative: Vec<usize> = (0..n).collect();
-        positive.shuffle(&mut rng);
-        negative.shuffle(&mut rng);
-        let mut shapes: Vec<Shape> = (0..n)
-            .map(|_| Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0)))
-            .collect();
-        let hpwl_min = metrics::hpwl_lower_bound(&circuit);
-        let weights = metrics::RewardWeights::default();
-
-        let mut scratch = PackScratch::with_capacity(n);
-        let mut fp = Floorplan::with_grid_side(canvas, SIDE);
-        let mut cache = RealizeCache::new();
-        let mut reward_scratch = MetricsScratch::new();
-        let mut snapshot_scratch = MetricsScratch::new();
-
-        for _ in 0..moves {
-            match rng.gen_range(0..4) {
-                0 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    positive.swap(i, j);
-                }
-                1 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    negative.swap(i, j);
-                }
-                2 => {
-                    let b = rng.gen_range(0..n);
-                    shapes[b] = Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0));
-                }
-                _ => {} // identical episode: empty dirty set
-            }
-            realize_floorplan_incremental(
-                &positive, &negative, &shapes, &circuit, canvas, &mut scratch, &mut fp,
-                &mut cache,
-            );
-            let dirty = || {
-                if cache.last_was_full_rebuild() {
-                    DirtySet::Full
-                } else {
-                    DirtySet::Blocks(cache.dirty_blocks())
-                }
-            };
-
-            let expected_metrics = metrics::metrics(&circuit, &fp);
-            let expected_violations =
-                analog_floorplan::layout::constraints::count_violations(&circuit, &fp);
-            let expected_reward = metrics::episode_reward(&circuit, &fp, hpwl_min, &weights);
-
-            let reward = episode_reward_incremental(
-                &circuit, &fp, hpwl_min, &weights, &mut reward_scratch, dirty(),
-            );
-            prop_assert_eq!(reward, expected_reward, "episode reward diverged at n {}", n);
-
-            let (m, violations) =
-                metrics_incremental(&circuit, &fp, &mut snapshot_scratch, dirty());
-            prop_assert_eq!(m.hpwl_um, expected_metrics.hpwl_um, "HPWL diverged at n {}", n);
-            prop_assert_eq!(m.dead_space, expected_metrics.dead_space);
-            prop_assert_eq!(m.area_um2, expected_metrics.area_um2);
-            prop_assert_eq!(m.aspect_ratio, expected_metrics.aspect_ratio);
-            prop_assert_eq!(violations, expected_violations, "violation count diverged");
-        }
-        prop_assert_eq!(reward_scratch.fallback_rescans, 0, "reward path tripped a fallback");
-        prop_assert_eq!(snapshot_scratch.fallback_rescans, 0, "metrics path tripped a fallback");
-    }
 }
 
 proptest! {
     // Differential safety net of the parallel evaluation engine (layer 5,
     // see ARCHITECTURE.md): run by name in scripts/ci.sh under the default
-    // and both feature-gated oracle configurations.
+    // and the feature-gated oracle configuration.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// `EvalPool::evaluate` must return, for random populations and any
@@ -952,11 +773,10 @@ proptest! {
             }
         }
 
-        // The pool's runtime oracle toggles: flip every worker cache to the
-        // full-rebuild realization and full-rescan metrics paths and
-        // re-score — still bit-identical to the uncached cost.
+        // The pool's runtime oracle toggle: flip every worker cache to the
+        // full-rebuild realization path and re-score — still bit-identical
+        // to the uncached cost.
         pool.set_incremental(false);
-        pool.set_incremental_metrics(false);
         let oracle = pool.evaluate(&problem, &generation);
         for (candidate, &cost) in generation.iter().zip(&oracle) {
             prop_assert_eq!(cost, problem.cost(candidate), "oracle-path pool cost diverged");
@@ -1212,8 +1032,8 @@ mod fault_injection {
 
 proptest! {
     // Contract proptests of the serve layer (fingerprint + result cache +
-    // job engine): run by name in scripts/ci.sh under the default and both
-    // feature-gated oracle configurations, because memoized results are only
+    // job engine): run by name in scripts/ci.sh under the default and the
+    // feature-gated oracle configuration, because memoized results are only
     // safe to return if the solvers are bit-identical under every oracle.
     // Fewer cases than the layer-5 blocks above: each case runs real solves.
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -1361,7 +1181,7 @@ proptest! {
 
 proptest! {
     // Persistence round-trip contract: run by name in scripts/ci.sh under
-    // the default and both feature-gated oracle configurations, because a
+    // the default and the feature-gated oracle configuration, because a
     // restored cache is only safe if the hits it serves are bit-identical
     // to what the *current* solver stack would produce. Many cases, tiny
     // solves: the surface under test is the snapshot codec, not the solver.
