@@ -24,9 +24,9 @@ use afp_layout::masks::positional_masks;
 use afp_layout::sequence_pair::{realize_floorplan, PackedFloorplan};
 use afp_layout::{Floorplan, PackScratch};
 use afp_metaheuristics::{
-    chain_seed, multistart_sa, select_winner, simulated_annealing,
-    simulated_annealing_with_cache, Baseline, Candidate, CostCache, EvalPool, GaConfig, MoveMix,
-    MultistartSaConfig, Problem, SaConfig,
+    chain_seed, multistart_sa, select_winner, simulated_annealing, simulated_annealing_on,
+    Baseline, Candidate, CostCache, EvalPool, GaConfig, MoveMix, MultistartSaConfig, Problem,
+    RunControl, SaConfig,
 };
 use afp_par::{PoolHandle, WorkerPool};
 use afp_serve::{CacheHandle, JobEngine, JobRequest, JobSpec, ServeConfig, ServeDaemon};
@@ -160,7 +160,8 @@ fn main() {
                     ..ms_cfg.base.clone()
                 };
                 let mut cache = CostCache::new(&pool_problem);
-                simulated_annealing_with_cache(&pool_problem, &chain_cfg, None, &mut cache)
+                let unbounded = RunControl::unbounded();
+                simulated_annealing_on(&pool_problem, &chain_cfg, None, &mut cache, &unbounded).0
             })
             .collect();
         ms_pooled

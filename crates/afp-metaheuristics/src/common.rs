@@ -671,15 +671,12 @@ impl EvalPool {
     /// worker threads) for one problem. `workers = 0` means one per
     /// available hardware thread; any value is clamped to at least 1.
     pub fn new(problem: &Problem, workers: usize) -> Self {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            workers
-        }
-        .max(1);
+        let pool = afp_par::WorkerPool::new(workers);
         EvalPool {
-            caches: (0..workers).map(|_| CostCache::new(problem)).collect(),
-            pool: afp_par::WorkerPool::new(workers),
+            caches: (0..pool.workers())
+                .map(|_| CostCache::new(problem))
+                .collect(),
+            pool,
         }
     }
 
@@ -837,6 +834,27 @@ pub fn candidate_is_feasible(problem: &Problem, candidate: &Candidate) -> bool {
     let floorplan = problem.realize(candidate);
     floorplan.num_placed() == problem.num_blocks()
         && !constraints::has_violations(problem.circuit(), &floorplan)
+}
+
+/// The control check of the generation-grained optimizers (GA once per
+/// generation, SP-RL once per episode): budget / cancel / deadline first,
+/// then — in race mode — the first-feasible predicate on the best candidate
+/// so far, which also raises the shared cancel token so sibling racers stop.
+/// A boundary is already many evaluations wide, so no stride gating applies.
+pub(crate) fn boundary_stop(
+    problem: &Problem,
+    control: &RunControl,
+    best: &Candidate,
+    evaluations: usize,
+) -> Option<StopReason> {
+    if let Some(reason) = control.poll_now(evaluations as u64) {
+        return Some(reason);
+    }
+    if control.stop_on_first_feasible() && candidate_is_feasible(problem, best) {
+        control.cancel();
+        return Some(StopReason::FirstFeasible);
+    }
+    None
 }
 
 /// One slot of a multistart / portfolio race: what became of the chain that

@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
 use crate::common::{
-    candidate_is_feasible, BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason,
+    boundary_stop, BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason,
 };
 
 /// Genetic-algorithm configuration.
@@ -121,49 +121,38 @@ fn crossover<R: Rng + ?Sized>(a: &Candidate, b: &Candidate, rng: &mut R) -> Cand
 
 /// Runs the genetic algorithm on a circuit.
 pub fn genetic_algorithm(circuit: &Circuit, config: &GaConfig) -> BaselineResult {
-    genetic_algorithm_controlled(circuit, config, &RunControl::unbounded())
+    let problem = Problem::new(circuit);
+    genetic_algorithm_on(&problem, config, &RunControl::unbounded(), None).0
 }
 
-/// [`genetic_algorithm`] under a [`RunControl`]: polled once per generation
-/// (each generation is already `population` evaluations wide, so no stride
-/// gating is needed — see `docs/TUNING.md`).
+/// Runs the genetic algorithm on an existing problem under a [`RunControl`],
+/// optionally warm-started, returning the result and the best candidate.
 ///
-/// A completed run returns the best of the *final* population, exactly as
-/// the historical entry point does; an interrupted run returns the best
-/// candidate seen across all generations so far, with the interrupting
-/// [`StopReason`]. Polling draws nothing from the RNG, so an uninterrupted
-/// controlled run is bit-identical to an uncontrolled one.
-pub fn genetic_algorithm_controlled(
-    circuit: &Circuit,
-    config: &GaConfig,
-    control: &RunControl,
-) -> BaselineResult {
-    genetic_algorithm_controlled_seeded(circuit, config, control, None).0
-}
-
-/// [`genetic_algorithm_controlled`] with an optional warm-start candidate,
-/// returning the best candidate alongside the result.
+/// The control is polled once per generation (each generation is already
+/// `population` evaluations wide, so no stride gating is needed — see
+/// `docs/TUNING.md`). A completed run returns the best of the *final*
+/// population; an interrupted run returns the best candidate seen across all
+/// generations so far, with the interrupting [`StopReason`]. Polling draws
+/// nothing from the RNG, so an uninterrupted run is bit-identical to one
+/// under [`RunControl::unbounded`].
 ///
 /// A provided `warm` candidate replaces the deterministic identity member at
 /// population slot 0 (the random members and the whole RNG stream are
 /// untouched), so a serve-layer warm start biases the initial population
-/// toward a known-good solution without perturbing anything else. With
-/// `warm: None` the run is bit-identical to
-/// [`genetic_algorithm_controlled`].
+/// toward a known-good solution without perturbing anything else.
 ///
 /// # Panics
 ///
-/// Panics if `warm` has a different block count than the circuit.
-pub fn genetic_algorithm_controlled_seeded(
-    circuit: &Circuit,
+/// Panics if `warm` has a different block count than the problem.
+pub fn genetic_algorithm_on(
+    problem: &Problem,
     config: &GaConfig,
     control: &RunControl,
     warm: Option<&Candidate>,
 ) -> (BaselineResult, Candidate) {
-    let problem = Problem::new(circuit);
     let started = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut pool = EvalPool::new(&problem, config.workers);
+    let mut pool = EvalPool::new(problem, config.workers);
     let n = problem.num_blocks();
 
     if let Some(w) = warm {
@@ -185,7 +174,7 @@ pub fn genetic_algorithm_controlled_seeded(
             }
         })
         .collect();
-    let mut costs: Vec<f64> = pool.evaluate(&problem, &population);
+    let mut costs: Vec<f64> = pool.evaluate(problem, &population);
     debug_assert!(
         costs.iter().all(|c| c.is_finite()),
         "non-finite candidate cost would scramble selection"
@@ -197,9 +186,9 @@ pub fn genetic_algorithm_controlled_seeded(
     // best-of-final-population return, preserving bit-identity).
     let (mut seen_best, mut seen_best_cost) = best_of(&population, &costs);
     let mut stop = StopReason::Completed;
-    if let Some(reason) = early_stop(&problem, control, &seen_best, evaluations) {
+    if let Some(reason) = boundary_stop(problem, control, &seen_best, evaluations) {
         let result =
-            BaselineResult::from_candidate("GA", &problem, &seen_best, started, evaluations)
+            BaselineResult::from_candidate("GA", problem, &seen_best, started, evaluations)
                 .with_stop(reason);
         return (result, seen_best);
     }
@@ -233,7 +222,7 @@ pub fn genetic_algorithm_controlled_seeded(
         // as memo hits when their worker scored them last generation; either
         // way their costs are bit-identical, so worker count never changes
         // the selection pressure.
-        costs = pool.evaluate(&problem, &population);
+        costs = pool.evaluate(problem, &population);
         debug_assert!(
             costs.iter().all(|c| c.is_finite()),
             "non-finite candidate cost would scramble selection"
@@ -244,7 +233,7 @@ pub fn genetic_algorithm_controlled_seeded(
             seen_best = gen_best;
             seen_best_cost = gen_best_cost;
         }
-        if let Some(reason) = early_stop(&problem, control, &seen_best, evaluations) {
+        if let Some(reason) = boundary_stop(problem, control, &seen_best, evaluations) {
             stop = reason;
             break;
         }
@@ -252,19 +241,13 @@ pub fn genetic_algorithm_controlled_seeded(
 
     if stop.is_interrupted() {
         let result =
-            BaselineResult::from_candidate("GA", &problem, &seen_best, started, evaluations)
+            BaselineResult::from_candidate("GA", problem, &seen_best, started, evaluations)
                 .with_stop(stop);
         return (result, seen_best);
     }
-    let best_idx = costs
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    let result =
-        BaselineResult::from_candidate("GA", &problem, &population[best_idx], started, evaluations);
-    (result, population[best_idx].clone())
+    let (best, _) = best_of(&population, &costs);
+    let result = BaselineResult::from_candidate("GA", problem, &best, started, evaluations);
+    (result, best)
 }
 
 /// The lowest-cost member of a scored population (lowest index on ties).
@@ -276,24 +259,6 @@ fn best_of(population: &[Candidate], costs: &[f64]) -> (Candidate, f64) {
         .map(|(i, _)| i)
         .unwrap_or(0);
     (population[idx].clone(), costs[idx])
-}
-
-/// The per-generation control check shared by the entry and loop polls:
-/// budget/cancel/deadline first, then the first-feasible race predicate.
-fn early_stop(
-    problem: &Problem,
-    control: &RunControl,
-    seen_best: &Candidate,
-    evaluations: usize,
-) -> Option<StopReason> {
-    if let Some(reason) = control.poll_now(evaluations as u64) {
-        return Some(reason);
-    }
-    if control.stop_on_first_feasible() && candidate_is_feasible(problem, seen_best) {
-        control.cancel();
-        return Some(StopReason::FirstFeasible);
-    }
-    None
 }
 
 fn tournament_select<'a, R: Rng + ?Sized>(

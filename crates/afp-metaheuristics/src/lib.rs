@@ -36,16 +36,22 @@
 //! `docs/TUNING.md` for how to choose worker counts, population sizes, the
 //! locality bias, and chain/restart splits.
 //!
-//! Every optimizer also has a `*_controlled` entry point taking a
-//! [`RunControl`] — a wall-clock deadline, an evaluation budget, a
+//! Every optimizer has exactly two entry points: the circuit-level
+//! convenience above (`simulated_annealing(circuit, config)`, …) and one
+//! problem-level `*_on` function ([`simulated_annealing_on`],
+//! [`genetic_algorithm_on`], [`particle_swarm_on`], [`rl_sa_on`],
+//! [`sequence_pair_rl_on`], [`multistart_sa_on`]) that takes a [`Problem`],
+//! a [`RunControl`] — a wall-clock deadline, an evaluation budget, a
 //! cooperative [`CancelToken`], and an opt-in first-feasible race mode —
-//! and reports *why* it stopped in [`BaselineResult::stop`]
-//! ([`StopReason`]). Controls are polled at deterministic strides and draw
-//! nothing from the RNG, so an uninterrupted controlled run is bit-identical
-//! to an uncontrolled one. Multi-start and portfolio races additionally
-//! isolate panicking chains per slot ([`ChainOutcome`]) and reduce the
-//! winner over the survivors; the `fault-inject` feature adds a
-//! deterministic fault-injection harness over exactly that machinery.
+//! and whatever else that algorithm uses (SA's warm start and
+//! [`CostCache`], GA's warm start). Every run reports *why* it stopped in
+//! [`BaselineResult::stop`] ([`StopReason`]). Controls are polled at
+//! deterministic strides and draw nothing from the RNG, so an uninterrupted
+//! controlled run is bit-identical to an uncontrolled one. Multi-start and
+//! portfolio races additionally isolate panicking chains per slot
+//! ([`ChainOutcome`]) and reduce the winner over the survivors; the
+//! `fault-inject` feature adds a deterministic fault-injection harness over
+//! exactly that machinery.
 //!
 //! # Examples
 //!
@@ -75,23 +81,17 @@ pub use common::{
     EvalPool, MoveMix, PerturbUndo, Problem, RunControl, StopReason,
 };
 pub use common::panic_payload_message;
-pub use ga::{
-    genetic_algorithm, genetic_algorithm_controlled, genetic_algorithm_controlled_seeded, GaConfig,
-};
+pub use ga::{genetic_algorithm, genetic_algorithm_on, GaConfig};
 #[cfg(feature = "fault-inject")]
 pub use multistart::multistart_sa_injected;
 pub use multistart::{
-    chain_seed, multistart_sa, multistart_sa_controlled, multistart_sa_on,
-    multistart_sa_on_controlled, multistart_sa_on_pooled, select_surviving_winner, select_winner,
+    chain_seed, multistart_sa, multistart_sa_on, select_surviving_winner, select_winner,
     MultistartResult, MultistartSaConfig, Portfolio, PortfolioResult,
 };
-pub use pso::{particle_swarm, particle_swarm_controlled, PsoConfig};
-pub use rl_sa::{rl_sa, rl_sa_controlled, RlSaConfig};
-pub use sa::{
-    simulated_annealing, simulated_annealing_controlled, simulated_annealing_controlled_traced,
-    simulated_annealing_on, simulated_annealing_with_cache, SaConfig,
-};
-pub use sp_rl::{sequence_pair_rl, sequence_pair_rl_on, sequence_pair_rl_on_controlled, SpRlConfig};
+pub use pso::{particle_swarm, particle_swarm_on, PsoConfig};
+pub use rl_sa::{rl_sa, rl_sa_on, RlSaConfig};
+pub use sa::{simulated_annealing, simulated_annealing_on, SaConfig};
+pub use sp_rl::{sequence_pair_rl, sequence_pair_rl_on, SpRlConfig};
 
 use afp_circuit::Circuit;
 
@@ -147,78 +147,63 @@ impl Baseline {
     /// Runs the baseline on a circuit with a specific seed (the Table I
     /// harness repeats runs over several seeds to report interquartile means).
     pub fn run(&self, circuit: &Circuit, seed: u64) -> BaselineResult {
-        self.run_controlled(circuit, seed, &RunControl::unbounded())
+        self.run_controlled(circuit, seed, &RunControl::unbounded(), None)
+            .0
     }
 
-    /// [`Baseline::run`] under a [`RunControl`]: the control is threaded
-    /// into the baseline's controlled entry point, so deadlines, budgets,
-    /// cancellation and the first-feasible race mode apply uniformly across
-    /// algorithms (this is what lets [`Portfolio`] race heterogeneous
-    /// members under one shared control). An uninterrupted run is
-    /// bit-identical to [`Baseline::run`].
-    pub fn run_controlled(
-        &self,
-        circuit: &Circuit,
-        seed: u64,
-        control: &RunControl,
-    ) -> BaselineResult {
-        self.run_controlled_seeded(circuit, seed, control, None).0
-    }
-
-    /// [`Baseline::run_controlled`] with an optional warm-start candidate,
-    /// returning the best candidate found (when the algorithm exposes one)
-    /// alongside the result.
+    /// [`Baseline::run`] under a [`RunControl`] with an optional warm-start
+    /// candidate, returning the best candidate found (when the algorithm
+    /// exposes one) alongside the result.
     ///
-    /// This is the serve layer's entry point: a cached winner from a
+    /// The [`Problem`] is built once and handed to the algorithm's `*_on`
+    /// entry point, so deadlines, budgets, cancellation and the
+    /// first-feasible race mode apply uniformly across algorithms (this is
+    /// what lets [`Portfolio`] race heterogeneous members under one shared
+    /// control). An uninterrupted run with `warm: None` is bit-identical to
+    /// [`Baseline::run`].
+    ///
+    /// This is also the serve layer's entry point: a cached winner from a
     /// same-topology solve is passed as `warm` so the optimizer resumes from
     /// a known-good layout instead of a random start. Warm starts are honored
     /// by SA (initial walk state) and GA (population slot 0); PSO's
     /// random-key encoding and the RL baselines' learned policies have no
     /// clean injection point, so they run cold and `warm` is ignored. The
     /// returned candidate is `Some` for SA, GA and SP-RL — algorithms whose
-    /// best candidate is exposed — and `None` otherwise. With `warm: None`
-    /// the result is bit-identical to [`Baseline::run_controlled`].
-    pub fn run_controlled_seeded(
+    /// best candidate is exposed — and `None` otherwise.
+    pub fn run_controlled(
         &self,
         circuit: &Circuit,
         seed: u64,
         control: &RunControl,
-        warm: Option<&common::Candidate>,
-    ) -> (BaselineResult, Option<common::Candidate>) {
+        warm: Option<&Candidate>,
+    ) -> (BaselineResult, Option<Candidate>) {
+        let problem = Problem::new(circuit);
         match self {
             Baseline::Sa(cfg) => {
                 let cfg = SaConfig { seed, ..cfg.clone() };
-                let problem = Problem::new(circuit);
                 let mut cache = CostCache::new(&problem);
-                let (result, best) = simulated_annealing_controlled_traced(
-                    &problem,
-                    &cfg,
-                    warm.cloned(),
-                    &mut cache,
-                    control,
-                );
+                let (result, best) =
+                    simulated_annealing_on(&problem, &cfg, warm.cloned(), &mut cache, control);
                 (result, Some(best))
             }
             Baseline::Ga(cfg) => {
                 let cfg = GaConfig { seed, ..cfg.clone() };
-                let (result, best) =
-                    genetic_algorithm_controlled_seeded(circuit, &cfg, control, warm);
+                let (result, best) = genetic_algorithm_on(&problem, &cfg, control, warm);
                 (result, Some(best))
             }
             Baseline::Pso(cfg) => {
                 let cfg = PsoConfig { seed, ..cfg.clone() };
-                (particle_swarm_controlled(circuit, &cfg, control), None)
+                (particle_swarm_on(&problem, &cfg, control), None)
             }
             Baseline::RlSa(cfg) => {
                 let mut cfg = cfg.clone();
                 cfg.warmup.seed = seed;
                 cfg.refinement.seed = seed.wrapping_add(1);
-                (rl_sa_controlled(circuit, &cfg, control), None)
+                (rl_sa_on(&problem, &cfg, control), None)
             }
             Baseline::SpRl(cfg) => {
                 let cfg = SpRlConfig { seed, ..cfg.clone() };
-                let problem = Problem::new(circuit);
-                let (result, best) = sequence_pair_rl_on_controlled(&problem, &cfg, control);
+                let (result, best) = sequence_pair_rl_on(&problem, &cfg, control);
                 (result, Some(best))
             }
         }

@@ -15,8 +15,8 @@
 //! The worker count is a scheduling decision, never a results decision:
 //!
 //! * Chain `i` always runs with [`chain_seed`]`(base_seed, i)` and every
-//!   chain is an independent `simulated_annealing_with_cache` run —
-//!   bit-identical to running the same config serially, because
+//!   chain is an independent `simulated_annealing_on` run — bit-identical
+//!   to running the same config serially, because
 //!   `cost_cached` returns the same bits regardless of cache state (the
 //!   layer 1–4 contract) and chains share no mutable state.
 //! * The winner is chosen by [`select_winner`]: feasible results beat
@@ -30,11 +30,11 @@
 //!
 //! # Run control and failure domains
 //!
-//! The `*_controlled` entry points thread a [`RunControl`] through every
-//! chain: each chain polls the shared deadline / budget / cancel token at
-//! its own stride, the pool observes the control's cancel token at
-//! chunk-claim boundaries (chains that never started come back as
-//! [`ChainOutcome::Skipped`]), and — with
+//! [`multistart_sa_on`] threads a [`RunControl`] through every chain (and
+//! [`Portfolio::run_controlled`] through every member): each chain polls the
+//! shared deadline / budget / cancel token at its own stride, the pool
+//! observes the control's cancel token at chunk-claim boundaries (chains
+//! that never started come back as [`ChainOutcome::Skipped`]), and — with
 //! [`RunControl::with_stop_on_first_feasible`] — the first chain to reach a
 //! feasible floorplan raises the token so the rest of the race stands down.
 //! Race mode is off by default; an uninterrupted controlled run is
@@ -54,12 +54,12 @@ use std::time::Instant;
 
 use afp_circuit::Circuit;
 use afp_layout::constraints;
-use afp_par::PoolHandle;
+use afp_par::{resolve_workers, WorkerPool};
 
 use crate::common::{
     panic_payload_message, BaselineResult, ChainOutcome, CostCache, Problem, RunControl, StopReason,
 };
-use crate::sa::{simulated_annealing_controlled, SaConfig};
+use crate::sa::{simulated_annealing_on, SaConfig};
 use crate::{Baseline, GaConfig, PsoConfig};
 
 /// Derives the seed of chain `chain` from a base seed: a splitmix64 finalizer
@@ -152,82 +152,39 @@ impl MultistartResult {
 /// Runs `config.chains` independent SA chains on a circuit and returns every
 /// chain's outcome plus the deterministic winner. See [`multistart_sa_on`].
 pub fn multistart_sa(circuit: &Circuit, config: &MultistartSaConfig) -> MultistartResult {
-    let problem = Problem::new(circuit);
-    multistart_sa_on(&problem, config)
+    multistart_sa_on(&Problem::new(circuit), config, &RunControl::unbounded())
 }
 
-/// [`multistart_sa`] on an existing [`Problem`]: races the chains over a
-/// persistent [`afp_par::WorkerPool`] with one warm [`CostCache`] per worker.
+/// [`multistart_sa`] on an existing [`Problem`] under a [`RunControl`]: races
+/// the chains over a persistent [`afp_par::WorkerPool`] with one warm
+/// [`CostCache`] per worker.
 ///
 /// Chain `i` is bit-identical to a serial
-/// [`simulated_annealing_with_cache`](crate::simulated_annealing_with_cache)
-/// run of the base config with seed [`chain_seed`]`(base.seed, i)` — at any
-/// worker count. Only `runtime_s` (wall-clock) varies run to run.
+/// [`simulated_annealing_on`](crate::simulated_annealing_on) run of the base
+/// config with seed [`chain_seed`]`(base.seed, i)` under the same control —
+/// at any worker count. Only `runtime_s` (wall-clock) varies run to run.
+/// Every chain polls the shared control, the pool observes its cancel token
+/// at chunk-claim boundaries, and a panicking chain is isolated into
+/// [`ChainOutcome::Panicked`] with its worker's cache rebuilt. An
+/// uninterrupted run (no deadline hit, no cancellation, race mode off) is
+/// bit-identical to one under [`RunControl::unbounded`].
 ///
 /// # Panics
 ///
 /// Panics if `config.chains` is zero.
-pub fn multistart_sa_on(problem: &Problem, config: &MultistartSaConfig) -> MultistartResult {
-    multistart_sa_on_controlled(problem, config, &RunControl::unbounded())
-}
-
-/// [`multistart_sa`] under a [`RunControl`] (circuit-level convenience for
-/// [`multistart_sa_on_controlled`]).
-pub fn multistart_sa_controlled(
-    circuit: &Circuit,
-    config: &MultistartSaConfig,
-    control: &RunControl,
-) -> MultistartResult {
-    let problem = Problem::new(circuit);
-    multistart_sa_on_controlled(&problem, config, control)
-}
-
-/// [`multistart_sa_on`] under a [`RunControl`]: every chain polls the shared
-/// control, the pool observes its cancel token at chunk-claim boundaries,
-/// and a panicking chain is isolated into [`ChainOutcome::Panicked`] with
-/// its worker's cache rebuilt. An uninterrupted run (no deadline hit, no
-/// cancellation, race mode off) is bit-identical to [`multistart_sa_on`].
-///
-/// # Panics
-///
-/// Panics if `config.chains` is zero.
-pub fn multistart_sa_on_controlled(
+pub fn multistart_sa_on(
     problem: &Problem,
     config: &MultistartSaConfig,
     control: &RunControl,
 ) -> MultistartResult {
-    let workers = resolve_workers(config.workers).min(config.chains.max(1));
-    multistart_sa_core(problem, config, control, &PoolHandle::new(workers), &|_| {})
+    multistart_sa_core(problem, config, control, &|_| {})
 }
 
-/// [`multistart_sa_on_controlled`] over a *shared* [`PoolHandle`] instead of
-/// a pool of its own: the serve-layer job engine (and any other long-lived
-/// host) lends its process-wide workers to the race, so nested runners never
-/// stack thread complements. `config.workers` is ignored — the handle's pool
-/// decides the parallelism — and results are bit-identical to the owned-pool
-/// entry points at any handle size (worker count is a scheduling decision,
-/// never a results decision). When the handle's pool is busy (a re-entrant
-/// dispatch from inside one of its own batches), the chains run inline on
-/// the calling thread; see [`PoolHandle`].
-///
-/// # Panics
-///
-/// Panics if `config.chains` is zero.
-pub fn multistart_sa_on_pooled(
-    problem: &Problem,
-    config: &MultistartSaConfig,
-    control: &RunControl,
-    pool: &PoolHandle,
-) -> MultistartResult {
-    multistart_sa_core(problem, config, control, pool, &|_| {})
-}
-
-/// [`multistart_sa_on_controlled`] with a deterministic [`FaultPlan`]
-/// injecting a panic or a stall at the start of each planned chain — the
-/// entry point of the robustness proptests. Injected panics exercise exactly
-/// the production isolation path (per-slot catch, cache rebuild, surviving
-/// winner); stalls only perturb scheduling, which results must not depend
-/// on.
+/// [`multistart_sa_on`] with a deterministic [`FaultPlan`] injecting a panic
+/// or a stall at the start of each planned chain — the entry point of the
+/// robustness proptests. Injected panics exercise exactly the production
+/// isolation path (per-slot catch, cache rebuild, surviving winner); stalls
+/// only perturb scheduling, which results must not depend on.
 ///
 /// [`FaultPlan`]: afp_par::fault::FaultPlan
 ///
@@ -241,10 +198,7 @@ pub fn multistart_sa_injected(
     control: &RunControl,
     plan: &afp_par::fault::FaultPlan,
 ) -> MultistartResult {
-    let workers = resolve_workers(config.workers).min(config.chains.max(1));
-    multistart_sa_core(problem, config, control, &PoolHandle::new(workers), &|chain| {
-        plan.inject(chain as u64)
-    })
+    multistart_sa_core(problem, config, control, &|chain| plan.inject(chain as u64))
 }
 
 /// The shared chain-racing core: `inject` runs at the top of each chain's
@@ -255,7 +209,6 @@ fn multistart_sa_core<F>(
     problem: &Problem,
     config: &MultistartSaConfig,
     control: &RunControl,
-    pool: &PoolHandle,
     inject: &F,
 ) -> MultistartResult
 where
@@ -263,10 +216,10 @@ where
 {
     assert!(config.chains > 0, "multistart_sa needs at least one chain");
     let started = Instant::now();
-    // One warm cache per effective worker. Whether the dispatch lands on the
-    // pool's threads or falls back inline (shared-handle re-entrancy), each
-    // chain's result is bit-identical — only cache warmth and wall-clock vary.
-    let workers = pool.workers().min(config.chains);
+    let workers = resolve_workers(config.workers).min(config.chains);
+    let mut pool = WorkerPool::new(workers);
+    // One warm cache per worker; each chain's result is bit-identical
+    // whichever worker runs it — only cache warmth and wall-clock vary.
     let mut caches: Vec<CostCache> = (0..workers).map(|_| CostCache::new(problem)).collect();
     let chain_ids: Vec<usize> = (0..config.chains).collect();
     let slots = pool.map_scoped_cancellable(
@@ -284,7 +237,7 @@ where
             // mid-update.
             match catch_unwind(AssertUnwindSafe(|| {
                 inject(chain);
-                simulated_annealing_controlled(problem, &cfg, None, cache, control)
+                simulated_annealing_on(problem, &cfg, None, cache, control).0
             })) {
                 Ok(result) => ChainOutcome::Finished(result),
                 Err(payload) => {
@@ -405,8 +358,7 @@ fn aggregate_stop(outcomes: &[ChainOutcome]) -> StopReason {
 /// without changing any result (worker counts never change results).
 ///
 /// [`Portfolio::run_controlled`] adds the same run-control and
-/// failure-domain semantics as
-/// [`multistart_sa_on_controlled`](crate::multistart_sa_on_controlled):
+/// failure-domain semantics as [`multistart_sa_on`]:
 /// shared deadline/budget/cancel across members, per-member panic isolation,
 /// and the optional first-feasible race mode.
 ///
@@ -529,7 +481,7 @@ impl Portfolio {
             })
             .collect();
         let workers = resolve_workers(self.workers).min(members.len());
-        let pool = PoolHandle::new(workers);
+        let mut pool = WorkerPool::new(workers);
         // Members build their own evaluation stacks (each `Baseline::run` is
         // a self-contained optimizer run), so the per-worker state is unit.
         let mut slots = vec![(); workers];
@@ -542,7 +494,8 @@ impl Portfolio {
                 // Same failure-domain rule as multi-start chains; no cache to
                 // rebuild here, members own their whole evaluation stack.
                 match catch_unwind(AssertUnwindSafe(|| {
-                    member.run_controlled(circuit, chain_seed(self.seed, *index), control)
+                    let seed = chain_seed(self.seed, *index);
+                    member.run_controlled(circuit, seed, control, None).0
                 })) {
                     Ok(result) => ChainOutcome::Finished(result),
                     Err(payload) => ChainOutcome::Panicked(panic_payload_message(payload)),
@@ -588,22 +541,11 @@ impl PortfolioResult {
     }
 }
 
-fn resolve_workers(workers: usize) -> usize {
-    if workers == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        workers
-    }
-    .max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use afp_circuit::generators;
     use afp_par::CancelToken;
-
-    use crate::sa::simulated_annealing_with_cache;
 
     fn finished(result: &MultistartResult, chain: usize) -> &BaselineResult {
         result.chains[chain]
@@ -677,7 +619,9 @@ mod tests {
                 ..cfg.base.clone()
             };
             let mut cache = CostCache::new(&problem);
-            let replay = simulated_annealing_with_cache(&problem, &chain_cfg, None, &mut cache);
+            let unbounded = RunControl::unbounded();
+            let (replay, _) =
+                simulated_annealing_on(&problem, &chain_cfg, None, &mut cache, &unbounded);
             assert_eq!(pooled.reward, replay.reward, "chain {chain}");
             assert_eq!(pooled.floorplan, replay.floorplan, "chain {chain}");
         }
@@ -695,7 +639,7 @@ mod tests {
             chains: 5,
             workers: 1,
         };
-        let result = multistart_sa_on(&problem, &cfg);
+        let result = multistart_sa_on(&problem, &cfg, &RunControl::unbounded());
         let winner_index = result.winner.expect("uncontrolled run always has a winner");
         let winner = finished(&result, winner_index);
         let winner_feasible = winner.floorplan.num_placed() == circuit.num_blocks()
@@ -743,39 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_multistart_matches_the_owned_pool_entry_point() {
-        // The shared-handle entry point must reproduce the owned-pool run
-        // chain for chain, at any handle size — including a 1-worker handle,
-        // which runs every chain inline on the calling thread.
-        let circuit = generators::ota5();
-        let problem = Problem::new(&circuit);
-        let cfg = MultistartSaConfig {
-            base: SaConfig {
-                iterations: 120,
-                seed: 21,
-                ..SaConfig::small()
-            },
-            chains: 3,
-            workers: 2,
-        };
-        let owned = multistart_sa_on(&problem, &cfg);
-        for handle_workers in [1usize, 2, 4] {
-            let handle = PoolHandle::new(handle_workers);
-            let pooled =
-                multistart_sa_on_pooled(&problem, &cfg, &RunControl::unbounded(), &handle);
-            assert_eq!(pooled.winner, owned.winner, "{handle_workers}-worker handle");
-            for chain in 0..cfg.chains {
-                let p = finished(&pooled, chain);
-                let s = finished(&owned, chain);
-                assert_eq!(p.reward, s.reward, "chain {chain}");
-                assert_eq!(p.floorplan, s.floorplan, "chain {chain}");
-            }
-            // The race dispatched through the shared pool, not a private one.
-            assert!(handle.stats().batches >= 1);
-        }
-    }
-
-    #[test]
     fn controlled_multistart_with_generous_limits_is_bit_identical() {
         // An uninterrupted controlled run must replay the uncontrolled one
         // exactly — the determinism contract of the whole control layer.
@@ -793,7 +704,7 @@ mod tests {
         let control = RunControl::unbounded()
             .with_deadline(std::time::Duration::from_secs(3600))
             .with_budget(u64::MAX);
-        let controlled = multistart_sa_controlled(&circuit, &cfg, &control);
+        let controlled = multistart_sa_on(&Problem::new(&circuit), &cfg, &control);
         assert_eq!(controlled.winner, plain.winner);
         assert_eq!(controlled.stop, StopReason::Completed);
         for chain in 0..cfg.chains {
@@ -816,7 +727,8 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let control = RunControl::unbounded().with_cancel_token(token);
-        let result = multistart_sa_controlled(&circuit, &MultistartSaConfig::small(), &control);
+        let problem = Problem::new(&circuit);
+        let result = multistart_sa_on(&problem, &MultistartSaConfig::small(), &control);
         assert!(result.chains.iter().all(|c| matches!(c, ChainOutcome::Skipped)));
         assert_eq!(result.winner, None);
         assert!(result.best().is_none());
@@ -835,7 +747,7 @@ mod tests {
             workers: 2,
         };
         let control = RunControl::unbounded().with_budget(40);
-        let result = multistart_sa_controlled(&circuit, &cfg, &control);
+        let result = multistart_sa_on(&Problem::new(&circuit), &cfg, &control);
         assert_eq!(result.stop, StopReason::Budget);
         for chain in 0..cfg.chains {
             let r = finished(&result, chain);
@@ -861,7 +773,7 @@ mod tests {
             workers: 1,
         };
         let control = RunControl::unbounded().with_stop_on_first_feasible(true);
-        let result = multistart_sa_controlled(&circuit, &cfg, &control);
+        let result = multistart_sa_on(&Problem::new(&circuit), &cfg, &control);
         assert_eq!(result.stop, StopReason::FirstFeasible);
         let best = result.best().expect("race must produce a winner");
         assert_eq!(best.floorplan.num_placed(), circuit.num_blocks());

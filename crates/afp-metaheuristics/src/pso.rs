@@ -109,23 +109,23 @@ fn argsort(keys: &[f64]) -> Vec<usize> {
 
 /// Runs particle swarm optimization on a circuit.
 pub fn particle_swarm(circuit: &Circuit, config: &PsoConfig) -> BaselineResult {
-    particle_swarm_controlled(circuit, config, &RunControl::unbounded())
+    particle_swarm_on(&Problem::new(circuit), config, &RunControl::unbounded())
 }
 
-/// [`particle_swarm`] under a [`RunControl`]: polled once per iteration
-/// (each iteration is already `particles` evaluations wide, so no stride
-/// gating is needed). An interrupted run returns the swarm's global best so
-/// far with the interrupting [`StopReason`]; polling draws nothing from the
-/// RNG, so an uninterrupted run is bit-identical to an uncontrolled one.
-pub fn particle_swarm_controlled(
-    circuit: &Circuit,
+/// Runs particle swarm optimization on an existing problem under a
+/// [`RunControl`], polled once per iteration (each iteration is already
+/// `particles` evaluations wide, so no stride gating is needed). An
+/// interrupted run returns the swarm's global best so far with the
+/// interrupting [`StopReason`]; polling draws nothing from the RNG, so an
+/// uninterrupted run is bit-identical to one under [`RunControl::unbounded`].
+pub fn particle_swarm_on(
+    problem: &Problem,
     config: &PsoConfig,
     control: &RunControl,
 ) -> BaselineResult {
-    let problem = Problem::new(circuit);
     let started = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut pool = EvalPool::new(&problem, config.workers);
+    let mut pool = EvalPool::new(problem, config.workers);
     let n = problem.num_blocks();
     let dim = 3 * n;
 
@@ -155,7 +155,7 @@ pub fn particle_swarm_controlled(
         // identical at any worker count.
         swarm.clear();
         swarm.extend(particles.iter().map(|p| decode(&p.position, n)));
-        let costs = pool.evaluate(&problem, &swarm);
+        let costs = pool.evaluate(problem, &swarm);
         debug_assert!(
             costs.iter().all(|c| c.is_finite()),
             "non-finite particle cost would scramble best tracking"
@@ -178,7 +178,7 @@ pub fn particle_swarm_controlled(
             break;
         }
         if control.stop_on_first_feasible()
-            && candidate_is_feasible(&problem, &decode(&global_best_position, n))
+            && candidate_is_feasible(problem, &decode(&global_best_position, n))
         {
             control.cancel();
             stop = StopReason::FirstFeasible;
@@ -197,7 +197,7 @@ pub fn particle_swarm_controlled(
     }
 
     let best = decode(&global_best_position, n);
-    BaselineResult::from_candidate("PSO", &problem, &best, started, evaluations).with_stop(stop)
+    BaselineResult::from_candidate("PSO", problem, &best, started, evaluations).with_stop(stop)
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@ use std::time::Instant;
 use afp_circuit::Circuit;
 
 use crate::common::{BaselineResult, CostCache, Problem, RunControl};
-use crate::sa::{simulated_annealing_controlled, SaConfig};
-use crate::sp_rl::{sequence_pair_rl_on_controlled, SpRlConfig};
+use crate::sa::{simulated_annealing_on, SaConfig};
+use crate::sp_rl::{sequence_pair_rl_on, SpRlConfig};
 
 /// Configuration of the RL-SA hybrid.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,10 +60,10 @@ impl Default for RlSaConfig {
 
 /// Runs the RL-SA hybrid on a circuit.
 pub fn rl_sa(circuit: &Circuit, config: &RlSaConfig) -> BaselineResult {
-    rl_sa_controlled(circuit, config, &RunControl::unbounded())
+    rl_sa_on(&Problem::new(circuit), config, &RunControl::unbounded())
 }
 
-/// [`rl_sa`] under a [`RunControl`].
+/// Runs the RL-SA hybrid on an existing problem under a [`RunControl`].
 ///
 /// The deadline and the cancel token are global — either stage observes them
 /// and stops. The *evaluation budget*, however, applies per optimizer stage:
@@ -74,15 +74,9 @@ pub fn rl_sa(circuit: &Circuit, config: &RlSaConfig) -> BaselineResult {
 /// for little gain; callers wanting a global cap can budget the stages via
 /// their configs.) If the warm-up is interrupted its best candidate is
 /// returned directly — refinement never starts on a deadline already missed.
-pub fn rl_sa_controlled(
-    circuit: &Circuit,
-    config: &RlSaConfig,
-    control: &RunControl,
-) -> BaselineResult {
-    let problem = Problem::new(circuit);
+pub fn rl_sa_on(problem: &Problem, config: &RlSaConfig, control: &RunControl) -> BaselineResult {
     let started = Instant::now();
-    let (warmup_result, warm_candidate) =
-        sequence_pair_rl_on_controlled(&problem, &config.warmup, control);
+    let (warmup_result, warm_candidate) = sequence_pair_rl_on(problem, &config.warmup, control);
     if warmup_result.stop.is_interrupted() {
         return BaselineResult {
             algorithm: "RL-SA".to_string(),
@@ -90,9 +84,9 @@ pub fn rl_sa_controlled(
             ..warmup_result
         };
     }
-    let mut cache = CostCache::new(&problem);
-    let refined = simulated_annealing_controlled(
-        &problem,
+    let mut cache = CostCache::new(problem);
+    let (refined, _) = simulated_annealing_on(
+        problem,
         &config.refinement,
         Some(warm_candidate),
         &mut cache,

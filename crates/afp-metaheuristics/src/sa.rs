@@ -111,66 +111,34 @@ impl Default for SaConfig {
 /// Runs simulated annealing on a circuit and returns the best floorplan found.
 pub fn simulated_annealing(circuit: &Circuit, config: &SaConfig) -> BaselineResult {
     let problem = Problem::new(circuit);
-    simulated_annealing_on(&problem, config, None)
+    let mut cache = CostCache::new(&problem);
+    simulated_annealing_on(&problem, config, None, &mut cache, &RunControl::unbounded()).0
 }
 
-/// Runs simulated annealing on an existing problem, optionally starting from a
-/// provided candidate (used by the RL-SA hybrid baseline).
-pub fn simulated_annealing_on(
-    problem: &Problem,
-    config: &SaConfig,
-    initial: Option<Candidate>,
-) -> BaselineResult {
-    let mut cache = CostCache::new(problem);
-    simulated_annealing_with_cache(problem, config, initial, &mut cache)
-}
-
-/// [`simulated_annealing_on`] with a caller-provided [`CostCache`], so runs
-/// can reuse evaluation buffers — and so the determinism regression tests can
-/// drive the identical annealing schedule through the incremental and the
-/// full (`full-realize` oracle) realization paths.
-pub fn simulated_annealing_with_cache(
-    problem: &Problem,
-    config: &SaConfig,
-    initial: Option<Candidate>,
-    cache: &mut CostCache,
-) -> BaselineResult {
-    simulated_annealing_controlled(problem, config, initial, cache, &RunControl::unbounded())
-}
-
-/// [`simulated_annealing_with_cache`] under a [`RunControl`]: the full SA
-/// loop with a deadline / budget / cancellation poll per move.
+/// Runs simulated annealing on an existing problem under a [`RunControl`],
+/// returning the result and the best *candidate* (sequence pair + shape
+/// choices) found.
 ///
-/// The control is polled with the move counter as the tick: the evaluation
-/// budget is compared exactly on every move (a budget stop always lands on
-/// the same evaluation count), while the wall clock, the cancel token and —
-/// when [`RunControl::stop_on_first_feasible`] is on — the feasibility of
-/// the incumbent best are only checked every [`RunControl::stride`] moves.
+/// * `initial` — an optional starting candidate (the RL-SA hybrid's policy
+///   output, or a serve-layer warm start); `None` starts from a random
+///   candidate drawn from the seeded RNG.
+/// * `cache` — the caller's [`CostCache`], so runs can reuse evaluation
+///   buffers (a multi-start worker serves several chains from one cache) and
+///   so the determinism regression tests can drive the identical annealing
+///   schedule through the incremental and the full (`full-realize` oracle)
+///   realization paths.
+/// * `control` — polled with the move counter as the tick: the evaluation
+///   budget is compared exactly on every move (a budget stop always lands on
+///   the same evaluation count), while the wall clock, the cancel token and —
+///   when [`RunControl::stop_on_first_feasible`] is on — the feasibility of
+///   the incumbent best are only checked every [`RunControl::stride`] moves.
+///
 /// Polling draws nothing from the RNG, so a run the control never interrupts
-/// is bit-identical to [`simulated_annealing_with_cache`] without one. An
-/// interrupted run returns the best candidate found so far with the
-/// interrupting [`StopReason`] in [`BaselineResult::stop`]; a first-feasible
-/// stop additionally raises the shared cancel token so sibling racers stop.
-pub fn simulated_annealing_controlled(
-    problem: &Problem,
-    config: &SaConfig,
-    initial: Option<Candidate>,
-    cache: &mut CostCache,
-    control: &RunControl,
-) -> BaselineResult {
-    simulated_annealing_controlled_traced(problem, config, initial, cache, control).0
-}
-
-/// [`simulated_annealing_controlled`] that additionally returns the best
-/// *candidate* (sequence pair + shape choices) alongside the result.
-///
-/// The serve layer's warm-start path needs the winning candidate — not just
-/// its realized floorplan — so a near-identical request (same topology,
-/// perturbed shapes or config) can resume the walk from the cached winner
-/// instead of a random start. The traced run is the plain controlled run
-/// with the internal `best` cloned out at the end: same RNG stream, same
-/// trajectory, bit-identical [`BaselineResult`].
-pub fn simulated_annealing_controlled_traced(
+/// is bit-identical to one under [`RunControl::unbounded`]. An interrupted
+/// run returns the best candidate found so far with the interrupting
+/// [`StopReason`] in [`BaselineResult::stop`]; a first-feasible stop
+/// additionally raises the shared cancel token so sibling racers stop.
+pub fn simulated_annealing_on(
     problem: &Problem,
     config: &SaConfig,
     initial: Option<Candidate>,
@@ -318,10 +286,12 @@ mod tests {
         };
         let mut inc_cache = CostCache::new(&problem);
         inc_cache.set_incremental(true);
-        let incremental = simulated_annealing_with_cache(&problem, &cfg, None, &mut inc_cache);
+        let unbounded = RunControl::unbounded();
+        let incremental =
+            simulated_annealing_on(&problem, &cfg, None, &mut inc_cache, &unbounded).0;
         let mut full_cache = CostCache::new(&problem);
         full_cache.set_incremental(false);
-        let full = simulated_annealing_with_cache(&problem, &cfg, None, &mut full_cache);
+        let full = simulated_annealing_on(&problem, &cfg, None, &mut full_cache, &unbounded).0;
         assert_eq!(incremental.reward, full.reward, "final cost diverged");
         assert_eq!(incremental.evaluations, full.evaluations);
         assert_eq!(incremental.floorplan, full.floorplan, "final floorplan diverged");
@@ -428,14 +398,14 @@ mod tests {
             ..SaConfig::table1()
         };
         let mut plain_cache = CostCache::new(&problem);
-        let plain = simulated_annealing_with_cache(&problem, &cfg, None, &mut plain_cache);
+        let unbounded = RunControl::unbounded();
+        let plain = simulated_annealing_on(&problem, &cfg, None, &mut plain_cache, &unbounded).0;
         let control = RunControl::unbounded()
             .with_deadline(std::time::Duration::from_secs(3600))
             .with_budget(1_000_000)
             .with_stride(16);
         let mut cache = CostCache::new(&problem);
-        let controlled =
-            simulated_annealing_controlled(&problem, &cfg, None, &mut cache, &control);
+        let controlled = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
         assert_eq!(controlled.reward, plain.reward);
         assert_eq!(controlled.evaluations, plain.evaluations);
         assert_eq!(controlled.floorplan, plain.floorplan);
@@ -453,7 +423,7 @@ mod tests {
         };
         let control = RunControl::unbounded().with_budget(57);
         let mut cache = CostCache::new(&problem);
-        let result = simulated_annealing_controlled(&problem, &cfg, None, &mut cache, &control);
+        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
         assert_eq!(result.stop, StopReason::Budget);
         assert_eq!(result.evaluations, 57, "budget stops are exact");
         assert_eq!(result.floorplan.num_placed(), circuit.num_blocks());
@@ -472,7 +442,7 @@ mod tests {
             .with_deadline(std::time::Duration::from_secs(0))
             .with_stride(32);
         let mut cache = CostCache::new(&problem);
-        let result = simulated_annealing_controlled(&problem, &cfg, None, &mut cache, &control);
+        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
         assert_eq!(result.stop, StopReason::Deadline);
         // The entry poll fires at tick 0, before any move.
         assert_eq!(result.evaluations, 1);
@@ -490,7 +460,7 @@ mod tests {
         let control = RunControl::unbounded().with_stride(8);
         control.cancel();
         let mut cache = CostCache::new(&problem);
-        let result = simulated_annealing_controlled(&problem, &cfg, None, &mut cache, &control);
+        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
         assert_eq!(result.stop, StopReason::Cancelled);
         assert_eq!(result.evaluations, 1, "pre-cancelled runs stop at entry");
     }
@@ -509,7 +479,7 @@ mod tests {
         };
         let control = RunControl::unbounded().with_budget(101);
         let mut cache = CostCache::new(&problem);
-        let budgeted = simulated_annealing_controlled(&problem, &cfg, None, &mut cache, &control);
+        let budgeted = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
         assert_eq!(budgeted.stop, StopReason::Budget);
         assert_eq!(budgeted.evaluations, 101);
         let truncated_cfg = SaConfig {
@@ -530,8 +500,17 @@ mod tests {
             iterations: 10,
             ..SaConfig::small()
         };
-        let result = simulated_annealing_on(&problem, &cfg, Some(warm.clone()));
+        let mut cache = CostCache::new(&problem);
+        let (result, best) = simulated_annealing_on(
+            &problem,
+            &cfg,
+            Some(warm.clone()),
+            &mut cache,
+            &RunControl::unbounded(),
+        );
         // With almost no iterations the result cannot be worse than the warm start.
         assert!(-result.reward <= problem.cost(&warm) + 1e-9);
+        // The returned candidate is the one the result was realized from.
+        assert_eq!(problem.realize(&best), result.floorplan);
     }
 }

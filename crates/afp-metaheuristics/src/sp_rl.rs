@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
 use crate::common::{
-    candidate_is_feasible, BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason,
+    boundary_stop, BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason,
 };
 
 /// Number of move types the policy chooses between.
@@ -124,23 +124,19 @@ fn apply_move<R: Rng + ?Sized>(candidate: &mut Candidate, move_type: usize, rng:
 
 /// Runs the per-instance sequence-pair RL baseline on a circuit.
 pub fn sequence_pair_rl(circuit: &Circuit, config: &SpRlConfig) -> BaselineResult {
-    let problem = Problem::new(circuit);
-    let (result, _) = sequence_pair_rl_on(&problem, config);
-    result
+    sequence_pair_rl_on(&Problem::new(circuit), config, &RunControl::unbounded()).0
 }
 
-/// Runs the baseline on an existing problem, returning both the result and the
-/// best candidate found (used by the RL-SA hybrid to seed its SA stage).
-pub fn sequence_pair_rl_on(problem: &Problem, config: &SpRlConfig) -> (BaselineResult, Candidate) {
-    sequence_pair_rl_on_controlled(problem, config, &RunControl::unbounded())
-}
-
-/// [`sequence_pair_rl_on`] under a [`RunControl`]: polled once per episode
-/// (episodes are tens of evaluations wide, so no stride gating is needed).
-/// An interrupted run returns the best candidate seen so far with the
-/// interrupting [`StopReason`]; polling draws nothing from the RNG, so an
-/// uninterrupted controlled run is bit-identical to an uncontrolled one.
-pub fn sequence_pair_rl_on_controlled(
+/// Runs the baseline on an existing problem under a [`RunControl`], returning
+/// both the result and the best candidate found (the RL-SA hybrid seeds its
+/// SA stage with it).
+///
+/// The control is polled once per episode (episodes are tens of evaluations
+/// wide, so no stride gating is needed). An interrupted run returns the best
+/// candidate seen so far with the interrupting [`StopReason`]; polling draws
+/// nothing from the RNG, so an uninterrupted run is bit-identical to one
+/// under [`RunControl::unbounded`].
+pub fn sequence_pair_rl_on(
     problem: &Problem,
     config: &SpRlConfig,
     control: &RunControl,
@@ -163,7 +159,7 @@ pub fn sequence_pair_rl_on_controlled(
     let mut baseline_return = 0.0f64;
     let mut stop = StopReason::Completed;
 
-    if let Some(reason) = episode_stop(problem, control, &best, evaluations) {
+    if let Some(reason) = boundary_stop(problem, control, &best, evaluations) {
         let result = BaselineResult::from_candidate("RL (SP)", problem, &best, started, evaluations)
             .with_stop(reason);
         return (result, best);
@@ -204,7 +200,7 @@ pub fn sequence_pair_rl_on_controlled(
         }
         // Control poll at the episode boundary, after the policy update and
         // before the next episode samples from the RNG.
-        if let Some(reason) = episode_stop(problem, control, &best, evaluations) {
+        if let Some(reason) = boundary_stop(problem, control, &best, evaluations) {
             stop = reason;
             break;
         }
@@ -213,24 +209,6 @@ pub fn sequence_pair_rl_on_controlled(
     let result = BaselineResult::from_candidate("RL (SP)", problem, &best, started, evaluations)
         .with_stop(stop);
     (result, best)
-}
-
-/// The per-episode control check: budget/cancel/deadline first, then the
-/// first-feasible race predicate on the best candidate so far.
-fn episode_stop(
-    problem: &Problem,
-    control: &RunControl,
-    best: &Candidate,
-    evaluations: usize,
-) -> Option<StopReason> {
-    if let Some(reason) = control.poll_now(evaluations as u64) {
-        return Some(reason);
-    }
-    if control.stop_on_first_feasible() && candidate_is_feasible(problem, best) {
-        control.cancel();
-        return Some(StopReason::FirstFeasible);
-    }
-    None
 }
 
 #[cfg(test)]

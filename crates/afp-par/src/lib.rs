@@ -21,9 +21,9 @@
 //! threads are spawned once and parked between batches, so a long-lived
 //! caller (an optimizer evaluating thousands of generations) pays the spawn
 //! cost once instead of per batch. [`PoolHandle`] (PR 8) shares one such pool
-//! between several runners — the serve-layer job engine and any nested
-//! multistart it launches borrow the same workers instead of stacking pools,
-//! with a deadlock-free inline fallback for re-entrant dispatches. [`parallel_map_scoped`] remains as a
+//! between several runners — e.g. several serve-layer job engines borrow the
+//! same workers instead of stacking pools — with a deadlock-free inline
+//! fallback for re-entrant dispatches. [`parallel_map_scoped`] remains as a
 //! compatibility shim that builds a transient pool per call — same results,
 //! spawn-per-call cost — and [`parallel_map`] (by-value, no worker state)
 //! keeps its original scoped-spawn implementation.
@@ -48,7 +48,7 @@ mod pool;
 
 pub use control::{CancelToken, RunControl, StopReason};
 pub use handle::PoolHandle;
-pub use pool::{PoolStats, WorkerPool};
+pub use pool::{resolve_workers, PoolStats, WorkerPool};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -245,6 +245,23 @@ fn worker_loop(shared: Arc<Shared>, t: usize) {
     }
 }
 
+/// The workspace's one worker-count rule: `0` means one worker per available
+/// hardware thread (at least 1); any other value is used as given.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(afp_par::resolve_workers(3), 3);
+/// assert!(afp_par::resolve_workers(0) >= 1);
+/// ```
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        workers
+    }
+}
+
 impl WorkerPool {
     /// Creates a pool with `workers` total workers (including the calling
     /// thread), spawning `workers - 1` OS threads that immediately park.
@@ -252,12 +269,7 @@ impl WorkerPool {
     /// clamped to at least 1. A 1-worker pool spawns nothing and runs every
     /// batch inline.
     pub fn new(workers: usize) -> Self {
-        let workers = if workers == 0 {
-            thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            workers
-        }
-        .max(1);
+        let workers = resolve_workers(workers);
         let shared = Arc::new(Shared {
             job: UnsafeCell::new(Job {
                 run: noop_job,

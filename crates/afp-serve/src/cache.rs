@@ -426,7 +426,7 @@ mod tests {
 
     fn solve() -> CachedSolve {
         let circuit = generators::ota3();
-        let (result, best) = Baseline::Sa(SaConfig::small()).run_controlled_seeded(
+        let (result, best) = Baseline::Sa(SaConfig::small()).run_controlled(
             &circuit,
             3,
             &RunControl::unbounded(),

@@ -513,7 +513,7 @@ impl JobEngine {
                     }
                     let warm_started = scheduled.warm.is_some();
                     match catch_unwind(AssertUnwindSafe(|| {
-                        scheduled.spec.solver.run_controlled_seeded(
+                        scheduled.spec.solver.run_controlled(
                             &scheduled.spec.circuit,
                             scheduled.spec.seed,
                             &control,
@@ -881,7 +881,7 @@ mod tests {
         for (spec, id) in specs.iter().zip(ids) {
             let alone = spec
                 .solver
-                .run_controlled_seeded(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
+                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
                 .0;
             let sharded = engine.outcome(id).expect("done").result;
             assert_eq!(alone.reward.to_bits(), sharded.reward.to_bits());

@@ -29,10 +29,10 @@
 //! * **Non-semantic knobs are excluded.** Optimizer `workers` counts are not
 //!   hashed (results are bit-identical at any worker count), and the
 //!   config-embedded `seed` is ignored in favor of [`JobSpec::seed`], which
-//!   is what [`Baseline::run_controlled_seeded`] actually uses.
+//!   is what [`Baseline::run_controlled`] actually uses.
 //!
 //! [`BaselineResult`]: afp_metaheuristics::BaselineResult
-//! [`Baseline::run_controlled_seeded`]: afp_metaheuristics::Baseline::run_controlled_seeded
+//! [`Baseline::run_controlled`]: afp_metaheuristics::Baseline::run_controlled
 
 use std::fmt;
 
@@ -401,10 +401,10 @@ pub struct JobSpec {
     pub circuit: Circuit,
     /// The baseline optimizer and its configuration.
     pub solver: Baseline,
-    /// RNG seed passed to [`Baseline::run_controlled_seeded`]
+    /// RNG seed passed to [`Baseline::run_controlled`]
     /// (overrides any seed embedded in the solver config).
     ///
-    /// [`Baseline::run_controlled_seeded`]: afp_metaheuristics::Baseline::run_controlled_seeded
+    /// [`Baseline::run_controlled`]: afp_metaheuristics::Baseline::run_controlled
     pub seed: u64,
 }
 

@@ -526,7 +526,7 @@ mod tests {
         let mut keys = Vec::new();
         for seed in [3u64, 5, 9] {
             let spec = JobSpec::new(generators::ota3(), Baseline::Sa(SaConfig::small()), seed);
-            let (result, best) = Baseline::Sa(SaConfig::small()).run_controlled_seeded(
+            let (result, best) = Baseline::Sa(SaConfig::small()).run_controlled(
                 &spec.circuit,
                 seed,
                 &RunControl::unbounded(),

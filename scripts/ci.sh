@@ -15,7 +15,8 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 # Incremental-pipeline safety net: the differential proptests (incremental vs
 # full realization bit-identity, incremental FAST-SP pack vs full sweep,
 # parallel EvalPool vs the serial cost_cached loop, FAST-SP vs legacy oracle,
-# BitGrid vs scalar oracle) run as part of the workspace tests above; run them
+# BitGrid vs scalar oracle, controlled vs unbounded runs of every baseline)
+# run as part of the workspace tests above; run them
 # once more by name so a filtered or partially-cached test run cannot silently
 # skip them, then run the metaheuristics tests again with the feature-gated
 # realization oracle (`full-realize`) as the CostCache default.
@@ -25,6 +26,7 @@ for diff_test in \
     eval_pool_matches_serial_cost_cached \
     multistart_sa_matches_serial_replay \
     sa_with_generous_deadline_replays_the_unbounded_run \
+    every_baseline_replays_under_generous_control_and_stops_on_budget \
     serve_fingerprints_are_injective_and_canonical \
     serve_cache_hit_replays_the_cold_solve_bit_for_bit \
     serve_persist_round_trip_restores_bit_identical_hits \

@@ -785,7 +785,7 @@ proptest! {
 
     /// An N-chain `multistart_sa` run over the persistent worker pool must
     /// be, chain for chain, bit-identical to N sequential
-    /// `simulated_annealing_with_cache` runs with the derived chain seeds on
+    /// `simulated_annealing_on` runs with the derived chain seeds on
     /// fresh caches — and pick the same winner — for any chain count, any
     /// worker count, and restart schedules on or off. This is the
     /// whole-trajectory analogue of `eval_pool_matches_serial_cost_cached`:
@@ -800,8 +800,8 @@ proptest! {
     ) {
         use analog_floorplan::circuit::generators;
         use analog_floorplan::metaheuristics::{
-            chain_seed, multistart_sa, select_winner, simulated_annealing_with_cache,
-            CostCache, MultistartSaConfig, Problem, SaConfig,
+            chain_seed, multistart_sa, select_winner, simulated_annealing_on, CostCache,
+            MultistartSaConfig, Problem, RunControl, SaConfig,
         };
         let circuit = match seed % 3 {
             0 => generators::ota5(),
@@ -830,7 +830,10 @@ proptest! {
                 ..cfg.base.clone()
             };
             let mut cache = CostCache::new(&problem);
-            serial.push(simulated_annealing_with_cache(&problem, &chain_cfg, None, &mut cache));
+            let unbounded = RunControl::unbounded();
+            let (result, _) =
+                simulated_annealing_on(&problem, &chain_cfg, None, &mut cache, &unbounded);
+            serial.push(result);
         }
         for (chain, (outcome, s)) in pooled.chains.iter().zip(&serial).enumerate() {
             let p = outcome
@@ -869,8 +872,7 @@ proptest! {
         use std::time::Duration;
         use analog_floorplan::circuit::generators;
         use analog_floorplan::metaheuristics::{
-            simulated_annealing_controlled, simulated_annealing_with_cache, CostCache, Problem,
-            RunControl, SaConfig, StopReason,
+            simulated_annealing_on, CostCache, Problem, RunControl, SaConfig, StopReason,
         };
         let circuit = match seed % 3 {
             0 => generators::ota5(),
@@ -885,17 +887,67 @@ proptest! {
             ..SaConfig::small()
         };
         let mut cache = CostCache::new(&problem);
-        let plain = simulated_annealing_with_cache(&problem, &cfg, None, &mut cache);
+        let unbounded = RunControl::unbounded();
+        let plain = simulated_annealing_on(&problem, &cfg, None, &mut cache, &unbounded).0;
         let control = RunControl::unbounded()
             .with_deadline(Duration::from_secs(3600))
             .with_budget(u64::MAX)
             .with_stride(stride);
         let mut cache = CostCache::new(&problem);
-        let controlled = simulated_annealing_controlled(&problem, &cfg, None, &mut cache, &control);
+        let controlled = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
         prop_assert_eq!(controlled.stop, StopReason::Completed);
         prop_assert_eq!(controlled.reward, plain.reward, "reward diverged (stride {})", stride);
         prop_assert_eq!(controlled.evaluations, plain.evaluations);
         prop_assert_eq!(&controlled.floorplan, &plain.floorplan);
+    }
+}
+
+/// The run-control contract across every Table I baseline, one row per
+/// algorithm on OTA-5: a control that never fires (deadline an hour out,
+/// budget far above the run, a non-default stride) replays
+/// [`Baseline::run`](analog_floorplan::metaheuristics::Baseline::run) bit for
+/// bit, and a 20-evaluation budget stops the run with `StopReason::Budget`
+/// at or past the budget — generation-grained optimizers finish the
+/// generation they are in — with every block still placed.
+#[test]
+fn every_baseline_replays_under_generous_control_and_stops_on_budget() {
+    use analog_floorplan::circuit::generators;
+    use analog_floorplan::metaheuristics::{Baseline, RunControl, StopReason};
+    use std::time::Duration;
+    const BUDGET: u64 = 20;
+    let circuit = generators::ota5();
+    for baseline in Baseline::all_small() {
+        let name = baseline.name();
+        let plain = baseline.run(&circuit, 7);
+        assert_eq!(plain.stop, StopReason::Completed, "{name}");
+
+        let generous = RunControl::unbounded()
+            .with_deadline(Duration::from_secs(3600))
+            .with_budget(1_000_000)
+            .with_stride(16);
+        let (controlled, _) = baseline.run_controlled(&circuit, 7, &generous, None);
+        assert_eq!(controlled.stop, StopReason::Completed, "{name}");
+        assert_eq!(controlled.reward, plain.reward, "{name}: reward diverged");
+        assert_eq!(controlled.evaluations, plain.evaluations, "{name}");
+        assert_eq!(controlled.floorplan, plain.floorplan, "{name}: floorplan");
+
+        let tight = RunControl::unbounded().with_budget(BUDGET);
+        let (budgeted, _) = baseline.run_controlled(&circuit, 7, &tight, None);
+        assert_eq!(budgeted.stop, StopReason::Budget, "{name}");
+        assert!(
+            budgeted.evaluations >= BUDGET as usize,
+            "{name}: stopped at {} evaluations, before the budget",
+            budgeted.evaluations
+        );
+        assert!(
+            budgeted.evaluations < plain.evaluations,
+            "{name}: the budget never cut the run"
+        );
+        assert_eq!(
+            budgeted.floorplan.num_placed(),
+            circuit.num_blocks(),
+            "{name}: budget stop left blocks unplaced"
+        );
     }
 }
 
@@ -925,8 +977,8 @@ mod fault_injection {
             use analog_floorplan::circuit::generators;
             use analog_floorplan::metaheuristics::{
                 chain_seed, multistart_sa_injected, select_surviving_winner,
-                simulated_annealing_with_cache, ChainOutcome, CostCache, MultistartSaConfig,
-                Problem, RunControl, SaConfig,
+                simulated_annealing_on, ChainOutcome, CostCache, MultistartSaConfig, Problem,
+                RunControl, SaConfig,
             };
             use analog_floorplan::par::fault::FaultPlan;
             let circuit = match seed % 3 {
@@ -978,8 +1030,10 @@ mod fault_injection {
                         ..cfg.base.clone()
                     };
                     let mut cache = CostCache::new(&problem);
-                    let replay =
-                        simulated_annealing_with_cache(&problem, &chain_cfg, None, &mut cache);
+                    let unbounded = RunControl::unbounded();
+                    let (replay, _) = simulated_annealing_on(
+                        &problem, &chain_cfg, None, &mut cache, &unbounded,
+                    );
                     prop_assert_eq!(result.reward, replay.reward, "chain {} diverged", chain);
                     prop_assert_eq!(&result.floorplan, &replay.floorplan);
                 }
@@ -1145,7 +1199,7 @@ proptest! {
         let spec = JobSpec::new(circuit, solver, seed);
         let reference = spec
             .solver
-            .run_controlled_seeded(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
+            .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
             .0;
         prop_assert_eq!(reference.stop, StopReason::Completed);
 
@@ -1358,7 +1412,7 @@ proptest! {
             let outcome = daemon.outcome(*id).expect("job resolved");
             let direct = spec
                 .solver
-                .run_controlled_seeded(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
+                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
                 .0;
             prop_assert_eq!(outcome.result.stop, StopReason::Completed);
             prop_assert_eq!(
@@ -1416,7 +1470,7 @@ fn serve_daemon_stress_submitters_race_drain() {
         .iter()
         .map(|spec| {
             spec.solver
-                .run_controlled_seeded(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
+                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
                 .0
         })
         .collect();
