@@ -112,20 +112,25 @@ fn main() {
         .expect("4-worker row measured");
     let pool_speedup_4 = serial_generation_ns / workers4_ns.max(1e-9);
 
-    // Per-batch dispatch overhead of the parked pool against the
-    // spawn-per-call shim, on a trivial 8-item batch at 2 workers: the work
-    // is negligible, so each median is the fixed cost per batch its model
-    // charges. The acceptance bar for the persistent pool is that the parked
-    // dispatch (one epoch bump + unpark per active worker) lands strictly
-    // below a thread spawn-and-join, which holds even on the 1-hardware-
-    // thread CI container — both models context-switch there, but only the
-    // shim pays thread creation and teardown too.
+    // Per-batch dispatch overhead of the parked pool against a spawn-per-call
+    // baseline (a transient pool built, used once and joined per batch), on
+    // a trivial 8-item batch at 2 workers: the work is negligible, so each
+    // median is the fixed cost per batch its model charges. The acceptance
+    // bar for the persistent pool is that the parked dispatch (one epoch bump
+    // + unpark per active worker) lands strictly below a thread
+    // spawn-and-join, which holds even on a 1-hardware-thread host — both
+    // models context-switch there, but only the baseline pays thread
+    // creation and teardown too.
     const OVERHEAD_WORKERS: usize = 2;
     let overhead_items: Vec<u64> = (0..8).collect();
     let spawn_batch_ns = {
         let mut states = vec![0u64; OVERHEAD_WORKERS];
         median_ns(|| {
-            let _ = afp_par::parallel_map_scoped(&overhead_items, &mut states, |_, &x| x);
+            let _ = WorkerPool::new(OVERHEAD_WORKERS).map_scoped(
+                &overhead_items,
+                &mut states,
+                |_, &x| x,
+            );
         })
     };
     let mut overhead_pool = WorkerPool::new(OVERHEAD_WORKERS);
@@ -393,13 +398,12 @@ fn main() {
             let _ = walk.perturb_with(&mix, &mut rng);
             let _ = pool_problem.cost_cached(&walk, &mut cache);
         }
-        let stats = cache.realize_stats();
-        (stats.hit_rate(), stats.pack_stats().replay_rate())
+        cache.realize_stats().hit_rate()
     };
     let uniform_move_ns = locality_move_ns(0.0);
     let local_move_ns = locality_move_ns(config.locality_bias);
-    let (uniform_snap_hit, uniform_pack_replay) = locality_counters(0.0);
-    let (local_snap_hit, local_pack_replay) = locality_counters(config.locality_bias);
+    let uniform_snap_hit = locality_counters(0.0);
+    let local_snap_hit = locality_counters(config.locality_bias);
 
     let mut pack_rows = Vec::new();
     for &n in &PACK_SIZES {
@@ -498,10 +502,9 @@ fn main() {
 
     // The incremental cost pipeline vs the always-full oracle path, on an
     // SA-style perturbation walk over Bias-2: per-move cost of (a) the
-    // default stack (dirty-block realization + dirty-set pack, full metrics
-    // rescan) and (b) the full-rebuild realization oracle — plus the
-    // engines' observability counters (snap-skip hit rate, FAST-SP
-    // pass-position replay rate).
+    // default stack (dirty-block realization, full FAST-SP sweep, full
+    // metrics rescan) and (b) the full-rebuild realization oracle — plus the
+    // realization engine's snap-skip hit rate.
     let circuit = generators::bias19();
     let problem = Problem::new(&circuit);
     let mut rng = StdRng::seed_from_u64(0x1C4E);
@@ -518,14 +521,11 @@ fn main() {
         let _ = walk.perturb(&mut rng);
         let _ = problem.cost_cached(&walk, &mut full_cache);
     });
-    let stats = inc_cache.realize_stats();
-    let hit_rate = stats.hit_rate();
-    let pack_replay_rate = stats.pack_stats().replay_rate();
+    let hit_rate = inc_cache.realize_stats().hit_rate();
     let realize_speedup = full_ns / incremental_ns.max(1e-9);
     println!(
-        "incremental bias19: {incremental_ns:>8.1} ns/move (full {full_ns:.1} ns, {realize_speedup:.2}x) snap hit {:.1}% pack replay {:.1}%",
+        "incremental bias19: {incremental_ns:>8.1} ns/move (full {full_ns:.1} ns, {realize_speedup:.2}x) snap hit {:.1}%",
         100.0 * hit_rate,
-        100.0 * pack_replay_rate,
     );
 
     println!(
@@ -556,11 +556,9 @@ fn main() {
         daemon_snapshot_bytes.len(),
     );
     println!(
-        "sa_locality bias19: uniform {uniform_move_ns:>8.1} ns/move (pack replay {:.1}%, snap hit {:.1}%)  bias {:.2} {local_move_ns:>8.1} ns/move (pack replay {:.1}%, snap hit {:.1}%)",
-        100.0 * uniform_pack_replay,
+        "sa_locality bias19: uniform {uniform_move_ns:>8.1} ns/move (snap hit {:.1}%)  bias {:.2} {local_move_ns:>8.1} ns/move (snap hit {:.1}%)",
         100.0 * uniform_snap_hit,
         config.locality_bias,
-        100.0 * local_pack_replay,
         100.0 * local_snap_hit,
     );
 
@@ -596,38 +594,38 @@ fn main() {
         pool_generation_ns[2].1,
     );
     let sa_locality_json = format!(
-        "  \"sa_locality\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"locality_bias\": {:.2},\n    \"uniform_move_ns\": {uniform_move_ns:.1},\n    \"local_move_ns\": {local_move_ns:.1},\n    \"uniform_pack_replay_rate\": {uniform_pack_replay:.3},\n    \"local_pack_replay_rate\": {local_pack_replay:.3},\n    \"uniform_snap_hit_rate\": {uniform_snap_hit:.3},\n    \"local_snap_hit_rate\": {local_snap_hit:.3}\n  }}",
+        "  \"sa_locality\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"locality_bias\": {:.2},\n    \"uniform_move_ns\": {uniform_move_ns:.1},\n    \"local_move_ns\": {local_move_ns:.1},\n    \"uniform_snap_hit_rate\": {uniform_snap_hit:.3},\n    \"local_snap_hit_rate\": {local_snap_hit:.3}\n  }}",
         sa_circuit.name,
         sa_circuit.num_blocks(),
         config.locality_bias,
     );
     let pool_overhead_json = format!(
-        "  \"pool_overhead\": {{\n    \"workers\": {OVERHEAD_WORKERS},\n    \"batch_items\": {},\n    \"spawn_batch_ns\": {spawn_batch_ns:.1},\n    \"parked_batch_ns\": {parked_batch_ns:.1},\n    \"spawn_over_parked\": {spawn_over_parked:.2},\n    \"parked_batches\": {},\n    \"parked_threads_woken\": {}\n  }}",
+        "  \"pool_overhead\": {{\n    \"hardware_threads\": {hardware_threads},\n    \"workers\": {OVERHEAD_WORKERS},\n    \"batch_items\": {},\n    \"spawn_batch_ns\": {spawn_batch_ns:.1},\n    \"parked_batch_ns\": {parked_batch_ns:.1},\n    \"spawn_over_parked\": {spawn_over_parked:.2},\n    \"parked_batches\": {},\n    \"parked_threads_woken\": {}\n  }}",
         overhead_items.len(),
         overhead_stats.batches,
         overhead_stats.threads_woken,
     );
     let multistart_json = format!(
-        "  \"multistart\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"chains\": {},\n    \"chain_iterations\": {},\n    \"workers1_ns\": {ms_workers1_ns:.1},\n    \"workers2_ns\": {ms_workers2_ns:.1},\n    \"workers1_chains_per_sec\": {ms_chains_per_sec_w1:.2},\n    \"workers2_chains_per_sec\": {ms_chains_per_sec_w2:.2},\n    \"bit_identical\": {ms_bit_identical}\n  }}",
+        "  \"multistart\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"hardware_threads\": {hardware_threads},\n    \"chains\": {},\n    \"chain_iterations\": {},\n    \"workers1_ns\": {ms_workers1_ns:.1},\n    \"workers2_ns\": {ms_workers2_ns:.1},\n    \"workers1_chains_per_sec\": {ms_chains_per_sec_w1:.2},\n    \"workers2_chains_per_sec\": {ms_chains_per_sec_w2:.2},\n    \"bit_identical\": {ms_bit_identical}\n  }}",
         sa_circuit.name,
         sa_circuit.num_blocks(),
         ms_cfg.chains,
         ms_cfg.base.iterations,
     );
     let serve_json = format!(
-        "  \"serve\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"solver\": \"SA\",\n    \"cold_solve_ns\": {serve_cold_ns:.1},\n    \"cache_hit_ns\": {serve_hit_ns:.1},\n    \"hit_speedup\": {serve_hit_speedup:.1},\n    \"batch_jobs\": {SERVE_JOBS},\n    \"jobs_per_sec_workers1\": {serve_jps_w1:.2},\n    \"jobs_per_sec_workers2\": {serve_jps_w2:.2},\n    \"jobs_per_sec_workers4\": {serve_jps_w4:.2},\n    \"bit_identical\": {serve_bit_identical}\n  }}",
+        "  \"serve\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"hardware_threads\": {hardware_threads},\n    \"solver\": \"SA\",\n    \"cold_solve_ns\": {serve_cold_ns:.1},\n    \"cache_hit_ns\": {serve_hit_ns:.1},\n    \"hit_speedup\": {serve_hit_speedup:.1},\n    \"batch_jobs\": {SERVE_JOBS},\n    \"jobs_per_sec_workers1\": {serve_jps_w1:.2},\n    \"jobs_per_sec_workers2\": {serve_jps_w2:.2},\n    \"jobs_per_sec_workers4\": {serve_jps_w4:.2},\n    \"bit_identical\": {serve_bit_identical}\n  }}",
         sa_circuit.name,
         sa_circuit.num_blocks(),
     );
     let serve_daemon_json = format!(
-        "  \"serve_daemon\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"batch_jobs\": {DAEMON_JOBS},\n    \"drain_jobs_per_sec_workers1\": {daemon_jps_w1:.2},\n    \"drain_jobs_per_sec_workers2\": {daemon_jps_w2:.2},\n    \"drain_jobs_per_sec_workers4\": {daemon_jps_w4:.2},\n    \"cold_solve_ns\": {serve_cold_ns:.1},\n    \"restored_hit_ns\": {daemon_restored_hit_ns:.1},\n    \"restore_speedup\": {daemon_restore_speedup:.1},\n    \"snapshot_bytes\": {},\n    \"bit_identical\": {daemon_bit_identical}\n  }}",
+        "  \"serve_daemon\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"hardware_threads\": {hardware_threads},\n    \"batch_jobs\": {DAEMON_JOBS},\n    \"drain_jobs_per_sec_workers1\": {daemon_jps_w1:.2},\n    \"drain_jobs_per_sec_workers2\": {daemon_jps_w2:.2},\n    \"drain_jobs_per_sec_workers4\": {daemon_jps_w4:.2},\n    \"cold_solve_ns\": {serve_cold_ns:.1},\n    \"restored_hit_ns\": {daemon_restored_hit_ns:.1},\n    \"restore_speedup\": {daemon_restore_speedup:.1},\n    \"snapshot_bytes\": {},\n    \"bit_identical\": {daemon_bit_identical}\n  }}",
         sa_circuit.name,
         sa_circuit.num_blocks(),
         daemon_snapshot_bytes.len(),
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, incremental dirty-block realization + dirty-set pack, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, and SA cost-evaluation throughput\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n  \"incremental_realize\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"incremental_move_ns\": {:.1},\n    \"full_move_ns\": {:.1},\n    \"speedup\": {:.2},\n    \"replay_hit_rate\": {:.3},\n    \"pack_replay_rate\": {:.3}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, incremental dirty-block realization, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, and SA cost-evaluation throughput\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n  \"incremental_realize\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"incremental_move_ns\": {:.1},\n    \"full_move_ns\": {:.1},\n    \"speedup\": {:.2},\n    \"replay_hit_rate\": {:.3}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
         pack_rows.join(",\n"),
         snap_rows.join(",\n"),
         large_n_rows.join(",\n"),
@@ -639,7 +637,6 @@ fn main() {
         full_ns,
         realize_speedup,
         hit_rate,
-        pack_replay_rate,
         circuit.name,
         circuit.num_blocks(),
         config.iterations,

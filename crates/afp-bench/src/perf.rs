@@ -1,6 +1,6 @@
-//! Shared helpers of the perf harness: deterministic workloads and a small
-//! median timer used by both the `pack` criterion bench and the
-//! `bench_snapshot` binary, so the two always measure the same thing.
+//! Shared helpers of the `bench_snapshot` perf harness: deterministic
+//! workloads (random sequence pairs, synthetic `n`-block circuits, the
+//! mid-episode mask state) and a small median timer.
 
 use std::time::Instant;
 
@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Block counts the packing benches sweep: the paper's circuits are 10–19
+/// Block counts the `pack` and `snap` sections sweep: the paper's circuits are 10–19
 /// blocks; 50–200 probe the scaling regime the ROADMAP targets.
 pub const PACK_SIZES: [usize; 5] = [10, 19, 50, 100, 200];
 
@@ -34,7 +34,7 @@ pub fn random_pair(n: usize, seed: u64) -> SequencePair {
 
 /// Deterministic synthetic circuit with exactly `n` blocks (chained by
 /// two-pin nets), for workloads that need block counts beyond the paper's
-/// 19-block ceiling — e.g. the `snap` (grid realization) bench.
+/// 19-block ceiling — e.g. the `snap` (grid realization) section.
 pub fn synthetic_circuit(n: usize) -> Circuit {
     let mut rng = StdRng::seed_from_u64(0x51AB ^ n as u64);
     let names: Vec<String> = (0..n).map(|i| format!("B{i}")).collect();
@@ -57,7 +57,7 @@ pub fn synthetic_circuit(n: usize) -> Circuit {
     builder.build().expect("synthetic circuit is valid")
 }
 
-/// The grid-realization workload of the `snap` bench / snapshot: a synthetic
+/// The grid-realization workload of the `snap` snapshot section: a synthetic
 /// `n`-block circuit, its canvas and a deterministic random sequence pair.
 pub fn snap_workload(n: usize, seed: u64) -> (Circuit, Canvas, SequencePair) {
     let circuit = synthetic_circuit(n);
@@ -65,7 +65,7 @@ pub fn snap_workload(n: usize, seed: u64) -> (Circuit, Canvas, SequencePair) {
     (circuit, canvas, random_pair(n, seed))
 }
 
-/// The positional-mask workload of the `masks` bench / snapshot: the largest
+/// The positional-mask workload of the `masks` snapshot section: the largest
 /// paper circuit (Bias-2, 19 blocks) with the first half of its blocks
 /// placed in rows, plus the next pending block and its candidate shapes —
 /// the state an RL env step or mask-dataset build sees mid-episode.
@@ -93,32 +93,6 @@ pub fn masks_workload() -> (Circuit, Floorplan, BlockId, ShapeSet) {
     let block = order[order.len() / 2];
     let shapes = sets[block.index()];
     (circuit, fp, block, shapes)
-}
-
-/// Applies one SA-style move to a sequence pair in place: swap two blocks in
-/// `s⁺`, in `s⁻`, in both, or re-shape one block — the perturbation stream
-/// the incremental realization engine is benchmarked against.
-pub fn perturb_pair<R: Rng + ?Sized>(sp: &mut SequencePair, rng: &mut R) {
-    let n = sp.positive.len();
-    if n < 2 {
-        return;
-    }
-    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-    match rng.gen_range(0..4) {
-        0 => sp.positive.swap(i, j),
-        1 => sp.negative.swap(i, j),
-        2 => {
-            sp.positive.swap(i, j);
-            let (k, l) = (rng.gen_range(0..n), rng.gen_range(0..n));
-            sp.negative.swap(k, l);
-        }
-        _ => {
-            sp.shapes[i] = Shape::new(
-                rng.gen_range(1.0..25.0),
-                rng.gen_range(1.0..25.0),
-            );
-        }
-    }
 }
 
 /// Median nanoseconds per call of `f`: calibrates a batch size targeting

@@ -10,9 +10,9 @@
 //! * [`report`] — the Table I / Table II row structures, the paper's recorded
 //!   manual-design reference values and plain-text rendering,
 //! * [`stats`] — interquartile means and standard deviations,
-//! * [`parallel`] — fan-out of independent experiment runs over worker
-//!   threads (re-exported from the bottom-layer `afp-par` crate, which also
-//!   powers `afp-metaheuristics`' batched candidate-evaluation pool),
+//! * [`WorkerPool`], [`RunControl`] and the rest of the run-control
+//!   vocabulary — re-exported from the bottom-layer `afp-par` crate, which
+//!   powers `afp-metaheuristics`' batched candidate-evaluation pool,
 //! * [`serve`] — the solve service (re-exported from `afp-serve`): canonical
 //!   problem fingerprints, a content-addressed result cache, and a
 //!   [`JobEngine`] that shards cancellable, deadline-aware solve jobs across
@@ -33,15 +33,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub use afp_par as parallel;
 pub use afp_serve as serve;
 pub mod pipeline;
 pub mod report;
 pub mod stats;
 
-pub use parallel::{
-    parallel_map, parallel_map_scoped, CancelToken, PoolStats, RunControl, StopReason, WorkerPool,
-};
+pub use afp_par::{CancelToken, PoolStats, RunControl, StopReason, WorkerPool};
 pub use pipeline::{FloorplanMethod, LayoutPipeline, PipelineConfig, PipelineResult};
 pub use serve::{JobEngine, JobRequest, JobSpec, ServeConfig};
 pub use report::{

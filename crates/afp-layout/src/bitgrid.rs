@@ -256,12 +256,21 @@ impl BitGrid {
         self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Whether a `gw × gh` footprint anchored at `cell` stays on the grid.
+    /// Overflow-safe for any `cell` (a hostile `usize::MAX` coordinate is
+    /// out of bounds, not a wrapped sum), at one compare per axis: the
+    /// saturated end is `usize::MAX`, which no grid side reaches.
+    #[inline]
+    fn in_bounds(&self, cell: Cell, gw: usize, gh: usize) -> bool {
+        cell.x.saturating_add(gw) <= self.width() && cell.y.saturating_add(gh) <= self.height()
+    }
+
     /// Returns `true` if a `gw × gh` footprint anchored at `cell` stays on
     /// the grid and overlaps no occupied cell: `gh` shift-AND row probes on a
     /// one-word row, one probe per covered word segment otherwise.
     #[inline]
     pub fn fits(&self, cell: Cell, gw: usize, gh: usize) -> bool {
-        if cell.x + gw > self.width() || cell.y + gh > self.height() {
+        if !self.in_bounds(cell, gw, gh) {
             return false;
         }
         let wpr = self.wpr as usize;
@@ -283,7 +292,7 @@ impl BitGrid {
     /// bounds → `fits` → set-bits triple walk. A failed call leaves the grid
     /// unchanged.
     pub fn try_occupy(&mut self, cell: Cell, gw: usize, gh: usize) -> Result<(), OccupyError> {
-        if cell.x + gw > self.width() || cell.y + gh > self.height() {
+        if !self.in_bounds(cell, gw, gh) {
             return Err(OccupyError::OutOfBounds);
         }
         if !self.fits(cell, gw, gh) {

@@ -44,32 +44,6 @@
 //! allocation-per-call convenience entry point; hot paths should hold a
 //! `PackScratch` and call [`SequencePair::pack_into`].
 //!
-//! # Incremental packing
-//!
-//! A metaheuristic perturbation changes one or two sequence positions (or one
-//! block's shape); the rest of the sweep recomputes values it produced the
-//! evaluation before. [`PackCache`] remembers the previous evaluation's
-//! per-position state, and [`pack_coords_cached`] diffs the new input against
-//! it:
-//!
-//! * the **x-pass** visits blocks in `s⁺` order, so the longest unchanged
-//!   `s⁺` *prefix* (same block, same `s⁻` position, same width per position)
-//!   has unchanged `x` values — its Fenwick/aux writes are **replayed** as one
-//!   store per position (no prefix-max queries) and the sweep resumes at the
-//!   first changed position;
-//! * the **y-pass** visits blocks in *reverse* `s⁺` order, so the mirror
-//!   argument holds for the longest unchanged `s⁺` *suffix* (with heights in
-//!   place of widths).
-//!
-//! A replayed write is the same `(slot, value)` pair the full sweep would
-//! produce, and prefix-max is a max over non-negative finite `f64`s — a
-//! commutative, associative reduction — so the resumed sweep reads exactly
-//! the state the full sweep would have built: coordinates are bit-identical
-//! (differential-tested in `tests/properties.rs` on random perturbation
-//! walks). A swap of `s⁺` positions `i < j` re-sweeps `n − i` x-positions and
-//! `j + 1` y-positions instead of `2n`; a shape change at position `q` costs
-//! `(n − q) + (q + 1) = n + 1`.
-//!
 //! [`SequencePair::pack`]: crate::SequencePair::pack
 //! [`SequencePair::pack_into`]: crate::SequencePair::pack_into
 
@@ -278,296 +252,6 @@ fn linear_prefix_max(values: &[f64]) -> f64 {
     best
 }
 
-/// Per-position LCS state of the previous [`pack_coords_cached`] evaluation —
-/// the incremental FAST-SP engine's memory (module docs, *Incremental
-/// packing*).
-///
-/// For each `s⁺` position `i` the cache keeps the block that sat there, its
-/// `s⁻` position, its weights (width for the x-pass, height for the y-pass)
-/// and the coordinates the sweeps produced. Diffing a new input against this
-/// state yields the longest unchanged prefix (x) and suffix (y), whose
-/// positions replay as single prefix-structure writes instead of full
-/// query-and-insert steps.
-///
-/// The public counters partition every position across all evaluations into
-/// replayed and swept work, per pass — the observability hook the perf
-/// snapshot reports.
-#[derive(Debug, Clone, Default)]
-pub struct PackCache {
-    /// Whether the per-position arrays describe a previous evaluation.
-    valid: bool,
-    /// Block index at each `s⁺` position.
-    blocks: Vec<u32>,
-    /// `s⁻` position of `blocks[i]`.
-    neg_pos: Vec<u32>,
-    /// Width of `blocks[i]` — the x-pass weight.
-    w: Vec<f64>,
-    /// Height of `blocks[i]` — the y-pass weight.
-    h: Vec<f64>,
-    /// Packed x of `blocks[i]`.
-    x: Vec<f64>,
-    /// Packed y of `blocks[i]`.
-    y: Vec<f64>,
-    /// Enclosing width of the cached packing.
-    width: f64,
-    /// Enclosing height of the cached packing.
-    height: f64,
-    /// Evaluations served through this cache.
-    pub evaluations: u64,
-    /// x-pass positions replayed from the cached prefix (one store each).
-    pub x_replayed: u64,
-    /// x-pass positions that ran the full query-and-insert step.
-    pub x_swept: u64,
-    /// y-pass positions replayed from the cached suffix.
-    pub y_replayed: u64,
-    /// y-pass positions that ran the full query-and-insert step.
-    pub y_swept: u64,
-}
-
-impl PackCache {
-    /// Creates an empty cache; the first evaluation is a full sweep.
-    pub fn new() -> Self {
-        PackCache::default()
-    }
-
-    /// Drops the cached evaluation, forcing the next call onto a full sweep.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
-    /// Fraction of pass-positions across all evaluations that were replayed
-    /// instead of swept, or 0.0 before the first evaluation.
-    pub fn replay_rate(&self) -> f64 {
-        let total = self.x_replayed + self.x_swept + self.y_replayed + self.y_swept;
-        if total == 0 {
-            return 0.0;
-        }
-        (self.x_replayed + self.y_replayed) as f64 / total as f64
-    }
-}
-
-/// [`pack_coords`] through a [`PackCache`]: bit-identical coordinates and
-/// enclosing dimensions, but `s⁺` positions whose inputs are unchanged from
-/// the previous evaluation replay their prefix-structure write instead of
-/// re-running the prefix-max query (module docs, *Incremental packing*).
-///
-/// The cache diffs on every call; callers never invalidate it across
-/// perturbations, undo or crossover — any input change is detected
-/// positionally. [`PackCache::invalidate`] exists for symmetry with the other
-/// incremental layers only.
-///
-/// # Panics
-///
-/// Panics if `positive`, `negative` and `shapes` have different lengths
-/// (debug assertions check that the sequences are permutations of `0..n`).
-#[allow(clippy::too_many_arguments)]
-pub fn pack_coords_cached(
-    positive: &[usize],
-    negative: &[usize],
-    shapes: &[Shape],
-    scratch: &mut PackScratch,
-    cache: &mut PackCache,
-    x: &mut Vec<f64>,
-    y: &mut Vec<f64>,
-) -> (f64, f64) {
-    let n = shapes.len();
-    assert_eq!(positive.len(), n, "positive sequence length mismatch");
-    assert_eq!(negative.len(), n, "negative sequence length mismatch");
-    x.clear();
-    x.resize(n, 0.0);
-    y.clear();
-    y.resize(n, 0.0);
-    if n == 0 {
-        cache.invalidate();
-        return (0.0, 0.0);
-    }
-    cache.evaluations += 1;
-    scratch.prepare(n);
-    debug_assert!(
-        positive.iter().all(|&b| b < n),
-        "block index out of range in s+"
-    );
-    for (i, &b) in negative.iter().enumerate() {
-        debug_assert!(b < n, "block index out of range in s-");
-        scratch.neg_index[b] = i;
-    }
-
-    // Diff against the cached evaluation *before* touching its arrays: the
-    // x-pass overwrites per-position state the y-pass suffix check reads.
-    let structural = cache.valid && cache.blocks.len() == n;
-    let (mut kx, mut ky) = (0usize, 0usize);
-    if structural {
-        // Longest s⁺ prefix with unchanged x-pass inputs.
-        while kx < n {
-            let b = positive[kx];
-            if cache.blocks[kx] != b as u32
-                || cache.neg_pos[kx] as usize != scratch.neg_index[b]
-                || cache.w[kx] != shapes[b].width_um
-            {
-                break;
-            }
-            kx += 1;
-        }
-        // Longest s⁺ suffix with unchanged y-pass inputs.
-        while ky < n {
-            let i = n - 1 - ky;
-            let b = positive[i];
-            if cache.blocks[i] != b as u32
-                || cache.neg_pos[i] as usize != scratch.neg_index[b]
-                || cache.h[i] != shapes[b].height_um
-            {
-                break;
-            }
-            ky += 1;
-        }
-    } else {
-        // Cold or size-mismatched cache: size every per-position array; the
-        // full sweeps below (kx = ky = 0) overwrite all of them.
-        cache.blocks.clear();
-        cache.blocks.resize(n, 0);
-        cache.neg_pos.clear();
-        cache.neg_pos.resize(n, 0);
-        cache.w.clear();
-        cache.w.resize(n, 0.0);
-        cache.h.clear();
-        cache.h.resize(n, 0.0);
-        cache.x.clear();
-        cache.x.resize(n, 0.0);
-        cache.y.clear();
-        cache.y.resize(n, 0.0);
-    }
-    // Fully unchanged input: both passes replay outright and the committed
-    // state is already exact.
-    if structural && kx == n && ky == n {
-        for (i, &b) in positive.iter().enumerate() {
-            x[b] = cache.x[i];
-            y[b] = cache.y[i];
-        }
-        cache.x_replayed += n as u64;
-        cache.y_replayed += n as u64;
-        return (cache.width, cache.height);
-    }
-    let linear = n <= LINEAR_SCAN_MAX;
-
-    // x-pass: s⁺ order. Positions < kx replay their cached write (same slot,
-    // same value as the full sweep's — prefix blocks have unchanged x and
-    // width); positions ≥ kx run the normal query-and-insert step. The two
-    // prefix-max engines are kept as separate loops, mirroring `pack_coords`.
-    let width = if structural && kx == n {
-        for (i, &b) in positive.iter().enumerate() {
-            x[b] = cache.x[i];
-        }
-        cache.x_replayed += n as u64;
-        cache.width
-    } else {
-        // The swept region is also the only region whose structural state
-        // (block, s⁻ position, width) can have changed — a mismatch at `i`
-        // forces `kx ≤ i` — so committing it inside the sweep keeps the whole
-        // cache exact without an O(n) rewrite.
-        if linear {
-            for i in 0..kx {
-                x[positive[i]] = cache.x[i];
-                scratch.tree[cache.neg_pos[i] as usize] = cache.x[i] + cache.w[i];
-            }
-            for i in kx..n {
-                let b = positive[i];
-                let p = scratch.neg_index[b];
-                let w = shapes[b].width_um;
-                let xb = linear_prefix_max(&scratch.tree[..p]);
-                x[b] = xb;
-                cache.blocks[i] = b as u32;
-                cache.neg_pos[i] = p as u32;
-                cache.w[i] = w;
-                cache.x[i] = xb;
-                scratch.tree[p] = xb + w;
-            }
-        } else {
-            for i in 0..kx {
-                x[positive[i]] = cache.x[i];
-                scratch.insert(cache.neg_pos[i] as usize, cache.x[i] + cache.w[i]);
-            }
-            for i in kx..n {
-                let b = positive[i];
-                let p = scratch.neg_index[b];
-                let w = shapes[b].width_um;
-                let xb = scratch.prefix_max(p);
-                x[b] = xb;
-                cache.blocks[i] = b as u32;
-                cache.neg_pos[i] = p as u32;
-                cache.w[i] = w;
-                cache.x[i] = xb;
-                scratch.insert(p, xb + w);
-            }
-        }
-        cache.x_replayed += kx as u64;
-        cache.x_swept += (n - kx) as u64;
-        if linear {
-            linear_prefix_max(&scratch.tree[..n])
-        } else {
-            scratch.prefix_max(n)
-        }
-    };
-
-    // y-pass: reverse s⁺ order, so the unchanged *suffix* replays. Cached y
-    // values of suffix positions are exact: a position's y depends only on
-    // the writes of later s⁺ positions, all of which are in the suffix.
-    let height = if structural && ky == n {
-        for (i, &b) in positive.iter().enumerate() {
-            y[b] = cache.y[i];
-        }
-        cache.y_replayed += n as u64;
-        cache.height
-    } else {
-        // Height changes can only sit in the swept region (a mismatch at `i`
-        // forces `i < n − ky`), and any structural change was already
-        // committed by the x-pass, so committing `h` here suffices.
-        scratch.reset_tree();
-        if linear {
-            for i in ((n - ky)..n).rev() {
-                y[positive[i]] = cache.y[i];
-                scratch.tree[cache.neg_pos[i] as usize] = cache.y[i] + cache.h[i];
-            }
-            for i in (0..n - ky).rev() {
-                let b = positive[i];
-                let p = scratch.neg_index[b];
-                let h = shapes[b].height_um;
-                let yb = linear_prefix_max(&scratch.tree[..p]);
-                y[b] = yb;
-                cache.h[i] = h;
-                cache.y[i] = yb;
-                scratch.tree[p] = yb + h;
-            }
-        } else {
-            for i in ((n - ky)..n).rev() {
-                y[positive[i]] = cache.y[i];
-                scratch.insert(cache.neg_pos[i] as usize, cache.y[i] + cache.h[i]);
-            }
-            for i in (0..n - ky).rev() {
-                let b = positive[i];
-                let p = scratch.neg_index[b];
-                let h = shapes[b].height_um;
-                let yb = scratch.prefix_max(p);
-                y[b] = yb;
-                cache.h[i] = h;
-                cache.y[i] = yb;
-                scratch.insert(p, yb + h);
-            }
-        }
-        cache.y_replayed += ky as u64;
-        cache.y_swept += (n - ky) as u64;
-        if linear {
-            linear_prefix_max(&scratch.tree[..n])
-        } else {
-            scratch.prefix_max(n)
-        }
-    };
-
-    cache.width = width;
-    cache.height = height;
-    cache.valid = true;
-    (width, height)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,132 +290,6 @@ mod tests {
         assert_eq!(y, vec![9.0, 5.0, 0.0]);
         assert_eq!(x, vec![0.0, 0.0, 0.0]);
         assert_eq!((w, h), (4.0, 12.0));
-    }
-
-    /// `pack_coords_cached` against fresh `pack_coords` on the same input.
-    fn assert_cached_matches(
-        positive: &[usize],
-        negative: &[usize],
-        shapes: &[Shape],
-        scratch: &mut PackScratch,
-        cache: &mut PackCache,
-    ) {
-        let (mut x, mut y) = (Vec::new(), Vec::new());
-        let (w, h) = pack_coords_cached(positive, negative, shapes, scratch, cache, &mut x, &mut y);
-        let mut fresh_scratch = PackScratch::new();
-        let (mut fx, mut fy) = (Vec::new(), Vec::new());
-        let (fw, fh) = pack_coords(positive, negative, shapes, &mut fresh_scratch, &mut fx, &mut fy);
-        assert_eq!(x, fx, "x coordinates diverged");
-        assert_eq!(y, fy, "y coordinates diverged");
-        assert_eq!((w, h), (fw, fh), "enclosing dimensions diverged");
-    }
-
-    #[test]
-    fn cached_pack_replays_unchanged_positions_on_a_late_swap() {
-        let n = 8;
-        let shapes: Vec<Shape> = (0..n).map(|i| shape(2.0 + i as f64, 3.0 + i as f64)).collect();
-        let mut positive: Vec<usize> = (0..n).collect();
-        let negative: Vec<usize> = (0..n).collect();
-        let mut scratch = PackScratch::new();
-        let mut cache = PackCache::new();
-        assert_cached_matches(&positive, &negative, &shapes, &mut scratch, &mut cache);
-        assert_eq!(cache.x_swept, n as u64, "first evaluation must sweep fully");
-
-        // Swapping the last two s⁺ positions leaves positions 0..6 as an
-        // unchanged x-prefix; the y-pass suffix breaks at the swap.
-        positive.swap(6, 7);
-        assert_cached_matches(&positive, &negative, &shapes, &mut scratch, &mut cache);
-        assert_eq!(cache.x_replayed, 6, "unchanged x-prefix must replay");
-        assert_eq!(cache.x_swept, (n + 2) as u64);
-        assert_eq!(cache.y_swept, (2 * n) as u64, "y resweeps from the swap down");
-
-        // An identical evaluation replays every position in both passes.
-        assert_cached_matches(&positive, &negative, &shapes, &mut scratch, &mut cache);
-        assert_eq!(cache.x_replayed, 6 + n as u64);
-        assert_eq!(cache.y_replayed, n as u64);
-        assert!(cache.replay_rate() > 0.0);
-    }
-
-    #[test]
-    fn cached_pack_shape_change_splits_the_passes() {
-        let n = 6;
-        let mut shapes: Vec<Shape> = (0..n).map(|_| shape(4.0, 4.0)).collect();
-        let positive: Vec<usize> = (0..n).collect();
-        let negative: Vec<usize> = vec![2, 0, 4, 1, 5, 3];
-        let mut scratch = PackScratch::new();
-        let mut cache = PackCache::new();
-        assert_cached_matches(&positive, &negative, &shapes, &mut scratch, &mut cache);
-
-        // Reshaping the block at s⁺ position 3: x resumes there (n − 3 swept),
-        // y resumes from it downward (3 + 1 swept).
-        shapes[positive[3]] = Shape::new(7.0, 2.0);
-        assert_cached_matches(&positive, &negative, &shapes, &mut scratch, &mut cache);
-        assert_eq!(cache.x_replayed, 3);
-        assert_eq!(cache.y_replayed, 2);
-        assert_eq!(cache.x_swept, (n + n - 3) as u64);
-        assert_eq!(cache.y_swept, (n + 4) as u64);
-    }
-
-    #[test]
-    fn cached_pack_matches_on_random_walks_across_both_engines() {
-        use rand::rngs::StdRng;
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9ACC);
-        // 20 blocks exercises the linear engine, 40 the Fenwick engine.
-        for n in [20usize, 40] {
-            let mut shapes: Vec<Shape> = (0..n)
-                .map(|_| Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0)))
-                .collect();
-            let mut positive: Vec<usize> = (0..n).collect();
-            let mut negative: Vec<usize> = (0..n).collect();
-            positive.shuffle(&mut rng);
-            negative.shuffle(&mut rng);
-            let mut scratch = PackScratch::new();
-            let mut cache = PackCache::new();
-            for _ in 0..120 {
-                match rng.gen_range(0..4) {
-                    0 => {
-                        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                        positive.swap(i, j);
-                    }
-                    1 => {
-                        let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                        negative.swap(i, j);
-                    }
-                    2 => {
-                        let b = rng.gen_range(0..n);
-                        shapes[b] =
-                            Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0));
-                    }
-                    _ => {} // identical evaluation: full replay
-                }
-                assert_cached_matches(&positive, &negative, &shapes, &mut scratch, &mut cache);
-            }
-            assert!(cache.x_replayed + cache.y_replayed > 0, "cache never replayed");
-        }
-    }
-
-    #[test]
-    fn cached_pack_survives_size_changes_and_invalidation() {
-        let mut scratch = PackScratch::new();
-        let mut cache = PackCache::new();
-        let big: Vec<Shape> = (0..8).map(|i| shape(1.0 + i as f64, 2.0)).collect();
-        let perm: Vec<usize> = (0..8).collect();
-        assert_cached_matches(&perm, &perm, &big, &mut scratch, &mut cache);
-        // Shrinking re-sweeps (no stale state), as does an explicit invalidate.
-        let small = vec![shape(2.0, 3.0), shape(3.0, 3.0)];
-        assert_cached_matches(&[1, 0], &[1, 0], &small, &mut scratch, &mut cache);
-        cache.invalidate();
-        let swept = cache.x_swept;
-        assert_cached_matches(&[1, 0], &[1, 0], &small, &mut scratch, &mut cache);
-        assert_eq!(cache.x_swept, swept + 2, "invalidation must force a sweep");
-        // Empty input is handled and drops the cache.
-        let (mut x, mut y) = (Vec::new(), Vec::new());
-        let (w, h) =
-            pack_coords_cached(&[], &[], &[], &mut scratch, &mut cache, &mut x, &mut y);
-        assert_eq!((w, h), (0.0, 0.0));
-        assert!(!cache.valid);
     }
 
     #[test]

@@ -21,17 +21,16 @@
 //! # The incremental cost pipeline
 //!
 //! The optimizer hot path (pack → realize → metrics, millions of evaluations
-//! per Table I sweep) keeps its pack and realize layers incremental, each
-//! bit-identical to its from-scratch counterpart and differential-tested
-//! against it:
+//! per Table I sweep) keeps only its realize layer incremental:
+//! [`RealizeCache`] / [`sequence_pair::realize_floorplan_incremental`] keep or
+//! replay unchanged snap decisions instead of re-searching them, bit-identical
+//! to the from-scratch [`sequence_pair::realize_floorplan`] and
+//! differential-tested against it.
 //!
-//! * [`lcs_pack::PackCache`] / [`lcs_pack::pack_coords_cached`] — FAST-SP
-//!   sweeps replay their unchanged prefix/suffix positions,
-//! * [`RealizeCache`] / [`sequence_pair::realize_floorplan_incremental`] —
-//!   unchanged snap decisions are kept or replayed instead of re-searched.
-//!
-//! The metrics stage is a plain rescan ([`metrics::episode_reward_with`])
-//! over a reusable [`metrics::MetricsScratch`] center cache.
+//! Packing is one full FAST-SP sweep ([`lcs_pack::pack_coords`]) per
+//! evaluation, and the metrics stage is a plain rescan
+//! ([`metrics::episode_reward_with`]) over a reusable
+//! [`metrics::MetricsScratch`] center cache.
 //!
 //! See `ARCHITECTURE.md` at the repository root for the full stack picture
 //! and the bit-identity contract.
@@ -69,7 +68,7 @@ pub mod spacing;
 
 pub use bitgrid::BitGrid;
 pub use grid::{Canvas, Cell, DEFAULT_MAX_ASPECT_RATIO, GRID_SIZE};
-pub use lcs_pack::{PackCache, PackScratch};
+pub use lcs_pack::PackScratch;
 pub use masks::{Mask, StateMasks, STATE_CHANNELS};
 pub use metrics::{FloorplanMetrics, RewardWeights};
 pub use placement::{Floorplan, PlaceError, PlacedBlock};

@@ -368,6 +368,20 @@ mod tests {
     }
 
     #[test]
+    fn out_of_bounds_at_the_largest_coordinate_is_an_error_not_an_overflow() {
+        let mut fp = Floorplan::new(canvas());
+        let shape = Shape::new(2.0, 2.0);
+        for cell in [Cell::new(usize::MAX, 0), Cell::new(0, usize::MAX)] {
+            assert_eq!(
+                fp.place(BlockId(0), 0, shape, cell),
+                Err(PlaceError::OutOfBounds)
+            );
+            assert!(!fp.fits(cell, 2, 2));
+        }
+        assert_eq!(fp.num_placed(), 0);
+    }
+
+    #[test]
     fn unplace_restores_occupancy() {
         let mut fp = Floorplan::new(canvas());
         let empty = fp.clone();

@@ -21,7 +21,7 @@
 //!   relaxation longest-path solver, compiled only for tests or under the
 //!   `legacy-pack` feature. It is retained as a differential-testing oracle
 //!   (`tests/properties.rs` asserts bit-identical positions on random pairs)
-//!   and as the baseline the `pack` criterion bench measures speedups
+//!   and as the baseline `bench_snapshot`'s `pack` section measures speedups
 //!   against.
 //!
 //! Both engines evaluate the same recurrence
@@ -81,7 +81,7 @@ use afp_circuit::{BlockId, Circuit, Shape};
 
 use crate::bitgrid::BitGrid;
 use crate::grid::{Canvas, Cell};
-use crate::lcs_pack::{pack_coords, pack_coords_cached, PackCache, PackScratch};
+use crate::lcs_pack::{pack_coords, PackScratch};
 use crate::placement::Floorplan;
 use crate::rect::Rect;
 
@@ -201,8 +201,8 @@ impl SequencePair {
     /// Packs with the original O(n³) repeated-relaxation longest-path solver.
     ///
     /// Kept as the differential-testing oracle for the FAST-SP engine and as
-    /// the baseline of the `pack` criterion bench; compiled only for tests or
-    /// when the `legacy-pack` feature is enabled.
+    /// the baseline of `bench_snapshot`'s `pack` section; compiled only for
+    /// tests or when the `legacy-pack` feature is enabled.
     #[cfg(any(test, feature = "legacy-pack"))]
     pub fn pack_relaxation(&self) -> PackedFloorplan {
         let n = self.len();
@@ -455,9 +455,6 @@ pub struct RealizeCache {
     /// Snap decisions of the previous episode, in placement order; updated in
     /// place as the new episode is realized.
     steps: Vec<SnapStep>,
-    /// Per-position state of the incremental FAST-SP pack (the previous
-    /// evaluation's LCS sweeps); see [`PackCache`].
-    pack: PackCache,
     /// Canvas of the cached episode.
     canvas: Option<Canvas>,
     /// Canvas scale factor of the cached episode.
@@ -497,13 +494,6 @@ impl RealizeCache {
     pub fn invalidate(&mut self) {
         self.canvas = None;
         self.steps.clear();
-        self.pack.invalidate();
-    }
-
-    /// Counters of the incremental FAST-SP pack engine riding in this cache
-    /// (positions replayed vs swept, per pass).
-    pub fn pack_stats(&self) -> &PackCache {
-        &self.pack
     }
 
     /// Fraction of blocks across all episodes that skipped the snap search
@@ -519,9 +509,9 @@ impl RealizeCache {
 
 /// [`realize_floorplan`] through a [`RealizeCache`]: bit-identical output,
 /// but blocks whose snap inputs and observed occupancy are unchanged from the
-/// previous episode skip the snap search (module docs), and the FAST-SP pack
-/// itself replays its unchanged sweep positions ([`PackCache`]). `fp` must be
-/// the floorplan produced by the previous call with this cache (or any
+/// previous episode skip the snap search (module docs). The FAST-SP pack is
+/// the same full sweep ([`pack_coords`]) the stateless path runs. `fp` must
+/// be the floorplan produced by the previous call with this cache (or any
 /// floorplan if the cache is fresh/invalidated — the fingerprint check
 /// degrades mismatches to a full rebuild).
 ///
@@ -576,10 +566,7 @@ pub fn realize_floorplan_incremental(
 ) {
     let n = shapes.len();
     let (mut xs, mut ys) = scratch.take_coords();
-    // Incremental FAST-SP: positions with unchanged inputs replay the
-    // previous evaluation's sweep state (bit-identical to `pack_coords`).
-    let (width, height) =
-        pack_coords_cached(positive, negative, shapes, scratch, &mut cache.pack, &mut xs, &mut ys);
+    let (width, height) = pack_coords(positive, negative, shapes, scratch, &mut xs, &mut ys);
     let scale_x = if width > canvas.width_um {
         canvas.width_um / width
     } else {

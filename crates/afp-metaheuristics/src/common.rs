@@ -71,12 +71,10 @@ impl Candidate {
     /// positions `(i, i + 1)` instead of two uniformly random positions.
     ///
     /// Adjacent swaps are the moves the incremental cost pipeline digests
-    /// cheapest: a swap at sequence positions `i < j` forces the FAST-SP
-    /// pack to re-sweep `(n − i) + (j + 1)` positions and dirties every block
+    /// cheapest: a swap at sequence positions `i < j` dirties every block
     /// whose packed coordinates shift, so pulling `j − i` down to 1 shrinks
-    /// both the pack re-sweep and the realization dirty set (see
-    /// `ARCHITECTURE.md`, *Layer 5*, and `docs/TUNING.md` for how to pick the
-    /// bias). At `locality_bias = 0.0` this is exactly [`Candidate::perturb`]
+    /// the realization dirty set (see `ARCHITECTURE.md`, *The locality-aware
+    /// move mix*, and `docs/TUNING.md` for how to pick the bias). At `locality_bias = 0.0` this is exactly [`Candidate::perturb`]
     /// — including the RNG stream, so existing seeds reproduce old walks.
     ///
     /// # Examples
@@ -191,10 +189,9 @@ pub enum PerturbUndo {
 /// sequence positions a swap move exchanges.
 ///
 /// The bias exists for the incremental cost pipeline's benefit: uniform swaps
-/// produce an expected re-sweep of roughly the whole sequence per move (the
-/// pack cache's replay savings cancel against its bookkeeping — see the
-/// `incremental/pack_walk_*` benches), while adjacent swaps keep dirty sets
-/// minimal. `docs/TUNING.md` discusses how the bias trades search reach
+/// move most packed coordinates per move, while adjacent swaps keep the
+/// realization dirty set minimal (`bench_snapshot`'s `sa_locality`
+/// section). `docs/TUNING.md` discusses how the bias trades search reach
 /// against per-move cost.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoveMix {
@@ -414,7 +411,7 @@ impl Problem {
     /// [`Problem::cost`] through a [`CostCache`]: identical values, but
     /// repeated evaluations reuse every buffer (pack scratch, shapes,
     /// floorplan, HPWL centers), run the incremental cost pipeline
-    /// (dirty-set pack → dirty-block realization → full metrics rescan), and
+    /// (full FAST-SP sweep → dirty-block realization → full metrics rescan), and
     /// candidates seen recently — e.g. the pre-move state SA returns to after
     /// a rejected move, or a GA elite carried into the next generation — are
     /// answered from the memo without re-packing.
@@ -599,13 +596,13 @@ impl CostCache {
 }
 
 /// The parallel batched evaluation engine of the population optimizers: one
-/// [`CostCache`] — with its full `PackCache`/`RealizeCache`/`MetricsScratch`
-/// stack — per worker, and a generation-at-a-time `evaluate` that fans the
+/// [`CostCache`] — with its full `RealizeCache`/`MetricsScratch` stack — per
+/// worker, and a generation-at-a-time `evaluate` that fans the
 /// candidates out over the workers through a persistent
 /// [`afp_par::WorkerPool`].
 ///
-/// This is layer 5 of the incremental stack (see `ARCHITECTURE.md`): where
-/// layers 1–4 make one evaluation cheap, the pool makes a *generation* of
+/// This is layer 4 of the evaluation stack (see `ARCHITECTURE.md`): where
+/// layers 1–3 make one evaluation cheap, the pool makes a *generation* of
 /// them concurrent. Worker caches are built once, at pool construction, and
 /// the scoped map lends each worker `&mut` access to its own cache per batch
 /// — so caches stay warm across generations and no locking happens on the
@@ -623,7 +620,7 @@ impl CostCache {
 ///   GA/PSO/SP-RL ran before the pool existed.
 /// * **Seed-stable at any worker count.** Costs come out in candidate order
 ///   regardless of which worker computed them, and each individual cost is
-///   bit-identical to `Problem::cost` by the layer 1–4 bit-identity contract
+///   bit-identical to `Problem::cost` by the layer 1–3 bit-identity contract
 ///   — *no matter what state the evaluating worker's cache is in*. Worker
 ///   count therefore changes scheduling only, never results: the optimizers'
 ///   whole trajectories are reproducible for a seed at any `workers`.
@@ -1137,10 +1134,6 @@ mod tests {
         }
         let stats = incremental.realize_stats();
         assert!(stats.hit_rate() > 0.0, "incremental engine never hit");
-        assert!(
-            stats.pack_stats().replay_rate() > 0.0,
-            "incremental pack never replayed"
-        );
         assert_eq!(full.realize_stats().episodes, 0, "oracle path must bypass the engine");
     }
 

@@ -32,7 +32,7 @@
 //! via [`SaConfig::restarts`](SaConfig)) and [`Portfolio`] races SA variants
 //! against GA and PSO, both with the deterministic [`select_winner`]
 //! reduction. See `ARCHITECTURE.md` at the repository root for the
-//! five-layer evaluation stack and its determinism contract, and
+//! four-layer evaluation stack and its determinism contract, and
 //! `docs/TUNING.md` for how to choose worker counts, population sizes, the
 //! locality bias, and chain/restart splits.
 //!

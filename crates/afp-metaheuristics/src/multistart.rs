@@ -18,7 +18,7 @@
 //!   chain is an independent `simulated_annealing_on` run — bit-identical
 //!   to running the same config serially, because
 //!   `cost_cached` returns the same bits regardless of cache state (the
-//!   layer 1–4 contract) and chains share no mutable state.
+//!   layer 1–3 contract) and chains share no mutable state.
 //! * The winner is chosen by [`select_winner`]: feasible results beat
 //!   infeasible ones, then strictly higher reward wins, and ties resolve to
 //!   the lowest index — a pure function of the (ordered) results, so the

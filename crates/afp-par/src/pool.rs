@@ -4,9 +4,8 @@
 //!
 //! ## Why a persistent pool
 //!
-//! The scoped entry points ([`crate::parallel_map_scoped`]) pay one thread
-//! spawn-and-join per call — ~50–150 µs join-to-join on a quiet Linux host.
-//! That is invisible when a batch carries hundreds of µs of work, and
+//! A spawn-per-call scoped map pays one thread spawn-and-join per call —
+//! ~50–150 µs join-to-join on a quiet Linux host. That is invisible when a batch carries hundreds of µs of work, and
 //! dominant when an optimizer batches finely (a 40-candidate generation at
 //! ~2 µs per evaluation is ~80 µs of work). A [`WorkerPool`] moves the spawn
 //! to construction: workers block in [`std::thread::park`] between batches,
@@ -67,7 +66,7 @@ use crate::control::CancelToken;
 /// let mut pool = WorkerPool::new(4);
 /// let mut counters = vec![0usize; 4];
 /// // Two batches over the same pool: no thread is spawned in between, and
-/// // per-worker state persists exactly as with `parallel_map_scoped`.
+/// // per-worker state persists from one batch to the next.
 /// let a = pool.map_scoped(&items, &mut counters, |seen, &x| { *seen += 1; x * 2 });
 /// let b = pool.map_scoped(&items, &mut counters, |seen, &x| { *seen += 1; x * 2 });
 /// assert_eq!(a, b);
@@ -309,9 +308,9 @@ impl WorkerPool {
         self.stats
     }
 
-    /// [`crate::parallel_map_scoped`] over the pool's parked workers: applies
-    /// `f` to every item with one mutable state slot per worker, returning
-    /// results in input order, without spawning a thread.
+    /// Applies `f` to every item over the pool's parked workers, with one
+    /// mutable state slot per worker, returning results in input order,
+    /// without spawning a thread.
     ///
     /// The effective worker count is `min(pool workers, states.len(),
     /// items.len())`: trailing state slots of a short batch are left

@@ -379,7 +379,13 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<(Fingerprint, Fingerprint, CachedS
         grid_side as usize,
     );
     for _ in 0..placed_count {
-        let block = BlockId(r.u64()? as usize);
+        // A block id sizes the floorplan's slot table, so an unchecked one
+        // would drive an allocation as large as the id itself.
+        let block = r.u64()?;
+        if block >= MAX_PLACED {
+            return Err(r.corrupt("block id over cap"));
+        }
+        let block = BlockId(block as usize);
         let shape_index = r.u64()? as usize;
         let shape = Shape::new(r.f64_bits()?, r.f64_bits()?);
         if !(shape.width_um.is_finite() && shape.height_um.is_finite()) {
@@ -622,6 +628,61 @@ mod tests {
         // Errors render through Display without panicking.
         let msg = format!("{}", decode_snapshot(&flipped).unwrap_err());
         assert!(msg.contains("checksum"));
+    }
+
+    /// A checksum-valid snapshot holding one record whose floorplan places
+    /// a 1×1 µm block `block` at `cell` on a 32×32 grid.
+    fn one_record_snapshot(block: u64, cell: (u64, u64)) -> Vec<u8> {
+        let mut body = Writer { buf: Vec::new() };
+        body.fingerprint(Fingerprint([1, 2]));
+        body.fingerprint(Fingerprint([3, 4]));
+        body.str("SA");
+        body.f64_bits(-1.0); // reward
+        body.f64_bits(0.0); // runtime_s
+        body.u64(1); // evaluations
+        body.u8(stop_code(StopReason::Completed));
+        for metric in [1.0, 0.0, 1.0, 1.0] {
+            body.f64_bits(metric);
+        }
+        body.f64_bits(32.0); // canvas width
+        body.f64_bits(32.0); // canvas height
+        body.u64(32); // grid side
+        body.u64(1); // placed count
+        body.u64(block);
+        body.u64(0); // shape index
+        body.f64_bits(1.0);
+        body.f64_bits(1.0);
+        body.u64(cell.0);
+        body.u64(cell.1);
+        body.u8(0); // no candidate
+        let mut w = Writer { buf: Vec::new() };
+        w.buf.extend_from_slice(&MAGIC);
+        w.u32(FORMAT_VERSION);
+        w.u32(TAG_LAYOUT_VERSION);
+        w.u64(8); // capacity
+        w.u64(2); // warm depth
+        w.u64(1); // entry count
+        w.u32(body.buf.len() as u32);
+        w.buf.extend_from_slice(&body.buf);
+        let checksum = fnv1a(&w.buf);
+        w.u64(checksum);
+        w.buf
+    }
+
+    #[test]
+    fn hostile_block_ids_and_cells_are_corrupt_not_panics() {
+        // The well-formed control decodes, so the two rejections below are
+        // down to the one hostile field each.
+        assert!(decode_snapshot(&one_record_snapshot(0, (0, 0))).is_ok());
+        for (what, bytes) in [
+            ("huge block id", one_record_snapshot(1 << 62, (0, 0))),
+            ("cell at u64::MAX", one_record_snapshot(0, (u64::MAX, 0))),
+        ] {
+            assert!(
+                matches!(decode_snapshot(&bytes), Err(PersistError::Corrupt { .. })),
+                "{what} must decode to Corrupt"
+            );
+        }
     }
 
     #[test]

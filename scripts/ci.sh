@@ -2,10 +2,10 @@
 # Tier-1 verification plus the repo's own extended checks.
 #
 #   tier-1:   cargo build --release && cargo test -q
-#   extended: workspace-wide tests, a compile check of every criterion
-#             bench, and a smoke run of the perf snapshot (the harness must
-#             never rot between perf PRs: the run fails the build if
-#             bench_snapshot panics or emits malformed JSON).
+#   extended: workspace-wide tests, the differential, fault-injection and
+#             rustdoc checks below, and a smoke run of the perf snapshot (the
+#             harness must never rot between perf PRs: the run fails the
+#             build if bench_snapshot panics or emits malformed JSON).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,8 +13,7 @@ cargo build --release
 cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
 # Incremental-pipeline safety net: the differential proptests (incremental vs
-# full realization bit-identity, incremental FAST-SP pack vs full sweep,
-# parallel EvalPool vs the serial cost_cached loop, FAST-SP vs legacy oracle,
+# full realization bit-identity, parallel EvalPool vs the serial cost_cached loop, FAST-SP vs legacy oracle,
 # BitGrid vs scalar oracle, controlled vs unbounded runs of every baseline)
 # run as part of the workspace tests above; run them
 # once more by name so a filtered or partially-cached test run cannot silently
@@ -22,7 +21,6 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 # realization oracle (`full-realize`) as the CostCache default.
 for diff_test in \
     incremental_realize_matches_full_after_perturbation_sequences \
-    incremental_pack_matches_full_on_perturbation_walks \
     eval_pool_matches_serial_cost_cached \
     multistart_sa_matches_serial_replay \
     sa_with_generous_deadline_replays_the_unbounded_run \
@@ -90,8 +88,6 @@ done
 # facade crate, which silently skipped every member crate's rustdoc.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-cargo bench --no-run
-
 # Perf-harness smoke: run bench_snapshot into a scratch directory (so the
 # committed BENCH_pack.json — the canonical perf trajectory — is not churned
 # by every CI run) and validate the emitted JSON. Perf PRs refresh the real
@@ -129,10 +125,9 @@ for row in large:
         assert row[key] > 0.0, f"nonsensical large_n timing: {key}"
 inc = snap["incremental_realize"]
 for key in ("incremental_move_ns", "full_move_ns", "speedup",
-            "replay_hit_rate", "pack_replay_rate"):
+            "replay_hit_rate"):
     assert key in inc, f"missing incremental_realize key: {key}"
 assert 0.0 <= inc["replay_hit_rate"] <= 1.0, "hit rate out of range"
-assert 0.0 <= inc["pack_replay_rate"] <= 1.0, "pack replay rate out of range"
 pool = snap["eval_pool"]
 for key in ("hardware_threads", "population", "serial_generation_ns",
             "workers1_generation_ns", "workers2_generation_ns",
@@ -151,8 +146,8 @@ for key in ("workers", "batch_items", "spawn_batch_ns", "parked_batch_ns",
     assert key in po, f"missing pool_overhead key: {key}"
 # The persistent pool's acceptance bar: a parked dispatch (epoch bump +
 # unpark per active worker) must cost strictly less per batch than the
-# spawn-per-call shim's thread spawn-and-join — on any machine, including the
-# 1-thread container (both models context-switch there; only the shim also
+# spawn-per-call baseline's thread spawn-and-join — on any machine, including
+# a 1-thread host (both models context-switch there; only the baseline also
 # creates and tears down threads).
 assert po["parked_batch_ns"] > 0.0, "nonsensical parked dispatch time"
 assert po["parked_batch_ns"] < po["spawn_batch_ns"], \
@@ -209,18 +204,14 @@ for key in ("drain_jobs_per_sec_workers1", "drain_jobs_per_sec_workers2",
     assert daemon[key] > 0.0, f"nonsensical drain-loop throughput: {key}"
 loc = snap["sa_locality"]
 for key in ("locality_bias", "uniform_move_ns", "local_move_ns",
-            "uniform_pack_replay_rate", "local_pack_replay_rate",
             "uniform_snap_hit_rate", "local_snap_hit_rate"):
     assert key in loc, f"missing sa_locality key: {key}"
-for key in ("uniform_pack_replay_rate", "local_pack_replay_rate",
-            "uniform_snap_hit_rate", "local_snap_hit_rate"):
+for key in ("uniform_snap_hit_rate", "local_snap_hit_rate"):
     assert 0.0 <= loc[key] <= 1.0, f"{key} out of range"
-# The replay counters come from a fixed-length, fixed-seed walk on fresh
-# caches (not from the wall-clock-calibrated timing loops), so they are fully
+# The hit counters come from a fixed-length, fixed-seed walk on fresh caches
+# (not from the wall-clock-calibrated timing loops), so they are fully
 # deterministic: the whole point of the locality mix is that biased walks
 # replay more, and a change that breaks this ordering should fail loudly.
-assert loc["local_pack_replay_rate"] >= loc["uniform_pack_replay_rate"], \
-    "locality bias did not increase pack replay"
 assert loc["local_snap_hit_rate"] >= loc["uniform_snap_hit_rate"], \
     "locality bias did not increase snap replay hits"
 # Throughput band on the paper-scale workload: the smoke run's 19-block SA
