@@ -6,8 +6,9 @@
 //! (`multistart`) and locality-aware move mix (`sa_locality`) medians, the
 //! serve layer's cache-hit latency and job throughput (`serve`), the serve
 //! daemon's drain-loop throughput and snapshot restore-then-hit latency
-//! (`serve_daemon`), and the SA evaluation throughput, so every PR that
-//! touches the hot path has a trajectory to compare against.
+//! (`serve_daemon`), the SA evaluation throughput, and the agent's kernels,
+//! policy forward and PPO update (`agent`), so every PR that touches the hot
+//! path has a trajectory to compare against.
 //!
 //! Usage: `cargo run --release -p afp-bench --bin bench_snapshot`
 //! (run from the repository root; the snapshot is written to
@@ -16,8 +17,8 @@
 use std::time::Instant;
 
 use afp_bench::perf::{
-    masks_workload, median_ns, random_pair, snap_workload, synthetic_circuit, LARGE_N_SIZES,
-    PACK_SIZES,
+    masks_workload, median_ns, policy_layers, random_pair, seeded_rollouts, snap_workload,
+    sparse_values, synthetic_circuit, LARGE_N_SIZES, PACK_SIZES,
 };
 use afp_circuit::generators;
 use afp_layout::masks::positional_masks;
@@ -29,7 +30,9 @@ use afp_metaheuristics::{
     RunControl, SaConfig,
 };
 use afp_par::{PoolHandle, WorkerPool};
+use afp_rl::{PolicyConfig, PpoTrainer};
 use afp_serve::{CacheHandle, JobEngine, JobRequest, JobSpec, ServeConfig, ServeDaemon};
+use afp_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -251,7 +254,7 @@ fn main() {
                 started.elapsed().as_nanos() as f64 / HITS as f64
             })
             .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        samples.sort_by(f64::total_cmp);
         samples[samples.len() / 2]
     };
     let serve_hit_speedup = serve_cold_ns / serve_hit_ns.max(1e-9);
@@ -331,7 +334,7 @@ fn main() {
                 started.elapsed().as_nanos() as f64 / HITS as f64
             })
             .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        samples.sort_by(f64::total_cmp);
         samples[samples.len() / 2]
     };
     let daemon_restore_speedup = serve_cold_ns / daemon_restored_hit_ns.max(1e-9);
@@ -573,7 +576,7 @@ fn main() {
     // 5 runs is reported, matching every other snapshot section.
     let result = sa_result;
     let mut samples = sa_samples;
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    samples.sort_by(f64::total_cmp);
     let elapsed = samples[samples.len() / 2];
     let moves_per_sec = result.evaluations as f64 / elapsed.max(1e-9);
     println!(
@@ -624,8 +627,10 @@ fn main() {
         daemon_snapshot_bytes.len(),
     );
 
+    let agent_json = agent_json(hardware_threads);
+
     let json = format!(
-        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, incremental dirty-block realization, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, and SA cost-evaluation throughput\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n  \"incremental_realize\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"incremental_move_ns\": {:.1},\n    \"full_move_ns\": {:.1},\n    \"speedup\": {:.2},\n    \"replay_hit_rate\": {:.3}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, incremental dirty-block realization, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n  \"incremental_realize\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"incremental_move_ns\": {:.1},\n    \"full_move_ns\": {:.1},\n    \"speedup\": {:.2},\n    \"replay_hit_rate\": {:.3}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
         pack_rows.join(",\n"),
         snap_rows.join(",\n"),
         large_n_rows.join(",\n"),
@@ -647,4 +652,68 @@ fn main() {
     );
     std::fs::write("BENCH_pack.json", &json).expect("write BENCH_pack.json");
     println!("wrote BENCH_pack.json");
+}
+
+/// The `agent` section: per-kind kernel medians at the small and paper
+/// policy shapes (the sum over that config's layers of each layer's median
+/// forward and backward call), `ActorCritic::forward` on a real mid-episode
+/// observation for both configs, and the small config's PPO update per
+/// transition.
+fn agent_json(hardware_threads: usize) -> String {
+    let (mut agent, buffer) = seeded_rollouts();
+    let obs = &buffer.transitions()[buffer.len() / 2];
+    let mut rows = Vec::new();
+    for (label, config) in [
+        ("small", PolicyConfig::small()),
+        ("paper", PolicyConfig::paper()),
+    ] {
+        let mut fwd_ns = [0.0f64; 3];
+        let mut bwd_ns = [0.0f64; 3];
+        for (i, layer) in policy_layers(&config).into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0xA6E7 + i as u64);
+            let (mut net, input) = layer.build(&mut rng);
+            let fwd = median_ns(|| {
+                std::hint::black_box(net.forward(&input));
+            });
+            let out = net.forward(&input);
+            let grad = Tensor::from_vec(sparse_values(&mut rng, out.len()), out.shape());
+            let bwd = median_ns(|| {
+                std::hint::black_box(net.backward(&grad));
+            });
+            fwd_ns[layer.kind as usize] += fwd;
+            bwd_ns[layer.kind as usize] += bwd;
+        }
+        for (k, kind) in ["conv", "deconv", "dense"].into_iter().enumerate() {
+            rows.push(format!("\"{kind}_fwd_ns_{label}\": {:.1}", fwd_ns[k]));
+            rows.push(format!("\"{kind}_bwd_ns_{label}\": {:.1}", bwd_ns[k]));
+        }
+        let mut policy = afp_rl::ActorCritic::new(config, &mut StdRng::seed_from_u64(0));
+        let forward_ns = median_ns(|| {
+            std::hint::black_box(policy.forward(
+                &obs.masks,
+                &obs.graph_embedding,
+                &obs.node_embedding,
+            ));
+        });
+        rows.push(format!("\"policy_forward_ns_{label}\": {forward_ns:.1}"));
+        println!(
+            "agent {label}: conv fwd {:.1} / bwd {:.1} us  deconv fwd {:.1} / bwd {:.1} us  dense fwd {:.1} / bwd {:.1} us  policy forward {:.1} us",
+            fwd_ns[0] / 1e3, bwd_ns[0] / 1e3, fwd_ns[1] / 1e3, bwd_ns[1] / 1e3,
+            fwd_ns[2] / 1e3, bwd_ns[2] / 1e3, forward_ns / 1e3,
+        );
+    }
+    // Each timed update keeps training the same policy on the same buffer;
+    // the per-transition cost does not depend on the weights.
+    let mut trainer = PpoTrainer::new(agent.config().ppo.clone());
+    let mut rng = StdRng::seed_from_u64(0x990);
+    let update_ns = median_ns(|| {
+        std::hint::black_box(trainer.update(agent.policy_mut(), &buffer, &mut rng));
+    });
+    let samples = trainer.config.epochs * buffer.len();
+    let ppo_us = update_ns / 1e3 / samples as f64;
+    println!("agent small: PPO update {ppo_us:.1} us per transition ({samples} per update)");
+    format!(
+        "  \"agent\": {{\n    \"hardware_threads\": {hardware_threads},\n    \"ppo_transitions_per_update\": {samples},\n    \"ppo_update_us_per_transition_small\": {ppo_us:.1},\n    {}\n  }}",
+        rows.join(",\n    ")
+    )
 }

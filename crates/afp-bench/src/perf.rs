@@ -1,11 +1,17 @@
 //! Shared helpers of the `bench_snapshot` perf harness: deterministic
 //! workloads (random sequence pairs, synthetic `n`-block circuits, the
-//! mid-episode mask state) and a small median timer.
+//! mid-episode mask state, the policy's layers and a seeded rollout buffer)
+//! and a small median timer.
 
 use std::time::Instant;
 
-use afp_circuit::{generators, BlockId, BlockKind, Circuit, NetClass, Shape, ShapeSet};
-use afp_layout::{Canvas, Cell, Floorplan, SequencePair, GRID_SIZE};
+use afp_circuit::{
+    generators, BlockId, BlockKind, Circuit, NetClass, Shape, ShapeSet, SHAPES_PER_BLOCK,
+};
+use afp_layout::{Canvas, Cell, Floorplan, SequencePair, GRID_SIZE, STATE_CHANNELS};
+use afp_rl::{AgentConfig, FloorplanAgent, FloorplanEnv, PolicyConfig, RolloutBuffer};
+use afp_tensor::layers::{Conv2d, ConvTranspose2d, Dense};
+use afp_tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -95,6 +101,130 @@ pub fn masks_workload() -> (Circuit, Floorplan, BlockId, ShapeSet) {
     (circuit, fp, block, shapes)
 }
 
+/// The kinds of `afp-tensor` kernel the actor-critic runs, in snapshot key
+/// order: `kind as usize` indexes `["conv", "deconv", "dense"]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelKind {
+    /// `Conv2d` (the CNN extractor and the policy head's 1×1 conv).
+    Conv,
+    /// `ConvTranspose2d` (the policy head's upsampling stages).
+    Deconv,
+    /// `Dense` (projections and the value MLP).
+    Dense,
+}
+
+/// One conv, deconv or dense layer of `ActorCritic::new(config)`, described
+/// by its exact shape so it can be built standalone (one at a time: the
+/// paper config's 65 536 → 512 dense layer alone holds 128 MiB of weights).
+#[derive(Debug, Clone, Copy)]
+pub struct PolicyLayer {
+    /// Kernel kind.
+    pub kind: KernelKind,
+    in_c: usize,
+    out_c: usize,
+    kernel: usize,
+    /// Input height (= width); 1 for dense layers.
+    size: usize,
+}
+
+impl PolicyLayer {
+    /// Builds the layer with seeded weights and a deterministic input whose
+    /// entries are a third zeros, like the ReLU activations and 0/1 masks
+    /// the policy feeds its kernels.
+    pub fn build(&self, rng: &mut StdRng) -> (Box<dyn Layer>, Tensor) {
+        let (layer, shape): (Box<dyn Layer>, Vec<usize>) = match self.kind {
+            KernelKind::Conv => (
+                Box::new(Conv2d::new(
+                    self.in_c,
+                    self.out_c,
+                    self.kernel,
+                    1,
+                    self.kernel / 2,
+                    rng,
+                )),
+                vec![self.in_c, self.size, self.size],
+            ),
+            KernelKind::Deconv => (
+                Box::new(ConvTranspose2d::new(self.in_c, self.out_c, 4, 2, 1, rng)),
+                vec![self.in_c, self.size, self.size],
+            ),
+            KernelKind::Dense => (
+                Box::new(Dense::new(self.in_c, self.out_c, rng)),
+                vec![self.in_c],
+            ),
+        };
+        let n = shape.iter().product();
+        (layer, Tensor::from_vec(sparse_values(rng, n), &shape))
+    }
+}
+
+/// `n` values in `[0, 1)`, a third of them exact zeros.
+pub fn sparse_values(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| {
+            if rng.gen_range(0..3u32) == 0 {
+                0.0
+            } else {
+                rng.gen()
+            }
+        })
+        .collect()
+}
+
+/// Every conv, deconv and dense layer of `ActorCritic::new(config)`, in
+/// forward order: CNN, policy head, value head.
+pub fn policy_layers(config: &PolicyConfig) -> Vec<PolicyLayer> {
+    let layer = |kind, in_c, out_c, kernel, size| PolicyLayer {
+        kind,
+        in_c,
+        out_c,
+        kernel,
+        size,
+    };
+    let mut layers = Vec::new();
+    let mut c_in = STATE_CHANNELS;
+    for &c_out in &config.conv_channels {
+        layers.push(layer(KernelKind::Conv, c_in, c_out, 3, GRID_SIZE));
+        c_in = c_out;
+    }
+    let state = config.state_dim();
+    let [d0, d1, d2] = config.deconv_channels;
+    layers.extend([
+        layer(
+            KernelKind::Dense,
+            c_in * GRID_SIZE * GRID_SIZE,
+            config.cnn_feature_dim,
+            1,
+            1,
+        ),
+        layer(KernelKind::Dense, state, d0 * 4 * 4, 1, 1),
+        layer(KernelKind::Deconv, d0, d0, 4, 4),
+        layer(KernelKind::Deconv, d0, d1, 4, 8),
+        layer(KernelKind::Deconv, d1, d2, 4, 16),
+        layer(KernelKind::Conv, d2, SHAPES_PER_BLOCK, 1, GRID_SIZE),
+        layer(KernelKind::Dense, state, config.value_hidden, 1, 1),
+        layer(KernelKind::Dense, config.value_hidden, 1, 1, 1),
+    ]);
+    layers
+}
+
+/// A fresh small-config agent and the transitions of seeded exploring
+/// episodes on OTA-5 and Bias-1: the PPO-update workload, and a source of
+/// real mid-episode observations for timing `ActorCritic::forward`.
+pub fn seeded_rollouts() -> (FloorplanAgent, RolloutBuffer) {
+    let config = AgentConfig::small();
+    let mut buffer = RolloutBuffer::new(config.ppo.gamma, config.ppo.gae_lambda);
+    let mut agent = FloorplanAgent::new(config);
+    let mut rng = StdRng::seed_from_u64(0xa9e7);
+    for circuit in [generators::ota5(), generators::bias9()] {
+        let mut env = FloorplanEnv::new(circuit);
+        for _ in 0..2 {
+            agent.run_episode(&mut env, true, Some(&mut buffer), &mut rng);
+        }
+    }
+    (agent, buffer)
+}
+
 /// Median nanoseconds per call of `f`: calibrates a batch size targeting
 /// ~10 ms, then reports the median of 15 timed batches.
 pub fn median_ns<F: FnMut()>(mut f: F) -> f64 {
@@ -122,7 +252,7 @@ pub fn median_ns<F: FnMut()>(mut f: F) -> f64 {
             start.elapsed().as_nanos() as f64 / batch as f64
         })
         .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
@@ -139,6 +269,16 @@ mod tests {
         assert_eq!(sp.shapes.len(), 32);
         // Deterministic per seed.
         assert_eq!(sp, random_pair(32, 7));
+    }
+
+    #[test]
+    fn paper_policy_layers_hold_the_papers_parameter_count() {
+        let params: usize = policy_layers(&PolicyConfig::paper())
+            .iter()
+            .map(|l| l.in_c * l.out_c * l.kernel * l.kernel + l.out_c)
+            .sum();
+        // `ActorCritic::new(PolicyConfig::paper(), ..).num_parameters()`.
+        assert_eq!(params, 34_095_236);
     }
 
     #[test]

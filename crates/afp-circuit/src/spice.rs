@@ -46,6 +46,16 @@ pub enum SpiceError {
         /// The line number (1-based).
         line: usize,
     },
+    /// A device dimension (`W`, `L`, `NF`, `M`) or a passive's value is
+    /// non-finite or not positive, so the device has no physical footprint.
+    InvalidDimension {
+        /// The line number (1-based).
+        line: usize,
+        /// The device card's leading token.
+        card: String,
+        /// The offending parameter (`"W"`, `"L"`, `"NF"`, `"M"` or `"value"`).
+        param: &'static str,
+    },
 }
 
 impl fmt::Display for SpiceError {
@@ -59,6 +69,12 @@ impl fmt::Display for SpiceError {
             }
             SpiceError::DanglingContinuation { line } => {
                 write!(f, "line {line}: `+` continuation with no preceding card")
+            }
+            SpiceError::InvalidDimension { line, card, param } => {
+                write!(
+                    f,
+                    "line {line}: device `{card}` has a non-finite or non-positive {param}"
+                )
             }
         }
     }
@@ -107,13 +123,26 @@ fn mos_kind(model: &str) -> DeviceKind {
     }
 }
 
-/// Extracts a `KEY=value` parameter (case-insensitive) from the fields of a
-/// card, if present.
-fn named_param(fields: &[&str], key: &str, line: usize) -> Result<Option<f64>, SpiceError> {
+/// Checks that a device dimension is finite and positive.
+fn positive(value: f64, line: usize, card: &str, param: &'static str) -> Result<f64, SpiceError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(SpiceError::InvalidDimension {
+            line,
+            card: card.to_string(),
+            param,
+        })
+    }
+}
+
+/// Extracts a `KEY=value` dimension (case-insensitive key) from the fields of
+/// a card, if present; a present value must be finite and positive.
+fn named_param(fields: &[&str], key: &'static str, line: usize) -> Result<Option<f64>, SpiceError> {
     for field in fields {
         if let Some((k, v)) = field.split_once('=') {
             if k.eq_ignore_ascii_case(key) {
-                return parse_value(v, line).map(Some);
+                return positive(parse_value(v, line)?, line, fields[0], key).map(Some);
             }
         }
     }
@@ -162,7 +191,8 @@ fn logical_cards(text: &str) -> Result<Vec<(usize, String)>, SpiceError> {
 ///
 /// # Errors
 ///
-/// Returns a [`SpiceError`] for malformed device cards and for a leading `+`
+/// Returns a [`SpiceError`] for malformed device cards, for a non-finite or
+/// non-positive device dimension or passive value, and for a leading `+`
 /// continuation with no card before it.
 pub fn parse_spice(name: &str, text: &str) -> Result<Schematic, SpiceError> {
     let mut schematic = Schematic::new(name);
@@ -215,8 +245,11 @@ pub fn parse_spice(name: &str, text: &str) -> Result<Schematic, SpiceError> {
                 };
                 // Use the value as a crude width surrogate so areas are
                 // monotone in the component value; explicit W/L win if given.
-                let value = parse_value(fields[3], line).unwrap_or(1.0);
-                let w = named_param(&fields, "W", line)?.unwrap_or(value.abs().cbrt().max(0.5));
+                let value = match parse_value(fields[3], line) {
+                    Ok(value) => positive(value, line, card, "value")?,
+                    Err(_) => 1.0,
+                };
+                let w = named_param(&fields, "W", line)?.unwrap_or(value.cbrt().max(0.5));
                 let l = named_param(&fields, "L", line)?.unwrap_or(w * 4.0);
                 let id = schematic.add_device(Device::new(DeviceId(0), card, kind, w, l, 1));
                 connections.push((fields[1].to_string(), id, "a"));
@@ -416,6 +449,35 @@ C1 out 0 1.0
         assert!(schematic.skipped[1].1.contains("`Vdd`"));
         assert_eq!(schematic.skipped[2].0, 5);
         assert!(schematic.skipped[2].1.contains(".ends"));
+    }
+
+    #[test]
+    fn hostile_dimensions_are_typed_errors_not_panics() {
+        // Each edit rewrites the first occurrence in the fixture (M1's
+        // W/L/NF, M5's NF=4, the capacitor card).
+        for (from, to, param) in [
+            ("W=8u", "W=inf", "W"),
+            ("W=8u", "W=0", "W"),
+            ("W=8u", "W=-8u", "W"),
+            ("W=8u", "W=nanu", "W"),
+            ("L=0.5u", "L=0", "L"),
+            ("NF=2", "NF=0", "NF"),
+            ("NF=4", "NF=4 M=0", "M"),
+            ("C1 out 0 1.0", "C1 out 0 -1.0", "value"),
+            ("C1 out 0 1.0", "C1 out 0 0", "value"),
+            ("C1 out 0 1.0", "C1 out 0 1.0 W=1e309", "W"),
+        ] {
+            assert!(FIVE_T_OTA.contains(from), "fixture lost `{from}`");
+            let text = FIVE_T_OTA.replacen(from, to, 1);
+            let err = std::panic::catch_unwind(|| parse_spice("hostile", &text))
+                .unwrap_or_else(|_| panic!("parse_spice panicked on `{to}`"))
+                .expect_err(to);
+            assert!(
+                matches!(&err, SpiceError::InvalidDimension { param: p, .. } if *p == param),
+                "`{to}`: {err}"
+            );
+            assert!(err.to_string().contains(param), "{err}");
+        }
     }
 
     #[test]

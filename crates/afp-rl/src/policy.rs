@@ -207,7 +207,8 @@ impl ActorCritic {
         let split = self.config.cnn_feature_dim;
         let grad_cnn = Tensor::from_slice(&grad_state.data()[..split]);
         let grad_embeddings = Tensor::from_slice(&grad_state.data()[split..]);
-        self.cnn.backward(&grad_cnn);
+        // Nothing consumes dL/d masks, so the first conv skips it.
+        self.cnn.backward_params(&grad_cnn);
         grad_embeddings
     }
 

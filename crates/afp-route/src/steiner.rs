@@ -189,7 +189,7 @@ fn manhattan_mst(points: &[(f64, f64)]) -> Vec<(usize, usize)> {
     for _ in 1..n {
         let next = (0..n)
             .filter(|&i| !in_tree[i])
-            .min_by(|&a, &b| best_cost[a].partial_cmp(&best_cost[b]).unwrap())
+            .min_by(|&a, &b| best_cost[a].total_cmp(&best_cost[b]))
             .expect("an unconnected point remains");
         in_tree[next] = true;
         edges.push((best_parent[next], next));
@@ -334,6 +334,17 @@ mod tests {
         }
         let routing = global_route(&circuit, &fp, 48);
         (circuit, fp, routing)
+    }
+
+    #[test]
+    fn non_finite_terminals_do_not_panic_the_spanning_tree() {
+        let points = [
+            (0.0, 0.0),
+            (f64::INFINITY, 1.0),
+            (f64::NAN, 2.0),
+            (3.0, 4.0),
+        ];
+        assert_eq!(manhattan_mst(&points).len(), points.len() - 1);
     }
 
     #[test]

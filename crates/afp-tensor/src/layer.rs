@@ -16,7 +16,8 @@ use crate::{Param, Tensor};
 /// * `forward` must be called before `backward`; the layer caches whatever it
 ///   needs from the most recent forward pass.
 /// * `backward` accumulates parameter gradients (it does **not** overwrite
-///   them) and returns `dL/d input`.
+///   them) and returns `dL/d input`; `backward_params` accumulates the same
+///   parameter gradients, bit for bit, without computing `dL/d input`.
 /// * `zero_grad` clears all accumulated parameter gradients.
 pub trait Layer: Send {
     /// Runs the layer on `input`, caching activations needed for `backward`.
@@ -29,6 +30,13 @@ pub trait Layer: Send {
     ///
     /// Implementations may panic if `forward` has not been called.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// Like [`Layer::backward`], but for a caller that discards `dL/d input`:
+    /// it accumulates exactly the same parameter gradients and may skip the
+    /// input gradient. The default runs `backward` and drops its result.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward(grad_output);
+    }
 
     /// Immutable access to the learnable parameters.
     fn params(&self) -> Vec<&Param>;

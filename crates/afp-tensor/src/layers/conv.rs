@@ -1,7 +1,16 @@
 //! 2-D convolution over `[channels, height, width]` inputs.
+//!
+//! The kernels are order-preserving rewrites of the per-output loops: the
+//! forward pass is tap-major (one axpy per valid output row and tap), the
+//! weight gradient runs over patch rows, and the input gradient is tap-major
+//! with the taps reversed. Every output and gradient element still receives
+//! the per-output loop's terms in its order, so results are bit-identical to
+//! it (`tests/properties.rs` checks this against the loops kept in
+//! `tests/nn_oracle`).
 
 use rand::Rng;
 
+use crate::kernel::{axpy, axpy_gather, axpy_scatter, valid_range, Scratch};
 use crate::{Init, Layer, Param, Tensor};
 
 /// A 2-D convolution layer.
@@ -33,6 +42,7 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
+    cols: Scratch,
 }
 
 impl Conv2d {
@@ -62,6 +72,7 @@ impl Conv2d {
             stride,
             padding,
             cached_input: None,
+            cols: Scratch::default(),
         }
     }
 
@@ -73,6 +84,43 @@ impl Conv2d {
     /// Number of output channels.
     pub fn out_channels(&self) -> usize {
         self.out_channels
+    }
+
+    /// `dL/d input`, tap-major with `ky` and `kx` descending: for a fixed
+    /// input element that visits its contributing outputs in `(oc, oy, ox)`
+    /// order, the order of a per-output scatter loop.
+    fn input_grad(&self, grad_output: &Tensor) -> Tensor {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("Conv2d::backward called before forward");
+        let (h, w) = (input.shape()[1], input.shape()[2]);
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let gy = grad_output.data();
+        let wgt = self.weight.value.data();
+        let mut gx = vec![0.0f32; self.in_channels * h * w];
+        for (ic, gxc) in gx.chunks_exact_mut(h * w).enumerate() {
+            for (oc, gy_plane) in gy.chunks_exact(oh * ow).enumerate() {
+                for ky in (0..k).rev() {
+                    let rows = valid_range(ky, s, p, h, oh);
+                    for kx in (0..k).rev() {
+                        let cols = valid_range(kx, s, p, w, ow);
+                        if cols.is_empty() {
+                            continue;
+                        }
+                        let wv = wgt[((oc * self.in_channels + ic) * k + ky) * k + kx];
+                        let ix0 = cols.start * s + kx - p;
+                        for oy in rows.clone() {
+                            let iy = oy * s + ky - p;
+                            let src = &gy_plane[oy * ow + cols.start..oy * ow + cols.end];
+                            axpy_scatter(wv, src, s, &mut gxc[iy * w + ix0..]);
+                        }
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(gx, &[self.in_channels, h, w])
     }
 
     fn check_input(&self, input: &Tensor) {
@@ -88,43 +136,37 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
+    /// Tap-major: each output plane starts from its bias, then every tap
+    /// `(ic, ky, kx)` in order adds one axpy per valid output row. Each
+    /// output thus sums its taps in `(ic, ky, kx)` order, as a per-element
+    /// loop would.
     fn forward(&mut self, input: &Tensor) -> Tensor {
         self.check_input(input);
         self.cached_input = Some(input.clone());
         let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        let k = self.kernel;
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
         let x = input.data();
         let wgt = self.weight.value.data();
         let mut out = vec![0.0f32; self.out_channels * oh * ow];
-        for oc in 0..self.out_channels {
-            let b = self.bias.value.get(oc);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = b;
-                    let iy0 = oy * self.stride;
-                    let ix0 = ox * self.stride;
-                    for ic in 0..self.in_channels {
-                        for ky in 0..k {
-                            let iy = iy0 + ky;
-                            if iy < self.padding || iy - self.padding >= h {
-                                continue;
-                            }
-                            let iy = iy - self.padding;
-                            for kx in 0..k {
-                                let ix = ix0 + kx;
-                                if ix < self.padding || ix - self.padding >= w {
-                                    continue;
-                                }
-                                let ix = ix - self.padding;
-                                let xv = x[ic * h * w + iy * w + ix];
-                                let wv = wgt[((oc * self.in_channels + ic) * k + ky) * k + kx];
-                                acc += xv * wv;
-                            }
+        for (oc, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+            plane.fill(self.bias.value.get(oc));
+            for (ic, xc) in x.chunks_exact(h * w).enumerate() {
+                for ky in 0..k {
+                    let rows = valid_range(ky, s, p, h, oh);
+                    for kx in 0..k {
+                        let cols = valid_range(kx, s, p, w, ow);
+                        if cols.is_empty() {
+                            continue;
+                        }
+                        let wv = wgt[((oc * self.in_channels + ic) * k + ky) * k + kx];
+                        let ix0 = cols.start * s + kx - p;
+                        for oy in rows.clone() {
+                            let iy = oy * s + ky - p;
+                            let dst = &mut plane[oy * ow + cols.start..oy * ow + cols.end];
+                            axpy_gather(wv, &xc[iy * w + ix0..], s, dst);
                         }
                     }
-                    out[oc * oh * ow + oy * ow + ox] = acc;
                 }
             }
         }
@@ -132,58 +174,57 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_params(grad_output);
+        self.input_grad(grad_output)
+    }
+
+    /// Weight and bias gradients from patch rows `cols[pix, (ic, ky, kx)]`
+    /// (zero where a tap falls in the padding): `gw[oc, :] += g · cols[pix, :]`
+    /// in pixel order, skipping `g == 0` pixels, so every weight sums its
+    /// pixels in `(oy, ox)` order.
+    fn backward_params(&mut self, grad_output: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
-            .expect("Conv2d::backward called before forward")
-            .clone();
+            .expect("Conv2d::backward called before forward");
         let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
         assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
-        let k = self.kernel;
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let taps = self.in_channels * k * k;
         let x = input.data();
-        let gy = grad_output.data();
-        let wgt = self.weight.value.data();
-        let mut gx = vec![0.0f32; self.in_channels * h * w];
-        {
-            let gw = self.weight.grad.data_mut();
-            let gb = self.bias.grad.data_mut();
-            for oc in 0..self.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gy[oc * oh * ow + oy * ow + ox];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        gb[oc] += g;
-                        let iy0 = oy * self.stride;
-                        let ix0 = ox * self.stride;
-                        for ic in 0..self.in_channels {
-                            for ky in 0..k {
-                                let iy = iy0 + ky;
-                                if iy < self.padding || iy - self.padding >= h {
-                                    continue;
-                                }
-                                let iy = iy - self.padding;
-                                for kx in 0..k {
-                                    let ix = ix0 + kx;
-                                    if ix < self.padding || ix - self.padding >= w {
-                                        continue;
-                                    }
-                                    let ix = ix - self.padding;
-                                    let xi = ic * h * w + iy * w + ix;
-                                    let wi = ((oc * self.in_channels + ic) * k + ky) * k + kx;
-                                    gw[wi] += g * x[xi];
-                                    gx[xi] += g * wgt[wi];
-                                }
-                            }
+        let cols = self.cols.filled(oh * ow * taps, 0.0);
+        for (ic, xc) in x.chunks_exact(h * w).enumerate() {
+            for ky in 0..k {
+                let rows = valid_range(ky, s, p, h, oh);
+                for kx in 0..k {
+                    let tap = (ic * k + ky) * k + kx;
+                    let out_cols = valid_range(kx, s, p, w, ow);
+                    for oy in rows.clone() {
+                        let iy = oy * s + ky - p;
+                        for ox in out_cols.clone() {
+                            cols[(oy * ow + ox) * taps + tap] = xc[iy * w + ox * s + kx - p];
                         }
                     }
                 }
             }
         }
-        Tensor::from_vec(gx, &[self.in_channels, h, w])
+        let gy = grad_output.data();
+        let gw = self.weight.grad.data_mut();
+        let gb = self.bias.grad.data_mut();
+        for ((gw_row, gy_plane), gb) in gw
+            .chunks_exact_mut(taps)
+            .zip(gy.chunks_exact(oh * ow))
+            .zip(gb.iter_mut())
+        {
+            for (&g, patch) in gy_plane.iter().zip(cols.chunks_exact(taps)) {
+                if g == 0.0 {
+                    continue;
+                }
+                *gb += g;
+                axpy(g, patch, gw_row);
+            }
+        }
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -1,7 +1,16 @@
 //! 2-D transposed convolution ("deconvolution") over `[channels, height, width]`.
+//!
+//! The kernels are order-preserving rewrites of the per-input scatter loops:
+//! the forward pass accumulates into one parity plane per output phase
+//! (sub-pixel decomposition) with the taps reversed, and the backward pass
+//! works from patch rows of the output gradient. Every output and gradient
+//! element still receives the scatter loop's terms in its order, so results
+//! are bit-identical to it (`tests/properties.rs` checks this against the
+//! loops kept in `tests/nn_oracle`).
 
 use rand::Rng;
 
+use crate::kernel::{axpy, dot_rows, valid_range, Scratch};
 use crate::{Init, Layer, Param, Tensor};
 
 /// A 2-D transposed convolution layer.
@@ -36,6 +45,8 @@ pub struct ConvTranspose2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
+    cols: Scratch,
+    planes: Scratch,
 }
 
 impl ConvTranspose2d {
@@ -65,6 +76,8 @@ impl ConvTranspose2d {
             stride,
             padding,
             cached_input: None,
+            cols: Scratch::default(),
+            planes: Scratch::default(),
         }
     }
 
@@ -80,6 +93,12 @@ impl ConvTranspose2d {
 }
 
 impl Layer for ConvTranspose2d {
+    /// Sub-pixel decomposition: output pixels with the same `(oy, ox) mod
+    /// stride` form a parity plane, and each tap `(ky, kx)` writes one plane
+    /// at a fixed input shift, so it is one contiguous axpy per input row.
+    /// Planes start from the bias and take taps in `(ic, ky↓, kx↓)` order,
+    /// which for every output is the `(ic, iy, ix)` order of a per-input
+    /// scatter loop; then the planes are interleaved into the output.
     fn forward(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.ndim(), 3, "ConvTranspose2d expects [C, H, W] input");
         assert_eq!(
@@ -91,45 +110,45 @@ impl Layer for ConvTranspose2d {
         );
         self.cached_input = Some(input.clone());
         let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        let k = self.kernel;
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        // Every parity plane is sized for the largest residue class.
+        let (ph, pw) = (oh.div_ceil(s), ow.div_ceil(s));
         let x = input.data();
         let wgt = self.weight.value.data();
         let mut out = vec![0.0f32; self.out_channels * oh * ow];
-        // Initialize with bias.
-        for oc in 0..self.out_channels {
+        for (oc, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+            // A zero bias leaves the +0.0 start, so a −0.0 bias never shows.
             let b = self.bias.value.get(oc);
-            if b != 0.0 {
-                for v in &mut out[oc * oh * ow..(oc + 1) * oh * ow] {
-                    *v = b;
-                }
-            }
-        }
-        for ic in 0..self.in_channels {
-            for iy in 0..h {
-                for ix in 0..w {
-                    let xv = x[ic * h * w + iy * w + ix];
-                    if xv == 0.0 {
+            let start = if b != 0.0 { b } else { 0.0 };
+            let planes = self.planes.filled(s * s * ph * pw, start);
+            for (ic, xc) in x.chunks_exact(h * w).enumerate() {
+                for ky in (0..k).rev() {
+                    let rows = valid_range(ky, s, p, oh, h);
+                    if rows.is_empty() {
                         continue;
                     }
-                    for oc in 0..self.out_channels {
-                        for ky in 0..k {
-                            let oy = iy * self.stride + ky;
-                            if oy < self.padding || oy - self.padding >= oh {
-                                continue;
-                            }
-                            let oy = oy - self.padding;
-                            for kx in 0..k {
-                                let ox = ix * self.stride + kx;
-                                if ox < self.padding || ox - self.padding >= ow {
-                                    continue;
-                                }
-                                let ox = ox - self.padding;
-                                let wv = wgt[((ic * self.out_channels + oc) * k + ky) * k + kx];
-                                out[oc * oh * ow + oy * ow + ox] += xv * wv;
-                            }
+                    let oy0 = rows.start * s + ky - p;
+                    for kx in (0..k).rev() {
+                        let cols = valid_range(kx, s, p, ow, w);
+                        if cols.is_empty() {
+                            continue;
                         }
+                        let ox0 = cols.start * s + kx - p;
+                        let wv = wgt[((ic * self.out_channels + oc) * k + ky) * k + kx];
+                        let plane = &mut planes[(oy0 % s * s + ox0 % s) * ph * pw..];
+                        for (qy, iy) in (oy0 / s..).zip(rows.clone()) {
+                            let dst = &mut plane[qy * pw + ox0 / s..][..cols.len()];
+                            axpy(wv, &xc[iy * w + cols.start..iy * w + cols.end], dst);
+                        }
+                    }
+                }
+            }
+            for (oy, row) in out_plane.chunks_exact_mut(ow).enumerate() {
+                for rx in 0..s.min(ow) {
+                    let src = &planes[((oy % s * s + rx) * ph + oy / s) * pw..];
+                    for (o, &v) in row[rx..].iter_mut().step_by(s).zip(src) {
+                        *o = v;
                     }
                 }
             }
@@ -137,62 +156,59 @@ impl Layer for ConvTranspose2d {
         Tensor::from_vec(out, &[self.out_channels, oh, ow])
     }
 
+    /// Patch rows `cols[pix_in, (oc, ky, kx)]` gathered from `grad_output`
+    /// (zero where a tap is cropped) give `gw[ic, :] += x · cols[pix, :]` in
+    /// input-pixel order, and `gx[ic, pix] = w[ic, :] · cols[pix, :]` summed
+    /// in `(oc, ky, kx)` order — the orders of a per-input loop.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
-            .expect("ConvTranspose2d::backward called before forward")
-            .clone();
+            .expect("ConvTranspose2d::backward called before forward");
         let (h, w) = (input.shape()[1], input.shape()[2]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
         assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
-        let k = self.kernel;
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let taps = self.out_channels * k * k;
         let x = input.data();
         let gy = grad_output.data();
-        let wgt = self.weight.value.data();
-        let mut gx = vec![0.0f32; self.in_channels * h * w];
-        {
-            let gw = self.weight.grad.data_mut();
-            let gb = self.bias.grad.data_mut();
-            for oc in 0..self.out_channels {
-                for v in &gy[oc * oh * ow..(oc + 1) * oh * ow] {
-                    gb[oc] += v;
-                }
-            }
-            for ic in 0..self.in_channels {
-                for iy in 0..h {
-                    for ix in 0..w {
-                        let xi = ic * h * w + iy * w + ix;
-                        let xv = x[xi];
-                        let mut gxi = 0.0f32;
-                        for oc in 0..self.out_channels {
-                            for ky in 0..k {
-                                let oy = iy * self.stride + ky;
-                                if oy < self.padding || oy - self.padding >= oh {
-                                    continue;
-                                }
-                                let oy = oy - self.padding;
-                                for kx in 0..k {
-                                    let ox = ix * self.stride + kx;
-                                    if ox < self.padding || ox - self.padding >= ow {
-                                        continue;
-                                    }
-                                    let ox = ox - self.padding;
-                                    let g = gy[oc * oh * ow + oy * ow + ox];
-                                    if g == 0.0 {
-                                        continue;
-                                    }
-                                    let wi = ((ic * self.out_channels + oc) * k + ky) * k + kx;
-                                    gw[wi] += g * xv;
-                                    gxi += g * wgt[wi];
-                                }
-                            }
+        let cols = self.cols.filled(h * w * taps, 0.0);
+        for (oc, gy_plane) in gy.chunks_exact(oh * ow).enumerate() {
+            for ky in 0..k {
+                let rows = valid_range(ky, s, p, oh, h);
+                for kx in 0..k {
+                    let tap = (oc * k + ky) * k + kx;
+                    let in_cols = valid_range(kx, s, p, ow, w);
+                    for iy in rows.clone() {
+                        let oy = iy * s + ky - p;
+                        for ix in in_cols.clone() {
+                            cols[(iy * w + ix) * taps + tap] = gy_plane[oy * ow + ix * s + kx - p];
                         }
-                        gx[xi] += gxi;
                     }
                 }
             }
+        }
+        let gb = self.bias.grad.data_mut();
+        for (gb, gy_plane) in gb.iter_mut().zip(gy.chunks_exact(oh * ow)) {
+            for v in gy_plane {
+                *gb += v;
+            }
+        }
+        let gw = self.weight.grad.data_mut();
+        let wgt = self.weight.value.data();
+        let mut gx = vec![0.0f32; self.in_channels * h * w];
+        for (((gw_row, w_row), xc), gxc) in gw
+            .chunks_exact_mut(taps)
+            .zip(wgt.chunks_exact(taps))
+            .zip(x.chunks_exact(h * w))
+            .zip(gx.chunks_exact_mut(h * w))
+        {
+            for (&xv, patch) in xc.iter().zip(cols.chunks_exact(taps)) {
+                if xv != 0.0 {
+                    axpy(xv, patch, gw_row);
+                }
+            }
+            dot_rows(cols, w_row, gxc);
         }
         Tensor::from_vec(gx, &[self.in_channels, h, w])
     }

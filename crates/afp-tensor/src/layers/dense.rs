@@ -1,7 +1,12 @@
 //! Fully connected (affine) layer.
+//!
+//! The forward pass runs four output rows per pass over the input; each row
+//! keeps its own serial sum from its bias, so outputs are bit-identical to a
+//! one-row-at-a-time loop.
 
 use rand::Rng;
 
+use crate::kernel::dot_rows;
 use crate::{Init, Layer, Param, Tensor};
 
 /// A fully connected layer computing `y = W·x + b` on 1-D inputs.
@@ -74,17 +79,10 @@ impl Layer for Dense {
             input.shape()
         );
         self.cached_input = Some(input.clone());
-        let mut out = vec![0.0f32; self.out_features];
-        let w = self.weight.value.data();
-        let x = input.data();
-        for (o, out_v) in out.iter_mut().enumerate() {
-            let row = &w[o * self.in_features..(o + 1) * self.in_features];
-            let mut acc = self.bias.value.get(o);
-            for (wi, xi) in row.iter().zip(x.iter()) {
-                acc += wi * xi;
-            }
-            *out_v = acc;
-        }
+        // Each output starts from its bias and sums its row serially; four
+        // rows run per pass.
+        let mut out = self.bias.value.data().to_vec();
+        dot_rows(self.weight.value.data(), input.data(), &mut out);
         Tensor::from_vec(out, &[self.out_features])
     }
 

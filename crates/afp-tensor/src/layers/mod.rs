@@ -2,7 +2,9 @@
 //!
 //! All layers operate on single samples (no batch dimension); minibatches are
 //! handled by looping `forward` / `backward` and relying on gradient
-//! accumulation inside [`crate::Param`].
+//! accumulation inside [`crate::Param`]. The conv, deconv and dense kernels
+//! keep the summation order of the naive per-element loops, so a seeded
+//! minibatch replays bit for bit.
 
 mod activation;
 mod conv;

@@ -74,6 +74,20 @@ impl Layer for Sequential {
         g
     }
 
+    /// Backpropagates through every layer but asks the first one for its
+    /// parameter gradients only, since nothing consumes the stack's input
+    /// gradient.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
+    }
+
     fn params(&self) -> Vec<&Param> {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
@@ -119,6 +133,38 @@ mod tests {
         let input = Tensor::from_slice(&[0.5, -0.2, 0.1, 0.9]);
         let max_err = check_layer_gradients(&mut net, &input);
         assert!(max_err < 1e-2, "max gradient error {}", max_err);
+    }
+
+    #[test]
+    fn backward_params_matches_backward_parameter_grads() {
+        use crate::layers::{Conv2d, Flatten};
+        let mut rng = StdRng::seed_from_u64(11);
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut net = Sequential::new();
+            net.push(Conv2d::new(2, 3, 3, 1, 1, &mut rng));
+            net.push(Activation::relu());
+            net.push(Flatten::new());
+            net.push(Dense::new(3 * 4 * 4, 2, &mut rng));
+            net
+        };
+        let (mut full, mut params_only) = (build(), build());
+        for _ in 0..3 {
+            let x = crate::Init::XavierUniform.sample(&mut rng, &[2, 4, 4], 8, 8);
+            let g = crate::Init::XavierUniform.sample(&mut rng, &[2], 2, 2);
+            full.forward(&x);
+            full.backward(&g);
+            params_only.forward(&x);
+            params_only.backward_params(&g);
+        }
+        let bits = |net: &Sequential| -> Vec<Vec<u32>> {
+            net.params()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&full), bits(&params_only));
+        assert!(full.params().iter().all(|p| p.grad.norm() > 0.0));
     }
 
     #[test]

@@ -52,6 +52,7 @@
 #![warn(missing_debug_implementations)]
 
 mod init;
+mod kernel;
 mod layer;
 mod param;
 mod tensor;

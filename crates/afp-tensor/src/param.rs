@@ -30,9 +30,14 @@ impl Param {
         }
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to zero, in place when its shape still
+    /// matches the value's.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.shape());
+        if self.grad.shape() == self.value.shape() {
+            self.grad.data_mut().fill(0.0);
+        } else {
+            self.grad = Tensor::zeros(self.value.shape());
+        }
     }
 
     /// Number of scalar values held by this parameter.

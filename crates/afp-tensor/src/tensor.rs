@@ -4,28 +4,24 @@
 //! encoder, the CNN feature extractor, the deconvolutional policy head and the
 //! PPO losses are all expressed in terms of the operations defined here.
 //!
-//! The implementation is deliberately simple — a flat `Vec<f32>` plus a shape
-//! vector — because the networks used by the paper are small (32×32 grids,
-//! 32-dimensional embeddings) and clarity matters more than peak FLOPs.
+//! The representation is deliberately simple — a flat `Vec<f32>` plus a shape
+//! vector. Speed comes from the loop order of the kernels, never from their
+//! arithmetic: the matmul and the conv, deconv and dense layers vectorize
+//! only across independent accumulators, so every output element receives
+//! exactly the terms of the naive per-element loop, in the same order, as
+//! plain `acc += a * b` (no FMA, no reassociation, no split reductions). A
+//! seeded forward, backward or PPO update therefore replays to the bit.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::kernel::axpy;
+
 /// Block size of the matmul k-loop: 64 × 64 `f32` ≈ 16 KiB of the right-hand
 /// operand per slab, comfortably inside L1/L2 for the matrix sizes the
 /// networks use.
 const MATMUL_BLOCK: usize = 64;
-
-/// The matmul inner kernel: `out += alpha * xs`, element-wise over equal-length
-/// rows. Kept as a named `#[inline]` function so the compiler vectorizes one
-/// obvious loop instead of re-deriving it per call site.
-#[inline]
-fn axpy(alpha: f32, xs: &[f32], out: &mut [f32]) {
-    for (o, &x) in out.iter_mut().zip(xs.iter()) {
-        *o += alpha * x;
-    }
-}
 
 /// A dense, row-major tensor of `f32` values.
 ///

@@ -14,7 +14,8 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
 # Incremental-pipeline safety net: the differential proptests (incremental vs
 # full realization bit-identity, parallel EvalPool vs the serial cost_cached loop, FAST-SP vs legacy oracle,
-# BitGrid vs scalar oracle, controlled vs unbounded runs of every baseline)
+# BitGrid vs scalar oracle, controlled vs unbounded runs of every baseline,
+# the order-preserving conv/deconv/dense kernels vs their naive loops)
 # run as part of the workspace tests above; run them
 # once more by name so a filtered or partially-cached test run cannot silently
 # skip them, then run the metaheuristics tests again with the feature-gated
@@ -31,7 +32,11 @@ for diff_test in \
     serve_daemon_admits_while_draining_and_matches_cold_solves \
     serve_daemon_stress_submitters_race_drain \
     multiword_grid_fits_anchors_and_nearest_fit_match_scalar \
-    incremental_realize_matches_full_beyond_64_blocks; do
+    incremental_realize_matches_full_beyond_64_blocks \
+    conv_kernels_match_naive_oracle_bitwise \
+    deconv_kernels_match_naive_oracle_bitwise \
+    dense_forward_matches_naive_oracle_bitwise \
+    policy_layer_shapes_match_naive_oracle_bitwise; do
     diff_out="$(cargo test --test properties "$diff_test" 2>&1)" \
         || { echo "$diff_out"; exit 1; }
     echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
@@ -110,7 +115,7 @@ with open(sys.argv[2]) as f:
     committed = json.load(f)
 for section in ("pack", "snap", "large_n", "masks", "incremental_realize",
                 "eval_pool", "pool_overhead", "multistart", "serve",
-                "serve_daemon", "sa_locality", "sa"):
+                "serve_daemon", "sa_locality", "agent", "sa"):
     assert section in snap, f"missing snapshot section: {section}"
 # The large-n tier: one row per block count past the old 64-element ceilings,
 # each run end to end through the incremental cost pipeline on a multi-word
@@ -214,6 +219,30 @@ for key in ("uniform_snap_hit_rate", "local_snap_hit_rate"):
 # replay more, and a change that breaks this ordering should fail loudly.
 assert loc["local_snap_hit_rate"] >= loc["uniform_snap_hit_rate"], \
     "locality bias did not increase snap replay hits"
+# The agent section: every kernel kind's forward and backward median at both
+# policy configs, the policy forward at both, and the small PPO update. Only
+# presence and sign are gated per key (timings are machine-dependent), plus
+# one ordering that holds on any machine: the paper config multiplies the
+# small config's forward MACs by ~220, so its policy forward must be slower.
+agent = snap["agent"]
+agent_keys = ["hardware_threads", "ppo_transitions_per_update",
+              "ppo_update_us_per_transition_small"]
+agent_keys += [f"{kind}_{pass_}_ns_{cfg}" for kind in ("conv", "deconv", "dense")
+               for pass_ in ("fwd", "bwd") for cfg in ("small", "paper")]
+agent_keys += [f"policy_forward_ns_{cfg}" for cfg in ("small", "paper")]
+for key in agent_keys:
+    assert key in agent, f"missing agent key: {key}"
+    assert agent[key] > 0, f"nonsensical agent value: {key}"
+assert agent["policy_forward_ns_paper"] > agent["policy_forward_ns_small"], \
+    "paper-config policy forward is not slower than the small config's"
+# Same 4x band as the SA throughput below, on the agent's training cost per
+# transition. Like that band it is sized for machine noise and so only catches
+# gross regressions (the per-tap kernels this snapshot replaced cost ~3.5x).
+smoke_ppo = agent["ppo_update_us_per_transition_small"]
+committed_ppo = committed["agent"]["ppo_update_us_per_transition_small"]
+assert smoke_ppo <= committed_ppo * 4, (
+    f"small PPO update fell out of band: smoke {smoke_ppo} us/transition "
+    f"vs committed {committed_ppo} us/transition (ceiling committed*4)")
 # Throughput band on the paper-scale workload: the smoke run's 19-block SA
 # median must stay within 4x of the committed snapshot's. The committed value
 # is the canonical perf trajectory refreshed deliberately by perf PRs; 4x is

@@ -8,6 +8,9 @@ use analog_floorplan::circuit::{node_features, NODE_FEATURE_DIM};
 use analog_floorplan::layout::{metrics, Canvas, Cell, Floorplan, SequencePair, GRID_SIZE};
 use analog_floorplan::tensor::Tensor;
 
+mod nn_oracle;
+use nn_oracle::{check_dense_forward, check_strided, Geometry, Strided};
+
 /// Scalar `Vec<bool>` occupancy grid — the pre-bitboard reference
 /// implementation of `fits`, the spiral nearest-fit scan and the positional
 /// free-space test, retained as the differential oracle for the `BitGrid`
@@ -1488,5 +1491,96 @@ fn serve_daemon_stress_submitters_race_drain() {
         let report = daemon.shutdown();
         assert_eq!(report.resolved, submitted.len());
         assert_eq!(report.completed, submitted.len());
+    }
+}
+
+proptest! {
+    // Small random geometries so tier-1 (a debug build) stays fast; strides
+    // 1–3, padding 0–2 and kernels 1–4 cover stride 2, padding 0 and 1×1.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Differential test of the order-preserving `Conv2d` kernels against the
+    /// historical per-output loops: forward outputs, input gradients and
+    /// parameter gradients accumulated over three calls, bit for bit, plus
+    /// `backward_params` against `backward`.
+    #[test]
+    fn conv_kernels_match_naive_oracle_bitwise(
+        channels in (1usize..5, 1usize..5),
+        window in (1usize..5, 1usize..4, 0usize..3),
+        size in (1usize..10, 1usize..10),
+        seed in 0u64..1_000_000
+    ) {
+        let g = Geometry {
+            in_c: channels.0, out_c: channels.1, k: window.0, stride: window.1,
+            padding: window.2, h: size.0, w: size.1,
+        };
+        check_strided(Strided::Conv, &g, seed, 3);
+    }
+
+    /// The same differential test for the sub-pixel `ConvTranspose2d` kernels
+    /// against the historical per-input scatter loops.
+    #[test]
+    fn deconv_kernels_match_naive_oracle_bitwise(
+        channels in (1usize..5, 1usize..5),
+        window in (1usize..5, 1usize..4, 0usize..3),
+        size in (1usize..8, 1usize..8),
+        seed in 0u64..1_000_000
+    ) {
+        let g = Geometry {
+            in_c: channels.0, out_c: channels.1, k: window.0, stride: window.1,
+            padding: window.2, h: size.0, w: size.1,
+        };
+        check_strided(Strided::Deconv, &g, seed, 3);
+    }
+
+    /// `Dense::forward` (four rows per pass) against the per-row loop; the
+    /// output counts cover every remainder of four.
+    #[test]
+    fn dense_forward_matches_naive_oracle_bitwise(
+        shape in (1usize..70, 1usize..14),
+        seed in 0u64..1_000_000
+    ) {
+        check_dense_forward(shape.0, shape.1, seed);
+    }
+}
+
+/// The policy's own layer geometries: every small-config conv, deconv and
+/// dense layer, and the paper config's first conv and its deconv head (the
+/// wide paper convs are left to the random geometries above, which share
+/// their code path, to keep this debug-build test fast).
+#[test]
+fn policy_layer_shapes_match_naive_oracle_bitwise() {
+    let g = |in_c, out_c, k, stride, padding, size| Geometry {
+        in_c,
+        out_c,
+        k,
+        stride,
+        padding,
+        h: size,
+        w: size,
+    };
+    let conv = [
+        g(6, 4, 3, 1, 1, 32),
+        g(4, 3, 1, 1, 0, 32),
+        g(6, 16, 3, 1, 1, 32),
+        g(8, 3, 1, 1, 0, 32),
+    ];
+    let deconv = [
+        g(8, 8, 4, 2, 1, 4),
+        g(8, 4, 4, 2, 1, 8),
+        g(4, 4, 4, 2, 1, 16),
+        g(32, 32, 4, 2, 1, 4),
+        g(32, 16, 4, 2, 1, 8),
+        g(16, 8, 4, 2, 1, 16),
+    ];
+    for (i, geometry) in conv.iter().enumerate() {
+        check_strided(Strided::Conv, geometry, i as u64, 3);
+    }
+    for (i, geometry) in deconv.iter().enumerate() {
+        check_strided(Strided::Deconv, geometry, i as u64, 3);
+    }
+    let dense = [(4096, 32), (96, 128), (96, 32), (32, 1), (576, 512)];
+    for (i, (in_f, out_f)) in dense.into_iter().enumerate() {
+        check_dense_forward(in_f, out_f, i as u64);
     }
 }
