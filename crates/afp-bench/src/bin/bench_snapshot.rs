@@ -30,9 +30,9 @@ use afp_metaheuristics::{
     RunControl, SaConfig,
 };
 use afp_par::{PoolHandle, WorkerPool};
-use afp_rl::{PolicyConfig, PpoTrainer};
+use afp_rl::{FloorplanAgent, PolicyConfig, PpoStats, PpoTrainer, RolloutBuffer};
 use afp_serve::{CacheHandle, JobEngine, JobRequest, JobSpec, ServeConfig, ServeDaemon};
-use afp_tensor::Tensor;
+use afp_tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -658,7 +658,7 @@ fn main() {
 /// policy shapes (the sum over that config's layers of each layer's median
 /// forward and backward call), `ActorCritic::forward` on a real mid-episode
 /// observation for both configs, and the small config's PPO update per
-/// transition.
+/// transition, whole and stage by stage.
 fn agent_json(hardware_threads: usize) -> String {
     let (mut agent, buffer) = seeded_rollouts();
     let obs = &buffer.transitions()[buffer.len() / 2];
@@ -677,9 +677,7 @@ fn agent_json(hardware_threads: usize) -> String {
             });
             let out = net.forward(&input);
             let grad = Tensor::from_vec(sparse_values(&mut rng, out.len()), out.shape());
-            let bwd = median_ns(|| {
-                std::hint::black_box(net.backward(&grad));
-            });
+            let bwd = median_backward_ns(net.as_mut(), &input, &grad);
             fwd_ns[layer.kind as usize] += fwd;
             bwd_ns[layer.kind as usize] += bwd;
         }
@@ -712,8 +710,68 @@ fn agent_json(hardware_threads: usize) -> String {
     let samples = trainer.config.epochs * buffer.len();
     let ppo_us = update_ns / 1e3 / samples as f64;
     println!("agent small: PPO update {ppo_us:.1} us per transition ({samples} per update)");
+    let stages = ppo_stage_us(&mut agent, &buffer, &mut trainer);
+    for (name, us) in PPO_STAGES.iter().zip(stages) {
+        println!("agent small: PPO {name} {us:.1} us per transition");
+        rows.push(format!("\"ppo_{name}_us_per_transition_small\": {us:.1}"));
+    }
     format!(
         "  \"agent\": {{\n    \"hardware_threads\": {hardware_threads},\n    \"ppo_transitions_per_update\": {samples},\n    \"ppo_update_us_per_transition_small\": {ppo_us:.1},\n    {}\n  }}",
         rows.join(",\n    ")
     )
+}
+
+/// Median nanoseconds of one `backward` call. Each backward consumes its
+/// forward's cache, so every timed call follows an untimed forward; calls
+/// are timed one by one for at least 100 ms (15 calls at least, 1000 at
+/// most).
+fn median_backward_ns(net: &mut dyn Layer, input: &Tensor, grad: &Tensor) -> f64 {
+    let started = Instant::now();
+    let mut samples = Vec::new();
+    while samples.len() < 15 || (samples.len() < 1000 && started.elapsed().as_millis() < 100) {
+        net.forward(input);
+        let call = Instant::now();
+        std::hint::black_box(net.backward(grad));
+        samples.push(call.elapsed().as_nanos() as f64);
+    }
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The stages of one PPO minibatch step, in `PpoTrainer::minibatch_step`
+/// order.
+const PPO_STAGES: [&str; 4] = ["batched_forward", "loss", "batched_backward", "clip_adam"];
+
+/// Per-transition microseconds of each [`PPO_STAGES`] entry: one update's
+/// minibatches through `PpoTrainer::minibatch_step`, each stage read off its
+/// `lap` clock and summed over the update; the median of 15 updates.
+fn ppo_stage_us(
+    agent: &mut FloorplanAgent,
+    buffer: &RolloutBuffer,
+    trainer: &mut PpoTrainer,
+) -> [f64; 4] {
+    let mut rng = StdRng::seed_from_u64(0x5a9e);
+    let mut passes: [Vec<f64>; 4] = Default::default();
+    for _ in 0..15 {
+        let mut ns = [0.0f64; 4];
+        let mut samples = 0;
+        let mut stats = PpoStats::default();
+        for minibatch in trainer.minibatches(buffer, &mut rng) {
+            let mut laps = Vec::with_capacity(PPO_STAGES.len() + 1);
+            trainer.minibatch_step(agent.policy_mut(), &minibatch, &mut stats, || {
+                laps.push(Instant::now())
+            });
+            for (acc, lap) in ns.iter_mut().zip(laps.windows(2)) {
+                *acc += (lap[1] - lap[0]).as_nanos() as f64;
+            }
+            samples += minibatch.len();
+        }
+        for (pass, total) in passes.iter_mut().zip(ns) {
+            pass.push(total / 1e3 / samples as f64);
+        }
+    }
+    passes.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    })
 }

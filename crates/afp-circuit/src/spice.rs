@@ -56,7 +56,21 @@ pub enum SpiceError {
         /// The offending parameter (`"W"`, `"L"`, `"NF"`, `"M"` or `"value"`).
         param: &'static str,
     },
+    /// A device's dimensions are each valid but imply a footprint above
+    /// [`MAX_DEVICE_AREA_UM2`], so they cannot describe a physical device.
+    FootprintTooLarge {
+        /// The line number (1-based).
+        line: usize,
+        /// The device card's leading token.
+        card: String,
+    },
 }
+
+/// The largest footprint, in µm², a single parsed device may have: 1 cm²,
+/// the area of a whole large die. Any one analog device is orders of
+/// magnitude smaller, so a card implying more (`W=1e30`, a huge passive
+/// value, a saturated `M`) is an error rather than a layout.
+pub const MAX_DEVICE_AREA_UM2: f64 = 1e8;
 
 impl fmt::Display for SpiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -76,6 +90,11 @@ impl fmt::Display for SpiceError {
                     "line {line}: device `{card}` has a non-finite or non-positive {param}"
                 )
             }
+            SpiceError::FootprintTooLarge { line, card } => write!(
+                f,
+                "line {line}: device `{card}` implies a footprint above the \
+                 {MAX_DEVICE_AREA_UM2:e} µm² ceiling"
+            ),
         }
     }
 }
@@ -136,6 +155,22 @@ fn positive(value: f64, line: usize, card: &str, param: &'static str) -> Result<
     }
 }
 
+/// Adds `device` unless its footprint exceeds [`MAX_DEVICE_AREA_UM2`].
+fn add_sized(
+    schematic: &mut Schematic,
+    device: Device,
+    line: usize,
+) -> Result<DeviceId, SpiceError> {
+    if device.area_um2() <= MAX_DEVICE_AREA_UM2 {
+        Ok(schematic.add_device(device))
+    } else {
+        Err(SpiceError::FootprintTooLarge {
+            line,
+            card: device.name,
+        })
+    }
+}
+
 /// Extracts a `KEY=value` dimension (case-insensitive key) from the fields of
 /// a card, if present; a present value must be finite and positive.
 fn named_param(fields: &[&str], key: &'static str, line: usize) -> Result<Option<f64>, SpiceError> {
@@ -192,7 +227,8 @@ fn logical_cards(text: &str) -> Result<Vec<(usize, String)>, SpiceError> {
 /// # Errors
 ///
 /// Returns a [`SpiceError`] for malformed device cards, for a non-finite or
-/// non-positive device dimension or passive value, and for a leading `+`
+/// non-positive device dimension or passive value, for a device whose
+/// footprint exceeds [`MAX_DEVICE_AREA_UM2`], and for a leading `+`
 /// continuation with no card before it.
 pub fn parse_spice(name: &str, text: &str) -> Result<Schematic, SpiceError> {
     let mut schematic = Schematic::new(name);
@@ -225,7 +261,7 @@ pub fn parse_spice(name: &str, text: &str) -> Result<Schematic, SpiceError> {
                 let m = named_param(&fields, "M", line)?.unwrap_or(1.0).max(1.0) as u32;
                 let mut device = Device::new(DeviceId(0), card, kind, w, l, nf);
                 device.multiplier = m;
-                let id = schematic.add_device(device);
+                let id = add_sized(&mut schematic, device, line)?;
                 connections.push((fields[1].to_string(), id, "d"));
                 connections.push((fields[2].to_string(), id, "g"));
                 connections.push((fields[3].to_string(), id, "s"));
@@ -251,7 +287,8 @@ pub fn parse_spice(name: &str, text: &str) -> Result<Schematic, SpiceError> {
                 };
                 let w = named_param(&fields, "W", line)?.unwrap_or(value.cbrt().max(0.5));
                 let l = named_param(&fields, "L", line)?.unwrap_or(w * 4.0);
-                let id = schematic.add_device(Device::new(DeviceId(0), card, kind, w, l, 1));
+                let device = Device::new(DeviceId(0), card, kind, w, l, 1);
+                let id = add_sized(&mut schematic, device, line)?;
                 connections.push((fields[1].to_string(), id, "a"));
                 connections.push((fields[2].to_string(), id, "b"));
             }
@@ -270,7 +307,8 @@ pub fn parse_spice(name: &str, text: &str) -> Result<Schematic, SpiceError> {
                 };
                 let w = named_param(&fields, "W", line)?.unwrap_or(2.0);
                 let l = named_param(&fields, "L", line)?.unwrap_or(2.0);
-                let id = schematic.add_device(Device::new(DeviceId(0), card, kind, w, l, 1));
+                let device = Device::new(DeviceId(0), card, kind, w, l, 1);
+                let id = add_sized(&mut schematic, device, line)?;
                 connections.push((fields[1].to_string(), id, "a"));
                 connections.push((fields[2].to_string(), id, "b"));
                 if kind_char == 'Q' {
@@ -455,6 +493,8 @@ C1 out 0 1.0
     fn hostile_dimensions_are_typed_errors_not_panics() {
         // Each edit rewrites the first occurrence in the fixture (M1's
         // W/L/NF, M5's NF=4, the capacitor card).
+        // `param` names the rejected dimension; "area" marks a footprint
+        // above the ceiling.
         for (from, to, param) in [
             ("W=8u", "W=inf", "W"),
             ("W=8u", "W=0", "W"),
@@ -466,18 +506,31 @@ C1 out 0 1.0
             ("C1 out 0 1.0", "C1 out 0 -1.0", "value"),
             ("C1 out 0 1.0", "C1 out 0 0", "value"),
             ("C1 out 0 1.0", "C1 out 0 1.0 W=1e309", "W"),
+            ("W=8u", "W=1e30", "area"),
+            ("NF=4", "NF=4 M=1e12", "area"),
+            ("C1 out 0 1.0", "C1 out 0 1e30", "area"),
+            ("C1 out 0 1.0", "D1 out 0 dmod W=1e5 L=1e5", "area"),
         ] {
             assert!(FIVE_T_OTA.contains(from), "fixture lost `{from}`");
             let text = FIVE_T_OTA.replacen(from, to, 1);
             let err = std::panic::catch_unwind(|| parse_spice("hostile", &text))
                 .unwrap_or_else(|_| panic!("parse_spice panicked on `{to}`"))
                 .expect_err(to);
-            assert!(
-                matches!(&err, SpiceError::InvalidDimension { param: p, .. } if *p == param),
-                "`{to}`: {err}"
-            );
-            assert!(err.to_string().contains(param), "{err}");
+            match &err {
+                SpiceError::InvalidDimension { param: p, .. } => {
+                    assert_eq!(*p, param, "`{to}`: {err}");
+                    assert!(err.to_string().contains(param), "{err}");
+                }
+                SpiceError::FootprintTooLarge { .. } => {
+                    assert_eq!(param, "area", "`{to}`: {err}");
+                    assert!(err.to_string().contains("ceiling"), "{err}");
+                }
+                _ => panic!("`{to}`: untyped dimension error {err}"),
+            }
         }
+        // A device just under the ceiling (~9.3e7 µm²) still parses.
+        let text = FIVE_T_OTA.replacen("C1 out 0 1.0", "D1 out 0 dmod W=1e4 L=8e3", 1);
+        assert!(parse_spice("ceiling", &text).is_ok());
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub struct FloorplanEnv {
     previous_metrics: FloorplanMetrics,
     termination: Termination,
     accumulated_reward: f64,
+    /// The observation of the current state, when `step` already built it
+    /// for its dead-end probe; `observe` hands it out instead of rebuilding.
+    next_observation: Option<Observation>,
 }
 
 impl FloorplanEnv {
@@ -97,6 +100,7 @@ impl FloorplanEnv {
             weights: RewardWeights::default(),
             termination: Termination::Running,
             accumulated_reward: 0.0,
+            next_observation: None,
         }
     }
 
@@ -153,12 +157,22 @@ impl FloorplanEnv {
         self.previous_metrics = FloorplanMetrics::empty();
         self.termination = Termination::Running;
         self.accumulated_reward = 0.0;
+        self.next_observation = None;
         self.observe()
     }
 
-    /// Builds the observation for the current step, or `None` if the episode
-    /// has ended.
-    pub fn observe(&self) -> Option<Observation> {
+    /// The observation for the current step, or `None` if the episode has
+    /// ended. After a [`FloorplanEnv::step`] this is the observation the
+    /// step's dead-end probe already built (handed out once); otherwise it
+    /// is built here.
+    pub fn observe(&mut self) -> Option<Observation> {
+        if let Some(obs) = self.next_observation.take() {
+            return Some(obs);
+        }
+        self.build_observation()
+    }
+
+    fn build_observation(&self) -> Option<Observation> {
         if self.is_done() || self.step_index >= self.order.len() {
             return None;
         }
@@ -183,6 +197,7 @@ impl FloorplanEnv {
     /// Invalid actions (masked-out cells, overlaps) terminate the episode with
     /// the violation penalty, mirroring the paper's constraint handling.
     pub fn step(&mut self, action: Action) -> StepOutcome {
+        self.next_observation = None;
         if self.is_done() || self.step_index >= self.order.len() {
             return StepOutcome {
                 reward: 0.0,
@@ -235,8 +250,9 @@ impl FloorplanEnv {
             };
         }
 
-        // Detect dead ends for the next block (no admissible action at all).
-        if let Some(next_obs) = self.observe() {
+        // Detect dead ends for the next block (no admissible action at all),
+        // keeping the probe's observation for `observe`.
+        if let Some(next_obs) = self.build_observation() {
             if next_obs.num_valid_actions() == 0 {
                 self.termination = Termination::DeadEnd;
                 reward += self.weights.violation_penalty;
@@ -247,6 +263,7 @@ impl FloorplanEnv {
                     termination: self.termination,
                 };
             }
+            self.next_observation = Some(next_obs);
         }
 
         self.accumulated_reward += reward;
@@ -364,6 +381,42 @@ mod tests {
                 obs = env.observe().unwrap();
             } else {
                 break;
+            }
+        }
+    }
+
+    /// The observation `step` keeps from its dead-end probe is bit for bit
+    /// the one a fresh `StateMasks::build` makes of the same state.
+    #[test]
+    fn kept_observation_matches_a_fresh_build() {
+        for circuit in [
+            generators::ota5(),
+            generators::bias9(),
+            generators::rs_latch(),
+        ] {
+            let mut env = FloorplanEnv::new(circuit);
+            let mut obs = env.reset().unwrap();
+            loop {
+                let outcome = env.step(first_valid_action(&obs));
+                if outcome.done {
+                    assert!(env.observe().is_none());
+                    break;
+                }
+                obs = env.observe().unwrap();
+                let block = obs.current_block;
+                let fresh = StateMasks::build(
+                    env.circuit(),
+                    env.floorplan(),
+                    block,
+                    &env.shape_sets[block.index()],
+                );
+                let bits = |m: &StateMasks| -> Vec<u32> {
+                    m.to_tensor_data().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&obs.masks), bits(&fresh));
+                let rebuilt = env.build_observation().unwrap();
+                assert_eq!(obs.action_mask, rebuilt.action_mask);
+                assert_eq!(obs.node_index, block.index());
             }
         }
     }

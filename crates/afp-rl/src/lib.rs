@@ -49,10 +49,10 @@ pub use agent::{
 };
 pub use curriculum::{inject_random_constraint, HclSchedule};
 pub use env::{FloorplanEnv, Observation, StepOutcome, Termination};
-pub use policy::{ActorCritic, PolicyConfig, PolicyOutput};
+pub use policy::{ActorCritic, PolicyBatch, PolicyConfig, PolicyOutput};
 pub use ppo::{
-    greedy_masked_action, masked_log_softmax, sample_masked_action, PpoConfig, PpoStats,
-    PpoTrainer,
+    greedy_masked_action, masked_log_softmax, sample_masked_action, Minibatch, PpoConfig,
+    PpoStats, PpoTrainer,
 };
 pub use rollout::{RolloutBuffer, Transition};
 pub use train::{train, train_agent, train_with_encoder, EpochStats, TrainConfig, TrainResult};

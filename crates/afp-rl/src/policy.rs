@@ -79,6 +79,15 @@ pub struct PolicyOutput {
     pub value: f32,
 }
 
+/// Output of one batched policy evaluation.
+#[derive(Debug, Clone)]
+pub struct PolicyBatch {
+    /// Unmasked logits, batch-innermost: `[ACTION_SPACE, B]`.
+    pub logits: Tensor,
+    /// One state-value estimate per sample.
+    pub values: Vec<f32>,
+}
+
 /// The actor-critic network.
 #[derive(Debug)]
 pub struct ActorCritic {
@@ -168,7 +177,8 @@ impl ActorCritic {
         &self.config
     }
 
-    /// Evaluates the network.
+    /// Evaluates the network on one observation: the `B = 1` case of
+    /// [`ActorCritic::forward_batch`].
     ///
     /// * `masks` — the `[6, 32, 32]` mask tensor of the observation,
     /// * `graph_embedding` — the 32-dimensional circuit embedding,
@@ -179,17 +189,45 @@ impl ActorCritic {
         graph_embedding: &Tensor,
         node_embedding: &Tensor,
     ) -> PolicyOutput {
+        let out = self.forward_batch(
+            Tensor::interleave(&[masks]),
+            Tensor::interleave(&[graph_embedding]),
+            Tensor::interleave(&[node_embedding]),
+        );
+        PolicyOutput {
+            logits: out.logits.into_shape(&[ACTION_SPACE]),
+            value: out.values[0],
+        }
+    }
+
+    /// Evaluates the network on a batch of `B` observations laid out
+    /// batch-innermost (see [`Tensor::interleave`]): `masks` is
+    /// `[6, 32, 32, B]` and each embedding `[32, B]`. Every logit and value
+    /// is bit-identical to a per-observation [`ActorCritic::forward`].
+    pub fn forward_batch(
+        &mut self,
+        masks: Tensor,
+        graph_embeddings: Tensor,
+        node_embeddings: Tensor,
+    ) -> PolicyBatch {
+        let lanes = *masks.shape().last().expect("batched masks");
         assert_eq!(
             masks.shape(),
-            &[STATE_CHANNELS, GRID_SIZE, GRID_SIZE],
+            &[STATE_CHANNELS, GRID_SIZE, GRID_SIZE, lanes],
             "mask tensor has wrong shape"
         );
-        let cnn_features = self.cnn.forward(masks);
-        let state = Tensor::concat(&[&cnn_features, graph_embedding, node_embedding]);
-        let logits_map = self.policy_head.forward(&state);
-        let logits = logits_map.reshape(&[ACTION_SPACE]);
-        let value = self.value_head.forward(&state).get(0);
-        PolicyOutput { logits, value }
+        let cnn_features = self.cnn.forward_batch(masks);
+        // Concatenating batch-innermost features is appending their buffers.
+        let mut state = cnn_features.into_vec();
+        state.extend_from_slice(graph_embeddings.data());
+        state.extend_from_slice(node_embeddings.data());
+        let state = Tensor::from_vec(state, &[self.config.state_dim(), lanes]);
+        let values = self.value_head.forward_batch(state.clone()).into_vec();
+        let logits = self.policy_head.forward_batch(state);
+        PolicyBatch {
+            logits: logits.into_shape(&[ACTION_SPACE, lanes]),
+            values,
+        }
     }
 
     /// Back-propagates gradients of the loss with respect to the logits and
@@ -198,18 +236,38 @@ impl ActorCritic {
     /// `(graph, node)` embeddings (useful if the caller wants to fine-tune the
     /// encoder; discarded when the encoder is frozen).
     pub fn backward(&mut self, grad_logits: &Tensor, grad_value: f32) -> Tensor {
-        let grad_map = grad_logits.reshape(&[SHAPES_PER_BLOCK, GRID_SIZE, GRID_SIZE]);
-        let grad_state_from_policy = self.policy_head.backward(&grad_map);
+        let grad = self.backward_batch(Tensor::interleave(&[grad_logits]), &[grad_value]);
+        grad.into_shape(&[2 * EMBEDDING_DIM])
+    }
+
+    /// The batched [`ActorCritic::backward`] of the most recent
+    /// [`ActorCritic::forward_batch`]: `grad_logits` is `[ACTION_SPACE, B]`
+    /// and `grad_values` holds one value gradient per sample. Parameter
+    /// gradients accumulate sample after sample, bit-identical to one
+    /// `backward` per sample in batch order. Returns the `[64, B]` embedding
+    /// gradient.
+    pub fn backward_batch(&mut self, grad_logits: Tensor, grad_values: &[f32]) -> Tensor {
+        let lanes = grad_values.len();
+        let grad_map = grad_logits.into_shape(&[SHAPES_PER_BLOCK, GRID_SIZE, GRID_SIZE, lanes]);
+        let mut grad_state = self.policy_head.backward_batch(grad_map);
         let grad_state_from_value = self
             .value_head
-            .backward(&Tensor::from_slice(&[grad_value]));
-        let grad_state = grad_state_from_policy.add(&grad_state_from_value);
-        let split = self.config.cnn_feature_dim;
-        let grad_cnn = Tensor::from_slice(&grad_state.data()[..split]);
-        let grad_embeddings = Tensor::from_slice(&grad_state.data()[split..]);
+            .backward_batch(Tensor::from_vec(grad_values.to_vec(), &[1, lanes]));
+        for (g, v) in grad_state
+            .data_mut()
+            .iter_mut()
+            .zip(grad_state_from_value.data())
+        {
+            *g += v;
+        }
+        let mut grad_cnn = grad_state.into_vec();
+        let grad_embeddings = grad_cnn.split_off(self.config.cnn_feature_dim * lanes);
         // Nothing consumes dL/d masks, so the first conv skips it.
-        self.cnn.backward_params(&grad_cnn);
-        grad_embeddings
+        self.cnn.backward_params_batch(Tensor::from_vec(
+            grad_cnn,
+            &[self.config.cnn_feature_dim, lanes],
+        ));
+        Tensor::from_vec(grad_embeddings, &[2 * EMBEDDING_DIM, lanes])
     }
 
     /// All learnable parameters, mutably.

@@ -4,14 +4,28 @@
 //! [25]: the positional masks of the observation zero out the probability of
 //! actions that would overlap blocks or break constraints, both when sampling
 //! during rollouts and when computing the surrogate objective during updates.
+//!
+//! # Bit identity
+//!
+//! Each minibatch runs through the network as one batch, laid out
+//! batch-innermost: one forward and one backward call per layer. The layers'
+//! batch kernels compute every logit and value exactly as a per-transition
+//! forward would, and accumulate parameter gradients transition-major (one
+//! transition's terms after another's, each in the per-sample order), so a
+//! seeded update is bit-identical to running `forward` + `backward` per
+//! transition. The loss terms are computed per transition in batch order,
+//! and the statistics are summed in that order too.
+//! `batched_ppo_update_matches_per_transition_reference` in
+//! `tests/properties.rs` checks this against the per-transition loop kept in
+//! `tests/nn_oracle`, and `tests/agent_streams.rs` pins the result.
 
 use rand::Rng;
 
 use afp_tensor::optim::{clip_grad_norm, Adam};
-use afp_tensor::{loss::categorical_entropy, Tensor};
+use afp_tensor::{loss::entropy_of, Tensor};
 
-use crate::policy::ActorCritic;
-use crate::rollout::RolloutBuffer;
+use crate::policy::{ActorCritic, PolicyBatch};
+use crate::rollout::{RolloutBuffer, Transition};
 
 /// Logit value assigned to masked-out actions (effectively −∞).
 const MASKED_LOGIT: f32 = -1.0e9;
@@ -151,6 +165,27 @@ pub struct PpoStats {
     pub gradient_steps: usize,
 }
 
+/// One PPO minibatch: its transitions and, for each, the advantage
+/// normalized over the whole buffer and the return target.
+#[derive(Debug)]
+pub struct Minibatch<'a> {
+    transitions: Vec<&'a Transition>,
+    advantages: Vec<f32>,
+    returns: Vec<f32>,
+}
+
+impl Minibatch<'_> {
+    /// Number of transitions.
+    pub fn len(&self) -> usize {
+        self.transitions.len()
+    }
+
+    /// Returns `true` when the minibatch holds no transitions.
+    pub fn is_empty(&self) -> bool {
+        self.transitions.is_empty()
+    }
+}
+
 /// Runs PPO updates on an [`ActorCritic`] from collected rollouts.
 #[derive(Debug)]
 pub struct PpoTrainer {
@@ -166,98 +201,20 @@ impl PpoTrainer {
         PpoTrainer { config, optimizer }
     }
 
-    /// Performs one PPO update over the buffer and returns diagnostics.
+    /// Performs one PPO update over the buffer and returns diagnostics: a
+    /// [`PpoTrainer::minibatch_step`] for each of
+    /// [`PpoTrainer::minibatches`].
     pub fn update<R: Rng + ?Sized>(
         &mut self,
         policy: &mut ActorCritic,
         buffer: &RolloutBuffer,
         rng: &mut R,
     ) -> PpoStats {
-        if buffer.is_empty() {
-            return PpoStats::default();
-        }
-        let (advantages, returns) = buffer.advantages_and_returns();
-        let (adv_mean, adv_std) = RolloutBuffer::advantage_stats(&advantages);
-        let n = buffer.len();
         let mut stats = PpoStats::default();
         let mut samples_seen = 0usize;
-
-        for _epoch in 0..self.config.epochs {
-            let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                let j = rng.gen_range(0..=i);
-                order.swap(i, j);
-            }
-            for chunk in order.chunks(self.config.minibatch_size.max(1)) {
-                policy.zero_grad();
-                for &idx in chunk {
-                    let t = &buffer.transitions()[idx];
-                    let advantage = (advantages[idx] - adv_mean) / adv_std;
-                    let target_return = returns[idx];
-
-                    let out = policy.forward(&t.masks, &t.graph_embedding, &t.node_embedding);
-                    let masked = apply_mask(&out.logits, &t.action_mask);
-                    let log_probs = masked.log_softmax();
-                    let new_log_prob = log_probs.get(t.action);
-                    let ratio = (new_log_prob - t.log_prob).exp();
-
-                    // Clipped surrogate loss and its gradient wrt the chosen
-                    // action's log-probability.
-                    let unclipped = ratio * advantage;
-                    let clipped =
-                        ratio.clamp(1.0 - self.config.clip_range, 1.0 + self.config.clip_range)
-                            * advantage;
-                    let policy_loss = -unclipped.min(clipped);
-                    let gradient_active = if advantage >= 0.0 {
-                        ratio <= 1.0 + self.config.clip_range
-                    } else {
-                        ratio >= 1.0 - self.config.clip_range
-                    };
-                    let d_loss_d_logp = if gradient_active {
-                        -advantage * ratio
-                    } else {
-                        0.0
-                    };
-
-                    // d log_prob / d logits = one_hot(action) − softmax, so
-                    // dLoss/dlogits = d_loss_d_logp · (one_hot − softmax).
-                    let probs = log_probs.map(f32::exp);
-                    let mut grad_logits = probs.scale(-d_loss_d_logp);
-                    grad_logits.data_mut()[t.action] += d_loss_d_logp;
-
-                    // Entropy bonus (maximized ⇒ subtract its gradient).
-                    let (entropy, entropy_grad) = categorical_entropy(&masked);
-                    grad_logits.add_scaled_inplace(&entropy_grad, -self.config.entropy_coef);
-
-                    // Zero out gradients of masked actions entirely: their
-                    // probabilities are numerically zero and must stay so.
-                    for (g, &m) in grad_logits.data_mut().iter_mut().zip(t.action_mask.iter()) {
-                        if m <= 0.0 {
-                            *g = 0.0;
-                        }
-                    }
-
-                    // Value loss.
-                    let value_error = out.value - target_return;
-                    let value_loss = value_error * value_error;
-                    let grad_value = 2.0 * self.config.value_coef * value_error;
-
-                    // Scale by 1 / minibatch for a mean over the minibatch.
-                    let scale = 1.0 / chunk.len() as f32;
-                    policy.backward(&grad_logits.scale(scale), grad_value * scale);
-
-                    stats.policy_loss += policy_loss;
-                    stats.value_loss += value_loss;
-                    stats.entropy += entropy;
-                    // SB3-style approximate KL: E[(r − 1) − log r].
-                    stats.approx_kl += (ratio - 1.0) - (ratio.max(1e-8)).ln();
-                    samples_seen += 1;
-                }
-                let mut params = policy.params_mut();
-                clip_grad_norm(&mut params, self.config.max_grad_norm);
-                self.optimizer.step(&mut params);
-                stats.gradient_steps += 1;
-            }
+        for minibatch in self.minibatches(buffer, rng) {
+            self.minibatch_step(policy, &minibatch, &mut stats, || {});
+            samples_seen += minibatch.len();
         }
         let denom = samples_seen.max(1) as f32;
         stats.policy_loss /= denom;
@@ -265,6 +222,169 @@ impl PpoTrainer {
         stats.entropy /= denom;
         stats.approx_kl /= denom;
         stats
+    }
+
+    /// The minibatches of one update, in training order: for each epoch, the
+    /// buffer shuffled with `rng` and cut into chunks of
+    /// [`PpoConfig::minibatch_size`] (the last one may be shorter).
+    pub fn minibatches<'a, R: Rng + ?Sized>(
+        &self,
+        buffer: &'a RolloutBuffer,
+        rng: &mut R,
+    ) -> Vec<Minibatch<'a>> {
+        let (advantages, returns) = buffer.advantages_and_returns();
+        let (adv_mean, adv_std) = RolloutBuffer::advantage_stats(&advantages);
+        let n = buffer.len();
+        let mut minibatches = Vec::new();
+        for _epoch in 0..self.config.epochs {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                let j = rng.gen_range(0..=i);
+                order.swap(i, j);
+            }
+            for chunk in order.chunks(self.config.minibatch_size.max(1)) {
+                minibatches.push(Minibatch {
+                    transitions: chunk.iter().map(|&idx| &buffer.transitions()[idx]).collect(),
+                    advantages: chunk
+                        .iter()
+                        .map(|&idx| (advantages[idx] - adv_mean) / adv_std)
+                        .collect(),
+                    returns: chunk.iter().map(|&idx| returns[idx]).collect(),
+                });
+            }
+        }
+        minibatches
+    }
+
+    /// One gradient step on one minibatch, which runs through the network
+    /// as one batch: the batched forward, the loss, the batched backward,
+    /// then the gradient clip and Adam. The batched kernels accumulate
+    /// parameter gradients transition after transition, so the step is
+    /// bit-identical to one forward and one backward per transition. Adds
+    /// the minibatch's losses, entropy and approximate KL to `stats`.
+    ///
+    /// `lap` runs at every stage boundary: once the gradients are zeroed and
+    /// after each of the four stages. [`PpoTrainer::update`] passes a no-op;
+    /// a profiler can read a clock there.
+    pub fn minibatch_step(
+        &mut self,
+        policy: &mut ActorCritic,
+        minibatch: &Minibatch,
+        stats: &mut PpoStats,
+        mut lap: impl FnMut(),
+    ) {
+        policy.zero_grad();
+        lap();
+        let out = Self::forward_minibatch(policy, &minibatch.transitions);
+        lap();
+        let (grad_logits, grad_values) = self.minibatch_loss(out, minibatch, stats);
+        lap();
+        policy.backward_batch(grad_logits, &grad_values);
+        lap();
+        let mut params = policy.params_mut();
+        clip_grad_norm(&mut params, self.config.max_grad_norm);
+        self.optimizer.step(&mut params);
+        stats.gradient_steps += 1;
+        lap();
+    }
+
+    /// The batched forward pass of one minibatch: the transitions'
+    /// observations laid out batch-innermost through
+    /// [`ActorCritic::forward_batch`].
+    fn forward_minibatch(policy: &mut ActorCritic, batch: &[&Transition]) -> PolicyBatch {
+        let gather = |field: fn(&Transition) -> &Tensor| {
+            Tensor::interleave(&batch.iter().map(|t| field(t)).collect::<Vec<_>>())
+        };
+        policy.forward_batch(
+            gather(|t| &t.masks),
+            gather(|t| &t.graph_embedding),
+            gather(|t| &t.node_embedding),
+        )
+    }
+
+    /// The masked clipped-surrogate, entropy and value losses of one
+    /// minibatch, given its forward pass. Adds each transition's losses,
+    /// entropy and approximate KL to `stats` in batch order and returns the
+    /// minibatch-mean gradients with respect to the logits (`[ACTION_SPACE,
+    /// B]`, written over the logits) and the values, ready for
+    /// [`ActorCritic::backward_batch`].
+    fn minibatch_loss(
+        &self,
+        out: PolicyBatch,
+        minibatch: &Minibatch,
+        stats: &mut PpoStats,
+    ) -> (Tensor, Vec<f32>) {
+        let Minibatch {
+            transitions: batch,
+            advantages,
+            returns,
+        } = minibatch;
+        let lanes = batch.len();
+        // Scale by 1 / minibatch for a mean over the minibatch.
+        let scale = 1.0 / lanes as f32;
+        // Each sample's logits are read, then overwritten in place by their
+        // gradient.
+        let mut grad_logits = out.logits;
+        let mut grad_values = Vec::with_capacity(lanes);
+        for (lane, t) in batch.iter().enumerate() {
+            let advantage = advantages[lane];
+            let log_probs = masked_log_softmax(&grad_logits.lane(lane), &t.action_mask);
+            let probs = log_probs.exp();
+            let new_log_prob = log_probs.get(t.action);
+            let ratio = (new_log_prob - t.log_prob).exp();
+
+            // Clipped surrogate loss and its gradient wrt the chosen action's
+            // log-probability.
+            let unclipped = ratio * advantage;
+            let clipped =
+                ratio.clamp(1.0 - self.config.clip_range, 1.0 + self.config.clip_range) * advantage;
+            let policy_loss = -unclipped.min(clipped);
+            let gradient_active = if advantage >= 0.0 {
+                ratio <= 1.0 + self.config.clip_range
+            } else {
+                ratio >= 1.0 - self.config.clip_range
+            };
+            let d_loss_d_logp = if gradient_active {
+                -advantage * ratio
+            } else {
+                0.0
+            };
+            let entropy = entropy_of(probs.data(), log_probs.data());
+
+            // dLoss/dlogits, element by element: d log_prob / d logits =
+            // one_hot(action) − softmax scaled by d_loss_d_logp, then the
+            // entropy bonus (maximized ⇒ subtract its gradient
+            // dH/dz = −p·(log p + H)), then masked actions zeroed entirely
+            // (their probabilities are numerically zero and must stay so),
+            // then the minibatch mean.
+            let lane_grads = grad_logits.data_mut()[lane..].iter_mut().step_by(lanes);
+            let terms = probs
+                .data()
+                .iter()
+                .zip(log_probs.data())
+                .zip(&t.action_mask);
+            for (i, (g, ((&p, &lp), &m))) in lane_grads.zip(terms).enumerate() {
+                let mut v = p * -d_loss_d_logp;
+                if i == t.action {
+                    v += d_loss_d_logp;
+                }
+                v += -p * (lp + entropy) * -self.config.entropy_coef;
+                *g = if m <= 0.0 { 0.0 } else { v } * scale;
+            }
+
+            // Value loss.
+            let value_error = out.values[lane] - returns[lane];
+            let value_loss = value_error * value_error;
+            let grad_value = 2.0 * self.config.value_coef * value_error;
+            grad_values.push(grad_value * scale);
+
+            stats.policy_loss += policy_loss;
+            stats.value_loss += value_loss;
+            stats.entropy += entropy;
+            // SB3-style approximate KL: E[(r − 1) − log r].
+            stats.approx_kl += (ratio - 1.0) - (ratio.max(1e-8)).ln();
+        }
+        (grad_logits, grad_values)
     }
 }
 

@@ -28,7 +28,18 @@ pub enum ActivationKind {
 #[derive(Debug)]
 pub struct Activation {
     kind: ActivationKind,
-    cached_input: Option<Tensor>,
+    /// `derivative(x)` of the last forward batch; for ReLU only whether it
+    /// is `1` (`x > 0`), a quarter of the bytes.
+    slope: Slope,
+}
+
+/// What [`Activation::backward_batch`] needs of the forward input.
+#[derive(Debug, Default)]
+enum Slope {
+    #[default]
+    Unset,
+    Positive(Vec<bool>),
+    Values(Vec<f32>),
 }
 
 impl Activation {
@@ -36,7 +47,7 @@ impl Activation {
     pub fn new(kind: ActivationKind) -> Self {
         Activation {
             kind,
-            cached_input: None,
+            slope: Slope::Unset,
         }
     }
 
@@ -90,17 +101,39 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        input.map(|x| self.apply(x))
+    /// Element-wise in place, so the batch layout is irrelevant.
+    fn forward_batch(&mut self, mut input: Tensor) -> Tensor {
+        self.slope = match self.kind {
+            ActivationKind::Relu => {
+                Slope::Positive(input.data().iter().map(|&x| x > 0.0).collect())
+            }
+            _ => Slope::Values(input.data().iter().map(|&x| self.derivative(x)).collect()),
+        };
+        input.map_inplace(|x| self.apply(x));
+        input
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Activation::backward called before forward");
-        input.zip(grad_output, |x, g| self.derivative(x) * g)
+    /// `derivative(x) * g` element-wise, in place.
+    fn backward_batch(&mut self, mut grad_output: Tensor) -> Tensor {
+        let g = grad_output.data_mut();
+        match std::mem::take(&mut self.slope) {
+            Slope::Unset => panic!(
+                "Activation::backward without its forward (each forward serves one backward)"
+            ),
+            Slope::Positive(pos) => {
+                assert_eq!(pos.len(), g.len(), "shape mismatch in zip");
+                for (g, &p) in g.iter_mut().zip(&pos) {
+                    *g *= f32::from(u8::from(p));
+                }
+            }
+            Slope::Values(d) => {
+                assert_eq!(d.len(), g.len(), "shape mismatch in zip");
+                for (g, &d) in g.iter_mut().zip(&d) {
+                    *g *= d;
+                }
+            }
+        }
+        grad_output
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -1,16 +1,18 @@
 //! 2-D convolution over `[channels, height, width]` inputs.
 //!
-//! The kernels are order-preserving rewrites of the per-output loops: the
-//! forward pass is tap-major (one axpy per valid output row and tap), the
-//! weight gradient runs over patch rows, and the input gradient is tap-major
-//! with the taps reversed. Every output and gradient element still receives
-//! the per-output loop's terms in its order, so results are bit-identical to
-//! it (`tests/properties.rs` checks this against the loops kept in
-//! `tests/nn_oracle`).
+//! The kernels are order-preserving rewrites of the per-output loops, run on
+//! batch-innermost `[channels, height, width, B]` activations: the forward
+//! pass is tap-major (one axpy per valid output row and tap, `B` lanes
+//! long), the weight gradient streams one patch row per output pixel with
+//! transitions outer, and the input gradient is tap-major with the taps
+//! reversed. Every output and gradient element still receives the
+//! per-output loop's terms in its order, one sample after another, so results
+//! are bit-identical to running that loop per sample (`tests/properties.rs`
+//! checks this against the loops kept in `tests/nn_oracle`).
 
 use rand::Rng;
 
-use crate::kernel::{axpy, axpy_gather, axpy_scatter, valid_range, Scratch};
+use crate::kernel::{axpy_scatter, bias_grads, valid_range, with_scratch, Window};
 use crate::{Init, Layer, Param, Tensor};
 
 /// A 2-D convolution layer.
@@ -19,7 +21,8 @@ use crate::{Init, Layer, Param, Tensor};
 /// kernel, stride 1 and padding 1 over the 6×32×32 mask tensor
 /// (grid view, wire mask, dead-space mask and the three positional masks).
 ///
-/// Input and output layout is `[channels, height, width]` (single sample).
+/// Per-sample layout is `[channels, height, width]`; a batch appends the
+/// batch dimension innermost (see [`Layer`]).
 ///
 /// # Examples
 ///
@@ -42,7 +45,6 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
-    cols: Scratch,
 }
 
 impl Conv2d {
@@ -72,7 +74,6 @@ impl Conv2d {
             stride,
             padding,
             cached_input: None,
-            cols: Scratch::default(),
         }
     }
 
@@ -86,22 +87,42 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// `dL/d input`, tap-major with `ky` and `kx` descending: for a fixed
-    /// input element that visits its contributing outputs in `(oc, oy, ox)`
-    /// order, the order of a per-output scatter loop.
-    fn input_grad(&self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Conv2d::backward called before forward");
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let (oh, ow) = (self.output_size(h), self.output_size(w));
+    /// The layer's window on a batch (input `[in_c, h, w]` as the source,
+    /// output `[out_c, oh, ow]` as the destination) and the batch width.
+    fn window(&self, input: &Tensor) -> (Window, usize) {
+        let (h, w, lanes) = (input.shape()[1], input.shape()[2], input.shape()[3]);
+        let window = Window {
+            src: [self.in_channels, h, w],
+            dst: [self.out_channels, self.output_size(h), self.output_size(w)],
+            k: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+        };
+        (window, lanes)
+    }
+
+    /// The batch cached by `forward_batch`, handed back for the backward pass.
+    fn take_input(&mut self) -> Tensor {
+        self.cached_input
+            .take()
+            .expect("Conv2d::backward without its forward (each forward serves one backward)")
+    }
+
+    /// `dL/d input`, written over the input's own buffer: tap-major with
+    /// `ky` and `kx` descending, so a fixed input element visits its
+    /// contributing outputs in `(oc, oy, ox)` order, the order of a
+    /// per-output scatter loop.
+    fn input_grad(&self, input: Tensor, grad_output: &Tensor) -> Tensor {
+        let (window, lanes) = self.window(&input);
+        let [in_c, h, w] = window.src;
+        let [_, oh, ow] = window.dst;
         let (k, s, p) = (self.kernel, self.stride, self.padding);
         let gy = grad_output.data();
         let wgt = self.weight.value.data();
-        let mut gx = vec![0.0f32; self.in_channels * h * w];
-        for (ic, gxc) in gx.chunks_exact_mut(h * w).enumerate() {
-            for (oc, gy_plane) in gy.chunks_exact(oh * ow).enumerate() {
+        let mut gx = input.into_vec();
+        gx.fill(0.0);
+        for (ic, gxc) in gx.chunks_exact_mut(h * w * lanes).enumerate() {
+            for (oc, gy_plane) in gy.chunks_exact(oh * ow * lanes).enumerate() {
                 for ky in (0..k).rev() {
                     let rows = valid_range(ky, s, p, h, oh);
                     for kx in (0..k).rev() {
@@ -109,29 +130,19 @@ impl Conv2d {
                         if cols.is_empty() {
                             continue;
                         }
-                        let wv = wgt[((oc * self.in_channels + ic) * k + ky) * k + kx];
+                        let wv = wgt[((oc * in_c + ic) * k + ky) * k + kx];
                         let ix0 = cols.start * s + kx - p;
                         for oy in rows.clone() {
                             let iy = oy * s + ky - p;
-                            let src = &gy_plane[oy * ow + cols.start..oy * ow + cols.end];
-                            axpy_scatter(wv, src, s, &mut gxc[iy * w + ix0..]);
+                            let src = &gy_plane
+                                [(oy * ow + cols.start) * lanes..(oy * ow + cols.end) * lanes];
+                            axpy_scatter(wv, src, s, lanes, &mut gxc[(iy * w + ix0) * lanes..]);
                         }
                     }
                 }
             }
         }
-        Tensor::from_vec(gx, &[self.in_channels, h, w])
-    }
-
-    fn check_input(&self, input: &Tensor) {
-        assert_eq!(input.ndim(), 3, "Conv2d expects [C, H, W] input");
-        assert_eq!(
-            input.shape()[0],
-            self.in_channels,
-            "Conv2d expects {} input channels, got {}",
-            self.in_channels,
-            input.shape()[0]
-        );
+        Tensor::from_vec(gx, &[in_c, h, w, lanes])
     }
 }
 
@@ -140,91 +151,38 @@ impl Layer for Conv2d {
     /// `(ic, ky, kx)` in order adds one axpy per valid output row. Each
     /// output thus sums its taps in `(ic, ky, kx)` order, as a per-element
     /// loop would.
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.check_input(input);
-        self.cached_input = Some(input.clone());
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let (oh, ow) = (self.output_size(h), self.output_size(w));
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        let x = input.data();
-        let wgt = self.weight.value.data();
-        let mut out = vec![0.0f32; self.out_channels * oh * ow];
-        for (oc, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
-            plane.fill(self.bias.value.get(oc));
-            for (ic, xc) in x.chunks_exact(h * w).enumerate() {
-                for ky in 0..k {
-                    let rows = valid_range(ky, s, p, h, oh);
-                    for kx in 0..k {
-                        let cols = valid_range(kx, s, p, w, ow);
-                        if cols.is_empty() {
-                            continue;
-                        }
-                        let wv = wgt[((oc * self.in_channels + ic) * k + ky) * k + kx];
-                        let ix0 = cols.start * s + kx - p;
-                        for oy in rows.clone() {
-                            let iy = oy * s + ky - p;
-                            let dst = &mut plane[oy * ow + cols.start..oy * ow + cols.end];
-                            axpy_gather(wv, &xc[iy * w + ix0..], s, dst);
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[self.out_channels, oh, ow])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_params(grad_output);
-        self.input_grad(grad_output)
-    }
-
-    /// Weight and bias gradients from patch rows `cols[pix, (ic, ky, kx)]`
-    /// (zero where a tap falls in the padding): `gw[oc, :] += g · cols[pix, :]`
-    /// in pixel order, skipping `g == 0` pixels, so every weight sums its
-    /// pixels in `(oy, ox)` order.
-    fn backward_params(&mut self, grad_output: &Tensor) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Conv2d::backward called before forward");
-        let (h, w) = (input.shape()[1], input.shape()[2]);
-        let (oh, ow) = (self.output_size(h), self.output_size(w));
-        assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        let taps = self.in_channels * k * k;
-        let x = input.data();
-        let cols = self.cols.filled(oh * ow * taps, 0.0);
-        for (ic, xc) in x.chunks_exact(h * w).enumerate() {
-            for ky in 0..k {
-                let rows = valid_range(ky, s, p, h, oh);
-                for kx in 0..k {
-                    let tap = (ic * k + ky) * k + kx;
-                    let out_cols = valid_range(kx, s, p, w, ow);
-                    for oy in rows.clone() {
-                        let iy = oy * s + ky - p;
-                        for ox in out_cols.clone() {
-                            cols[(oy * ow + ox) * taps + tap] = xc[iy * w + ox * s + kx - p];
-                        }
-                    }
-                }
-            }
-        }
-        let gy = grad_output.data();
-        let gw = self.weight.grad.data_mut();
-        let gb = self.bias.grad.data_mut();
-        for ((gw_row, gy_plane), gb) in gw
-            .chunks_exact_mut(taps)
-            .zip(gy.chunks_exact(oh * ow))
-            .zip(gb.iter_mut())
+    fn forward_batch(&mut self, input: Tensor) -> Tensor {
+        assert_eq!(input.ndim(), 4, "Conv2d expects [C, H, W] input");
+        assert_eq!(
+            input.shape()[0],
+            self.in_channels,
+            "Conv2d expects {} input channels, got {}",
+            self.in_channels,
+            input.shape()[0]
+        );
+        let (window, lanes) = self.window(&input);
+        let [out_c, oh, ow] = window.dst;
+        let mut out = vec![0.0f32; out_c * oh * ow * lanes];
+        for (plane, &b) in out
+            .chunks_exact_mut(oh * ow * lanes)
+            .zip(self.bias.value.data())
         {
-            for (&g, patch) in gy_plane.iter().zip(cols.chunks_exact(taps)) {
-                if g == 0.0 {
-                    continue;
-                }
-                *gb += g;
-                axpy(g, patch, gw_row);
-            }
+            plane.fill(b);
         }
+        window.gather_taps(self.weight.value.data(), input.data(), lanes, &mut out);
+        self.cached_input = Some(input);
+        Tensor::from_vec(out, &[out_c, oh, ow, lanes])
+    }
+
+    fn backward_batch(&mut self, grad_output: Tensor) -> Tensor {
+        let input = self.take_input();
+        self.accumulate_param_grads(&input, &grad_output);
+        self.input_grad(input, &grad_output)
+    }
+
+    fn backward_params_batch(&mut self, grad_output: Tensor) {
+        let input = self.take_input();
+        self.accumulate_param_grads(&input, &grad_output);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -237,6 +195,22 @@ impl Layer for Conv2d {
 
     fn name(&self) -> &str {
         "Conv2d"
+    }
+}
+
+impl Conv2d {
+    /// Weight and bias gradients, transition-major: patch rows of the input
+    /// (zero where a tap falls in the padding) give `gw[oc, :] += g ·
+    /// patch(pix)` in pixel order, skipping `g == 0`, one transition after
+    /// another.
+    fn accumulate_param_grads(&mut self, input: &Tensor, grad_output: &Tensor) {
+        let (window, lanes) = self.window(input);
+        let [out_c, oh, ow] = window.dst;
+        assert_eq!(grad_output.shape(), &[out_c, oh, ow, lanes]);
+        let (x, gy) = (input.data(), grad_output.data());
+        let gw = self.weight.grad.data_mut();
+        with_scratch(|bufs| window.weight_grads(x, gy, lanes, gw, bufs));
+        bias_grads(gy, lanes, self.bias.grad.data_mut());
     }
 }
 

@@ -1,16 +1,20 @@
 //! 2-D transposed convolution ("deconvolution") over `[channels, height, width]`.
 //!
-//! The kernels are order-preserving rewrites of the per-input scatter loops:
-//! the forward pass accumulates into one parity plane per output phase
+//! The kernels are order-preserving rewrites of the per-input scatter loops,
+//! run on batch-innermost `[channels, height, width, B]` activations: the
+//! forward pass accumulates into one parity plane per output phase
 //! (sub-pixel decomposition) with the taps reversed, and the backward pass
-//! works from patch rows of the output gradient. Every output and gradient
-//! element still receives the scatter loop's terms in its order, so results
-//! are bit-identical to it (`tests/properties.rs` checks this against the
-//! loops kept in `tests/nn_oracle`).
+//! streams patch rows of the output gradient one input pixel at a time: all
+//! lanes at once for the input gradient, transitions outer for the weight
+//! gradient. Every output and gradient
+//! element still receives the scatter loop's terms in its order, one sample
+//! after another, so results are bit-identical to running that loop per
+//! sample (`tests/properties.rs` checks this against the loops kept in
+//! `tests/nn_oracle`).
 
 use rand::Rng;
 
-use crate::kernel::{axpy, dot_rows, valid_range, Scratch};
+use crate::kernel::{axpy, bias_grads, valid_range, with_scratch, Scratch, Window};
 use crate::{Init, Layer, Param, Tensor};
 
 /// A 2-D transposed convolution layer.
@@ -45,8 +49,6 @@ pub struct ConvTranspose2d {
     stride: usize,
     padding: usize,
     cached_input: Option<Tensor>,
-    cols: Scratch,
-    planes: Scratch,
 }
 
 impl ConvTranspose2d {
@@ -76,8 +78,6 @@ impl ConvTranspose2d {
             stride,
             padding,
             cached_input: None,
-            cols: Scratch::default(),
-            planes: Scratch::default(),
         }
     }
 
@@ -90,39 +90,29 @@ impl ConvTranspose2d {
     pub fn out_channels(&self) -> usize {
         self.out_channels
     }
-}
 
-impl Layer for ConvTranspose2d {
-    /// Sub-pixel decomposition: output pixels with the same `(oy, ox) mod
-    /// stride` form a parity plane, and each tap `(ky, kx)` writes one plane
-    /// at a fixed input shift, so it is one contiguous axpy per input row.
-    /// Planes start from the bias and take taps in `(ic, ky↓, kx↓)` order,
-    /// which for every output is the `(ic, iy, ix)` order of a per-input
-    /// scatter loop; then the planes are interleaved into the output.
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.ndim(), 3, "ConvTranspose2d expects [C, H, W] input");
-        assert_eq!(
-            input.shape()[0],
-            self.in_channels,
-            "ConvTranspose2d expects {} input channels, got {}",
-            self.in_channels,
-            input.shape()[0]
-        );
-        self.cached_input = Some(input.clone());
-        let (h, w) = (input.shape()[1], input.shape()[2]);
+    /// The forward pass's parity-plane accumulation and interleave over a
+    /// `[h, w, lanes]` input, with `lanes = L` compiled in (`L = 0`: at run
+    /// time).
+    fn planes_forward<const L: usize>(
+        &self,
+        x: &[f32],
+        [h, w, lanes]: [usize; 3],
+        out: &mut [f32],
+        plane_buf: &mut Scratch,
+    ) {
+        let lanes = if L == 0 { lanes } else { L };
         let (oh, ow) = (self.output_size(h), self.output_size(w));
         let (k, s, p) = (self.kernel, self.stride, self.padding);
         // Every parity plane is sized for the largest residue class.
         let (ph, pw) = (oh.div_ceil(s), ow.div_ceil(s));
-        let x = input.data();
         let wgt = self.weight.value.data();
-        let mut out = vec![0.0f32; self.out_channels * oh * ow];
-        for (oc, out_plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        for (oc, out_plane) in out.chunks_exact_mut(oh * ow * lanes).enumerate() {
             // A zero bias leaves the +0.0 start, so a −0.0 bias never shows.
             let b = self.bias.value.get(oc);
             let start = if b != 0.0 { b } else { 0.0 };
-            let planes = self.planes.filled(s * s * ph * pw, start);
-            for (ic, xc) in x.chunks_exact(h * w).enumerate() {
+            let planes = plane_buf.filled(s * s * ph * pw * lanes, start);
+            for (ic, xc) in x.chunks_exact(h * w * lanes).enumerate() {
                 for ky in (0..k).rev() {
                     let rows = valid_range(ky, s, p, oh, h);
                     if rows.is_empty() {
@@ -136,81 +126,92 @@ impl Layer for ConvTranspose2d {
                         }
                         let ox0 = cols.start * s + kx - p;
                         let wv = wgt[((ic * self.out_channels + oc) * k + ky) * k + kx];
-                        let plane = &mut planes[(oy0 % s * s + ox0 % s) * ph * pw..];
+                        let plane = &mut planes[(oy0 % s * s + ox0 % s) * ph * pw * lanes..];
                         for (qy, iy) in (oy0 / s..).zip(rows.clone()) {
-                            let dst = &mut plane[qy * pw + ox0 / s..][..cols.len()];
-                            axpy(wv, &xc[iy * w + cols.start..iy * w + cols.end], dst);
+                            let dst =
+                                &mut plane[(qy * pw + ox0 / s) * lanes..][..cols.len() * lanes];
+                            let src =
+                                &xc[(iy * w + cols.start) * lanes..(iy * w + cols.end) * lanes];
+                            axpy(wv, src, dst);
                         }
                     }
                 }
             }
-            for (oy, row) in out_plane.chunks_exact_mut(ow).enumerate() {
+            for (oy, row) in out_plane.chunks_exact_mut(ow * lanes).enumerate() {
                 for rx in 0..s.min(ow) {
-                    let src = &planes[((oy % s * s + rx) * ph + oy / s) * pw..];
-                    for (o, &v) in row[rx..].iter_mut().step_by(s).zip(src) {
-                        *o = v;
+                    let src = &planes[((oy % s * s + rx) * ph + oy / s) * pw * lanes..];
+                    let dst = row[rx * lanes..].chunks_mut(lanes).step_by(s);
+                    for (o, v) in dst.zip(src.chunks_exact(lanes)) {
+                        o.copy_from_slice(v);
                     }
                 }
             }
         }
-        Tensor::from_vec(out, &[self.out_channels, oh, ow])
+    }
+}
+
+impl Layer for ConvTranspose2d {
+    /// Sub-pixel decomposition: output pixels with the same `(oy, ox) mod
+    /// stride` form a parity plane, and each tap `(ky, kx)` writes one plane
+    /// at a fixed input shift, so it is one contiguous axpy per input row
+    /// (`B` lanes long). Planes start from the bias and take taps in
+    /// `(ic, ky↓, kx↓)` order, which for every output is the `(ic, iy, ix)`
+    /// order of a per-input scatter loop; then the planes are interleaved
+    /// into the output.
+    fn forward_batch(&mut self, input: Tensor) -> Tensor {
+        assert_eq!(input.ndim(), 4, "ConvTranspose2d expects [C, H, W] input");
+        assert_eq!(
+            input.shape()[0],
+            self.in_channels,
+            "ConvTranspose2d expects {} input channels, got {}",
+            self.in_channels,
+            input.shape()[0]
+        );
+        let (h, w, lanes) = (input.shape()[1], input.shape()[2], input.shape()[3]);
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
+        let mut out = vec![0.0f32; self.out_channels * oh * ow * lanes];
+        with_scratch(|[plane_buf, _]| {
+            // One sample (a rollout step) gets its lane count compiled in.
+            if lanes == 1 {
+                self.planes_forward::<1>(input.data(), [h, w, lanes], &mut out, plane_buf);
+            } else {
+                self.planes_forward::<0>(input.data(), [h, w, lanes], &mut out, plane_buf);
+            }
+        });
+        self.cached_input = Some(input);
+        Tensor::from_vec(out, &[self.out_channels, oh, ow, lanes])
     }
 
-    /// Patch rows `cols[pix_in, (oc, ky, kx)]` gathered from `grad_output`
-    /// (zero where a tap is cropped) give `gw[ic, :] += x · cols[pix, :]` in
-    /// input-pixel order, and `gx[ic, pix] = w[ic, :] · cols[pix, :]` summed
-    /// in `(oc, ky, kx)` order — the orders of a per-input loop.
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("ConvTranspose2d::backward called before forward");
-        let (h, w) = (input.shape()[1], input.shape()[2]);
+    /// Patch rows of the output gradient (zero where a tap is cropped): the
+    /// weight gradient takes `gw[ic, :] += x · patch(pix)` in input-pixel
+    /// order, skipping `x == 0`, transition-major like the bias gradient;
+    /// the input gradient is `gx[ic, pix] = w[ic, :] · patch(pix)` summed in
+    /// `(oc, ky, kx)` order, all lanes of a pixel at once — the orders of a
+    /// per-input loop.
+    fn backward_batch(&mut self, grad_output: Tensor) -> Tensor {
+        let input = self.cached_input.take().expect(
+            "ConvTranspose2d::backward without its forward (each forward serves one backward)",
+        );
+        let (h, w, lanes) = (input.shape()[1], input.shape()[2], input.shape()[3]);
         let (oh, ow) = (self.output_size(h), self.output_size(w));
-        assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow]);
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        let taps = self.out_channels * k * k;
-        let x = input.data();
-        let gy = grad_output.data();
-        let cols = self.cols.filled(h * w * taps, 0.0);
-        for (oc, gy_plane) in gy.chunks_exact(oh * ow).enumerate() {
-            for ky in 0..k {
-                let rows = valid_range(ky, s, p, oh, h);
-                for kx in 0..k {
-                    let tap = (oc * k + ky) * k + kx;
-                    let in_cols = valid_range(kx, s, p, ow, w);
-                    for iy in rows.clone() {
-                        let oy = iy * s + ky - p;
-                        for ix in in_cols.clone() {
-                            cols[(iy * w + ix) * taps + tap] = gy_plane[oy * ow + ix * s + kx - p];
-                        }
-                    }
-                }
-            }
-        }
-        let gb = self.bias.grad.data_mut();
-        for (gb, gy_plane) in gb.iter_mut().zip(gy.chunks_exact(oh * ow)) {
-            for v in gy_plane {
-                *gb += v;
-            }
-        }
+        assert_eq!(grad_output.shape(), &[self.out_channels, oh, ow, lanes]);
+        let window = Window {
+            src: [self.out_channels, oh, ow],
+            dst: [self.in_channels, h, w],
+            k: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+        };
+        let (x, gy) = (input.data(), grad_output.data());
+        bias_grads(gy, lanes, self.bias.grad.data_mut());
         let gw = self.weight.grad.data_mut();
+        with_scratch(|bufs| window.weight_grads(gy, x, lanes, gw, bufs));
+        // Every element of the input's buffer is overwritten by its gradient.
+        let shape = input.shape().to_vec();
+        let mut gx = input.into_vec();
         let wgt = self.weight.value.data();
-        let mut gx = vec![0.0f32; self.in_channels * h * w];
-        for (((gw_row, w_row), xc), gxc) in gw
-            .chunks_exact_mut(taps)
-            .zip(wgt.chunks_exact(taps))
-            .zip(x.chunks_exact(h * w))
-            .zip(gx.chunks_exact_mut(h * w))
-        {
-            for (&xv, patch) in xc.iter().zip(cols.chunks_exact(taps)) {
-                if xv != 0.0 {
-                    axpy(xv, patch, gw_row);
-                }
-            }
-            dot_rows(cols, w_row, gxc);
-        }
-        Tensor::from_vec(gx, &[self.in_channels, h, w])
+        with_scratch(|bufs| window.patch_dots(wgt, gy, lanes, &mut gx, bufs));
+        Tensor::from_vec(gx, &shape)
     }
 
     fn params(&self) -> Vec<&Param> {

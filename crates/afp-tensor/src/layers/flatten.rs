@@ -1,4 +1,6 @@
-//! Flattening layer: `[C, H, W] → [C·H·W]`.
+//! Flattening layer: `[C, H, W] → [C·H·W]`, and its inverse. Both take the
+//! batch buffer over and only relabel its shape: the batch-innermost layout
+//! of `[C, H, W, B]` is already that of `[C·H·W, B]`.
 
 use crate::{Layer, Param, Tensor};
 
@@ -20,17 +22,19 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward_batch(&mut self, input: Tensor) -> Tensor {
+        let (&lanes, _) = input.shape().split_last().expect("Flatten of a 0-d batch");
         self.cached_shape = Some(input.shape().to_vec());
-        input.reshape(&[input.len()])
+        let n = input.len() / lanes.max(1);
+        input.into_shape(&[n, lanes])
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_batch(&mut self, grad_output: Tensor) -> Tensor {
         let shape = self
             .cached_shape
             .as_ref()
             .expect("Flatten::backward called before forward");
-        grad_output.reshape(shape)
+        grad_output.into_shape(shape)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -67,17 +71,20 @@ impl Reshape {
 }
 
 impl Layer for Reshape {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward_batch(&mut self, input: Tensor) -> Tensor {
+        let (&lanes, _) = input.shape().split_last().expect("Reshape of a 0-d batch");
         self.cached_shape = Some(input.shape().to_vec());
-        input.reshape(&self.target)
+        let mut target = self.target.clone();
+        target.push(lanes);
+        input.into_shape(&target)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_batch(&mut self, grad_output: Tensor) -> Tensor {
         let shape = self
             .cached_shape
             .as_ref()
             .expect("Reshape::backward called before forward");
-        grad_output.reshape(shape)
+        grad_output.into_shape(shape)
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -1,10 +1,10 @@
 //! Neural-network layers used across the floorplanning models.
 //!
-//! All layers operate on single samples (no batch dimension); minibatches are
-//! handled by looping `forward` / `backward` and relying on gradient
-//! accumulation inside [`crate::Param`]. The conv, deconv and dense kernels
-//! keep the summation order of the naive per-element loops, so a seeded
-//! minibatch replays bit for bit.
+//! Every layer runs a whole batch per call, laid out batch-innermost
+//! (`[sample shape…, B]`, see [`crate::Layer`]); the per-sample calls are the
+//! `B = 1` case. The conv, deconv and dense kernels keep the summation order
+//! of the naive per-element loops, one sample after another, so a seeded
+//! minibatch replays a per-sample loop bit for bit.
 
 mod activation;
 mod conv;

@@ -58,34 +58,31 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
+    fn forward_batch(&mut self, input: Tensor) -> Tensor {
+        self.layers
+            .iter_mut()
+            .fold(input, |x, layer| layer.forward_batch(x))
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+    fn backward_batch(&mut self, grad_output: Tensor) -> Tensor {
+        self.layers
+            .iter_mut()
+            .rev()
+            .fold(grad_output, |g, layer| layer.backward_batch(g))
     }
 
     /// Backpropagates through every layer but asks the first one for its
     /// parameter gradients only, since nothing consumes the stack's input
     /// gradient.
-    fn backward_params(&mut self, grad_output: &Tensor) {
+    fn backward_params_batch(&mut self, grad_output: Tensor) {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return;
         };
-        let mut g = grad_output.clone();
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        first.backward_params(&g);
+        let g = rest
+            .iter_mut()
+            .rev()
+            .fold(grad_output, |g, layer| layer.backward_batch(g));
+        first.backward_params_batch(g);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -93,7 +90,10 @@ impl Layer for Sequential {
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
     }
 
     fn name(&self) -> &str {

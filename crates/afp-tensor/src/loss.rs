@@ -60,7 +60,7 @@ pub fn cross_entropy_with_logits(logits: &Tensor, target: usize) -> (f32, Tensor
     assert!(target < logits.len(), "target index out of range");
     let log_probs = logits.log_softmax();
     let loss = -log_probs.get(target);
-    let mut grad = log_probs.map(f32::exp);
+    let mut grad = log_probs.exp();
     grad.data_mut()[target] -= 1.0;
     (loss, grad)
 }
@@ -73,13 +73,8 @@ pub fn cross_entropy_with_logits(logits: &Tensor, target: usize) -> (f32, Tensor
 /// entropy coefficient and *subtract* it from the loss gradient.
 pub fn categorical_entropy(logits: &Tensor) -> (f32, Tensor) {
     let log_p = logits.log_softmax();
-    let p = log_p.map(f32::exp);
-    let entropy = -p
-        .data()
-        .iter()
-        .zip(log_p.data().iter())
-        .map(|(&pi, &lpi)| if pi > 0.0 { pi * lpi } else { 0.0 })
-        .sum::<f32>();
+    let p = log_p.exp();
+    let entropy = entropy_of(p.data(), log_p.data());
     // dH/dz_j = -p_j * (log p_j + H)
     let grad = Tensor::from_vec(
         p.data()
@@ -90,6 +85,18 @@ pub fn categorical_entropy(logits: &Tensor) -> (f32, Tensor) {
         logits.shape(),
     );
     (entropy, grad)
+}
+
+/// Entropy `H = -Σ p_j log p_j` of a categorical distribution from its
+/// probabilities and log-probabilities (zero-probability terms contribute
+/// nothing). [`categorical_entropy`] computes `H` with this sum; a caller
+/// that already holds `p` and `log p` gets the same bits without
+/// recomputing the softmax, and `dH/dz_j = -p_j (log p_j + H)`.
+pub fn entropy_of(p: &[f32], log_p: &[f32]) -> f32 {
+    -p.iter()
+        .zip(log_p.iter())
+        .map(|(&pi, &lpi)| if pi > 0.0 { pi * lpi } else { 0.0 })
+        .sum::<f32>()
 }
 
 #[cfg(test)]

@@ -105,17 +105,19 @@ impl Adam {
         let t = self.step_count as f32;
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
-        for (i, p) in params.iter_mut().enumerate() {
-            let m = self.m[i].data_mut();
-            let v = self.v[i].data_mut();
-            let g = p.grad.data();
-            let w = p.value.data_mut();
-            for j in 0..g.len() {
-                m[j] = self.beta1 * m[j] + (1.0 - self.beta1) * g[j];
-                v[j] = self.beta2 * v[j] + (1.0 - self.beta2) * g[j] * g[j];
-                let m_hat = m[j] / bias1;
-                let v_hat = v[j] / bias2;
-                w[j] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+        let (beta1, beta2) = (self.beta1, self.beta2);
+        let (lr, eps) = (self.learning_rate, self.epsilon);
+        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
+            // One zipped element-wise loop, free of bounds checks, so it
+            // vectorizes; vector `sqrt` and division round exactly like the
+            // scalar ones, and each element's expression is unchanged.
+            let (w, g) = (p.value.data_mut(), p.grad.data());
+            for (((w, &g), m), v) in w.iter_mut().zip(g).zip(m.data_mut()).zip(v.data_mut()) {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
     }

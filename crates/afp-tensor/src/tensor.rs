@@ -23,6 +23,19 @@ use crate::kernel::axpy;
 /// networks use.
 const MATMUL_BLOCK: usize = 64;
 
+/// `f32::exp` of any argument below this is exactly `+0.0` (the true value
+/// is far below half the smallest subnormal).
+const EXP_UNDERFLOW: f32 = -200.0;
+
+/// `exp(x)`, skipping the call where the result is `+0.0` anyway.
+fn exp_or_zero(x: f32) -> f32 {
+    if x < EXP_UNDERFLOW {
+        0.0
+    } else {
+        x.exp()
+    }
+}
+
 /// A dense, row-major tensor of `f32` values.
 ///
 /// # Examples
@@ -194,6 +207,67 @@ impl Tensor {
             shape: shape.to_vec(),
             data: self.data.clone(),
         }
+    }
+
+    /// [`Tensor::reshape`] without the copy: takes the buffer over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of elements differs.
+    pub fn into_shape(self, shape: &[usize]) -> Tensor {
+        Tensor::from_vec(self.data, shape)
+    }
+
+    /// Lays equally shaped samples out batch-innermost: the result has shape
+    /// `[sample shape…, B]` and element `e` of sample `b` sits at `e·B + b`.
+    /// This is the layout every [`crate::Layer`] batch kernel takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty or shapes differ.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use afp_tensor::Tensor;
+    /// let a = Tensor::from_slice(&[1.0, 2.0]);
+    /// let b = Tensor::from_slice(&[3.0, 4.0]);
+    /// let batch = Tensor::interleave(&[&a, &b]);
+    /// assert_eq!(batch.shape(), &[2, 2]);
+    /// assert_eq!(batch.data(), &[1.0, 3.0, 2.0, 4.0]);
+    /// assert_eq!(batch.lane(1), b);
+    /// ```
+    pub fn interleave(samples: &[&Tensor]) -> Tensor {
+        assert!(!samples.is_empty(), "interleave of zero tensors");
+        let nb = samples.len();
+        let shape = &samples[0].shape;
+        let mut batched = shape.clone();
+        batched.push(nb);
+        if let [sample] = samples {
+            // A batch of one has the sample's own layout.
+            return Tensor::from_vec(sample.data.clone(), &batched);
+        }
+        let mut data = vec![0.0f32; samples[0].len() * nb];
+        for (b, s) in samples.iter().enumerate() {
+            assert_eq!(&s.shape, shape, "interleave shape mismatch");
+            for (d, &v) in data[b..].iter_mut().step_by(nb).zip(&s.data) {
+                *d = v;
+            }
+        }
+        Tensor::from_vec(data, &batched)
+    }
+
+    /// Sample `b` of a batch-innermost tensor (see [`Tensor::interleave`]):
+    /// the last dimension is the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is 0-dimensional or `b` is out of range.
+    pub fn lane(&self, b: usize) -> Tensor {
+        let (&nb, sample) = self.shape.split_last().expect("lane of a 0-d tensor");
+        assert!(b < nb, "lane {b} out of range for batch {nb}");
+        let data = self.data[b..].iter().step_by(nb).copied().collect();
+        Tensor::from_vec(data, sample)
     }
 
     /// Scalar access for a 2-D tensor.
@@ -442,17 +516,24 @@ impl Tensor {
         }
     }
 
-    /// Numerically stable log-softmax over a flat vector.
+    /// Numerically stable log-softmax over a flat vector. Elements far below
+    /// the maximum (masked logits) skip their `exp`, which is `+0.0` anyway.
     pub fn log_softmax(&self) -> Tensor {
         let m = self.max();
         let log_sum: f32 = self
             .data
             .iter()
-            .map(|&x| (x - m).exp())
+            .map(|&x| exp_or_zero(x - m))
             .sum::<f32>()
             .ln()
             + m;
         self.map(|x| x - log_sum)
+    }
+
+    /// Element-wise `exp`, bit for bit, skipping the call where the result
+    /// is `+0.0` anyway (e.g. probabilities from a masked log-softmax).
+    pub fn exp(&self) -> Tensor {
+        self.map(exp_or_zero)
     }
 
     /// Index of the maximum element.
@@ -586,6 +667,16 @@ mod tests {
         for i in 0..3 {
             assert!((ls.get(i).exp() - s.get(i)).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn exp_skip_is_bit_identical_to_exp() {
+        let specials = [f32::NEG_INFINITY, f32::MIN, -1e9, -200.0, -199.99, -104.0, -87.5];
+        let sweep = (0..40_000).map(|i| -400.0 + i as f32 * 0.01);
+        for x in specials.into_iter().chain(sweep) {
+            assert_eq!(exp_or_zero(x).to_bits(), x.exp().to_bits(), "x = {x}");
+        }
+        assert!(exp_or_zero(f32::NAN).is_nan());
     }
 
     #[test]

@@ -15,7 +15,8 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 # Incremental-pipeline safety net: the differential proptests (incremental vs
 # full realization bit-identity, parallel EvalPool vs the serial cost_cached loop, FAST-SP vs legacy oracle,
 # BitGrid vs scalar oracle, controlled vs unbounded runs of every baseline,
-# the order-preserving conv/deconv/dense kernels vs their naive loops)
+# the order-preserving conv/deconv/dense kernels vs their naive loops, the
+# batch-innermost kernels and the batched PPO update vs the per-sample loops)
 # run as part of the workspace tests above; run them
 # once more by name so a filtered or partially-cached test run cannot silently
 # skip them, then run the metaheuristics tests again with the feature-gated
@@ -36,7 +37,10 @@ for diff_test in \
     conv_kernels_match_naive_oracle_bitwise \
     deconv_kernels_match_naive_oracle_bitwise \
     dense_forward_matches_naive_oracle_bitwise \
-    policy_layer_shapes_match_naive_oracle_bitwise; do
+    policy_layer_shapes_match_naive_oracle_bitwise \
+    batched_kernels_match_per_sample_oracle_bitwise \
+    policy_layer_shapes_match_batched_oracle_bitwise \
+    batched_ppo_update_matches_per_transition_reference; do
     diff_out="$(cargo test --test properties "$diff_test" 2>&1)" \
         || { echo "$diff_out"; exit 1; }
     echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
@@ -220,7 +224,8 @@ for key in ("uniform_snap_hit_rate", "local_snap_hit_rate"):
 assert loc["local_snap_hit_rate"] >= loc["uniform_snap_hit_rate"], \
     "locality bias did not increase snap replay hits"
 # The agent section: every kernel kind's forward and backward median at both
-# policy configs, the policy forward at both, and the small PPO update. Only
+# policy configs, the policy forward at both, and the small PPO update with its
+# stage rows. Only
 # presence and sign are gated per key (timings are machine-dependent), plus
 # one ordering that holds on any machine: the paper config multiplies the
 # small config's forward MACs by ~220, so its policy forward must be slower.
@@ -230,6 +235,10 @@ agent_keys = ["hardware_threads", "ppo_transitions_per_update",
 agent_keys += [f"{kind}_{pass_}_ns_{cfg}" for kind in ("conv", "deconv", "dense")
                for pass_ in ("fwd", "bwd") for cfg in ("small", "paper")]
 agent_keys += [f"policy_forward_ns_{cfg}" for cfg in ("small", "paper")]
+# Stage rows of the small PPO update: batched forward, loss, batched backward,
+# clip + Adam, each per transition.
+agent_keys += [f"ppo_{stage}_us_per_transition_small" for stage in
+               ("batched_forward", "loss", "batched_backward", "clip_adam")]
 for key in agent_keys:
     assert key in agent, f"missing agent key: {key}"
     assert agent[key] > 0, f"nonsensical agent value: {key}"

@@ -2,7 +2,10 @@
 //! replaced, kept verbatim as the differential oracle for the
 //! order-preserving kernels: `tests/properties.rs` requires the layers to
 //! match these bit for bit (forward outputs, input gradients, and parameter
-//! gradients accumulated over several calls).
+//! gradients accumulated over several calls), both one sample per call and
+//! as batch-innermost batches checked against the loops run one sample after
+//! another. The per-transition PPO update is kept here too, as the reference
+//! for the batched `PpoTrainer::update`.
 //!
 //! Each loop visits one output (or one input, for the scatter-style loops) at
 //! a time and adds its terms in the historical order, skipping zero inputs or
@@ -241,7 +244,13 @@ pub fn dense_forward(x: &[f32], wgt: &[f32], bias: &[f32]) -> Vec<f32> {
     out
 }
 
+use analog_floorplan::circuit::generators;
+use analog_floorplan::rl::{
+    ActorCritic, AgentConfig, FloorplanAgent, FloorplanEnv, PpoConfig, RolloutBuffer,
+};
 use analog_floorplan::tensor::layers::{Conv2d, ConvTranspose2d, Dense};
+use analog_floorplan::tensor::loss::categorical_entropy;
+use analog_floorplan::tensor::optim::{clip_grad_norm, Adam};
 use analog_floorplan::tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -365,4 +374,243 @@ pub fn check_dense_forward(in_f: usize, out_f: usize, seed: u64) {
             "Dense {in_f}->{out_f} call {call}: forward"
         );
     }
+}
+
+/// `Dense::backward`: accumulates into `gw`/`gb`, returns the input
+/// gradient, skipping zero output gradients as the per-row loop did.
+pub fn dense_backward(
+    x: &[f32],
+    wgt: &[f32],
+    gy: &[f32],
+    gw: &mut [f32],
+    gb: &mut [f32],
+) -> Vec<f32> {
+    let in_f = x.len();
+    let mut gx = vec![0.0f32; in_f];
+    for (o, &g) in gy.iter().enumerate() {
+        gb[o] += g;
+        if g == 0.0 {
+            continue;
+        }
+        let row = &wgt[o * in_f..(o + 1) * in_f];
+        for i in 0..in_f {
+            gw[o * in_f + i] += g * x[i];
+            gx[i] += row[i] * g;
+        }
+    }
+    gx
+}
+
+/// Which layer a batched differential check drives.
+#[derive(Debug, Clone, Copy)]
+pub enum Kernel {
+    Strided(Strided, Geometry),
+    Dense { in_f: usize, out_f: usize },
+}
+
+/// The batch-innermost kernels against the oracle run one sample after
+/// another: for two rounds of `lanes` samples (sparse inputs and output
+/// gradients with `±0.0`, nonzero biases), every lane of the batched forward
+/// output and input gradient, and the parameter gradients accumulated over
+/// both rounds, must equal the oracle's bit for bit — and so must a twin
+/// driven through `backward_params_batch`. Geometries without an output are
+/// skipped.
+pub fn check_batched(kernel: Kernel, seed: u64, lanes: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (in_shape, out_shape, bias_len): (Vec<usize>, Vec<usize>, usize) = match kernel {
+        Kernel::Strided(kind, g) => {
+            let out = match kind {
+                Strided::Conv => g.conv_out(),
+                Strided::Deconv => g.deconv_out(),
+            };
+            let Some((oh, ow)) = out else { return };
+            (vec![g.in_c, g.h, g.w], vec![g.out_c, oh, ow], g.out_c)
+        }
+        Kernel::Dense { in_f, out_f } => (vec![in_f], vec![out_f], out_f),
+    };
+    let build = |rng: &mut StdRng| -> Box<dyn Layer> {
+        match kernel {
+            Kernel::Strided(Strided::Conv, g) => {
+                Box::new(Conv2d::new(g.in_c, g.out_c, g.k, g.stride, g.padding, rng))
+            }
+            Kernel::Strided(Strided::Deconv, g) => Box::new(ConvTranspose2d::new(
+                g.in_c, g.out_c, g.k, g.stride, g.padding, rng,
+            )),
+            Kernel::Dense { in_f, out_f } => Box::new(Dense::new(in_f, out_f, rng)),
+        }
+    };
+    let mut layer = build(&mut rng);
+    let bias: Vec<f32> = (0..bias_len)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 } * rng.gen_range(0.05f32..0.5))
+        .collect();
+    layer.params_mut()[1].value = Tensor::from_vec(bias.clone(), &[bias_len]);
+    let wgt = layer.params()[0].value.data().to_vec();
+    let mut twin = build(&mut rng);
+    for (dst, src) in twin.params_mut().into_iter().zip(layer.params()) {
+        dst.value = src.value.clone();
+    }
+    let mut gw = vec![0.0f32; wgt.len()];
+    let mut gb = vec![0.0f32; bias_len];
+    let in_len: usize = in_shape.iter().product();
+    let out_len: usize = out_shape.iter().product();
+    for round in 0..2 {
+        let xs: Vec<Tensor> = (0..lanes)
+            .map(|_| Tensor::from_vec(sparse_values(&mut rng, in_len), &in_shape))
+            .collect();
+        let gys: Vec<Tensor> = (0..lanes)
+            .map(|_| Tensor::from_vec(sparse_values(&mut rng, out_len), &out_shape))
+            .collect();
+        let mut expect = Vec::new();
+        for (x, gy) in xs.iter().zip(&gys) {
+            let (x, gy) = (x.data(), gy.data());
+            expect.push(match kernel {
+                Kernel::Strided(Strided::Conv, g) => (
+                    conv_forward(&g, x, &wgt, &bias),
+                    conv_backward(&g, x, &wgt, gy, &mut gw, &mut gb),
+                ),
+                Kernel::Strided(Strided::Deconv, g) => (
+                    deconv_forward(&g, x, &wgt, &bias),
+                    deconv_backward(&g, x, &wgt, gy, &mut gw, &mut gb),
+                ),
+                Kernel::Dense { .. } => (
+                    dense_forward(x, &wgt, &bias),
+                    dense_backward(x, &wgt, gy, &mut gw, &mut gb),
+                ),
+            });
+        }
+        let batch = |ts: &[Tensor]| Tensor::interleave(&ts.iter().collect::<Vec<_>>());
+        let y = layer.forward_batch(batch(&xs));
+        let gx = layer.backward_batch(batch(&gys));
+        for (t, (y_ref, gx_ref)) in expect.iter().enumerate() {
+            let at = format!("{kernel:?} B={lanes} round {round} lane {t}");
+            assert_eq!(bits(y.lane(t).data()), bits(y_ref), "{at}: forward");
+            assert_eq!(bits(gx.lane(t).data()), bits(gx_ref), "{at}: input grad");
+        }
+        twin.forward_batch(batch(&xs));
+        twin.backward_params_batch(batch(&gys));
+    }
+    let grads = param_grads(layer.as_ref());
+    assert_eq!(
+        grads,
+        vec![bits(&gw), bits(&gb)],
+        "{kernel:?} B={lanes}: weight/bias grads"
+    );
+    assert_eq!(
+        param_grads(twin.as_ref()),
+        grads,
+        "{kernel:?} B={lanes}: backward_params_batch grads"
+    );
+}
+
+/// The per-transition PPO update that `PpoTrainer::update` replaced, kept
+/// verbatim as the reference for the batched one: one `forward` and one
+/// `backward` per transition, the entropy from `categorical_entropy`, then
+/// the clip and an Adam step per minibatch. Returns the mean policy loss,
+/// value loss, entropy and approximate KL, and the number of gradient steps.
+pub fn reference_ppo_update(
+    config: &PpoConfig,
+    optimizer: &mut Adam,
+    policy: &mut ActorCritic,
+    buffer: &RolloutBuffer,
+    rng: &mut StdRng,
+) -> ([f32; 4], usize) {
+    let (advantages, returns) = buffer.advantages_and_returns();
+    let (adv_mean, adv_std) = RolloutBuffer::advantage_stats(&advantages);
+    let n = buffer.len();
+    let mut sums = [0.0f32; 4];
+    let mut steps = 0;
+    let mut samples_seen = 0usize;
+    for _epoch in 0..config.epochs {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            let j = rng.gen_range(0..=i);
+            order.swap(i, j);
+        }
+        for chunk in order.chunks(config.minibatch_size.max(1)) {
+            policy.zero_grad();
+            for &idx in chunk {
+                let t = &buffer.transitions()[idx];
+                let advantage = (advantages[idx] - adv_mean) / adv_std;
+                let target_return = returns[idx];
+
+                let out = policy.forward(&t.masks, &t.graph_embedding, &t.node_embedding);
+                let masked = Tensor::from_vec(
+                    out.logits
+                        .data()
+                        .iter()
+                        .zip(&t.action_mask)
+                        .map(|(&l, &m)| if m > 0.0 { l } else { -1.0e9 })
+                        .collect(),
+                    out.logits.shape(),
+                );
+                let log_probs = masked.log_softmax();
+                let new_log_prob = log_probs.get(t.action);
+                let ratio = (new_log_prob - t.log_prob).exp();
+
+                let unclipped = ratio * advantage;
+                let clipped =
+                    ratio.clamp(1.0 - config.clip_range, 1.0 + config.clip_range) * advantage;
+                let policy_loss = -unclipped.min(clipped);
+                let gradient_active = if advantage >= 0.0 {
+                    ratio <= 1.0 + config.clip_range
+                } else {
+                    ratio >= 1.0 - config.clip_range
+                };
+                let d_loss_d_logp = if gradient_active {
+                    -advantage * ratio
+                } else {
+                    0.0
+                };
+
+                let probs = log_probs.map(f32::exp);
+                let mut grad_logits = probs.scale(-d_loss_d_logp);
+                grad_logits.data_mut()[t.action] += d_loss_d_logp;
+
+                let (entropy, entropy_grad) = categorical_entropy(&masked);
+                grad_logits.add_scaled_inplace(&entropy_grad, -config.entropy_coef);
+
+                for (g, &m) in grad_logits.data_mut().iter_mut().zip(t.action_mask.iter()) {
+                    if m <= 0.0 {
+                        *g = 0.0;
+                    }
+                }
+
+                let value_error = out.value - target_return;
+                let value_loss = value_error * value_error;
+                let grad_value = 2.0 * config.value_coef * value_error;
+
+                let scale = 1.0 / chunk.len() as f32;
+                policy.backward(&grad_logits.scale(scale), grad_value * scale);
+
+                sums[0] += policy_loss;
+                sums[1] += value_loss;
+                sums[2] += entropy;
+                sums[3] += (ratio - 1.0) - (ratio.max(1e-8)).ln();
+                samples_seen += 1;
+            }
+            let mut params = policy.params_mut();
+            clip_grad_norm(&mut params, config.max_grad_norm);
+            optimizer.step(&mut params);
+            steps += 1;
+        }
+    }
+    let denom = samples_seen.max(1) as f32;
+    (sums.map(|s| s / denom), steps)
+}
+
+/// A fresh small-config agent and the transitions of seeded exploring
+/// episodes on OTA-5 and Bias-1: 25 transitions, so minibatches of 8 leave
+/// a remainder minibatch of 1.
+pub fn seeded_small_rollouts() -> (FloorplanAgent, RolloutBuffer) {
+    let config = AgentConfig::small();
+    let mut buffer = RolloutBuffer::new(config.ppo.gamma, config.ppo.gae_lambda);
+    let mut agent = FloorplanAgent::new(config);
+    let mut rng = StdRng::seed_from_u64(0xa9e7);
+    for circuit in [generators::ota5(), generators::bias9()] {
+        let mut env = FloorplanEnv::new(circuit);
+        for _ in 0..2 {
+            agent.run_episode(&mut env, true, Some(&mut buffer), &mut rng);
+        }
+    }
+    (agent, buffer)
 }

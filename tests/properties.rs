@@ -6,10 +6,17 @@ use proptest::prelude::*;
 use analog_floorplan::circuit::{Block, BlockId, BlockKind, Shape};
 use analog_floorplan::circuit::{node_features, NODE_FEATURE_DIM};
 use analog_floorplan::layout::{metrics, Canvas, Cell, Floorplan, SequencePair, GRID_SIZE};
+use analog_floorplan::rl::{FloorplanAgent, PpoTrainer};
+use analog_floorplan::tensor::optim::Adam;
 use analog_floorplan::tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 mod nn_oracle;
-use nn_oracle::{check_dense_forward, check_strided, Geometry, Strided};
+use nn_oracle::{
+    check_batched, check_dense_forward, check_strided, reference_ppo_update, seeded_small_rollouts,
+    Geometry, Kernel, Strided,
+};
 
 /// Scalar `Vec<bool>` occupancy grid — the pre-bitboard reference
 /// implementation of `fits`, the spiral nearest-fit scan and the positional
@@ -1582,5 +1589,126 @@ fn policy_layer_shapes_match_naive_oracle_bitwise() {
     let dense = [(4096, 32), (96, 128), (96, 32), (32, 1), (576, 512)];
     for (i, (in_f, out_f)) in dense.into_iter().enumerate() {
         check_dense_forward(in_f, out_f, i as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The batch-innermost conv, deconv and dense kernels at B ∈ {1, 2, 3, 8,
+    /// 11} (11: an eight-lane block plus single lanes) against the per-sample oracle loops run one transition after another:
+    /// every lane's forward output and input gradient, and the parameter
+    /// gradients accumulated transition-major over two batches, bit for bit.
+    #[test]
+    fn batched_kernels_match_per_sample_oracle_bitwise(
+        kind in 0usize..3,
+        channels in (1usize..5, 1usize..5),
+        window in (1usize..5, 1usize..4, 0usize..3),
+        size in (1usize..8, 1usize..8),
+        lanes in 0usize..5,
+        seed in 0u64..1_000_000
+    ) {
+        let g = Geometry {
+            in_c: channels.0, out_c: channels.1, k: window.0, stride: window.1,
+            padding: window.2, h: size.0, w: size.1,
+        };
+        let kernel = match kind {
+            0 => Kernel::Strided(Strided::Conv, g),
+            1 => Kernel::Strided(Strided::Deconv, g),
+            // Widths cover every remainder of the 4-, 8- and 16-wide blocks.
+            _ => Kernel::Dense { in_f: size.0 * size.1 * channels.0, out_f: size.0 * channels.1 },
+        };
+        check_batched(kernel, seed, [1, 2, 3, 8, 11][lanes]);
+    }
+}
+
+/// The policy's own layer geometries (small config, and the paper config's
+/// deconv head) as batches of 3, 8 and 11 against the per-sample oracle.
+#[test]
+fn policy_layer_shapes_match_batched_oracle_bitwise() {
+    let g = |in_c, out_c, k, stride, padding, size| Geometry {
+        in_c,
+        out_c,
+        k,
+        stride,
+        padding,
+        h: size,
+        w: size,
+    };
+    let kernels = [
+        Kernel::Strided(Strided::Conv, g(6, 4, 3, 1, 1, 32)),
+        Kernel::Strided(Strided::Conv, g(4, 3, 1, 1, 0, 32)),
+        Kernel::Strided(Strided::Deconv, g(8, 8, 4, 2, 1, 4)),
+        Kernel::Strided(Strided::Deconv, g(8, 4, 4, 2, 1, 8)),
+        Kernel::Strided(Strided::Deconv, g(4, 4, 4, 2, 1, 16)),
+        Kernel::Strided(Strided::Deconv, g(32, 16, 4, 2, 1, 8)),
+        Kernel::Dense {
+            in_f: 4096,
+            out_f: 32,
+        },
+        Kernel::Dense {
+            in_f: 96,
+            out_f: 128,
+        },
+        Kernel::Dense {
+            in_f: 96,
+            out_f: 32,
+        },
+        Kernel::Dense { in_f: 32, out_f: 1 },
+    ];
+    for (i, kernel) in kernels.into_iter().enumerate() {
+        for lanes in [3, 8, 11] {
+            check_batched(kernel, i as u64, lanes);
+        }
+    }
+}
+
+/// `PpoTrainer::update` (one batched forward and backward per minibatch)
+/// against the per-transition reference loop on the same seeded 25-transition
+/// buffer (minibatches of 8 leave a remainder of 1): every parameter bit,
+/// every loss statistic and the step count, over two consecutive updates so
+/// the optimizer state carries over too.
+#[test]
+fn batched_ppo_update_matches_per_transition_reference() {
+    let (mut agent, buffer) = seeded_small_rollouts();
+    let (mut reference, _) = seeded_small_rollouts();
+    let config = agent.config().ppo.clone();
+    assert_eq!((buffer.len(), config.minibatch_size), (25, 8));
+    let mut trainer = PpoTrainer::new(config.clone());
+    let mut optimizer = Adam::new(config.learning_rate);
+    let bits = |agent: &FloorplanAgent| -> Vec<Vec<u32>> {
+        agent
+            .policy()
+            .params()
+            .iter()
+            .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+    for update in 0..2u64 {
+        let mut rng = StdRng::seed_from_u64(0x990 + update);
+        let stats = trainer.update(agent.policy_mut(), &buffer, &mut rng);
+        let mut rng = StdRng::seed_from_u64(0x990 + update);
+        let (losses, steps) = reference_ppo_update(
+            &config,
+            &mut optimizer,
+            reference.policy_mut(),
+            &buffer,
+            &mut rng,
+        );
+        let batched = [
+            stats.policy_loss,
+            stats.value_loss,
+            stats.entropy,
+            stats.approx_kl,
+        ];
+        assert_eq!(
+            (batched.map(f32::to_bits), stats.gradient_steps),
+            (losses.map(f32::to_bits), steps),
+            "update {update}: loss statistics diverged"
+        );
+        assert!(
+            bits(&agent) == bits(&reference),
+            "update {update}: parameters diverged"
+        );
     }
 }
