@@ -1,14 +1,14 @@
 //! Reproducible perf snapshot: writes `BENCH_pack.json` with the packing
-//! engines' median times, the grid-realization (`snap`), incremental
-//! dirty-block realization (`incremental_realize`, per-move cost + replay
-//! hit rate), positional-mask (`masks`), parallel generation-evaluation
-//! (`eval_pool`), parked-pool dispatch (`pool_overhead`), multi-start SA
-//! (`multistart`) and locality-aware move mix (`sa_locality`) medians, the
-//! serve layer's cache-hit latency and job throughput (`serve`), the serve
-//! daemon's drain-loop throughput and snapshot restore-then-hit latency
-//! (`serve_daemon`), the SA evaluation throughput, and the agent's kernels,
-//! policy forward and PPO update (`agent`), so every PR that touches the hot
-//! path has a trajectory to compare against.
+//! engines' median times, the grid-realization (`snap`), large-n cost
+//! pipeline (`large_n`), positional-mask (`masks`), parallel
+//! generation-evaluation (`eval_pool`), parked-pool dispatch
+//! (`pool_overhead`), multi-start SA (`multistart`) and locality-aware move
+//! mix (`sa_locality`) medians, the serve layer's cache-hit latency and job
+//! throughput (`serve`), the serve daemon's drain-loop throughput and
+//! snapshot restore-then-hit latency (`serve_daemon`), the SA evaluation
+//! throughput, and the agent's kernels, policy forward and PPO update
+//! (`agent`), so every PR that touches the hot path has a trajectory to
+//! compare against.
 //!
 //! Usage: `cargo run --release -p afp-bench --bin bench_snapshot`
 //! (run from the repository root; the snapshot is written to
@@ -376,12 +376,7 @@ fn main() {
     let daemon_jps_w4 = daemon_jobs_per_sec(4);
 
     // Locality-aware SA move mix: the end-to-end cost walk at bias 0 (the
-    // historical uniform proposal stream) vs the Table I bias. The timing
-    // comes from `median_ns` (wall-clock calibrated, so its move count — and
-    // any counter read off the same caches — would vary run to run); the
-    // replay counters CI asserts an ordering on are therefore measured
-    // separately, on a fixed-length fixed-seed walk with fresh caches, which
-    // makes them fully deterministic.
+    // historical uniform proposal stream) vs the Table I bias, per move.
     let locality_move_ns = |bias: f64| {
         let mix = MoveMix::local(bias);
         let mut cache = CostCache::new(&pool_problem);
@@ -392,21 +387,8 @@ fn main() {
             let _ = pool_problem.cost_cached(&walk, &mut cache);
         })
     };
-    let locality_counters = |bias: f64| {
-        let mix = MoveMix::local(bias);
-        let mut cache = CostCache::new(&pool_problem);
-        let mut rng = StdRng::seed_from_u64(0x10CA);
-        let mut walk = Candidate::random(pool_problem.num_blocks(), &mut rng);
-        for _ in 0..4_000 {
-            let _ = walk.perturb_with(&mix, &mut rng);
-            let _ = pool_problem.cost_cached(&walk, &mut cache);
-        }
-        cache.realize_stats().hit_rate()
-    };
     let uniform_move_ns = locality_move_ns(0.0);
     let local_move_ns = locality_move_ns(config.locality_bias);
-    let uniform_snap_hit = locality_counters(0.0);
-    let local_snap_hit = locality_counters(config.locality_bias);
 
     let mut pack_rows = Vec::new();
     for &n in &PACK_SIZES {
@@ -451,7 +433,7 @@ fn main() {
     }
 
     // Large-n workload tier: 200/500/1000-block synthetic circuits through
-    // the full incremental cost pipeline on multi-word occupancy grids
+    // the cost pipeline on multi-word occupancy grids
     // (grid_side_for picks 64/96/128 cells per side). Each row records the
     // warm per-move SA cost, a 6-candidate EvalPool generation and a 2-chain
     // multi-start run.
@@ -503,34 +485,6 @@ fn main() {
     });
     println!("masks bias19: positional_masks {masks_ns:>12.1} ns");
 
-    // The incremental cost pipeline vs the always-full oracle path, on an
-    // SA-style perturbation walk over Bias-2: per-move cost of (a) the
-    // default stack (dirty-block realization, full FAST-SP sweep, full
-    // metrics rescan) and (b) the full-rebuild realization oracle — plus the
-    // realization engine's snap-skip hit rate.
-    let circuit = generators::bias19();
-    let problem = Problem::new(&circuit);
-    let mut rng = StdRng::seed_from_u64(0x1C4E);
-    let mut walk = Candidate::random(problem.num_blocks(), &mut rng);
-    let mut inc_cache = CostCache::new(&problem);
-    inc_cache.set_incremental(true);
-    let incremental_ns = median_ns(|| {
-        let _ = walk.perturb(&mut rng);
-        let _ = problem.cost_cached(&walk, &mut inc_cache);
-    });
-    let mut full_cache = CostCache::new(&problem);
-    full_cache.set_incremental(false);
-    let full_ns = median_ns(|| {
-        let _ = walk.perturb(&mut rng);
-        let _ = problem.cost_cached(&walk, &mut full_cache);
-    });
-    let hit_rate = inc_cache.realize_stats().hit_rate();
-    let realize_speedup = full_ns / incremental_ns.max(1e-9);
-    println!(
-        "incremental bias19: {incremental_ns:>8.1} ns/move (full {full_ns:.1} ns, {realize_speedup:.2}x) snap hit {:.1}%",
-        100.0 * hit_rate,
-    );
-
     println!(
         "eval_pool bias19: serial 40-gen {serial_generation_ns:>10.1} ns  pool {} (speedup x4 {pool_speedup_4:.2}, {hardware_threads} hw threads)",
         pool_generation_ns
@@ -559,10 +513,8 @@ fn main() {
         daemon_snapshot_bytes.len(),
     );
     println!(
-        "sa_locality bias19: uniform {uniform_move_ns:>8.1} ns/move (snap hit {:.1}%)  bias {:.2} {local_move_ns:>8.1} ns/move (snap hit {:.1}%)",
-        100.0 * uniform_snap_hit,
+        "sa_locality bias19: uniform {uniform_move_ns:>8.1} ns/move  bias {:.2} {local_move_ns:>8.1} ns/move",
         config.locality_bias,
-        100.0 * local_snap_hit,
     );
 
     // SA throughput on the largest paper circuit (Bias-2, 19 blocks): full
@@ -597,7 +549,7 @@ fn main() {
         pool_generation_ns[2].1,
     );
     let sa_locality_json = format!(
-        "  \"sa_locality\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"locality_bias\": {:.2},\n    \"uniform_move_ns\": {uniform_move_ns:.1},\n    \"local_move_ns\": {local_move_ns:.1},\n    \"uniform_snap_hit_rate\": {uniform_snap_hit:.3},\n    \"local_snap_hit_rate\": {local_snap_hit:.3}\n  }}",
+        "  \"sa_locality\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"locality_bias\": {:.2},\n    \"uniform_move_ns\": {uniform_move_ns:.1},\n    \"local_move_ns\": {local_move_ns:.1}\n  }}",
         sa_circuit.name,
         sa_circuit.num_blocks(),
         config.locality_bias,
@@ -621,7 +573,7 @@ fn main() {
         sa_circuit.num_blocks(),
     );
     let serve_daemon_json = format!(
-        "  \"serve_daemon\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"hardware_threads\": {hardware_threads},\n    \"batch_jobs\": {DAEMON_JOBS},\n    \"drain_jobs_per_sec_workers1\": {daemon_jps_w1:.2},\n    \"drain_jobs_per_sec_workers2\": {daemon_jps_w2:.2},\n    \"drain_jobs_per_sec_workers4\": {daemon_jps_w4:.2},\n    \"cold_solve_ns\": {serve_cold_ns:.1},\n    \"restored_hit_ns\": {daemon_restored_hit_ns:.1},\n    \"restore_speedup\": {daemon_restore_speedup:.1},\n    \"snapshot_bytes\": {},\n    \"bit_identical\": {daemon_bit_identical}\n  }}",
+        "  \"serve_daemon\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"hardware_threads\": {hardware_threads},\n    \"batch_jobs\": {DAEMON_JOBS},\n    \"drain_jobs_per_sec_workers1\": {daemon_jps_w1:.2},\n    \"drain_jobs_per_sec_workers2\": {daemon_jps_w2:.2},\n    \"drain_jobs_per_sec_workers4\": {daemon_jps_w4:.2},\n    \"restored_hit_ns\": {daemon_restored_hit_ns:.1},\n    \"restore_speedup\": {daemon_restore_speedup:.1},\n    \"snapshot_bytes\": {},\n    \"bit_identical\": {daemon_bit_identical}\n  }}",
         sa_circuit.name,
         sa_circuit.num_blocks(),
         daemon_snapshot_bytes.len(),
@@ -630,20 +582,14 @@ fn main() {
     let agent_json = agent_json(hardware_threads);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, incremental dirty-block realization, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n  \"incremental_realize\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"incremental_move_ns\": {:.1},\n    \"full_move_ns\": {:.1},\n    \"speedup\": {:.2},\n    \"replay_hit_rate\": {:.3}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, multi-start SA, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{multistart_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
         pack_rows.join(",\n"),
         snap_rows.join(",\n"),
         large_n_rows.join(",\n"),
         mcircuit.name,
         masks_ns,
-        circuit.name,
-        circuit.num_blocks(),
-        incremental_ns,
-        full_ns,
-        realize_speedup,
-        hit_rate,
-        circuit.name,
-        circuit.num_blocks(),
+        sa_circuit.name,
+        sa_circuit.num_blocks(),
         config.iterations,
         result.evaluations,
         config.locality_bias,

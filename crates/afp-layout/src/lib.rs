@@ -3,8 +3,9 @@
 //! Everything geometric that the floorplanning methods share:
 //!
 //! * the 32×32 placement `grid` and continuous [`Canvas`] (paper §IV-D1),
-//! * the [`bitgrid`] occupancy bitboard (one `u32` row mask per grid row)
-//!   behind every footprint query, snap search and positional mask,
+//! * the [`bitgrid`] occupancy bitboard (`u64` row words, one per row up to
+//!   64 columns) behind every footprint query, snap search and positional
+//!   mask,
 //! * the incremental [`Floorplan`] state with overlap-free placement,
 //! * [`metrics`]: HPWL (Eq. 3), dead space, the intermediate reward (Eq. 4)
 //!   and the episode reward (Eq. 5),
@@ -18,19 +19,14 @@
 //!   that the comparison against routing-ready floorplans is fair (§V-B),
 //! * [`export`]: ASCII / SVG rendering for the figure reproductions.
 //!
-//! # The incremental cost pipeline
+//! # The cost pipeline
 //!
 //! The optimizer hot path (pack → realize → metrics, millions of evaluations
-//! per Table I sweep) keeps only its realize layer incremental:
-//! [`RealizeCache`] / [`sequence_pair::realize_floorplan_incremental`] keep or
-//! replay unchanged snap decisions instead of re-searching them, bit-identical
-//! to the from-scratch [`sequence_pair::realize_floorplan`] and
-//! differential-tested against it.
-//!
-//! Packing is one full FAST-SP sweep ([`lcs_pack::pack_coords`]) per
-//! evaluation, and the metrics stage is a plain rescan
-//! ([`metrics::episode_reward_with`]) over a reusable
-//! [`metrics::MetricsScratch`] center cache.
+//! per Table I sweep) runs every stage from scratch into reused buffers:
+//! [`sequence_pair::realize_floorplan`] packs with one full FAST-SP sweep
+//! ([`lcs_pack::pack_coords`]) and snaps every block onto the [`BitGrid`],
+//! and the metrics stage is a plain rescan ([`metrics::episode_reward_with`])
+//! over a reusable [`metrics::MetricsScratch`] center cache.
 //!
 //! See `ARCHITECTURE.md` at the repository root for the full stack picture
 //! and the bit-identity contract.
@@ -73,5 +69,5 @@ pub use masks::{Mask, StateMasks, STATE_CHANNELS};
 pub use metrics::{FloorplanMetrics, RewardWeights};
 pub use placement::{Floorplan, PlaceError, PlacedBlock};
 pub use rect::Rect;
-pub use sequence_pair::{PackedFloorplan, RealizeCache, SequencePair};
+pub use sequence_pair::{PackedFloorplan, SequencePair};
 pub use spacing::SpacingConfig;

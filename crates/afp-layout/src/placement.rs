@@ -222,9 +222,11 @@ impl Floorplan {
     }
 
     /// [`Floorplan::place`] with the grid footprint already computed by the
-    /// caller — the replay path of the incremental realization engine, which
-    /// caches footprints and must not re-derive them (two divides + ceils per
-    /// block). `grid_w`/`grid_h` must equal `self.grid_footprint(&shape)`.
+    /// caller — the snap loop of
+    /// [`realize_floorplan`](crate::sequence_pair::realize_floorplan) derives
+    /// it for the nearest-fit search and must not re-derive it (two divides +
+    /// ceils per block). `grid_w`/`grid_h` must equal
+    /// `self.grid_footprint(&shape)`.
     pub(crate) fn place_prefit(
         &mut self,
         block: BlockId,
@@ -263,31 +265,6 @@ impl Floorplan {
         self.grid.clear_rect(last.cell, last.grid_w, last.grid_h);
         self.slot[last.block.index()] = UNPLACED;
         Some(last)
-    }
-
-    /// Truncates the placement history to its first `keep` entries — the
-    /// bulk counterpart of repeated [`Floorplan::unplace_last`] calls. When
-    /// the dropped suffix outnumbers the kept prefix, the occupancy is
-    /// rebuilt from the prefix instead of AND-NOTing every dropped footprint.
-    pub fn truncate_placed(&mut self, keep: usize) {
-        if keep >= self.placed.len() {
-            return;
-        }
-        let dropped = self.placed.len() - keep;
-        if dropped <= keep {
-            for _ in 0..dropped {
-                self.unplace_last();
-            }
-            return;
-        }
-        for p in &self.placed[keep..] {
-            self.slot[p.block.index()] = UNPLACED;
-        }
-        self.placed.truncate(keep);
-        self.grid.clear();
-        for p in &self.placed {
-            self.grid.set_rect(p.cell, p.grid_w, p.grid_h);
-        }
     }
 
     /// Clears all placements and rebinds the canvas, reusing the placed-block

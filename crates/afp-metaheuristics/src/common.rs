@@ -9,8 +9,8 @@ use rand::Rng;
 use afp_circuit::{shapes::shape_sets, Circuit, Shape, ShapeSet, SHAPES_PER_BLOCK};
 use afp_layout::metrics::MetricsScratch;
 use afp_layout::{
-    constraints, metrics, Canvas, Floorplan, PackScratch, RealizeCache, RewardWeights,
-    SequencePair, SpacingConfig,
+    constraints, metrics, Canvas, Floorplan, PackScratch, RewardWeights, SequencePair,
+    SpacingConfig,
 };
 
 pub use afp_par::{CancelToken, RunControl, StopReason};
@@ -70,12 +70,12 @@ impl Candidate {
     /// `mix.locality_bias`, a sequence-swap move exchanges *adjacent*
     /// positions `(i, i + 1)` instead of two uniformly random positions.
     ///
-    /// Adjacent swaps are the moves the incremental cost pipeline digests
-    /// cheapest: a swap at sequence positions `i < j` dirties every block
-    /// whose packed coordinates shift, so pulling `j − i` down to 1 shrinks
-    /// the realization dirty set (see `ARCHITECTURE.md`, *The locality-aware
-    /// move mix*, and `docs/TUNING.md` for how to pick the bias). At `locality_bias = 0.0` this is exactly [`Candidate::perturb`]
-    /// — including the RNG stream, so existing seeds reproduce old walks.
+    /// Adjacent swaps are the smallest sequence diff a swap can make; they
+    /// narrow the search step without changing what a move costs to
+    /// evaluate (see `ARCHITECTURE.md`, *The locality-aware move mix*, and
+    /// `docs/TUNING.md` for how to pick the bias). At
+    /// `locality_bias = 0.0` this is exactly [`Candidate::perturb`] —
+    /// including the RNG stream, so existing seeds reproduce old walks.
     ///
     /// # Examples
     ///
@@ -188,11 +188,12 @@ pub enum PerturbUndo {
 /// The perturbation move mix: how [`Candidate::perturb_with`] picks the two
 /// sequence positions a swap move exchanges.
 ///
-/// The bias exists for the incremental cost pipeline's benefit: uniform swaps
-/// move most packed coordinates per move, while adjacent swaps keep the
-/// realization dirty set minimal (`bench_snapshot`'s `sa_locality`
-/// section). `docs/TUNING.md` discusses how the bias trades search reach
-/// against per-move cost.
+/// Uniform swaps move most packed coordinates per move; adjacent swaps make
+/// the smallest sequence diff, a local refinement step. Every evaluation
+/// realizes from scratch, so the bias changes which candidates are proposed,
+/// not what one costs (`bench_snapshot`'s `sa_locality` section times both
+/// walks). `docs/TUNING.md` discusses how the bias trades search reach
+/// against refinement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoveMix {
     /// Probability in `[0, 1]` that a sequence-swap move exchanges adjacent
@@ -247,8 +248,10 @@ fn two_distinct<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (usize, usize) {
 /// Grid discretization for an `n`-block problem: the paper's 32×32 grid for
 /// every circuit in its size class (n ≤ 64 — bit-identical to the historical
 /// fixed grid), then the next multiple of 32 that gives at least `4·√n` cells
-/// per side, capped at 128 (the incremental realization engine stores cells
-/// in a byte). 200 blocks → 64, 500 → 96, 1000 → 128.
+/// per side, capped at 128. The cap bounds the grid that every snap search
+/// scans; it binds past 1 024 blocks, so moving it would change the grid,
+/// and with it every trajectory, of those circuits. 200 blocks → 64,
+/// 500 → 96, 1000 → 128.
 pub fn grid_side_for(n: usize) -> usize {
     if n <= 64 {
         return afp_layout::GRID_SIZE;
@@ -410,11 +413,12 @@ impl Problem {
 
     /// [`Problem::cost`] through a [`CostCache`]: identical values, but
     /// repeated evaluations reuse every buffer (pack scratch, shapes,
-    /// floorplan, HPWL centers), run the incremental cost pipeline
-    /// (full FAST-SP sweep → dirty-block realization → full metrics rescan), and
-    /// candidates seen recently — e.g. the pre-move state SA returns to after
-    /// a rejected move, or a GA elite carried into the next generation — are
-    /// answered from the memo without re-packing.
+    /// floorplan, HPWL centers) through one
+    /// [`realize_floorplan`](afp_layout::sequence_pair::realize_floorplan)
+    /// pass (full FAST-SP sweep → snap every block) and one full metrics
+    /// rescan, and candidates seen recently — e.g. the pre-move state SA
+    /// returns to after a rejected move, or a GA elite carried into the next
+    /// generation — are answered from the memo without re-packing.
     ///
     /// # Examples
     ///
@@ -449,36 +453,15 @@ impl Problem {
         }
         cache.misses += 1;
         self.shapes_for_into(candidate, &mut cache.shapes);
-        if cache.use_incremental {
-            // Incremental engine: diff the packed positions against the
-            // previous evaluation's snap decisions and only re-snap dirty
-            // blocks. Perturb/undo/crossover need no explicit hook — the
-            // candidate's sequences and shapes flow into the diff.
-            afp_layout::sequence_pair::realize_floorplan_incremental(
-                &candidate.positive,
-                &candidate.negative,
-                &cache.shapes,
-                &self.circuit,
-                self.canvas,
-                &mut cache.pack,
-                &mut cache.floorplan,
-                &mut cache.realize,
-            );
-        } else {
-            afp_layout::sequence_pair::realize_floorplan(
-                &candidate.positive,
-                &candidate.negative,
-                &cache.shapes,
-                &self.circuit,
-                self.canvas,
-                &mut cache.pack,
-                &mut cache.floorplan,
-            );
-            // The full path bypasses the realize cache; drop its episode so a
-            // later incremental call cannot pair stale decisions with a
-            // floorplan it did not produce.
-            cache.realize.invalidate();
-        }
+        afp_layout::sequence_pair::realize_floorplan(
+            &candidate.positive,
+            &candidate.negative,
+            &cache.shapes,
+            &self.circuit,
+            self.canvas,
+            &mut cache.pack,
+            &mut cache.floorplan,
+        );
         let cost = -metrics::episode_reward_with(
             &self.circuit,
             &cache.floorplan,
@@ -495,17 +478,16 @@ impl Problem {
 const MEMO_SLOTS: usize = 1024;
 
 /// Reusable evaluation state for the metaheuristic inner loops: the FAST-SP
-/// pack scratch, shape / floorplan / metric buffers, the incremental
-/// realization engine, and a small direct-mapped memo keyed on a candidate
-/// fingerprint.
+/// pack scratch, the shape and floorplan buffers (the floorplan's
+/// [`BitGrid`](afp_layout::BitGrid) is the occupancy every snap searches),
+/// the [`MetricsScratch`] center cache, and a small direct-mapped memo keyed
+/// on a candidate fingerprint.
 ///
 /// This is the optimizer-facing handle on the cost pipeline (see
-/// `ARCHITECTURE.md`): by default [`Problem::cost_cached`] realizes through
-/// the dirty-block engine, bit-identical to the full path, and scores the
-/// floorplan with one full HPWL / violation rescan
-/// ([`metrics::episode_reward_with`]). The `full-realize` feature (or
-/// [`CostCache::set_incremental`] at runtime) selects the retained
-/// from-scratch realization oracle instead.
+/// `ARCHITECTURE.md`): [`Problem::cost_cached`] realizes every missed
+/// candidate from scratch into these buffers and scores the floorplan with
+/// one full HPWL / violation rescan ([`metrics::episode_reward_with`]),
+/// bit-identical to [`Problem::cost`].
 ///
 /// One `CostCache` is owned per optimizer run (it is keyed to one
 /// [`Problem`]'s canvas and circuit); sharing it across problems would mix
@@ -522,8 +504,7 @@ const MEMO_SLOTS: usize = 1024;
 /// let mut cache = CostCache::new(&problem);
 /// let c = Candidate::identity(problem.num_blocks(), problem.shape_sets());
 /// assert_eq!(problem.cost_cached(&c, &mut cache), problem.cost(&c));
-/// // The cache exposes its counters for observability (see also
-/// // `CostCache::realize_stats` for the realization engine's).
+/// // The cache exposes its memo counters for observability.
 /// assert_eq!((cache.hits, cache.misses), (0, 1));
 /// ```
 #[derive(Debug)]
@@ -531,13 +512,6 @@ pub struct CostCache {
     pack: PackScratch,
     metrics: MetricsScratch,
     floorplan: Floorplan,
-    /// Previous evaluation's snap decisions — the incremental realization
-    /// engine's state (see `afp_layout::sequence_pair` module docs).
-    realize: RealizeCache,
-    /// Whether `cost_cached` realizes incrementally (the default) or through
-    /// the always-full oracle path (`full-realize` feature default, or
-    /// [`CostCache::set_incremental`]). Both produce bit-identical costs.
-    use_incremental: bool,
     shapes: Vec<Shape>,
     /// `(fingerprint, cost)` slots; fingerprint 0 marks an empty slot.
     memo: Vec<(u64, f64)>,
@@ -548,41 +522,18 @@ pub struct CostCache {
 }
 
 impl CostCache {
-    /// Creates a cache sized for one problem. Realization is incremental
-    /// unless the crate is built with the `full-realize` feature, which keeps
-    /// the from-scratch path as the retained oracle.
+    /// Creates a cache sized for one problem.
     pub fn new(problem: &Problem) -> Self {
         let n = problem.num_blocks();
         CostCache {
             pack: PackScratch::with_capacity(n),
             metrics: MetricsScratch::new(),
             floorplan: Floorplan::with_grid_side(problem.canvas, problem.grid_side),
-            realize: RealizeCache::new(),
-            use_incremental: !cfg!(feature = "full-realize"),
             shapes: Vec::with_capacity(n),
             memo: vec![(0, 0.0); MEMO_SLOTS],
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Selects the realization path at runtime (used by the differential
-    /// tests and the perf snapshot to compare both engines in one build).
-    pub fn set_incremental(&mut self, incremental: bool) {
-        self.use_incremental = incremental;
-    }
-
-    /// Drops the incremental engine's cached episode. Candidate mutations
-    /// (perturb/undo/crossover) never require this — it exists for callers
-    /// that mutate the problem or floorplan state out of band.
-    pub fn invalidate_realize(&mut self) {
-        self.realize.invalidate();
-    }
-
-    /// Counters of the incremental realization engine (hit rate, kept /
-    /// replayed / searched blocks, full rebuilds).
-    pub fn realize_stats(&self) -> &RealizeCache {
-        &self.realize
     }
 
     fn lookup(&self, key: u64) -> Option<f64> {
@@ -596,8 +547,8 @@ impl CostCache {
 }
 
 /// The parallel batched evaluation engine of the population optimizers: one
-/// [`CostCache`] — with its full `RealizeCache`/`MetricsScratch` stack — per
-/// worker, and a generation-at-a-time `evaluate` that fans the
+/// [`CostCache`] — with its pack, floorplan and `MetricsScratch` buffers and
+/// its memo — per worker, and a generation-at-a-time `evaluate` that fans the
 /// candidates out over the workers through a persistent
 /// [`afp_par::WorkerPool`].
 ///
@@ -716,14 +667,7 @@ impl EvalPool {
     pub fn pool_stats(&self) -> afp_par::PoolStats {
         self.pool.stats()
     }
-
-    /// Selects the realization path on every worker cache (see
-    /// [`CostCache::set_incremental`]).
-    pub fn set_incremental(&mut self, incremental: bool) {
-        for cache in &mut self.caches {
-            cache.set_incremental(incremental);
-        }
-    }}
+}
 
 /// Fingerprint of a candidate (sequences + shape choices). Zero is reserved
 /// as the empty-slot sentinel of the memo.
@@ -1109,86 +1053,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_cost_matches_full_along_sa_walk() {
-        // The guarantee SA/GA/PSO rely on: along a realistic perturb/undo
-        // walk, dirty-block realization returns bit-identical costs to the
-        // always-full oracle path, while actually hitting.
-        let circuit = generators::bias19();
-        let problem = Problem::new(&circuit);
-        let mut incremental = CostCache::new(&problem);
-        incremental.set_incremental(true);
-        let mut full = CostCache::new(&problem);
-        full.set_incremental(false);
-        let mut rng = StdRng::seed_from_u64(0xD1FF);
-        let mut c = Candidate::random(problem.num_blocks(), &mut rng);
-        for step in 0..600 {
-            let undo = c.perturb(&mut rng);
-            let a = problem.cost_cached(&c, &mut incremental);
-            let b = problem.cost_cached(&c, &mut full);
-            assert_eq!(a, b, "cost diverged at step {step}");
-            assert_eq!(a, problem.cost(&c), "cached cost diverged at step {step}");
-            // Reject about half the moves, as SA would.
-            if step % 2 == 0 {
-                c.undo(undo);
-            }
-        }
-        let stats = incremental.realize_stats();
-        assert!(stats.hit_rate() > 0.0, "incremental engine never hit");
-        assert_eq!(full.realize_stats().episodes, 0, "oracle path must bypass the engine");
-    }
-
-    #[test]
-    fn realize_path_can_be_toggled_mid_run() {
-        // Switching between the incremental and full realization paths on a
-        // warm cache must stay bit-identical: the full path bypasses the
-        // realize cache, so `cost_cached` invalidates its episode, and the
-        // next incremental call must rebuild rather than pair stale snap
-        // decisions with a floorplan it did not produce. Run on circuits
-        // that mix feasible and penalized episodes — on a penalty-only walk
-        // both paths return the constant penalty and a stale-state bug would
-        // be invisible.
-        for circuit in [generators::ota3(), generators::ota8(), generators::bias19()] {
-            let problem = Problem::new(&circuit);
-            let mut cache = CostCache::new(&problem);
-            let mut rng = StdRng::seed_from_u64(0x706);
-            let mut c = Candidate::random(problem.num_blocks(), &mut rng);
-            let mut feasible = 0u32;
-            let mut full_path_ran = false;
-            for step in 0..200 {
-                let _ = c.perturb(&mut rng);
-                let incremental = step % 3 != 2;
-                cache.set_incremental(incremental);
-                let (misses, rebuilds) = (cache.misses, cache.realize_stats().full_rebuilds);
-                let cost = problem.cost_cached(&c, &mut cache);
-                assert_eq!(
-                    cost,
-                    problem.cost(&c),
-                    "toggled cost diverged at step {step} on {}",
-                    circuit.name
-                );
-                if incremental && full_path_ran && cache.misses > misses {
-                    // First incremental evaluation after a full-path one:
-                    // the invalidated cache must have rebuilt from scratch.
-                    assert_eq!(
-                        cache.realize_stats().full_rebuilds,
-                        rebuilds + 1,
-                        "re-entry at step {step} on {} reused a stale episode",
-                        circuit.name
-                    );
-                    full_path_ran = false;
-                }
-                if !incremental && cache.misses > misses {
-                    full_path_ran = true;
-                }
-                feasible += (cost < 49.0) as u32;
-            }
-            if circuit.num_blocks() <= 5 {
-                assert!(feasible > 0, "walk never feasible: the toggle test is vacuous");
-            }
-        }
-    }
-
-    #[test]
     fn realize_places_all_blocks() {
         let circuit = generators::bias9();
         let problem = Problem::new(&circuit);
@@ -1236,9 +1100,9 @@ mod tests {
 
     #[test]
     fn large_n_cost_pipeline_matches_uncached_cost() {
-        // 200 blocks: the incremental realize pipeline must stay active (and
-        // bit-identical to the uncached cost) past every old 64-element
-        // ceiling, serially and through the pool.
+        // 200 blocks: the cached cost pipeline must stay bit-identical to the
+        // uncached cost past every old 64-element ceiling, serially and
+        // through the pool.
         let circuit = chain_circuit(200);
         let problem = Problem::new(&circuit);
         assert_eq!(problem.grid_side, 64, "200 blocks realize on a 64×64 grid");
@@ -1255,11 +1119,6 @@ mod tests {
             if step % 2 == 0 {
                 c.undo(undo);
             }
-        }
-        // Under the `full-realize` oracle feature every realization is
-        // deliberately full, so incremental episodes legitimately stay 0.
-        if cfg!(not(feature = "full-realize")) {
-            assert!(cache.realize_stats().episodes > 0);
         }
 
         let mut pool = EvalPool::new(&problem, 2);

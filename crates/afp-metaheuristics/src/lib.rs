@@ -16,23 +16,22 @@
 //! [`BaselineResult`] (runtime, HPWL, dead space, reward) that Table I lists.
 //!
 //! All baselines evaluate candidates through [`Problem::cost_cached`], which
-//! runs `afp-layout`'s cost pipeline (dirty-set FAST-SP pack → dirty-block
-//! grid realization → one full HPWL/violation rescan) — bit-identical to the
-//! full recomputation, whose realization is retained behind the
-//! `full-realize` oracle feature. The population
-//! optimizers evaluate through an [`EvalPool`] — one [`CostCache`] per
-//! worker, results bit-identical at any worker count; GA and PSO score
-//! whole generations per call, SP-RL's one-candidate-at-a-time recurrence
-//! uses the pool's serial entry point — while SA uses the locality-aware move mix
-//! ([`MoveMix`], [`SaConfig::locality_bias`](SaConfig)) to keep the
-//! incremental engines' dirty sets small. All thread pools are persistent
+//! runs `afp-layout`'s cost pipeline (one full FAST-SP sweep → one grid
+//! realization pass → one full HPWL/violation rescan) into reused buffers
+//! behind a small cost memo — bit-identical to [`Problem::cost`]. The
+//! population optimizers evaluate through an [`EvalPool`] — one
+//! [`CostCache`] per worker, results bit-identical at any worker count; GA
+//! and PSO score whole generations per call, SP-RL's one-candidate-at-a-time
+//! recurrence uses the pool's serial entry point — while SA proposes moves
+//! from a configurable mix ([`MoveMix`],
+//! [`SaConfig::locality_bias`](SaConfig)). All thread pools are persistent
 //! parked [`afp_par::WorkerPool`]s: spawned once per optimizer run, parked
 //! between batches. On top of the single-run baselines, [`multistart_sa`]
 //! races N independent SA chains (seeds derived by [`chain_seed`], restarts
 //! via [`SaConfig::restarts`](SaConfig)) and [`Portfolio`] races SA variants
 //! against GA and PSO, both with the deterministic [`select_winner`]
 //! reduction. See `ARCHITECTURE.md` at the repository root for the
-//! four-layer evaluation stack and its determinism contract, and
+//! evaluation stack and its determinism contract, and
 //! `docs/TUNING.md` for how to choose worker counts, population sizes, the
 //! locality bias, and chain/restart splits.
 //!

@@ -19,9 +19,8 @@ use crate::common::{
 /// # Examples
 ///
 /// The locality-aware move mix biases sequence swaps toward adjacent
-/// positions, which keeps the incremental cost pipeline's dirty sets small
-/// (see `docs/TUNING.md`). A zero bias reproduces the historical uniform
-/// walk bit-for-bit:
+/// positions, a local refinement step (see `docs/TUNING.md`). A zero bias
+/// reproduces the historical uniform walk bit-for-bit:
 ///
 /// ```
 /// use afp_circuit::generators;
@@ -49,9 +48,9 @@ pub struct SaConfig {
     /// RNG seed.
     pub seed: u64,
     /// Probability that a sequence-swap proposal exchanges adjacent positions
-    /// instead of two uniform ones (see [`MoveMix`]). Adjacent swaps shrink
-    /// the incremental pipeline's dirty sets, raising move throughput; `0.0`
-    /// reproduces the historical uniform walk bit-for-bit.
+    /// instead of two uniform ones (see [`MoveMix`]). Adjacent swaps make
+    /// the smallest sequence diff; `0.0` reproduces the historical uniform
+    /// walk bit-for-bit.
     pub locality_bias: f64,
     /// Number of restarts: the move budget is split into `restarts + 1` equal
     /// segments, and at each segment boundary the chain teleports back to the
@@ -86,7 +85,7 @@ impl SaConfig {
     /// The configuration used by the Table I reproduction: enough moves for
     /// circuits up to 19 blocks while keeping SA runtimes in the ~1 s range
     /// the paper reports. The locality-aware move mix is on (half the swaps
-    /// are adjacent): it feeds the dirty-set machinery without giving up the
+    /// are adjacent): local refinement steps without giving up the
     /// long-range moves a cooling schedule still needs early on.
     pub fn table1() -> Self {
         SaConfig {
@@ -123,10 +122,7 @@ pub fn simulated_annealing(circuit: &Circuit, config: &SaConfig) -> BaselineResu
 ///   output, or a serve-layer warm start); `None` starts from a random
 ///   candidate drawn from the seeded RNG.
 /// * `cache` — the caller's [`CostCache`], so runs can reuse evaluation
-///   buffers (a multi-start worker serves several chains from one cache) and
-///   so the determinism regression tests can drive the identical annealing
-///   schedule through the incremental and the full (`full-realize` oracle)
-///   realization paths.
+///   buffers (a multi-start worker serves several chains from one cache).
 /// * `control` — polled with the move counter as the tick: the evaluation
 ///   budget is compared exactly on every move (a budget stop always lands on
 ///   the same evaluation count), while the wall clock, the cancel token and —
@@ -268,37 +264,6 @@ mod tests {
         let b = simulated_annealing(&circuit, &cfg);
         assert_eq!(a.reward, b.reward);
         assert_eq!(a.evaluations, b.evaluations);
-    }
-
-    #[test]
-    fn sa_on_bias2_is_identical_with_incremental_realization_on_and_off() {
-        // Determinism regression for the incremental engine: a fixed seed on
-        // Bias-2 (19 blocks) must produce the same accept/reject trajectory,
-        // final cost and final floorplan whether cost evaluations realize
-        // incrementally or from scratch. Any divergence in a single snap
-        // decision would change the cost stream and split the trajectories.
-        let circuit = generators::bias19();
-        let problem = Problem::new(&circuit);
-        let cfg = SaConfig {
-            iterations: 800,
-            seed: 0xB1A5,
-            ..SaConfig::table1()
-        };
-        let mut inc_cache = CostCache::new(&problem);
-        inc_cache.set_incremental(true);
-        let unbounded = RunControl::unbounded();
-        let incremental =
-            simulated_annealing_on(&problem, &cfg, None, &mut inc_cache, &unbounded).0;
-        let mut full_cache = CostCache::new(&problem);
-        full_cache.set_incremental(false);
-        let full = simulated_annealing_on(&problem, &cfg, None, &mut full_cache, &unbounded).0;
-        assert_eq!(incremental.reward, full.reward, "final cost diverged");
-        assert_eq!(incremental.evaluations, full.evaluations);
-        assert_eq!(incremental.floorplan, full.floorplan, "final floorplan diverged");
-        assert!(
-            inc_cache.realize_stats().hit_rate() > 0.0,
-            "incremental path never engaged on the SA walk"
-        );
     }
 
     #[test]

@@ -12,64 +12,60 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
-# Incremental-pipeline safety net: the differential proptests (incremental vs
-# full realization bit-identity, parallel EvalPool vs the serial cost_cached loop, FAST-SP vs legacy oracle,
-# BitGrid vs scalar oracle, controlled vs unbounded runs of every baseline,
-# the order-preserving conv/deconv/dense kernels vs their naive loops, the
-# batch-innermost kernels and the batched PPO update vs the per-sample loops)
-# run as part of the workspace tests above; run them
-# once more by name so a filtered or partially-cached test run cannot silently
-# skip them, then run the metaheuristics tests again with the feature-gated
-# realization oracle (`full-realize`) as the CostCache default.
-for diff_test in \
-    incremental_realize_matches_full_after_perturbation_sequences \
-    eval_pool_matches_serial_cost_cached \
-    multistart_sa_matches_serial_replay \
-    sa_with_generous_deadline_replays_the_unbounded_run \
-    every_baseline_replays_under_generous_control_and_stops_on_budget \
-    serve_fingerprints_are_injective_and_canonical \
-    serve_cache_hit_replays_the_cold_solve_bit_for_bit \
-    serve_persist_round_trip_restores_bit_identical_hits \
-    serve_daemon_admits_while_draining_and_matches_cold_solves \
-    serve_daemon_stress_submitters_race_drain \
-    multiword_grid_fits_anchors_and_nearest_fit_match_scalar \
-    incremental_realize_matches_full_beyond_64_blocks \
-    conv_kernels_match_naive_oracle_bitwise \
-    deconv_kernels_match_naive_oracle_bitwise \
-    dense_forward_matches_naive_oracle_bitwise \
-    policy_layer_shapes_match_naive_oracle_bitwise \
-    batched_kernels_match_per_sample_oracle_bitwise \
-    policy_layer_shapes_match_batched_oracle_bitwise \
-    batched_ppo_update_matches_per_transition_reference; do
-    diff_out="$(cargo test --test properties "$diff_test" 2>&1)" \
-        || { echo "$diff_out"; exit 1; }
-    echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
-        || { echo "ci: differential proptest filter '$diff_test' matched no tests" >&2; exit 1; }
-done
-# The EvalPool, multi-start and serve differential proptests once more under
-# the oracle feature (the root manifest forwards it to afp-metaheuristics and
-# afp-serve), so the pool's worker caches — and the serve layer's memoization
-# contract — are exercised against the full-rebuild realization path too — a
-# bug that only shows against the oracle default would otherwise hide behind
-# the incremental default above.
-for pool_test in eval_pool_matches_serial_cost_cached \
-    multistart_sa_matches_serial_replay \
-    serve_cache_hit_replays_the_cold_solve_bit_for_bit \
-    serve_persist_round_trip_restores_bit_identical_hits \
-    serve_daemon_admits_while_draining_and_matches_cold_solves; do
-    diff_out="$(cargo test --test properties "$pool_test" \
-        --features full-realize 2>&1)" \
-        || { echo "$diff_out"; exit 1; }
-    echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
-        || { echo "ci: $pool_test matched no tests under full-realize" >&2; exit 1; }
-done
-cargo test -q -p afp-metaheuristics --features full-realize
+# Differential safety net: the differential proptests (reused-buffer vs
+# fresh realization, parallel EvalPool vs the serial cost_cached loop, FAST-SP
+# vs legacy oracle, BitGrid vs scalar oracle, controlled vs unbounded runs of
+# every baseline, the order-preserving conv/deconv/dense kernels vs their
+# naive loops, the batch-innermost kernels and the batched PPO update vs the
+# per-sample loops) and the hostile-SPICE no-panic property run as part of the
+# workspace tests above; run them once more by name so a filtered or
+# partially-cached test run cannot silently skip them.
+diff_tests=(
+    incremental_realize_matches_full_after_perturbation_sequences
+    incremental_realize_matches_full_beyond_64_blocks
+    eval_pool_matches_serial_cost_cached
+    multistart_sa_matches_serial_replay
+    sa_with_generous_deadline_replays_the_unbounded_run
+    every_baseline_replays_under_generous_control_and_stops_on_budget
+    serve_fingerprints_are_injective_and_canonical
+    serve_cache_hit_replays_the_cold_solve_bit_for_bit
+    serve_persist_round_trip_restores_bit_identical_hits
+    serve_daemon_admits_while_draining_and_matches_cold_solves
+    serve_daemon_stress_submitters_race_drain
+    multiword_grid_fits_anchors_and_nearest_fit_match_scalar
+    spice_text_never_panics_through_the_greedy_pipeline
+    conv_kernels_match_naive_oracle_bitwise
+    deconv_kernels_match_naive_oracle_bitwise
+    dense_forward_matches_naive_oracle_bitwise
+    policy_layer_shapes_match_naive_oracle_bitwise
+    batched_kernels_match_per_sample_oracle_bitwise
+    policy_layer_shapes_match_batched_oracle_bitwise
+    batched_ppo_update_matches_per_transition_reference
+)
+run_diff_tests() {
+    for diff_test in "${diff_tests[@]}"; do
+        diff_out="$(cargo test --test properties "$diff_test" 2>&1)" \
+            || { echo "$diff_out"; return 1; }
+        echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
+            || { echo "ci: differential proptest filter '$diff_test' matched no tests" >&2; return 1; }
+    done
+}
+run_diff_tests
+# The same loop under a rotating seed: the proptest stub mixes
+# PROPTEST_RNG_SEED into every property's fixed per-name seed, so each CI run
+# explores new cases. The seed is echoed first; exporting the same value
+# replays a failing run exactly.
+rotating_seed="$(date +%s)"
+echo "ci: rotating-seed differential leg, PROPTEST_RNG_SEED=$rotating_seed"
+export PROPTEST_RNG_SEED="$rotating_seed"
+run_diff_tests \
+    || { echo "ci: rotating-seed leg failed; replay with PROPTEST_RNG_SEED=$rotating_seed" >&2; exit 1; }
+unset PROPTEST_RNG_SEED
 
 # Large-n cost pipeline: the 200-block unit test pins the cached cost (serial
 # and through the EvalPool) to the uncached one past every historical
 # 64-element ceiling. Run it by name so a filtered run cannot silently skip
-# it. (The feature-gated `cargo test -p afp-metaheuristics` run above
-# exercises it against the oracle default as well.)
+# it.
 large_out="$(cargo test -p afp-metaheuristics large_n_cost_pipeline_matches_uncached_cost 2>&1)" \
     || { echo "$large_out"; exit 1; }
 echo "$large_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
@@ -117,13 +113,11 @@ with open(sys.argv[1]) as f:
     snap = json.load(f)
 with open(sys.argv[2]) as f:
     committed = json.load(f)
-for section in ("pack", "snap", "large_n", "masks", "incremental_realize",
-                "eval_pool", "pool_overhead", "multistart", "serve",
+for section in ("pack", "snap", "large_n", "masks", "eval_pool", "pool_overhead", "multistart", "serve",
                 "serve_daemon", "sa_locality", "agent", "sa"):
     assert section in snap, f"missing snapshot section: {section}"
 # The large-n tier: one row per block count past the old 64-element ceilings,
-# each run end to end through the incremental cost pipeline on a multi-word
-# grid.
+# each run end to end through the cost pipeline on a multi-word grid.
 large = snap["large_n"]
 assert [row["blocks"] for row in large] == [200, 500, 1000], \
     "large_n tier does not cover the expected block counts"
@@ -132,11 +126,6 @@ assert [row["grid_side"] for row in large] == [64, 96, 128], \
 for row in large:
     for key in ("sa_move_ns", "eval_pool_generation_ns", "multistart_ns"):
         assert row[key] > 0.0, f"nonsensical large_n timing: {key}"
-inc = snap["incremental_realize"]
-for key in ("incremental_move_ns", "full_move_ns", "speedup",
-            "replay_hit_rate"):
-    assert key in inc, f"missing incremental_realize key: {key}"
-assert 0.0 <= inc["replay_hit_rate"] <= 1.0, "hit rate out of range"
 pool = snap["eval_pool"]
 for key in ("hardware_threads", "population", "serial_generation_ns",
             "workers1_generation_ns", "workers2_generation_ns",
@@ -193,36 +182,28 @@ for key in ("jobs_per_sec_workers1", "jobs_per_sec_workers2",
 daemon = snap["serve_daemon"]
 for key in ("batch_jobs", "drain_jobs_per_sec_workers1",
             "drain_jobs_per_sec_workers2", "drain_jobs_per_sec_workers4",
-            "cold_solve_ns", "restored_hit_ns", "restore_speedup",
+            "restored_hit_ns", "restore_speedup",
             "snapshot_bytes", "bit_identical"):
     assert key in daemon, f"missing serve_daemon key: {key}"
 # bench_snapshot restores the persisted cache into a fresh engine and asserts
 # the repeat job is a bit-identical hit before timing anything — a written
 # section with a true verdict proves restore preserved the memoized result
 # exactly. The restored hit carries an amortized share of the snapshot decode,
-# so the bar sits at 10x under the cold solve (observed far higher) rather
-# than matching the in-memory hit's ~200x.
+# so the bar sits at 10x under the `serve` section's cold solve (observed far
+# higher) rather than matching the in-memory hit's ~200x.
 assert daemon["bit_identical"] is True, \
     "serve_daemon restore bit-identity check not recorded"
 assert daemon["snapshot_bytes"] > 0, "empty cache snapshot"
 assert daemon["restored_hit_ns"] > 0.0, "nonsensical restored-hit latency"
-assert daemon["restored_hit_ns"] * 10.0 < daemon["cold_solve_ns"], \
+assert daemon["restored_hit_ns"] * 10.0 < serve["cold_solve_ns"], \
     "restored cache hit is not meaningfully cheaper than a cold solve"
 for key in ("drain_jobs_per_sec_workers1", "drain_jobs_per_sec_workers2",
             "drain_jobs_per_sec_workers4"):
     assert daemon[key] > 0.0, f"nonsensical drain-loop throughput: {key}"
 loc = snap["sa_locality"]
-for key in ("locality_bias", "uniform_move_ns", "local_move_ns",
-            "uniform_snap_hit_rate", "local_snap_hit_rate"):
+for key in ("locality_bias", "uniform_move_ns", "local_move_ns"):
     assert key in loc, f"missing sa_locality key: {key}"
-for key in ("uniform_snap_hit_rate", "local_snap_hit_rate"):
-    assert 0.0 <= loc[key] <= 1.0, f"{key} out of range"
-# The hit counters come from a fixed-length, fixed-seed walk on fresh caches
-# (not from the wall-clock-calibrated timing loops), so they are fully
-# deterministic: the whole point of the locality mix is that biased walks
-# replay more, and a change that breaks this ordering should fail loudly.
-assert loc["local_snap_hit_rate"] >= loc["uniform_snap_hit_rate"], \
-    "locality bias did not increase snap replay hits"
+    assert loc[key] >= 0.0, f"nonsensical sa_locality value: {key}"
 # The agent section: every kernel kind's forward and backward median at both
 # policy configs, the policy forward at both, and the small PPO update with its
 # stage rows. Only

@@ -348,97 +348,6 @@ proptest! {
         }
     }
 
-    /// Differential test of the incremental realization engine: after any
-    /// random perturbation sequence (sequence swaps, shape changes, canvas
-    /// switches), `realize_floorplan_incremental` through a warm cache must
-    /// be bit-identical to a fresh `realize_floorplan` — grid occupancy,
-    /// block anchors and metrics all compared (mirroring the `ScalarGrid`
-    /// oracle pattern of the BitGrid PR).
-    #[test]
-    fn incremental_realize_matches_full_after_perturbation_sequences(
-        seed in 0u64..1_000_000,
-        moves in 1usize..14,
-    ) {
-        use analog_floorplan::circuit::generators;
-        use analog_floorplan::layout::sequence_pair::{
-            realize_floorplan, realize_floorplan_incremental,
-        };
-        use analog_floorplan::layout::{PackScratch, RealizeCache};
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let circuit = generators::random_circuit(&mut rng);
-        let base_canvas = Canvas::for_circuit(&circuit);
-        let alt_canvas = Canvas::new(base_canvas.width_um * 0.75, base_canvas.height_um * 1.25);
-        let n = circuit.num_blocks();
-        let mut positive: Vec<usize> = (0..n).collect();
-        let mut negative: Vec<usize> = (0..n).collect();
-        positive.shuffle(&mut rng);
-        negative.shuffle(&mut rng);
-        let mut shapes: Vec<Shape> = (0..n)
-            .map(|_| Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0)))
-            .collect();
-        let mut canvas = base_canvas;
-
-        let mut scratch = PackScratch::with_capacity(n);
-        let mut cache = RealizeCache::new();
-        let mut fp = Floorplan::new(canvas);
-        let hpwl_min = metrics::hpwl_lower_bound(&circuit);
-        let weights = metrics::RewardWeights::default();
-
-        for _ in 0..moves {
-            match rng.gen_range(0..5) {
-                0 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    positive.swap(i, j);
-                }
-                1 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    negative.swap(i, j);
-                }
-                2 => {
-                    let b = rng.gen_range(0..n);
-                    shapes[b] = Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0));
-                }
-                3 => {
-                    canvas = if canvas == base_canvas { alt_canvas } else { base_canvas };
-                }
-                _ => {} // identical episode: everything should be kept
-            }
-
-            realize_floorplan_incremental(
-                &positive, &negative, &shapes, &circuit, canvas, &mut scratch, &mut fp,
-                &mut cache,
-            );
-
-            let mut fresh_scratch = PackScratch::with_capacity(n);
-            let mut fresh = Floorplan::new(canvas);
-            realize_floorplan(
-                &positive, &negative, &shapes, &circuit, canvas, &mut fresh_scratch, &mut fresh,
-            );
-
-            // Grid occupancy, block anchors and full placement records.
-            prop_assert_eq!(fp.grid(), fresh.grid(), "occupancy diverged");
-            prop_assert_eq!(fp.num_placed(), fresh.num_placed());
-            for (a, b) in fp.placed().iter().zip(fresh.placed().iter()) {
-                prop_assert_eq!(a.block, b.block, "anchor order diverged");
-                prop_assert_eq!(a.cell, b.cell, "anchor cell diverged");
-                prop_assert_eq!((a.grid_w, a.grid_h), (b.grid_w, b.grid_h));
-                prop_assert_eq!(&a.rect, &b.rect);
-                prop_assert_eq!(&a.shape, &b.shape);
-            }
-            prop_assert!(fp == fresh, "floorplans diverged");
-
-            // Metrics computed from both must agree bit-for-bit.
-            prop_assert_eq!(metrics::hpwl(&circuit, &fp), metrics::hpwl(&circuit, &fresh));
-            prop_assert_eq!(metrics::dead_space(&fp), metrics::dead_space(&fresh));
-            prop_assert_eq!(
-                metrics::episode_reward(&circuit, &fp, hpwl_min, &weights),
-                metrics::episode_reward(&circuit, &fresh, hpwl_min, &weights)
-            );
-        }
-    }
-
     /// `realize_floorplan` (pack → scale → snap → bitboard nearest-fit) must
     /// produce placements bit-identical to the pre-refactor scalar path
     /// (same pack, scalar occupancy grid, spiral nearest-fit scan).
@@ -539,12 +448,9 @@ fn large_circuit(n: usize, seed: u64) -> analog_floorplan::circuit::Circuit {
 }
 
 proptest! {
-    // 200+ random cases each: the acceptance bar of the multi-word engines —
-    // the same scalar / full-rebuild differentials as the blocks above, but
-    // on grids wider than one 64-bit word and circuits past the historical
-    // 64-block / 64-constraint bitmask ceiling. Run by name in scripts/ci.sh.
-    // Neither builds a `CostCache`, so the oracle features cannot change
-    // what they check.
+    // 200+ random cases: the acceptance bar of the multi-word occupancy
+    // engine — the same scalar differential as the block above, but on grids
+    // wider than one 64-bit word. Run by name in scripts/ci.sh.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// Word-spanning occupancy queries versus the scalar oracle: on a grid
@@ -592,99 +498,156 @@ proptest! {
             "nearest fit diverges from spiral scan at start ({}, {})", start.x, start.y
         );
     }
+}
 
-    /// The incremental realization engine past the 64-block ceiling: along
-    /// random perturbation walks of a 65–200 block circuit on a 96-cell
-    /// grid, `realize_floorplan_incremental` through a warm cache must stay
-    /// bit-identical to a fresh `realize_floorplan` — multi-word occupancy,
-    /// anchors, placement records and metrics all compared.
+/// Buffer-reuse differential of the realization pass: walks `circuit`
+/// through `moves` random perturbations (sequence swaps, shape changes,
+/// canvas switches, identical episodes) drawn from `rng`, realizing each
+/// episode with `realize_floorplan` into one `PackScratch` and `Floorplan`
+/// reused along the walk and into fresh buffers, and requires occupancy,
+/// anchors, placement records and metrics to match bit for bit. Reuse is
+/// live behaviour — the scratch keeps the previous episode's placement order
+/// as the next sort's starting permutation, and the floorplan is reset in
+/// place.
+fn check_reused_buffers_match_fresh(
+    circuit: &analog_floorplan::circuit::Circuit,
+    side: usize,
+    moves: usize,
+    rng: &mut StdRng,
+) {
+    use analog_floorplan::layout::sequence_pair::realize_floorplan;
+    use analog_floorplan::layout::PackScratch;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    let n = circuit.num_blocks();
+    let base_canvas = Canvas::for_circuit(circuit);
+    let alt_canvas = Canvas::new(base_canvas.width_um * 0.75, base_canvas.height_um * 1.25);
+    let mut positive: Vec<usize> = (0..n).collect();
+    let mut negative: Vec<usize> = (0..n).collect();
+    positive.shuffle(rng);
+    negative.shuffle(rng);
+    let mut shapes: Vec<Shape> = (0..n)
+        .map(|_| Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0)))
+        .collect();
+    let mut canvas = base_canvas;
+
+    let mut scratch = PackScratch::with_capacity(n);
+    let mut fp = Floorplan::with_grid_side(canvas, side);
+    let hpwl_min = metrics::hpwl_lower_bound(circuit);
+    let weights = metrics::RewardWeights::default();
+
+    for _ in 0..moves {
+        match rng.gen_range(0..5) {
+            0 => {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                positive.swap(i, j);
+            }
+            1 => {
+                let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                negative.swap(i, j);
+            }
+            2 => {
+                let b = rng.gen_range(0..n);
+                shapes[b] = Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0));
+            }
+            3 => {
+                canvas = if canvas == base_canvas {
+                    alt_canvas
+                } else {
+                    base_canvas
+                };
+            }
+            _ => {} // identical episode
+        }
+
+        realize_floorplan(
+            &positive,
+            &negative,
+            &shapes,
+            circuit,
+            canvas,
+            &mut scratch,
+            &mut fp,
+        );
+
+        let mut fresh_scratch = PackScratch::with_capacity(n);
+        let mut fresh = Floorplan::with_grid_side(canvas, side);
+        realize_floorplan(
+            &positive,
+            &negative,
+            &shapes,
+            circuit,
+            canvas,
+            &mut fresh_scratch,
+            &mut fresh,
+        );
+
+        // Grid occupancy, block anchors and full placement records.
+        prop_assert_eq!(fp.grid(), fresh.grid(), "occupancy diverged");
+        prop_assert_eq!(fp.num_placed(), fresh.num_placed());
+        for (a, b) in fp.placed().iter().zip(fresh.placed().iter()) {
+            prop_assert_eq!(a.block, b.block, "anchor order diverged");
+            prop_assert_eq!(a.cell, b.cell, "anchor cell diverged");
+            prop_assert_eq!((a.grid_w, a.grid_h), (b.grid_w, b.grid_h));
+            prop_assert_eq!(&a.rect, &b.rect);
+            prop_assert_eq!(&a.shape, &b.shape);
+        }
+        prop_assert!(fp == fresh, "floorplans diverged");
+
+        // Metrics computed from both must agree bit-for-bit.
+        prop_assert_eq!(metrics::hpwl(circuit, &fp), metrics::hpwl(circuit, &fresh));
+        prop_assert_eq!(metrics::dead_space(&fp), metrics::dead_space(&fresh));
+        prop_assert_eq!(
+            metrics::episode_reward(circuit, &fp, hpwl_min, &weights),
+            metrics::episode_reward(circuit, &fresh, hpwl_min, &weights)
+        );
+    }
+}
+
+proptest! {
+    // The two entry points of the buffer-reuse differential
+    // (`check_reused_buffers_match_fresh`); run by name in scripts/ci.sh.
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Reused vs fresh realization buffers along random walks of up to 13
+    /// moves over random paper-class circuits on the default grid.
+    #[test]
+    fn incremental_realize_matches_full_after_perturbation_sequences(
+        seed in 0u64..1_000_000,
+        moves in 1usize..14,
+    ) {
+        use analog_floorplan::circuit::generators;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let circuit = generators::random_circuit(&mut rng);
+        check_reused_buffers_match_fresh(&circuit, GRID_SIZE, moves, &mut rng);
+    }
+
+    /// Reused vs fresh realization buffers past the 64-block ceiling: walks
+    /// of up to 4 moves over 65–200 block chain circuits on a 96-cell
+    /// multi-word grid.
     #[test]
     fn incremental_realize_matches_full_beyond_64_blocks(
         n in 65usize..201,
         seed in 0u64..1_000_000,
         moves in 1usize..5,
     ) {
-        use analog_floorplan::layout::sequence_pair::{
-            realize_floorplan, realize_floorplan_incremental,
-        };
-        use analog_floorplan::layout::{PackScratch, RealizeCache};
-        use rand::seq::SliceRandom;
-        use rand::{Rng, SeedableRng};
-        const SIDE: usize = 96;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let circuit = large_circuit(n, seed);
-        let base_canvas = Canvas::for_circuit(&circuit);
-        let alt_canvas = Canvas::new(base_canvas.width_um * 0.75, base_canvas.height_um * 1.25);
-        let mut positive: Vec<usize> = (0..n).collect();
-        let mut negative: Vec<usize> = (0..n).collect();
-        positive.shuffle(&mut rng);
-        negative.shuffle(&mut rng);
-        let mut shapes: Vec<Shape> = (0..n)
-            .map(|_| Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0)))
-            .collect();
-        let mut canvas = base_canvas;
-
-        let mut scratch = PackScratch::with_capacity(n);
-        let mut cache = RealizeCache::new();
-        let mut fp = Floorplan::with_grid_side(canvas, SIDE);
-
-        for _ in 0..moves {
-            match rng.gen_range(0..5) {
-                0 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    positive.swap(i, j);
-                }
-                1 => {
-                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
-                    negative.swap(i, j);
-                }
-                2 => {
-                    let b = rng.gen_range(0..n);
-                    shapes[b] = Shape::new(rng.gen_range(0.5..20.0), rng.gen_range(0.5..20.0));
-                }
-                3 => {
-                    canvas = if canvas == base_canvas { alt_canvas } else { base_canvas };
-                }
-                _ => {} // identical episode: everything should be kept
-            }
-
-            realize_floorplan_incremental(
-                &positive, &negative, &shapes, &circuit, canvas, &mut scratch, &mut fp,
-                &mut cache,
-            );
-
-            let mut fresh_scratch = PackScratch::with_capacity(n);
-            let mut fresh = Floorplan::with_grid_side(canvas, SIDE);
-            realize_floorplan(
-                &positive, &negative, &shapes, &circuit, canvas, &mut fresh_scratch, &mut fresh,
-            );
-
-            prop_assert_eq!(fp.grid(), fresh.grid(), "multi-word occupancy diverged");
-            prop_assert_eq!(fp.num_placed(), fresh.num_placed());
-            for (a, b) in fp.placed().iter().zip(fresh.placed().iter()) {
-                prop_assert_eq!(a.block, b.block, "anchor order diverged");
-                prop_assert_eq!(a.cell, b.cell, "anchor cell diverged");
-                prop_assert_eq!((a.grid_w, a.grid_h), (b.grid_w, b.grid_h));
-                prop_assert_eq!(&a.rect, &b.rect);
-            }
-            prop_assert!(fp == fresh, "floorplans diverged");
-            prop_assert_eq!(metrics::hpwl(&circuit, &fp), metrics::hpwl(&circuit, &fresh));
-        }
+        check_reused_buffers_match_fresh(&circuit, 96, moves, &mut rng);
     }
 }
 
 proptest! {
     // Differential safety net of the parallel evaluation engine (layer 4,
-    // see ARCHITECTURE.md): run by name in scripts/ci.sh under the default
-    // and the feature-gated oracle configuration.
+    // see ARCHITECTURE.md): run by name in scripts/ci.sh.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// `EvalPool::evaluate` must return, for random populations and any
     /// worker count, exactly the costs the serial `cost_cached` loop
     /// produces — in candidate order, bit-identical `f64`s. Two generations
     /// are scored per case so the second batch runs on warm per-worker
-    /// caches (the incremental engines diffing against whichever candidate
-    /// that worker saw last — the steady state GA/PSO live in).
+    /// caches (buffers and memo holding whichever candidates that worker saw
+    /// last — the steady state GA/PSO live in).
     #[test]
     fn eval_pool_matches_serial_cost_cached(
         seed in 0u64..1_000_000,
@@ -725,15 +688,6 @@ proptest! {
             for candidate in &mut generation {
                 let _ = candidate.perturb(&mut rng);
             }
-        }
-
-        // The pool's runtime oracle toggle: flip every worker cache to the
-        // full-rebuild realization path and re-score — still bit-identical
-        // to the uncached cost.
-        pool.set_incremental(false);
-        let oracle = pool.evaluate(&problem, &generation);
-        for (candidate, &cost) in generation.iter().zip(&oracle) {
-            prop_assert_eq!(cost, problem.cost(candidate), "oracle-path pool cost diverged");
         }
     }
 
@@ -1040,9 +994,8 @@ mod fault_injection {
 
 proptest! {
     // Contract proptests of the serve layer (fingerprint + result cache +
-    // job engine): run by name in scripts/ci.sh under the default and the
-    // feature-gated oracle configuration, because memoized results are only
-    // safe to return if the solvers are bit-identical under every oracle.
+    // job engine): run by name in scripts/ci.sh, because memoized results
+    // are only safe to return if the solvers are deterministic.
     // Fewer cases than the layer-5 blocks above: each case runs real solves.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -1188,10 +1141,9 @@ proptest! {
 }
 
 proptest! {
-    // Persistence round-trip contract: run by name in scripts/ci.sh under
-    // the default and the feature-gated oracle configuration, because a
-    // restored cache is only safe if the hits it serves are bit-identical
-    // to what the *current* solver stack would produce. Many cases, tiny
+    // Persistence round-trip contract: run by name in scripts/ci.sh,
+    // because a restored cache is only safe if the hits it serves are
+    // bit-identical to what the *current* solver stack would produce. Many cases, tiny
     // solves: the surface under test is the snapshot codec, not the solver.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -1710,5 +1662,109 @@ fn batched_ppo_update_matches_per_transition_reference() {
             bits(&agent) == bits(&reference),
             "update {update}: parameters diverged"
         );
+    }
+}
+
+/// The five-transistor OTA netlist the SPICE mutations start from (the
+/// `parse_spice` unit-test fixture).
+const FIVE_T_OTA: &str = "* five transistor OTA
+M1 outl inp tail 0 nmos W=8u L=0.5u NF=2
+M2 out  inn tail 0 nmos W=8u L=0.5u NF=2
+M3 outl outl vdd vdd pmos W=12u L=0.5u NF=2
+M4 out  outl vdd vdd pmos W=12u L=0.5u NF=2
+M5 tail vbias 0 0 nmos W=16u L=1u NF=4
+C1 out 0 1.0
+.end
+";
+
+/// Card tokens spliced into the OTA text: parameter keys with and without
+/// values, hostile magnitudes, continuations, directives and stray
+/// separators.
+const SPICE_TOKENS: &[&str] = &[
+    "W=", "L=", "NF=", "M=", "W=0", "W=-8u", "W=inf", "W=nan", "W=1e30", "L=1e-30u", "NF=1000",
+    "NF=0", "M=1e9", "+", "+ W=4u", "\n+", ".subckt", ".ends", ".end", ".param", "nmos", "pmos",
+    "C9 o 0", "R7 a b", "*", "=", " ", "\n", "\t", "0", "u", "1e308", "M", "C", "outl", "vdd",
+];
+
+/// One seeded mutation of the OTA netlist: `edits` rounds of character
+/// deletions, token insertions and extra random MOS cards. Tokens and cards
+/// usually land on field and line boundaries, so about half the inputs
+/// still parse and reach recognition and layout.
+fn mutated_spice(seed: u64, edits: usize) -> String {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut text: Vec<char> = FIVE_T_OTA.chars().collect();
+    // A random position just after a `sep` character, or anywhere when the
+    // coin says so (or no `sep` is left).
+    let boundary = |text: &[char], sep: char, rng: &mut StdRng| {
+        let stops: Vec<usize> = (0..text.len()).filter(|&i| text[i] == sep).collect();
+        if stops.is_empty() || rng.gen_bool(0.2) {
+            rng.gen_range(0..text.len() + 1)
+        } else {
+            stops[rng.gen_range(0..stops.len())] + 1
+        }
+    };
+    for _ in 0..edits {
+        match rng.gen_range(0..3) {
+            0 if !text.is_empty() => {
+                let at = rng.gen_range(0..text.len());
+                let end = (at + rng.gen_range(1usize..4)).min(text.len());
+                text.drain(at..end);
+            }
+            1 => {
+                let at = boundary(&text, ' ', &mut rng);
+                let token = SPICE_TOKENS[rng.gen_range(0..SPICE_TOKENS.len())];
+                text.splice(at..at, format!("{token} ").chars());
+            }
+            _ => {
+                const NETS: [&str; 7] = ["out", "outl", "tail", "inp", "vdd", "0", "x"];
+                const VALUES: [&str; 6] = ["8u", "0.5u", "3e-7", "2u", "120u", "1"];
+                let net = |rng: &mut StdRng| NETS[rng.gen_range(0..NETS.len())];
+                let value = |rng: &mut StdRng| VALUES[rng.gen_range(0..VALUES.len())];
+                let card = format!(
+                    "M{} {} {} {} {} {} W={} L={} NF={}\n",
+                    rng.gen_range(6..40),
+                    net(&mut rng),
+                    net(&mut rng),
+                    net(&mut rng),
+                    net(&mut rng),
+                    if rng.gen_bool(0.5) { "nmos" } else { "pmos" },
+                    value(&mut rng),
+                    value(&mut rng),
+                    rng.gen_range(1..9),
+                );
+                let at = boundary(&text, '\n', &mut rng);
+                text.splice(at..at, card.chars());
+            }
+        }
+    }
+    text.into_iter().collect()
+}
+
+proptest! {
+    // Hostile-input contract of the SPICE front end: run by name in
+    // scripts/ci.sh. Each case runs a full greedy layout, so fewer cases
+    // than the differential blocks.
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Mutated SPICE text never panics anywhere in `parse_spice` →
+    /// `LayoutPipeline::recognize` → `LayoutPipeline::with_greedy().run`:
+    /// a malformed netlist must come back as a `SpiceError`, and any netlist
+    /// the parser accepts must lay out.
+    #[test]
+    fn spice_text_never_panics_through_the_greedy_pipeline(
+        seed in 0u64..1_000_000,
+        edits in 1usize..9,
+    ) {
+        use analog_floorplan::circuit::spice::parse_spice;
+        use analog_floorplan::core::LayoutPipeline;
+        let text = mutated_spice(seed, edits);
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(schematic) = parse_spice("mutated-ota", &text) {
+                let circuit = LayoutPipeline::recognize(&schematic);
+                let _ = LayoutPipeline::with_greedy().run(&circuit);
+            }
+        });
+        prop_assert!(outcome.is_ok(), "panicked on SPICE input {:?}", text);
     }
 }
