@@ -228,7 +228,26 @@ pub fn seeded_rollouts() -> (FloorplanAgent, RolloutBuffer) {
 /// Median nanoseconds per call of `f`: calibrates a batch size targeting
 /// ~10 ms, then reports the median of 15 timed batches.
 pub fn median_ns<F: FnMut()>(mut f: F) -> f64 {
-    // Calibrate.
+    let batch = calibrated_batch(&mut f);
+    median((0..15).map(|_| batch_ns(&mut f, batch)).collect())
+}
+
+/// [`median_ns`] of two workloads sampled pair by pair: each of the 15
+/// rounds times one batch of `f`, then one of `g`. A host slowdown that
+/// starts mid-run then lands on both medians alike, so their ratio stays
+/// meaningful where two back-to-back `median_ns` blocks would split across
+/// the switch.
+pub fn interleaved_median_ns<F: FnMut(), G: FnMut()>(mut f: F, mut g: G) -> (f64, f64) {
+    let (f_batch, g_batch) = (calibrated_batch(&mut f), calibrated_batch(&mut g));
+    let (f_samples, g_samples): (Vec<f64>, Vec<f64>) = (0..15)
+        .map(|_| (batch_ns(&mut f, f_batch), batch_ns(&mut g, g_batch)))
+        .unzip();
+    (median(f_samples), median(g_samples))
+}
+
+/// Calls per timed batch of `f`: the count that makes one batch last
+/// ~10 ms, from a geometric calibration run.
+fn calibrated_batch<F: FnMut()>(f: &mut F) -> u64 {
     let mut iters = 1u64;
     let per_iter_ns = loop {
         let start = Instant::now();
@@ -241,17 +260,19 @@ pub fn median_ns<F: FnMut()>(mut f: F) -> f64 {
         }
         iters *= 4;
     };
-    let batch = ((10_000_000.0 / per_iter_ns.max(1.0)).round() as u64).max(1);
-    // Measure.
-    let mut samples: Vec<f64> = (0..15)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..batch {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / batch as f64
-        })
-        .collect();
+    ((10_000_000.0 / per_iter_ns.max(1.0)).round() as u64).max(1)
+}
+
+/// Nanoseconds per call over one batch of `batch` calls of `f`.
+fn batch_ns<F: FnMut()>(f: &mut F, batch: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / batch as f64
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
@@ -286,5 +307,14 @@ mod tests {
         let mut acc = 0u64;
         let ns = median_ns(|| acc = acc.wrapping_add(std::hint::black_box(1)));
         assert!(ns > 0.0);
+    }
+
+    #[test]
+    fn interleaved_medians_time_each_workload() {
+        let (short, long) = interleaved_median_ns(
+            || std::hint::black_box(()),
+            || std::thread::sleep(std::time::Duration::from_micros(200)),
+        );
+        assert!(short > 0.0 && short < long);
     }
 }

@@ -9,8 +9,7 @@ use rand::Rng;
 use afp_circuit::{shapes::shape_sets, Circuit, Shape, ShapeSet, SHAPES_PER_BLOCK};
 use afp_layout::metrics::MetricsScratch;
 use afp_layout::{
-    constraints, metrics, Canvas, Floorplan, PackScratch, RewardWeights, SequencePair,
-    SpacingConfig,
+    metrics, Canvas, Floorplan, PackScratch, RewardWeights, SequencePair, SpacingConfig,
 };
 
 pub use afp_par::{CancelToken, RunControl, StopReason};
@@ -768,86 +767,31 @@ impl BaselineResult {
     }
 }
 
-/// Whether a candidate realizes to a fully placed, violation-free floorplan
-/// — the predicate `stop_on_first_feasible` races and
-/// [`select_winner`](crate::select_winner) agree on.
-pub fn candidate_is_feasible(problem: &Problem, candidate: &Candidate) -> bool {
-    let floorplan = problem.realize(candidate);
-    floorplan.num_placed() == problem.num_blocks()
-        && !constraints::has_violations(problem.circuit(), &floorplan)
-}
-
-/// The control check of the generation-grained optimizers (GA once per
-/// generation, SP-RL once per episode): budget / cancel / deadline first,
-/// then — in race mode — the first-feasible predicate on the best candidate
-/// so far, which also raises the shared cancel token so sibling racers stop.
-/// A boundary is already many evaluations wide, so no stride gating applies.
-pub(crate) fn boundary_stop(
-    problem: &Problem,
-    control: &RunControl,
-    best: &Candidate,
-    evaluations: usize,
-) -> Option<StopReason> {
-    if let Some(reason) = control.poll_now(evaluations as u64) {
-        return Some(reason);
-    }
-    if control.stop_on_first_feasible() && candidate_is_feasible(problem, best) {
-        control.cancel();
-        return Some(StopReason::FirstFeasible);
-    }
-    None
-}
-
-/// One slot of a multistart / portfolio race: what became of the chain that
-/// ran (or should have run) there.
+/// What became of one job the serve engine scheduled: the outcome of one
+/// [`Baseline::run_controlled`](crate::Baseline::run_controlled) call run
+/// inside the engine's per-job `catch_unwind`.
 ///
-/// Races isolate failure per slot — a panicking chain is caught, recorded
-/// here and its worker's [`CostCache`] rebuilt, instead of unwinding the
-/// whole race (see the "run control & failure domains" section of
+/// Each job is its own failure domain — a panicking job is caught, recorded
+/// here, and its slot's results discarded instead of unwinding the whole
+/// batch (see the "run control & failure domains" section of
 /// `ARCHITECTURE.md`).
 #[derive(Debug, Clone)]
 pub enum ChainOutcome {
-    /// The chain ran to a result (complete or control-interrupted — check
+    /// The job ran to a result (complete or control-interrupted — check
     /// [`BaselineResult::stop`]).
     Finished(BaselineResult),
-    /// The chain panicked; the payload's message is retained. The worker's
-    /// cache was treated as poisoned and rebuilt, so later chains on the
-    /// same worker are unaffected.
+    /// The job panicked; the payload's message is retained.
     Panicked(String),
-    /// The chain never started: cancellation (deadline, explicit cancel, or
-    /// a sibling's first-feasible win) tripped at the pool's chunk-claim
-    /// boundary before this slot was claimed.
+    /// The job never started: its cancel token was already raised when a
+    /// pool worker picked it up.
     Skipped,
-}
-
-impl ChainOutcome {
-    /// The result, if the chain finished.
-    pub fn result(&self) -> Option<&BaselineResult> {
-        match self {
-            ChainOutcome::Finished(result) => Some(result),
-            _ => None,
-        }
-    }
-
-    /// Whether the chain panicked.
-    pub fn is_panicked(&self) -> bool {
-        matches!(self, ChainOutcome::Panicked(_))
-    }
-
-    /// The panic message, if the chain panicked.
-    pub fn panic_message(&self) -> Option<&str> {
-        match self {
-            ChainOutcome::Panicked(message) => Some(message),
-            _ => None,
-        }
-    }
 }
 
 /// Extracts a human-readable message from a caught panic payload.
 ///
-/// Public since PR 8: the serve-layer job engine isolates per-job panics with
-/// the same `catch_unwind` + [`ChainOutcome`] machinery the chain races use,
-/// and records the extracted message in its `Failed` job state.
+/// The serve-layer job engine isolates per-job panics with `catch_unwind` +
+/// [`ChainOutcome`] and records the extracted message in its `Failed` job
+/// state.
 pub fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()

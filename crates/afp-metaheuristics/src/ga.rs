@@ -7,9 +7,7 @@ use rand::{Rng, SeedableRng};
 
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
-use crate::common::{
-    boundary_stop, BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason,
-};
+use crate::common::{BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason};
 
 /// Genetic-algorithm configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,7 +184,7 @@ pub fn genetic_algorithm_on(
     // best-of-final-population return, preserving bit-identity).
     let (mut seen_best, mut seen_best_cost) = best_of(&population, &costs);
     let mut stop = StopReason::Completed;
-    if let Some(reason) = boundary_stop(problem, control, &seen_best, evaluations) {
+    if let Some(reason) = control.poll_now(evaluations as u64) {
         let result =
             BaselineResult::from_candidate("GA", problem, &seen_best, started, evaluations)
                 .with_stop(reason);
@@ -233,7 +231,7 @@ pub fn genetic_algorithm_on(
             seen_best = gen_best;
             seen_best_cost = gen_best_cost;
         }
-        if let Some(reason) = boundary_stop(problem, control, &seen_best, evaluations) {
+        if let Some(reason) = control.poll_now(evaluations as u64) {
             stop = reason;
             break;
         }

@@ -26,31 +26,22 @@
 //! from a configurable mix ([`MoveMix`],
 //! [`SaConfig::locality_bias`](SaConfig)). All thread pools are persistent
 //! parked [`afp_par::WorkerPool`]s: spawned once per optimizer run, parked
-//! between batches. On top of the single-run baselines, [`multistart_sa`]
-//! races N independent SA chains (seeds derived by [`chain_seed`], restarts
-//! via [`SaConfig::restarts`](SaConfig)) and [`Portfolio`] races SA variants
-//! against GA and PSO, both with the deterministic [`select_winner`]
-//! reduction. See `ARCHITECTURE.md` at the repository root for the
-//! evaluation stack and its determinism contract, and
-//! `docs/TUNING.md` for how to choose worker counts, population sizes, the
-//! locality bias, and chain/restart splits.
+//! between batches. See `ARCHITECTURE.md` at the repository root for the
+//! evaluation stack and its determinism contract, and `docs/TUNING.md` for
+//! how to choose worker counts, population sizes, the locality bias and SA
+//! restarts.
 //!
 //! Every optimizer has exactly two entry points: the circuit-level
 //! convenience above (`simulated_annealing(circuit, config)`, …) and one
 //! problem-level `*_on` function ([`simulated_annealing_on`],
 //! [`genetic_algorithm_on`], [`particle_swarm_on`], [`rl_sa_on`],
-//! [`sequence_pair_rl_on`], [`multistart_sa_on`]) that takes a [`Problem`],
-//! a [`RunControl`] — a wall-clock deadline, an evaluation budget, a
-//! cooperative [`CancelToken`], and an opt-in first-feasible race mode —
-//! and whatever else that algorithm uses (SA's warm start and
-//! [`CostCache`], GA's warm start). Every run reports *why* it stopped in
+//! [`sequence_pair_rl_on`]) that takes a [`Problem`], a [`RunControl`] — a
+//! wall-clock deadline, an evaluation budget and a cooperative
+//! [`CancelToken`] — and whatever else that algorithm uses (SA's warm start
+//! and [`CostCache`], GA's warm start). Every run reports *why* it stopped in
 //! [`BaselineResult::stop`] ([`StopReason`]). Controls are polled at
 //! deterministic strides and draw nothing from the RNG, so an uninterrupted
-//! controlled run is bit-identical to an uncontrolled one. Multi-start and
-//! portfolio races additionally isolate panicking chains per slot
-//! ([`ChainOutcome`]) and reduce the winner over the survivors; the
-//! `fault-inject` feature adds a deterministic fault-injection harness over
-//! exactly that machinery.
+//! controlled run is bit-identical to an uncontrolled one.
 //!
 //! # Examples
 //!
@@ -69,24 +60,17 @@
 
 pub mod common;
 mod ga;
-mod multistart;
 mod pso;
 mod rl_sa;
 mod sa;
 mod sp_rl;
 
 pub use common::{
-    candidate_is_feasible, BaselineResult, Candidate, CancelToken, ChainOutcome, CostCache,
-    EvalPool, MoveMix, PerturbUndo, Problem, RunControl, StopReason,
+    BaselineResult, Candidate, CancelToken, ChainOutcome, CostCache, EvalPool, MoveMix,
+    PerturbUndo, Problem, RunControl, StopReason,
 };
 pub use common::panic_payload_message;
 pub use ga::{genetic_algorithm, genetic_algorithm_on, GaConfig};
-#[cfg(feature = "fault-inject")]
-pub use multistart::multistart_sa_injected;
-pub use multistart::{
-    chain_seed, multistart_sa, multistart_sa_on, select_surviving_winner, select_winner,
-    MultistartResult, MultistartSaConfig, Portfolio, PortfolioResult,
-};
 pub use pso::{particle_swarm, particle_swarm_on, PsoConfig};
 pub use rl_sa::{rl_sa, rl_sa_on, RlSaConfig};
 pub use sa::{simulated_annealing, simulated_annealing_on, SaConfig};
@@ -155,11 +139,9 @@ impl Baseline {
     /// exposes one) alongside the result.
     ///
     /// The [`Problem`] is built once and handed to the algorithm's `*_on`
-    /// entry point, so deadlines, budgets, cancellation and the
-    /// first-feasible race mode apply uniformly across algorithms (this is
-    /// what lets [`Portfolio`] race heterogeneous members under one shared
-    /// control). An uninterrupted run with `warm: None` is bit-identical to
-    /// [`Baseline::run`].
+    /// entry point, so deadlines, budgets and cancellation apply uniformly
+    /// across algorithms. An uninterrupted run with `warm: None` is
+    /// bit-identical to [`Baseline::run`].
     ///
     /// This is also the serve layer's entry point: a cached winner from a
     /// same-topology solve is passed as `warm` so the optimizer resumes from

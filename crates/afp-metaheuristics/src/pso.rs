@@ -12,9 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
-use crate::common::{
-    candidate_is_feasible, BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason,
-};
+use crate::common::{BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason};
 
 /// PSO configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,13 +173,6 @@ pub fn particle_swarm_on(
         // settled and before the next velocity update draws from the RNG.
         if let Some(reason) = control.poll_now(evaluations as u64) {
             stop = reason;
-            break;
-        }
-        if control.stop_on_first_feasible()
-            && candidate_is_feasible(problem, &decode(&global_best_position, n))
-        {
-            control.cancel();
-            stop = StopReason::FirstFeasible;
             break;
         }
         for p in &mut particles {

@@ -10,8 +10,7 @@ use rand::{Rng, SeedableRng};
 use afp_circuit::Circuit;
 
 use crate::common::{
-    candidate_is_feasible, BaselineResult, Candidate, CostCache, MoveMix, Problem, RunControl,
-    StopReason,
+    BaselineResult, Candidate, CostCache, MoveMix, Problem, RunControl, StopReason,
 };
 
 /// Simulated-annealing configuration.
@@ -122,18 +121,16 @@ pub fn simulated_annealing(circuit: &Circuit, config: &SaConfig) -> BaselineResu
 ///   output, or a serve-layer warm start); `None` starts from a random
 ///   candidate drawn from the seeded RNG.
 /// * `cache` — the caller's [`CostCache`], so runs can reuse evaluation
-///   buffers (a multi-start worker serves several chains from one cache).
+///   buffers.
 /// * `control` — polled with the move counter as the tick: the evaluation
 ///   budget is compared exactly on every move (a budget stop always lands on
-///   the same evaluation count), while the wall clock, the cancel token and —
-///   when [`RunControl::stop_on_first_feasible`] is on — the feasibility of
-///   the incumbent best are only checked every [`RunControl::stride`] moves.
+///   the same evaluation count), while the wall clock and the cancel token
+///   are only checked every [`RunControl::stride`] moves.
 ///
 /// Polling draws nothing from the RNG, so a run the control never interrupts
 /// is bit-identical to one under [`RunControl::unbounded`]. An interrupted
 /// run returns the best candidate found so far with the interrupting
-/// [`StopReason`] in [`BaselineResult::stop`]; a first-feasible stop
-/// additionally raises the shared cancel token so sibling racers stop.
+/// [`StopReason`] in [`BaselineResult::stop`].
 pub fn simulated_annealing_on(
     problem: &Problem,
     config: &SaConfig,
@@ -153,18 +150,11 @@ pub fn simulated_annealing_on(
     let mut evaluations = 1;
     let mut stop = StopReason::Completed;
 
-    // Entry poll (tick 0): a pre-raised token, an expired deadline, an
-    // already-exhausted budget — or a warm start that is already feasible
-    // under a first-feasible race — stops before the first move.
+    // Entry poll (tick 0): a pre-raised token, an expired deadline or an
+    // already-exhausted budget stops before the first move.
     if let Some(reason) = control.poll(0, evaluations as u64) {
         let result = BaselineResult::from_candidate("SA", problem, &best, started, evaluations)
             .with_stop(reason);
-        return (result, best);
-    }
-    if control.stop_on_first_feasible() && candidate_is_feasible(problem, &best) {
-        control.cancel();
-        let result = BaselineResult::from_candidate("SA", problem, &best, started, evaluations)
-            .with_stop(StopReason::FirstFeasible);
         return (result, best);
     }
 
@@ -210,17 +200,8 @@ pub fn simulated_annealing_on(
         // Control poll, after the move has fully settled: nothing here
         // touches the RNG, so an uninterrupted run replays the historical
         // stream bit-for-bit.
-        let tick = (step + 1) as u64;
-        if let Some(reason) = control.poll(tick, evaluations as u64) {
+        if let Some(reason) = control.poll((step + 1) as u64, evaluations as u64) {
             stop = reason;
-            break;
-        }
-        if control.stop_on_first_feasible()
-            && tick % control.stride() == 0
-            && candidate_is_feasible(problem, &best)
-        {
-            control.cancel();
-            stop = StopReason::FirstFeasible;
             break;
         }
     }

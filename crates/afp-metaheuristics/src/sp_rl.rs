@@ -20,9 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
-use crate::common::{
-    boundary_stop, BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason,
-};
+use crate::common::{BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason};
 
 /// Number of move types the policy chooses between.
 const NUM_MOVES: usize = 4;
@@ -159,7 +157,7 @@ pub fn sequence_pair_rl_on(
     let mut baseline_return = 0.0f64;
     let mut stop = StopReason::Completed;
 
-    if let Some(reason) = boundary_stop(problem, control, &best, evaluations) {
+    if let Some(reason) = control.poll_now(evaluations as u64) {
         let result = BaselineResult::from_candidate("RL (SP)", problem, &best, started, evaluations)
             .with_stop(reason);
         return (result, best);
@@ -200,7 +198,7 @@ pub fn sequence_pair_rl_on(
         }
         // Control poll at the episode boundary, after the policy update and
         // before the next episode samples from the RNG.
-        if let Some(reason) = boundary_stop(problem, control, &best, evaluations) {
+        if let Some(reason) = control.poll_now(evaluations as u64) {
             stop = reason;
             break;
         }

@@ -4,8 +4,9 @@
 //! The types here are the workspace-wide vocabulary for *stopping things*:
 //!
 //! * [`CancelToken`] — a clonable `AtomicBool` flag. Cloning shares the flag,
-//!   so one `cancel()` is observed by every holder: sibling chains of a race,
-//!   the pool's chunk-claim loop, and the optimizer loops themselves.
+//!   so one `cancel()` is observed by every holder: the serve engine that
+//!   issued a job, the pool's chunk-claim loop, and the optimizer loops
+//!   themselves.
 //! * [`RunControl`] — the handle an optimizer run polls: an optional
 //!   wall-clock deadline, an optional evaluation budget, the cancel token,
 //!   and the polling stride.
@@ -78,7 +79,7 @@ impl CancelToken {
     }
 }
 
-/// Why an optimizer run (or a race over runs) returned when it did.
+/// Why an optimizer run returned when it did.
 ///
 /// `Completed` is the only "uninterrupted" reason; every other variant means
 /// the result carries the best candidate found *so far*, not the best the
@@ -94,10 +95,6 @@ pub enum StopReason {
     /// The evaluation budget was exhausted (exact: always at the same
     /// evaluation count for a given budget).
     Budget,
-    /// A racer reported a domain-level success — in this workspace, a
-    /// feasible floorplan under a `stop_on_first_feasible` race — and the
-    /// run stopped early to hand it over.
-    FirstFeasible,
 }
 
 impl StopReason {
@@ -108,13 +105,11 @@ impl StopReason {
 }
 
 /// A cooperative control handle threaded through optimizer runs: wall-clock
-/// deadline, evaluation budget, cancellation, and the first-feasible race
-/// flag.
+/// deadline, evaluation budget and cancellation.
 ///
 /// Constructed with [`RunControl::unbounded`] and narrowed with the `with_*`
 /// builders. Cloning shares the [`CancelToken`] (and copies the limits), so
-/// a race hands each member a clone and one member's `cancel()` stops the
-/// rest.
+/// one holder's `cancel()` stops every run polling a clone.
 ///
 /// # Determinism
 ///
@@ -142,7 +137,6 @@ pub struct RunControl {
     budget: Option<u64>,
     cancel: CancelToken,
     stride: u64,
-    stop_on_first_feasible: bool,
 }
 
 impl Default for RunControl {
@@ -160,7 +154,6 @@ impl RunControl {
             budget: None,
             cancel: CancelToken::new(),
             stride: DEFAULT_STRIDE,
-            stop_on_first_feasible: false,
         }
     }
 
@@ -200,17 +193,6 @@ impl RunControl {
         self
     }
 
-    /// Turns the first-feasible race mode on or off (off by default). The
-    /// flag is advisory: runners that support racing check their incumbent
-    /// best for feasibility at stride/generation boundaries, stop with
-    /// [`StopReason::FirstFeasible`], and raise the shared token so sibling
-    /// racers stop too. With the flag off, nothing changes — the documented
-    /// bit-identity of uncontrolled runs holds.
-    pub fn with_stop_on_first_feasible(mut self, on: bool) -> Self {
-        self.stop_on_first_feasible = on;
-        self
-    }
-
     /// The shared cancel token.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
@@ -230,11 +212,6 @@ impl RunControl {
     /// The evaluation budget, if one is set.
     pub fn budget(&self) -> Option<u64> {
         self.budget
-    }
-
-    /// Whether the first-feasible race mode is on.
-    pub fn stop_on_first_feasible(&self) -> bool {
-        self.stop_on_first_feasible
     }
 
     /// The per-move poll: `tick` is the runner's loop counter (moves for SA,
@@ -357,7 +334,6 @@ mod tests {
             StopReason::Deadline,
             StopReason::Cancelled,
             StopReason::Budget,
-            StopReason::FirstFeasible,
         ] {
             assert!(reason.is_interrupted());
         }

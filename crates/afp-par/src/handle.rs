@@ -4,10 +4,10 @@
 //!
 //! ## Why a handle
 //!
-//! PR 6/7 gave every long-lived optimizer a persistent [`WorkerPool`], but
-//! each caller still *owned* its pool: a job engine running a multistart SA
-//! under its own pool would stack two thread complements (the engine's and
-//! the runner's) and oversubscribe the machine. [`PoolHandle`] makes the pool
+//! A caller that *owns* a persistent [`WorkerPool`] cannot share it: a job
+//! engine whose jobs run a pooled optimizer would stack two thread
+//! complements (the engine's and the runner's) and oversubscribe the
+//! machine. [`PoolHandle`] makes the pool
 //! a process-wide resource: the engine and every nested runner clone the same
 //! handle, and whoever dispatches first holds the workers while the dispatch
 //! lasts.

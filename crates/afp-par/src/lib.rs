@@ -4,8 +4,8 @@
 //! graph (no dependencies) so that the optimizers above it can use it:
 //! `afp-metaheuristics` batches a generation's candidate evaluations through
 //! [`WorkerPool::map_scoped`], whose per-worker state slots carry each
-//! worker's `CostCache` from one generation to the next, and runs
-//! multi-start chains and portfolio races on the same pool.
+//! worker's `CostCache` from one generation to the next, and `afp-serve`'s
+//! job engine shards a round of cache misses across the same kind of pool.
 //!
 //! Work is distributed lock-free: items are split into contiguous chunks and
 //! workers claim chunks through a single atomic counter, writing results into
@@ -26,16 +26,12 @@
 //! boundaries via [`WorkerPool::map_scoped_cancellable`]), [`RunControl`]
 //! (deadline / budget / cancellation handle the optimizer loops poll at a
 //! deterministic stride) and [`StopReason`] (the typed outcome recorded in
-//! results). The `fault-inject` feature adds the `fault` module — a
-//! deterministic splitmix64-seeded fault plan the robustness proptests use
-//! to make the Nth job panic or stall.
+//! results).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod control;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 mod handle;
 mod pool;
 

@@ -683,17 +683,37 @@ mod tests {
     fn panic_in_worker_zero_is_deferred_until_the_batch_drains() {
         // Worker 0 is the dispatching thread: its panic must not unwind past
         // the stack context while spawned workers may still touch it. States
-        // are per-worker, so marking slot 0 targets the caller exactly.
+        // are per-worker, so marking slot 0 targets the caller exactly. The
+        // other workers hold their first item until the caller has claimed
+        // one, so they cannot drain the batch before slot 0 runs at all; the
+        // wait is bounded so a regression fails instead of hanging.
         let mut pool = WorkerPool::new(4);
         let items: Vec<u64> = (0..64).collect();
         let mut states: Vec<usize> = (0..4).collect();
+        let caller_ran = AtomicBool::new(false);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = pool.map_scoped(&items, &mut states, |slot, &x| {
-                assert!(*slot != 0, "caller-slot boom");
+                if *slot == 0 {
+                    caller_ran.store(true, Ordering::Release);
+                    panic!("caller-slot boom");
+                }
+                let waiting = std::time::Instant::now();
+                while !caller_ran.load(Ordering::Acquire) {
+                    assert!(
+                        waiting.elapsed() < std::time::Duration::from_secs(5),
+                        "the caller never claimed an item"
+                    );
+                    thread::yield_now();
+                }
                 x
             });
         }));
-        assert!(outcome.is_err(), "worker 0's panic must propagate");
+        let payload = outcome.expect_err("worker 0's panic must propagate");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("caller-slot boom"));
         let mut states = vec![(); 4];
         let out = pool.map_scoped(&items, &mut states, |_, &x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());

@@ -1,20 +1,44 @@
-//! Deterministic fault-injection proptests for the persistent [`WorkerPool`]
-//! (compiled only under the `fault-inject` feature — `scripts/ci.sh` runs
-//! them by name).
+//! The persistent [`WorkerPool`]'s failure-domain property under planned
+//! panics and stalls (`scripts/ci.sh` also runs it by name under `timeout`).
 //!
-//! A splitmix64-seeded [`FaultPlan`] makes planned jobs panic or stall, and
-//! 200 proptest cases assert the pool's failure-domain contract: injected
-//! panics propagate exactly when planned and never deadlock the dispatcher,
-//! stalls only delay, [`PoolStats`] stays consistent through it all, and a
+//! A splitmix64 roll of `(seed, job)` makes planned jobs panic or stall, and
+//! 200 proptest cases assert the pool's contract: planned panics propagate
+//! exactly and never deadlock the dispatcher, stalls only delay,
+//! [`PoolStats`](afp_par::PoolStats) stays consistent through it all, and a
 //! pool remains usable after arbitrarily many faulted batches.
-#![cfg(feature = "fault-inject")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use afp_par::fault::FaultPlan;
 use afp_par::{CancelToken, WorkerPool};
+
+#[derive(Debug, PartialEq)]
+enum Fault {
+    Panic,
+    Stall(Duration),
+}
+
+/// The planned fault of job `job` under plan `seed`, if any: a splitmix64
+/// roll that panics `panic_percent` of jobs and stalls (at most 600 µs)
+/// `stall_percent` more. A pure function of its arguments, so a case
+/// replays exactly at any worker count.
+fn fault(seed: u64, job: u64, panic_percent: u8, stall_percent: u8) -> Option<Fault> {
+    let mut z =
+        (seed ^ job.wrapping_mul(0xD134_2543_DE82_EF95)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    let h = z ^ (z >> 31);
+    let roll = (h % 100) as u8;
+    if roll < panic_percent {
+        Some(Fault::Panic)
+    } else if roll < panic_percent + stall_percent {
+        Some(Fault::Stall(Duration::from_micros(100 + (h >> 8) % 500)))
+    } else {
+        None
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
@@ -34,7 +58,6 @@ proptest! {
         stall_percent in 0u8..25,
         batches in 1usize..4,
     ) {
-        let plan = FaultPlan::new(seed, panic_percent, stall_percent);
         let mut pool = WorkerPool::new(workers);
         let mut states = vec![0u64; workers];
         let xs: Vec<u64> = (0..items as u64).collect();
@@ -42,10 +65,18 @@ proptest! {
             // Job ids advance across batches so each batch faults at
             // different (but planned) positions.
             let offset = batch * 1000;
-            let planned_panic = xs.iter().any(|&x| plan.panics(offset + x));
+            let planned_panic = xs
+                .iter()
+                .any(|&x| fault(seed, offset + x, panic_percent, stall_percent) == Some(Fault::Panic));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 pool.map_scoped(&xs, &mut states, |hits, &x| {
-                    plan.inject(offset + x);
+                    match fault(seed, offset + x, panic_percent, stall_percent) {
+                        Some(Fault::Panic) => {
+                            panic!("injected fault: job {} (seed {seed})", offset + x)
+                        }
+                        Some(Fault::Stall(pause)) => std::thread::sleep(pause),
+                        None => {}
+                    }
                     *hits += 1;
                     x.wrapping_mul(0x9E37)
                 })

@@ -10,8 +10,8 @@
 //! deadline, evaluation budget, and [`CancelToken`]) inside a
 //! `catch_unwind`, so a panicking solve becomes [`JobState::Failed`] for
 //! that job alone — the pool, the cache, and the other jobs in the batch are
-//! unaffected (the same [`ChainOutcome`] machinery the multi-start races
-//! use).
+//! unaffected. Each job's outcome is a [`ChainOutcome`]: finished, panicked,
+//! or skipped because its token was raised before it started.
 //!
 //! Only runs that stopped with [`StopReason::Completed`] are memoized: the
 //! fingerprint does not encode deadlines or budgets, so an interrupted

@@ -20,8 +20,8 @@
 //!   ([`JobState`]: Queued → Running → Done/Cancelled/Failed), typed
 //!   admission ([`RejectReason`]), per-job
 //!   [`RunControl`](afp_metaheuristics::RunControl) (deadline, budget,
-//!   cancel token), per-job panic isolation
-//!   via the multi-start races' `ChainOutcome` machinery, and batch execution
+//!   cancel token), per-job panic isolation (each job's
+//!   `catch_unwind` outcome is a `ChainOutcome`), and batch execution
 //!   sharded over a process-wide [`afp_par::PoolHandle`] — with admission
 //!   locks scoped so submits never block on a running batch.
 //! * [`daemon`] — the [`ServeDaemon`]: a drain thread that keeps

@@ -198,13 +198,15 @@ impl Writer {
     }
 }
 
+// Code 4 is retired: it named a first-feasible race stop that no served job
+// could ever record. It stays unassigned, so a snapshot carrying it decodes
+// to `Corrupt` and the code is never reused for a different reason.
 fn stop_code(stop: StopReason) -> u8 {
     match stop {
         StopReason::Completed => 0,
         StopReason::Deadline => 1,
         StopReason::Cancelled => 2,
         StopReason::Budget => 3,
-        StopReason::FirstFeasible => 4,
     }
 }
 
@@ -214,7 +216,6 @@ fn decode_stop(code: u8) -> Option<StopReason> {
         1 => StopReason::Deadline,
         2 => StopReason::Cancelled,
         3 => StopReason::Budget,
-        4 => StopReason::FirstFeasible,
         _ => return None,
     })
 }
@@ -630,9 +631,10 @@ mod tests {
         assert!(msg.contains("checksum"));
     }
 
-    /// A checksum-valid snapshot holding one record whose floorplan places
-    /// a 1×1 µm block `block` at `cell` on a 32×32 grid.
-    fn one_record_snapshot(block: u64, cell: (u64, u64)) -> Vec<u8> {
+    /// A checksum-valid snapshot holding one record with stop byte `stop`
+    /// whose floorplan places a 1×1 µm block `block` at `cell` on a 32×32
+    /// grid.
+    fn one_record_snapshot(block: u64, cell: (u64, u64), stop: u8) -> Vec<u8> {
         let mut body = Writer { buf: Vec::new() };
         body.fingerprint(Fingerprint([1, 2]));
         body.fingerprint(Fingerprint([3, 4]));
@@ -640,7 +642,7 @@ mod tests {
         body.f64_bits(-1.0); // reward
         body.f64_bits(0.0); // runtime_s
         body.u64(1); // evaluations
-        body.u8(stop_code(StopReason::Completed));
+        body.u8(stop);
         for metric in [1.0, 0.0, 1.0, 1.0] {
             body.f64_bits(metric);
         }
@@ -673,14 +675,47 @@ mod tests {
     fn hostile_block_ids_and_cells_are_corrupt_not_panics() {
         // The well-formed control decodes, so the two rejections below are
         // down to the one hostile field each.
-        assert!(decode_snapshot(&one_record_snapshot(0, (0, 0))).is_ok());
+        let completed = stop_code(StopReason::Completed);
+        assert!(decode_snapshot(&one_record_snapshot(0, (0, 0), completed)).is_ok());
         for (what, bytes) in [
-            ("huge block id", one_record_snapshot(1 << 62, (0, 0))),
-            ("cell at u64::MAX", one_record_snapshot(0, (u64::MAX, 0))),
+            (
+                "huge block id",
+                one_record_snapshot(1 << 62, (0, 0), completed),
+            ),
+            (
+                "cell at u64::MAX",
+                one_record_snapshot(0, (u64::MAX, 0), completed),
+            ),
         ] {
             assert!(
                 matches!(decode_snapshot(&bytes), Err(PersistError::Corrupt { .. })),
                 "{what} must decode to Corrupt"
+            );
+        }
+    }
+
+    #[test]
+    fn retired_and_unknown_stop_codes_are_corrupt_not_panics() {
+        // Every assigned code decodes to its reason; the retired code 4 and
+        // an out-of-range byte are typed rejections of an otherwise
+        // well-formed, checksum-valid snapshot.
+        for stop in [
+            StopReason::Completed,
+            StopReason::Deadline,
+            StopReason::Cancelled,
+            StopReason::Budget,
+        ] {
+            let snapshot = decode_snapshot(&one_record_snapshot(0, (0, 0), stop_code(stop)))
+                .expect("assigned stop code decodes");
+            assert_eq!(snapshot.entries[0].2.result.stop, stop);
+        }
+        for code in [4u8, 255] {
+            assert!(
+                matches!(
+                    decode_snapshot(&one_record_snapshot(0, (0, 0), code)),
+                    Err(PersistError::Corrupt { .. })
+                ),
+                "stop byte {code} must decode to Corrupt"
             );
         }
     }

@@ -6,10 +6,9 @@
 //! fast paths must produce the very same bit patterns the pre-generalization
 //! `u32`-row / `u64`-mask engines did. These tests pin the reward bit patterns
 //! and evaluation budgets of the historical streams — SA on Bias-2, GA and PSO
-//! trajectories at 1/2/4 workers, and the 4-chain multi-start replay — against
-//! constants captured from the single-word implementation, so any
-//! representation change that perturbs even one ulp of one stream fails here
-//! with the exact stream named.
+//! trajectories at 1/2/4 workers — against constants captured from the
+//! single-word implementation, so any representation change that perturbs
+//! even one ulp of one stream fails here with the exact stream named.
 //!
 //! The pinned values are platform-independent: every stream is a deterministic
 //! seeded walk through pure `f64` arithmetic (no wall-clock, no threads in the
@@ -18,8 +17,7 @@
 use analog_floorplan::circuit::generators;
 use analog_floorplan::layout::Floorplan;
 use analog_floorplan::metaheuristics::{
-    genetic_algorithm, multistart_sa, particle_swarm, simulated_annealing, GaConfig,
-    MultistartSaConfig, PsoConfig, SaConfig,
+    genetic_algorithm, particle_swarm, simulated_annealing, GaConfig, PsoConfig, SaConfig,
 };
 
 /// FNV-1a fingerprint of the placed geometry: block ids, anchor cells, grid
@@ -147,58 +145,6 @@ fn ga_pso_bias2_streams_are_bit_identical_at_every_worker_count() {
     check(&pins, &actual);
 }
 
-/// The 4-chain multi-start replay on Bias-2 at workers ∈ {1, 2, 4}: every
-/// chain's stream and the winner reduction, pinned per chain.
-#[test]
-fn multistart_bias2_replay_is_bit_identical_at_every_worker_count() {
-    let circuit = generators::bias19();
-    let mut actual = Vec::new();
-    let mut winners = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let cfg = MultistartSaConfig {
-            base: SaConfig { seed: 3, ..SaConfig::small() },
-            workers,
-            ..MultistartSaConfig::small()
-        };
-        let result = multistart_sa(&circuit, &cfg);
-        winners.push(result.winner);
-        for (chain, outcome) in result.chains.iter().enumerate() {
-            let r = outcome.result().expect("chain finished");
-            actual.push((
-                format!("multistart-bias2-workers{workers}-chain{chain}"),
-                r.reward,
-                floorplan_fingerprint(&r.floorplan),
-                r.evaluations,
-            ));
-        }
-    }
-    // (reward bits, fingerprint, evaluations) per chain; identical at every
-    // worker count.
-    let chain_pins: [(u64, u64, usize); 4] = [
-        (0xc049000000000000, 0xc3494541db5eb3c7, 401),
-        (0xc049000000000000, 0x9f0eaf90907a2f1f, 401),
-        (0xc049000000000000, 0x4d8ceafb01817ab7, 401),
-        (0xc049000000000000, 0xcebc85ea20b1ca32, 401),
-    ];
-    let labels: Vec<String> = [1usize, 2, 4]
-        .iter()
-        .flat_map(|w| (0..4).map(move |c| format!("multistart-bias2-workers{w}-chain{c}")))
-        .collect();
-    let pins: Vec<Pin> = labels
-        .iter()
-        .enumerate()
-        .map(|(i, label)| Pin {
-            // Chains replay identically at every worker count.
-            label: Box::leak(label.clone().into_boxed_str()),
-            reward_bits: chain_pins[i % 4].0,
-            fingerprint: chain_pins[i % 4].1,
-            evaluations: chain_pins[i % 4].2,
-        })
-        .collect();
-    check(&pins, &actual);
-    assert_eq!(winners, vec![Some(0), Some(0), Some(0)], "winner reduction moved");
-}
-
 /// Prints the actual stream table (run with `--nocapture`); used to capture
 /// the pinned constants from the single-word implementation and kept so the
 /// pins can be re-derived on demand.
@@ -226,26 +172,5 @@ fn print_stream_table() {
             "{}",
             row(&format!("pso-bias2-workers{workers}"), pso.reward, floorplan_fingerprint(&pso.floorplan), pso.evaluations)
         );
-    }
-    for workers in [1usize, 2, 4] {
-        let cfg = MultistartSaConfig {
-            base: SaConfig { seed: 3, ..SaConfig::small() },
-            workers,
-            ..MultistartSaConfig::small()
-        };
-        let result = multistart_sa(&circuit, &cfg);
-        println!("multistart-bias2-workers{workers}-winner={:?}", result.winner);
-        for (chain, outcome) in result.chains.iter().enumerate() {
-            let r = outcome.result().expect("chain finished");
-            println!(
-                "{}",
-                row(
-                    &format!("multistart-bias2-workers{workers}-chain{chain}"),
-                    r.reward,
-                    floorplan_fingerprint(&r.floorplan),
-                    r.evaluations,
-                )
-            );
-        }
     }
 }

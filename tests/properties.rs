@@ -691,81 +691,6 @@ proptest! {
         }
     }
 
-    /// An N-chain `multistart_sa` run over the persistent worker pool must
-    /// be, chain for chain, bit-identical to N sequential
-    /// `simulated_annealing_on` runs with the derived chain seeds on
-    /// fresh caches — and pick the same winner — for any chain count, any
-    /// worker count, and restart schedules on or off. This is the
-    /// whole-trajectory analogue of `eval_pool_matches_serial_cost_cached`:
-    /// a worker's cache is warm with whatever chain it served last, so any
-    /// cache-state leakage into costs would split the trajectories.
-    #[test]
-    fn multistart_sa_matches_serial_replay(
-        seed in 0u64..1_000_000,
-        chains in 1usize..5,
-        workers in 1usize..5,
-        restarts in 0usize..3,
-    ) {
-        use analog_floorplan::circuit::generators;
-        use analog_floorplan::metaheuristics::{
-            chain_seed, multistart_sa, select_winner, simulated_annealing_on, CostCache,
-            MultistartSaConfig, Problem, RunControl, SaConfig,
-        };
-        let circuit = match seed % 3 {
-            0 => generators::ota5(),
-            1 => generators::ota8(),
-            _ => generators::bias9(),
-        };
-        let cfg = MultistartSaConfig {
-            base: SaConfig {
-                iterations: 120,
-                seed,
-                locality_bias: 0.5,
-                restarts,
-                ..SaConfig::small()
-            },
-            chains,
-            workers,
-        };
-        let pooled = multistart_sa(&circuit, &cfg);
-        prop_assert_eq!(pooled.chains.len(), chains);
-
-        let problem = Problem::new(&circuit);
-        let mut serial = Vec::with_capacity(chains);
-        for chain in 0..chains {
-            let chain_cfg = SaConfig {
-                seed: chain_seed(cfg.base.seed, chain),
-                ..cfg.base.clone()
-            };
-            let mut cache = CostCache::new(&problem);
-            let unbounded = RunControl::unbounded();
-            let (result, _) =
-                simulated_annealing_on(&problem, &chain_cfg, None, &mut cache, &unbounded);
-            serial.push(result);
-        }
-        for (chain, (outcome, s)) in pooled.chains.iter().zip(&serial).enumerate() {
-            let p = outcome
-                .result()
-                .unwrap_or_else(|| panic!("uncontrolled chain {chain} did not finish"));
-            prop_assert_eq!(
-                p.reward, s.reward,
-                "chain {} reward diverged from serial replay ({} workers)",
-                chain, workers
-            );
-            prop_assert_eq!(p.evaluations, s.evaluations, "chain {} budget diverged", chain);
-            prop_assert_eq!(
-                &p.floorplan, &s.floorplan,
-                "chain {} floorplan diverged ({} workers)",
-                chain, workers
-            );
-        }
-        prop_assert_eq!(
-            pooled.winner,
-            Some(select_winner(&circuit, &serial)),
-            "winner diverged from the serial reduction"
-        );
-    }
-
     /// An SA run under a `RunControl` whose deadline and budget can never
     /// fire must replay the uncontrolled run bit for bit, at any polling
     /// stride: the control layer's polls draw nothing from the RNG, so PR 6
@@ -856,139 +781,6 @@ fn every_baseline_replays_under_generous_control_and_stops_on_budget() {
             circuit.num_blocks(),
             "{name}: budget stop left blocks unplaced"
         );
-    }
-}
-
-/// Robustness proptests of the chain-race failure domains, driven by the
-/// deterministic fault-injection harness (`--features fault-inject`; run by
-/// name in scripts/ci.sh).
-#[cfg(feature = "fault-inject")]
-mod fault_injection {
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(200))]
-
-        /// `multistart_sa_injected` under a seeded `FaultPlan`: the set of
-        /// panicked chains is exactly the planned set at every worker count,
-        /// surviving chains are bit-identical to serial replays with the
-        /// derived chain seeds, and the winner reduces deterministically
-        /// over the survivors — `None` only when every chain panicked.
-        /// Stalls perturb scheduling only; results must not move.
-        #[test]
-        fn multistart_survivors_winner_is_deterministic_under_injected_faults(
-            seed in 0u64..1_000_000,
-            chains in 1usize..6,
-            panic_percent in 0u8..70,
-            stall_percent in 0u8..25,
-        ) {
-            use analog_floorplan::circuit::generators;
-            use analog_floorplan::metaheuristics::{
-                chain_seed, multistart_sa_injected, select_surviving_winner,
-                simulated_annealing_on, ChainOutcome, CostCache, MultistartSaConfig, Problem,
-                RunControl, SaConfig,
-            };
-            use analog_floorplan::par::fault::FaultPlan;
-            let circuit = match seed % 3 {
-                0 => generators::ota5(),
-                1 => generators::ota8(),
-                _ => generators::bias9(),
-            };
-            let problem = Problem::new(&circuit);
-            let cfg = MultistartSaConfig {
-                base: SaConfig {
-                    iterations: 60,
-                    seed,
-                    ..SaConfig::small()
-                },
-                chains,
-                workers: 1,
-            };
-            let plan = FaultPlan::new(seed, panic_percent, stall_percent);
-
-            let reference = multistart_sa_injected(
-                &problem,
-                &cfg,
-                &RunControl::unbounded(),
-                &plan,
-            );
-            prop_assert_eq!(reference.chains.len(), chains);
-            for (chain, outcome) in reference.chains.iter().enumerate() {
-                if plan.panics(chain as u64) {
-                    let message = outcome.panic_message().unwrap_or("");
-                    prop_assert!(
-                        outcome.is_panicked(),
-                        "chain {} was planned to panic but finished",
-                        chain
-                    );
-                    prop_assert!(
-                        message.contains("injected fault"),
-                        "chain {} lost its panic payload: {:?}",
-                        chain, message
-                    );
-                } else {
-                    // A survivor is exactly the serial replay: the panic of a
-                    // neighbouring chain must not leak into its trajectory
-                    // (its worker's cache was rebuilt from scratch).
-                    let result = outcome
-                        .result()
-                        .unwrap_or_else(|| panic!("chain {chain} neither panicked nor finished"));
-                    let chain_cfg = SaConfig {
-                        seed: chain_seed(cfg.base.seed, chain),
-                        ..cfg.base.clone()
-                    };
-                    let mut cache = CostCache::new(&problem);
-                    let unbounded = RunControl::unbounded();
-                    let (replay, _) = simulated_annealing_on(
-                        &problem, &chain_cfg, None, &mut cache, &unbounded,
-                    );
-                    prop_assert_eq!(result.reward, replay.reward, "chain {} diverged", chain);
-                    prop_assert_eq!(&result.floorplan, &replay.floorplan);
-                }
-            }
-            prop_assert_eq!(
-                reference.winner,
-                select_surviving_winner(&circuit, &reference.chains),
-                "winner is not the deterministic survivor reduction"
-            );
-            let any_survivor = reference
-                .chains
-                .iter()
-                .any(|outcome| matches!(outcome, ChainOutcome::Finished(_)));
-            prop_assert_eq!(reference.winner.is_some(), any_survivor);
-
-            // The panicked set is the plan's choice, never the scheduler's:
-            // the whole outcome vector (and the winner) is identical at
-            // every worker count, and each pooled run leaves its pool
-            // reusable (the run itself would deadlock or panic otherwise).
-            for workers in [2usize, 4] {
-                let pooled = multistart_sa_injected(
-                    &problem,
-                    &MultistartSaConfig { workers, ..cfg.clone() },
-                    &RunControl::unbounded(),
-                    &plan,
-                );
-                prop_assert_eq!(pooled.winner, reference.winner, "{} workers", workers);
-                for (chain, (p, r)) in
-                    pooled.chains.iter().zip(&reference.chains).enumerate()
-                {
-                    prop_assert_eq!(
-                        p.is_panicked(),
-                        r.is_panicked(),
-                        "chain {} fault set moved at {} workers",
-                        chain, workers
-                    );
-                    match (p.result(), r.result()) {
-                        (Some(a), Some(b)) => {
-                            prop_assert_eq!(a.reward, b.reward, "chain {} diverged", chain);
-                            prop_assert_eq!(&a.floorplan, &b.floorplan);
-                        }
-                        (None, None) => {}
-                        _ => panic!("chain {chain} outcome class moved at {workers} workers"),
-                    }
-                }
-            }
-        }
     }
 }
 
