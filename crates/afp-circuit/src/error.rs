@@ -25,8 +25,9 @@ pub enum CircuitError {
         /// Human-readable description of the problem.
         reason: String,
     },
-    /// A block has a non-positive area and cannot be placed.
-    NonPositiveArea {
+    /// A block's area or stripe width is not a positive finite number, so
+    /// the block has no shapes to place.
+    InvalidGeometry {
         /// The offending block index.
         block: usize,
     },
@@ -45,9 +46,10 @@ impl fmt::Display for CircuitError {
             CircuitError::InvalidConstraint { reason } => {
                 write!(f, "invalid constraint: {reason}")
             }
-            CircuitError::NonPositiveArea { block } => {
-                write!(f, "block {block} has non-positive area")
-            }
+            CircuitError::InvalidGeometry { block } => write!(
+                f,
+                "block {block} has a non-finite or non-positive area or stripe width"
+            ),
             CircuitError::EmptyCircuit => write!(f, "circuit has no blocks"),
         }
     }

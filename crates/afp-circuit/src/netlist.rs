@@ -195,14 +195,16 @@ impl Circuit {
     ///
     /// Returns a [`CircuitError`] describing the first problem found: empty
     /// circuit, dangling block references in nets or constraints, degenerate
-    /// nets, or non-positive block areas.
+    /// nets, or a block area or stripe width that is not a positive finite
+    /// number.
     pub fn validate(&self) -> Result<(), CircuitError> {
         if self.blocks.is_empty() {
             return Err(CircuitError::EmptyCircuit);
         }
+        let positive = |v: f64| v.is_finite() && v > 0.0;
         for (i, block) in self.blocks.iter().enumerate() {
-            if block.area_um2 <= 0.0 {
-                return Err(CircuitError::NonPositiveArea { block: i });
+            if !(positive(block.area_um2) && positive(block.stripe_width_um)) {
+                return Err(CircuitError::InvalidGeometry { block: i });
             }
         }
         for net in &self.nets {
@@ -435,6 +437,24 @@ mod tests {
     fn validate_rejects_empty_circuit() {
         let c = Circuit::new("empty");
         assert_eq!(c.validate(), Err(CircuitError::EmptyCircuit));
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_or_non_positive_geometry() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            let mut area = two_block_circuit();
+            area.blocks[1].area_um2 = bad;
+            assert_eq!(
+                area.validate(),
+                Err(CircuitError::InvalidGeometry { block: 1 })
+            );
+            let mut stripe = two_block_circuit();
+            stripe.blocks[0].stripe_width_um = bad;
+            assert_eq!(
+                stripe.validate(),
+                Err(CircuitError::InvalidGeometry { block: 0 })
+            );
+        }
     }
 
     #[test]

@@ -120,11 +120,10 @@ fn crossover<R: Rng + ?Sized>(a: &Candidate, b: &Candidate, rng: &mut R) -> Cand
 /// Runs the genetic algorithm on a circuit.
 pub fn genetic_algorithm(circuit: &Circuit, config: &GaConfig) -> BaselineResult {
     let problem = Problem::new(circuit);
-    genetic_algorithm_on(&problem, config, &RunControl::unbounded(), None).0
+    genetic_algorithm_on(&problem, config, &RunControl::unbounded())
 }
 
-/// Runs the genetic algorithm on an existing problem under a [`RunControl`],
-/// optionally warm-started, returning the result and the best candidate.
+/// Runs the genetic algorithm on an existing problem under a [`RunControl`].
 ///
 /// The control is polled once per generation (each generation is already
 /// `population` evaluations wide, so no stride gating is needed — see
@@ -133,40 +132,20 @@ pub fn genetic_algorithm(circuit: &Circuit, config: &GaConfig) -> BaselineResult
 /// generations so far, with the interrupting [`StopReason`]. Polling draws
 /// nothing from the RNG, so an uninterrupted run is bit-identical to one
 /// under [`RunControl::unbounded`].
-///
-/// A provided `warm` candidate replaces the deterministic identity member at
-/// population slot 0 (the random members and the whole RNG stream are
-/// untouched), so a serve-layer warm start biases the initial population
-/// toward a known-good solution without perturbing anything else.
-///
-/// # Panics
-///
-/// Panics if `warm` has a different block count than the problem.
 pub fn genetic_algorithm_on(
     problem: &Problem,
     config: &GaConfig,
     control: &RunControl,
-    warm: Option<&Candidate>,
-) -> (BaselineResult, Candidate) {
+) -> BaselineResult {
     let started = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut pool = EvalPool::new(problem, config.workers);
     let n = problem.num_blocks();
 
-    if let Some(w) = warm {
-        assert_eq!(
-            w.positive.len(),
-            n,
-            "warm-start candidate has the wrong block count"
-        );
-    }
     let mut population: Vec<Candidate> = (0..config.population)
         .map(|i| {
             if i == 0 {
-                match warm {
-                    Some(w) => w.clone(),
-                    None => Candidate::identity(n, problem.shape_sets()),
-                }
+                Candidate::identity(n, problem.shape_sets())
             } else {
                 Candidate::random(n, &mut rng)
             }
@@ -185,10 +164,8 @@ pub fn genetic_algorithm_on(
     let (mut seen_best, mut seen_best_cost) = best_of(&population, &costs);
     let mut stop = StopReason::Completed;
     if let Some(reason) = control.poll_now(evaluations as u64) {
-        let result =
-            BaselineResult::from_candidate("GA", problem, &seen_best, started, evaluations)
-                .with_stop(reason);
-        return (result, seen_best);
+        return BaselineResult::from_candidate("GA", problem, &seen_best, started, evaluations)
+            .with_stop(reason);
     }
 
     for _gen in 0..config.generations {
@@ -238,14 +215,11 @@ pub fn genetic_algorithm_on(
     }
 
     if stop.is_interrupted() {
-        let result =
-            BaselineResult::from_candidate("GA", problem, &seen_best, started, evaluations)
-                .with_stop(stop);
-        return (result, seen_best);
+        return BaselineResult::from_candidate("GA", problem, &seen_best, started, evaluations)
+            .with_stop(stop);
     }
     let (best, _) = best_of(&population, &costs);
-    let result = BaselineResult::from_candidate("GA", problem, &best, started, evaluations);
-    (result, best)
+    BaselineResult::from_candidate("GA", problem, &best, started, evaluations)
 }
 
 /// The lowest-cost member of a scored population (lowest index on ties).

@@ -37,8 +37,8 @@
 //! [`genetic_algorithm_on`], [`particle_swarm_on`], [`rl_sa_on`],
 //! [`sequence_pair_rl_on`]) that takes a [`Problem`], a [`RunControl`] — a
 //! wall-clock deadline, an evaluation budget and a cooperative
-//! [`CancelToken`] — and whatever else that algorithm uses (SA's warm start
-//! and [`CostCache`], GA's warm start). Every run reports *why* it stopped in
+//! [`CancelToken`] — and whatever else that algorithm uses (SA's initial
+//! candidate and [`CostCache`]). Every run reports *why* it stopped in
 //! [`BaselineResult::stop`] ([`StopReason`]). Controls are polled at
 //! deterministic strides and draw nothing from the RNG, so an uninterrupted
 //! controlled run is bit-identical to an uncontrolled one.
@@ -130,62 +130,46 @@ impl Baseline {
     /// Runs the baseline on a circuit with a specific seed (the Table I
     /// harness repeats runs over several seeds to report interquartile means).
     pub fn run(&self, circuit: &Circuit, seed: u64) -> BaselineResult {
-        self.run_controlled(circuit, seed, &RunControl::unbounded(), None)
-            .0
+        self.run_controlled(circuit, seed, &RunControl::unbounded())
     }
 
-    /// [`Baseline::run`] under a [`RunControl`] with an optional warm-start
-    /// candidate, returning the best candidate found (when the algorithm
-    /// exposes one) alongside the result.
+    /// [`Baseline::run`] under a [`RunControl`].
     ///
     /// The [`Problem`] is built once and handed to the algorithm's `*_on`
     /// entry point, so deadlines, budgets and cancellation apply uniformly
-    /// across algorithms. An uninterrupted run with `warm: None` is
-    /// bit-identical to [`Baseline::run`].
-    ///
-    /// This is also the serve layer's entry point: a cached winner from a
-    /// same-topology solve is passed as `warm` so the optimizer resumes from
-    /// a known-good layout instead of a random start. Warm starts are honored
-    /// by SA (initial walk state) and GA (population slot 0); PSO's
-    /// random-key encoding and the RL baselines' learned policies have no
-    /// clean injection point, so they run cold and `warm` is ignored. The
-    /// returned candidate is `Some` for SA, GA and SP-RL — algorithms whose
-    /// best candidate is exposed — and `None` otherwise.
+    /// across algorithms. An uninterrupted run is bit-identical to
+    /// [`Baseline::run`]. This is also the serve layer's entry point: a
+    /// served answer is a pure function of its circuit, solver and seed.
     pub fn run_controlled(
         &self,
         circuit: &Circuit,
         seed: u64,
         control: &RunControl,
-        warm: Option<&Candidate>,
-    ) -> (BaselineResult, Option<Candidate>) {
+    ) -> BaselineResult {
         let problem = Problem::new(circuit);
         match self {
             Baseline::Sa(cfg) => {
                 let cfg = SaConfig { seed, ..cfg.clone() };
                 let mut cache = CostCache::new(&problem);
-                let (result, best) =
-                    simulated_annealing_on(&problem, &cfg, warm.cloned(), &mut cache, control);
-                (result, Some(best))
+                simulated_annealing_on(&problem, &cfg, None, &mut cache, control)
             }
             Baseline::Ga(cfg) => {
                 let cfg = GaConfig { seed, ..cfg.clone() };
-                let (result, best) = genetic_algorithm_on(&problem, &cfg, control, warm);
-                (result, Some(best))
+                genetic_algorithm_on(&problem, &cfg, control)
             }
             Baseline::Pso(cfg) => {
                 let cfg = PsoConfig { seed, ..cfg.clone() };
-                (particle_swarm_on(&problem, &cfg, control), None)
+                particle_swarm_on(&problem, &cfg, control)
             }
             Baseline::RlSa(cfg) => {
                 let mut cfg = cfg.clone();
                 cfg.warmup.seed = seed;
                 cfg.refinement.seed = seed.wrapping_add(1);
-                (rl_sa_on(&problem, &cfg, control), None)
+                rl_sa_on(&problem, &cfg, control)
             }
             Baseline::SpRl(cfg) => {
                 let cfg = SpRlConfig { seed, ..cfg.clone() };
-                let (result, best) = sequence_pair_rl_on(&problem, &cfg, control);
-                (result, Some(best))
+                sequence_pair_rl_on(&problem, &cfg, control).0
             }
         }
     }

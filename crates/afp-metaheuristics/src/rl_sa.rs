@@ -85,7 +85,7 @@ pub fn rl_sa_on(problem: &Problem, config: &RlSaConfig, control: &RunControl) ->
         };
     }
     let mut cache = CostCache::new(problem);
-    let (refined, _) = simulated_annealing_on(
+    let refined = simulated_annealing_on(
         problem,
         &config.refinement,
         Some(warm_candidate),

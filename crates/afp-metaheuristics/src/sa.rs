@@ -110,16 +110,14 @@ impl Default for SaConfig {
 pub fn simulated_annealing(circuit: &Circuit, config: &SaConfig) -> BaselineResult {
     let problem = Problem::new(circuit);
     let mut cache = CostCache::new(&problem);
-    simulated_annealing_on(&problem, config, None, &mut cache, &RunControl::unbounded()).0
+    simulated_annealing_on(&problem, config, None, &mut cache, &RunControl::unbounded())
 }
 
-/// Runs simulated annealing on an existing problem under a [`RunControl`],
-/// returning the result and the best *candidate* (sequence pair + shape
-/// choices) found.
+/// Runs simulated annealing on an existing problem under a [`RunControl`].
 ///
 /// * `initial` — an optional starting candidate (the RL-SA hybrid's policy
-///   output, or a serve-layer warm start); `None` starts from a random
-///   candidate drawn from the seeded RNG.
+///   output); `None` starts from a random candidate drawn from the seeded
+///   RNG.
 /// * `cache` — the caller's [`CostCache`], so runs can reuse evaluation
 ///   buffers.
 /// * `control` — polled with the move counter as the tick: the evaluation
@@ -137,7 +135,7 @@ pub fn simulated_annealing_on(
     initial: Option<Candidate>,
     cache: &mut CostCache,
     control: &RunControl,
-) -> (BaselineResult, Candidate) {
+) -> BaselineResult {
     let started = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mix = MoveMix::local(config.locality_bias);
@@ -153,9 +151,8 @@ pub fn simulated_annealing_on(
     // Entry poll (tick 0): a pre-raised token, an expired deadline or an
     // already-exhausted budget stops before the first move.
     if let Some(reason) = control.poll(0, evaluations as u64) {
-        let result = BaselineResult::from_candidate("SA", problem, &best, started, evaluations)
+        return BaselineResult::from_candidate("SA", problem, &best, started, evaluations)
             .with_stop(reason);
-        return (result, best);
     }
 
     // Restart boundaries split the budget into `restarts + 1` equal segments
@@ -205,9 +202,7 @@ pub fn simulated_annealing_on(
             break;
         }
     }
-    let result =
-        BaselineResult::from_candidate("SA", problem, &best, started, evaluations).with_stop(stop);
-    (result, best)
+    BaselineResult::from_candidate("SA", problem, &best, started, evaluations).with_stop(stop)
 }
 
 #[cfg(test)]
@@ -345,13 +340,13 @@ mod tests {
         };
         let mut plain_cache = CostCache::new(&problem);
         let unbounded = RunControl::unbounded();
-        let plain = simulated_annealing_on(&problem, &cfg, None, &mut plain_cache, &unbounded).0;
+        let plain = simulated_annealing_on(&problem, &cfg, None, &mut plain_cache, &unbounded);
         let control = RunControl::unbounded()
             .with_deadline(std::time::Duration::from_secs(3600))
             .with_budget(1_000_000)
             .with_stride(16);
         let mut cache = CostCache::new(&problem);
-        let controlled = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
+        let controlled = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control);
         assert_eq!(controlled.reward, plain.reward);
         assert_eq!(controlled.evaluations, plain.evaluations);
         assert_eq!(controlled.floorplan, plain.floorplan);
@@ -369,7 +364,7 @@ mod tests {
         };
         let control = RunControl::unbounded().with_budget(57);
         let mut cache = CostCache::new(&problem);
-        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
+        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control);
         assert_eq!(result.stop, StopReason::Budget);
         assert_eq!(result.evaluations, 57, "budget stops are exact");
         assert_eq!(result.floorplan.num_placed(), circuit.num_blocks());
@@ -388,7 +383,7 @@ mod tests {
             .with_deadline(std::time::Duration::from_secs(0))
             .with_stride(32);
         let mut cache = CostCache::new(&problem);
-        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
+        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control);
         assert_eq!(result.stop, StopReason::Deadline);
         // The entry poll fires at tick 0, before any move.
         assert_eq!(result.evaluations, 1);
@@ -406,7 +401,7 @@ mod tests {
         let control = RunControl::unbounded().with_stride(8);
         control.cancel();
         let mut cache = CostCache::new(&problem);
-        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
+        let result = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control);
         assert_eq!(result.stop, StopReason::Cancelled);
         assert_eq!(result.evaluations, 1, "pre-cancelled runs stop at entry");
     }
@@ -425,7 +420,7 @@ mod tests {
         };
         let control = RunControl::unbounded().with_budget(101);
         let mut cache = CostCache::new(&problem);
-        let budgeted = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
+        let budgeted = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control);
         assert_eq!(budgeted.stop, StopReason::Budget);
         assert_eq!(budgeted.evaluations, 101);
         let truncated_cfg = SaConfig {
@@ -438,25 +433,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_is_respected() {
+    fn initial_candidate_is_respected() {
         let circuit = generators::ota3();
         let problem = Problem::new(&circuit);
-        let warm = Candidate::identity(problem.num_blocks(), problem.shape_sets());
+        let initial = Candidate::identity(problem.num_blocks(), problem.shape_sets());
         let cfg = SaConfig {
             iterations: 10,
             ..SaConfig::small()
         };
         let mut cache = CostCache::new(&problem);
-        let (result, best) = simulated_annealing_on(
+        let result = simulated_annealing_on(
             &problem,
             &cfg,
-            Some(warm.clone()),
+            Some(initial.clone()),
             &mut cache,
             &RunControl::unbounded(),
         );
-        // With almost no iterations the result cannot be worse than the warm start.
-        assert!(-result.reward <= problem.cost(&warm) + 1e-9);
-        // The returned candidate is the one the result was realized from.
-        assert_eq!(problem.realize(&best), result.floorplan);
+        // With almost no iterations the result cannot be worse than the
+        // initial candidate.
+        assert!(-result.reward <= problem.cost(&initial) + 1e-9);
     }
 }

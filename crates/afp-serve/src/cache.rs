@@ -3,18 +3,9 @@
 //! Maps [`Fingerprint`]s to solved [`BaselineResult`]s. Because equal
 //! fingerprints imply bit-identical solves (the canonicalization contract of
 //! [`crate::fingerprint`]), a hit can be returned verbatim in place of a
-//! re-solve. Alongside each result the cache stores the winning sequence-pair
-//! [`Candidate`] (when the solver exposes one) keyed by the spec's topology
-//! fingerprint, so a *near*-identical request — same circuit graph, perturbed
-//! sizings or solver knobs — can be seeded from a cached winner's layout
-//! instead of a random start ([`ResultCache::warm_hint`]).
-//!
-//! The warm-start index is **K-deep**: each topology key retains the
-//! [`warm_depth`](ResultCache::warm_depth) most recently inserted exact
-//! fingerprints (most recent first), and an eviction removes only the evicted
-//! entry from its topology's list — the other K−1 keep serving hints. At
-//! `warm_depth == 1` the index degenerates to the single most-recent slot the
-//! layer originally shipped with ([`ResultCache::new`]).
+//! re-solve. The cache holds nothing else: a miss always runs the solver from
+//! its seed, so every answer — hit or miss — is a pure function of its
+//! request.
 //!
 //! The cache is bounded: inserting into a full cache evicts the
 //! least-recently-used entry (recency is a logical tick bumped on every get
@@ -33,24 +24,10 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use afp_metaheuristics::{BaselineResult, Candidate};
+use afp_metaheuristics::BaselineResult;
 
 use crate::fingerprint::Fingerprint;
 use crate::persist::{self, PersistError};
-
-/// Default depth of the per-topology warm-start index
-/// ([`ServeConfig::warm_depth`](crate::engine::ServeConfig::warm_depth)).
-pub const DEFAULT_WARM_DEPTH: usize = 4;
-
-/// A memoized solve: the result plus the winning candidate (if the solver
-/// exposes one) for warm-starting same-topology requests.
-#[derive(Debug, Clone)]
-pub struct CachedSolve {
-    /// The solve result, returned verbatim on an exact fingerprint hit.
-    pub result: BaselineResult,
-    /// The winning candidate, used to warm-start same-topology requests.
-    pub best: Option<Candidate>,
-}
 
 /// Hit/miss/eviction counters, monotone over the cache's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,7 +36,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Exact-fingerprint lookups that found nothing.
     pub misses: u64,
-    /// Warm-start hints served to near-identical (same-topology) requests.
+    /// Always `0`: the cache no longer seeds solves from cached winners. Kept
+    /// only because the `benchmark/` package still reads it for its
+    /// `serve.warm_seed_rate` row; the next change to that package removes
+    /// both.
     pub warm_seeds: u64,
     /// Entries inserted (restores from a snapshot count here too).
     pub insertions: u64,
@@ -69,8 +49,7 @@ pub struct CacheStats {
 
 #[derive(Debug)]
 struct Entry {
-    solve: CachedSolve,
-    topology: Fingerprint,
+    result: BaselineResult,
     last_used: u64,
 }
 
@@ -78,33 +57,17 @@ struct Entry {
 #[derive(Debug)]
 pub struct ResultCache {
     entries: HashMap<Fingerprint, Entry>,
-    /// The K most recently inserted exact fingerprints per topology
-    /// fingerprint, most recent first — the warm-start index.
-    by_topology: HashMap<Fingerprint, Vec<Fingerprint>>,
     capacity: usize,
-    warm_depth: usize,
     tick: u64,
     stats: CacheStats,
 }
 
 impl ResultCache {
-    /// Creates a cache holding at most `capacity` entries (minimum 1) with a
-    /// single-slot warm-start index — the exact behavior the serve layer
-    /// originally shipped with. Use [`ResultCache::with_warm_depth`] for a
-    /// deeper index.
+    /// Creates a cache holding at most `capacity` entries (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        ResultCache::with_warm_depth(capacity, 1)
-    }
-
-    /// Creates a cache holding at most `capacity` entries (minimum 1) whose
-    /// warm-start index keeps the `warm_depth` (minimum 1) most recent
-    /// entries per topology key.
-    pub fn with_warm_depth(capacity: usize, warm_depth: usize) -> Self {
         ResultCache {
             entries: HashMap::new(),
-            by_topology: HashMap::new(),
             capacity: capacity.max(1),
-            warm_depth: warm_depth.max(1),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -113,11 +76,6 @@ impl ResultCache {
     /// Maximum number of entries.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Warm-start entries retained per topology key.
-    pub fn warm_depth(&self) -> usize {
-        self.warm_depth
     }
 
     /// Current number of entries.
@@ -137,13 +95,13 @@ impl ResultCache {
 
     /// Looks up an exact fingerprint, counting a hit or miss and refreshing
     /// the entry's recency.
-    pub fn get(&mut self, fingerprint: Fingerprint) -> Option<&CachedSolve> {
+    pub fn get(&mut self, fingerprint: Fingerprint) -> Option<&BaselineResult> {
         self.tick += 1;
         match self.entries.get_mut(&fingerprint) {
             Some(entry) => {
                 entry.last_used = self.tick;
                 self.stats.hits += 1;
-                Some(&entry.solve)
+                Some(&entry.result)
             }
             None => {
                 self.stats.misses += 1;
@@ -153,57 +111,24 @@ impl ResultCache {
     }
 
     /// Exact lookup without touching recency or counters (for inspection).
-    pub fn peek(&self, fingerprint: Fingerprint) -> Option<&CachedSolve> {
-        self.entries.get(&fingerprint).map(|e| &e.solve)
+    pub fn peek(&self, fingerprint: Fingerprint) -> Option<&BaselineResult> {
+        self.entries.get(&fingerprint).map(|e| &e.result)
     }
 
-    /// The cached winner for the most recent surviving entry with this
-    /// topology fingerprint, if any — a warm-start seed for a near-identical
-    /// request. Walks the topology's index most-recent-first and returns the
-    /// first entry that exposes a candidate. Counts a `warm_seeds` stat when
-    /// it returns one.
-    pub fn warm_hint(&mut self, topology: Fingerprint) -> Option<Candidate> {
-        let index = self.by_topology.get(&topology)?;
-        let best = index.iter().find_map(|exact| {
-            self.entries
-                .get(exact)
-                .and_then(|entry| entry.solve.best.clone())
-        });
-        if best.is_some() {
-            self.stats.warm_seeds += 1;
-        }
-        best
-    }
-
-    /// Inserts (or replaces) the solve for a fingerprint, evicting the
-    /// least-recently-used entry if the cache is full, and promotes the
-    /// fingerprint to the front of its topology's warm-start index.
-    pub fn insert(&mut self, fingerprint: Fingerprint, topology: Fingerprint, solve: CachedSolve) {
+    /// Inserts (or replaces) the result for a fingerprint, evicting the
+    /// least-recently-used entry if the cache is full.
+    pub fn insert(&mut self, fingerprint: Fingerprint, result: BaselineResult) {
         self.tick += 1;
-        if let Some(existing) = self.entries.get(&fingerprint) {
-            // Replacement: if the caller re-keys the fingerprint to a new
-            // topology (cannot happen for fingerprints derived from one
-            // JobSpec, but the API allows it), drop the stale index entry so
-            // the old topology can never serve this fingerprint's winner.
-            if existing.topology != topology {
-                let stale = existing.topology;
-                self.unindex(stale, fingerprint);
-            }
-        } else if self.entries.len() >= self.capacity {
+        if !self.entries.contains_key(&fingerprint) && self.entries.len() >= self.capacity {
             self.evict_lru();
         }
         self.entries.insert(
             fingerprint,
             Entry {
-                solve,
-                topology,
+                result,
                 last_used: self.tick,
             },
         );
-        let index = self.by_topology.entry(topology).or_default();
-        index.retain(|fp| *fp != fingerprint);
-        index.insert(0, fingerprint);
-        index.truncate(self.warm_depth);
         self.stats.insertions += 1;
     }
 
@@ -223,29 +148,18 @@ impl ResultCache {
 
     /// Entries in ascending recency order (least recently used first, ties
     /// broken by fingerprint). Re-inserting them in this order into a fresh
-    /// cache reproduces the LRU eviction order and rebuilds a warm-start
-    /// index keyed by recency — the canonical form the snapshot persists.
-    pub(crate) fn entries_by_recency(&self) -> Vec<(Fingerprint, Fingerprint, &CachedSolve)> {
-        let mut rows: Vec<(u64, Fingerprint, Fingerprint, &CachedSolve)> = self
+    /// cache reproduces the LRU eviction order — the canonical form the
+    /// snapshot persists.
+    pub(crate) fn entries_by_recency(&self) -> Vec<(Fingerprint, &BaselineResult)> {
+        let mut rows: Vec<(u64, Fingerprint, &BaselineResult)> = self
             .entries
             .iter()
-            .map(|(fp, entry)| (entry.last_used, *fp, entry.topology, &entry.solve))
+            .map(|(fp, entry)| (entry.last_used, *fp, &entry.result))
             .collect();
-        rows.sort_by_key(|&(tick, fp, _, _)| (tick, fp));
+        rows.sort_by_key(|&(tick, fp, _)| (tick, fp));
         rows.into_iter()
-            .map(|(_, fp, topo, solve)| (fp, topo, solve))
+            .map(|(_, fp, result)| (fp, result))
             .collect()
-    }
-
-    /// Removes `fingerprint` from `topology`'s warm-start index, dropping the
-    /// index when it empties.
-    fn unindex(&mut self, topology: Fingerprint, fingerprint: Fingerprint) {
-        if let Some(index) = self.by_topology.get_mut(&topology) {
-            index.retain(|fp| *fp != fingerprint);
-            if index.is_empty() {
-                self.by_topology.remove(&topology);
-            }
-        }
     }
 
     fn evict_lru(&mut self) {
@@ -258,13 +172,8 @@ impl ResultCache {
             .min_by_key(|(fp, entry)| (entry.last_used, **fp))
             .map(|(fp, _)| *fp);
         if let Some(fp) = victim {
-            if let Some(entry) = self.entries.remove(&fp) {
-                // Eviction-aware cleanup: only the evicted entry leaves the
-                // warm-start index; the topology's other entries keep
-                // serving hints.
-                self.unindex(entry.topology, fp);
-                self.stats.evictions += 1;
-            }
+            self.entries.remove(&fp);
+            self.stats.evictions += 1;
         }
     }
 }
@@ -286,15 +195,9 @@ pub struct CacheHandle {
 }
 
 impl CacheHandle {
-    /// Creates a handle owning a fresh cache of `capacity` entries with the
-    /// default warm-start depth ([`DEFAULT_WARM_DEPTH`]).
+    /// Creates a handle owning a fresh cache of `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        CacheHandle::with_warm_depth(capacity, DEFAULT_WARM_DEPTH)
-    }
-
-    /// Creates a handle owning a fresh cache with an explicit warm depth.
-    pub fn with_warm_depth(capacity: usize, warm_depth: usize) -> Self {
-        CacheHandle::from_cache(ResultCache::with_warm_depth(capacity, warm_depth))
+        CacheHandle::from_cache(ResultCache::new(capacity))
     }
 
     /// Wraps an existing cache in a shared handle.
@@ -325,30 +228,20 @@ impl CacheHandle {
         self.lock().capacity()
     }
 
-    /// Warm-start entries retained per topology key.
-    pub fn warm_depth(&self) -> usize {
-        self.lock().warm_depth()
-    }
-
     /// Counted exact lookup ([`ResultCache::get`]), cloning the hit out of
     /// the lock scope.
-    pub fn get(&self, fingerprint: Fingerprint) -> Option<CachedSolve> {
+    pub fn get(&self, fingerprint: Fingerprint) -> Option<BaselineResult> {
         self.lock().get(fingerprint).cloned()
     }
 
     /// Uncounted exact lookup ([`ResultCache::peek`]).
-    pub fn peek(&self, fingerprint: Fingerprint) -> Option<CachedSolve> {
+    pub fn peek(&self, fingerprint: Fingerprint) -> Option<BaselineResult> {
         self.lock().peek(fingerprint).cloned()
     }
 
-    /// Warm-start hint for a topology ([`ResultCache::warm_hint`]).
-    pub fn warm_hint(&self, topology: Fingerprint) -> Option<Candidate> {
-        self.lock().warm_hint(topology)
-    }
-
-    /// Inserts a solve ([`ResultCache::insert`]).
-    pub fn insert(&self, fingerprint: Fingerprint, topology: Fingerprint, solve: CachedSolve) {
-        self.lock().insert(fingerprint, topology, solve);
+    /// Inserts a result ([`ResultCache::insert`]).
+    pub fn insert(&self, fingerprint: Fingerprint, result: BaselineResult) {
+        self.lock().insert(fingerprint, result);
     }
 
     /// Counts an externally served hit ([`ResultCache::count_follower_hit`]).
@@ -363,18 +256,18 @@ impl CacheHandle {
     }
 
     /// Decodes a snapshot and inserts its entries (oldest first, so recency
-    /// and the warm-start index rebuild in snapshot order) into the shared
-    /// cache. Returns the number of snapshot entries actually resident
-    /// afterwards — restoring into a cache with a smaller capacity than the
-    /// snapshot evicts the oldest entries during the insert loop, and those
-    /// are not counted. Decoding is atomic: on any [`PersistError`] the
-    /// cache is left untouched — the caller falls back to cold.
+    /// rebuilds in snapshot order) into the shared cache. Returns the number
+    /// of snapshot entries actually resident afterwards — restoring into a
+    /// cache with a smaller capacity than the snapshot evicts the oldest
+    /// entries during the insert loop, and those are not counted. Decoding
+    /// is atomic: on any [`PersistError`] the cache is left untouched — the
+    /// caller falls back to cold.
     pub fn restore_bytes(&self, bytes: &[u8]) -> Result<usize, PersistError> {
         let snapshot = persist::decode_snapshot(bytes)?;
         let mut cache = self.lock();
-        let keys: Vec<Fingerprint> = snapshot.entries.iter().map(|(fp, _, _)| *fp).collect();
-        for (fingerprint, topology, solve) in snapshot.entries {
-            cache.insert(fingerprint, topology, solve);
+        let keys: Vec<Fingerprint> = snapshot.entries.iter().map(|(fp, _)| *fp).collect();
+        for (fingerprint, result) in snapshot.entries {
+            cache.insert(fingerprint, result);
         }
         Ok(keys
             .iter()
@@ -416,7 +309,7 @@ impl CacheHandle {
 mod tests {
     use super::*;
     use afp_circuit::generators;
-    use afp_metaheuristics::{Baseline, RunControl, SaConfig};
+    use afp_metaheuristics::{Baseline, SaConfig};
 
     use crate::fingerprint::JobSpec;
 
@@ -424,26 +317,8 @@ mod tests {
         Fingerprint(words)
     }
 
-    fn solve() -> CachedSolve {
-        let circuit = generators::ota3();
-        let (result, best) = Baseline::Sa(SaConfig::small()).run_controlled(
-            &circuit,
-            3,
-            &RunControl::unbounded(),
-            None,
-        );
-        CachedSolve { result, best }
-    }
-
-    /// A solve whose candidate is tagged recognizably by rotating the first
-    /// `tag` positions of the positive sequence.
-    fn tagged_solve(tag: usize) -> CachedSolve {
-        let mut s = solve();
-        if let Some(best) = &mut s.best {
-            let len = best.positive.len().max(1);
-            best.positive.rotate_left(tag % len);
-        }
-        s
+    fn solve() -> BaselineResult {
+        Baseline::Sa(SaConfig::small()).run(&generators::ota3(), 3)
     }
 
     #[test]
@@ -451,12 +326,11 @@ mod tests {
         let mut cache = ResultCache::new(4);
         let spec = JobSpec::new(generators::ota3(), Baseline::Sa(SaConfig::small()), 3);
         let key = spec.fingerprint();
-        let topo = spec.topology_fingerprint();
         assert!(cache.get(key).is_none());
         let solve = solve();
-        cache.insert(key, topo, solve.clone());
+        cache.insert(key, solve.clone());
         let hit = cache.get(key).expect("hit");
-        assert_eq!(hit.result.reward.to_bits(), solve.result.reward.to_bits());
+        assert_eq!(hit.reward.to_bits(), solve.reward.to_bits());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
     }
@@ -465,128 +339,34 @@ mod tests {
     fn lru_evicts_the_least_recently_used_entry() {
         let mut cache = ResultCache::new(2);
         let s = solve();
-        cache.insert(fp([1, 1]), fp([10, 10]), s.clone());
-        cache.insert(fp([2, 2]), fp([20, 20]), s.clone());
+        cache.insert(fp([1, 1]), s.clone());
+        cache.insert(fp([2, 2]), s.clone());
         // Touch entry 1 so entry 2 is the LRU victim.
         assert!(cache.get(fp([1, 1])).is_some());
-        cache.insert(fp([3, 3]), fp([30, 30]), s);
+        cache.insert(fp([3, 3]), s);
         assert_eq!(cache.len(), 2);
         assert!(cache.peek(fp([1, 1])).is_some());
         assert!(cache.peek(fp([2, 2])).is_none());
         assert!(cache.peek(fp([3, 3])).is_some());
         assert_eq!(cache.stats().evictions, 1);
-        // Entry 2's warm-start index went with it.
-        assert!(cache.warm_hint(fp([20, 20])).is_none());
-        assert!(cache.warm_hint(fp([30, 30])).is_some());
-    }
-
-    #[test]
-    fn warm_hint_follows_the_most_recent_same_topology_entry() {
-        let mut cache = ResultCache::new(4);
-        let topo = fp([10, 10]);
-        let older = solve();
-        let mut newer = older.clone();
-        if let Some(best) = &mut newer.best {
-            best.positive.swap(0, 1);
-        }
-        cache.insert(fp([1, 1]), topo, older);
-        cache.insert(fp([2, 2]), topo, newer.clone());
-        let hint = cache.warm_hint(topo).expect("hint");
-        assert_eq!(hint.positive, newer.best.unwrap().positive);
-        assert_eq!(cache.stats().warm_seeds, 1);
-        assert!(cache.warm_hint(fp([99, 99])).is_none());
     }
 
     #[test]
     fn replacing_an_entry_does_not_evict() {
         let mut cache = ResultCache::new(1);
         let s = solve();
-        cache.insert(fp([1, 1]), fp([10, 10]), s.clone());
-        cache.insert(fp([1, 1]), fp([10, 10]), s.clone());
+        cache.insert(fp([1, 1]), s.clone());
+        cache.insert(fp([1, 1]), s.clone());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 0);
-        cache.insert(fp([2, 2]), fp([20, 20]), s);
+        cache.insert(fp([2, 2]), s);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn capacity_floor_is_one() {
-        let cache = ResultCache::new(0);
-        assert_eq!(cache.capacity(), 1);
-        assert_eq!(cache.warm_depth(), 1);
-        assert_eq!(ResultCache::with_warm_depth(4, 0).warm_depth(), 1);
-    }
-
-    #[test]
-    fn warm_index_keeps_the_remaining_k_minus_one_entries_after_eviction() {
-        // Three same-topology entries at depth 2: the index holds the two
-        // most recent. Evicting the front one must fall back to the other —
-        // the single-slot index (warm_depth 1) loses the topology entirely.
-        let topo = fp([10, 10]);
-        let mut cache = ResultCache::with_warm_depth(2, 2);
-        cache.insert(fp([1, 1]), topo, tagged_solve(0));
-        cache.insert(fp([2, 2]), topo, tagged_solve(1)); // index: [2, 1]
-        cache.insert(fp([3, 3]), topo, tagged_solve(2)); // evicts 1; index: [3, 2]
-        assert_eq!(cache.stats().evictions, 1);
-
-        // Make entry 3 (the front of the warm index) the LRU victim.
-        assert!(cache.get(fp([2, 2])).is_some());
-        cache.insert(fp([4, 4]), fp([40, 40]), tagged_solve(3)); // evicts 3
-        assert_eq!(cache.stats().evictions, 2);
-
-        let hint = cache.warm_hint(topo).expect("K-1 entries keep serving");
-        assert_eq!(
-            hint.positive,
-            tagged_solve(1).best.expect("sa exposes a winner").positive,
-            "hint must come from the surviving second-most-recent entry"
-        );
-    }
-
-    #[test]
-    fn warm_depth_one_reproduces_the_single_slot_index() {
-        // Same eviction sequence as the K-deep test, at depth 1: evicting
-        // the most recent same-topology entry loses the topology's hint even
-        // though an older same-topology entry survives — exactly the
-        // original single-slot behavior ResultCache::new pins.
-        let topo = fp([10, 10]);
-        let mut cache = ResultCache::new(2);
-        cache.insert(fp([2, 2]), topo, tagged_solve(1));
-        cache.insert(fp([3, 3]), topo, tagged_solve(2)); // index: [3]
-        assert!(cache.get(fp([2, 2])).is_some());
-        cache.insert(fp([4, 4]), fp([40, 40]), tagged_solve(3)); // evicts 3
-        assert!(
-            cache.warm_hint(topo).is_none(),
-            "depth-1 index must not fall back to older same-topology entries"
-        );
-        // The older entry is still an exact hit — only the hint is gone.
-        assert!(cache.peek(fp([2, 2])).is_some());
-    }
-
-    #[test]
-    fn warm_index_depth_bounds_the_per_topology_list() {
-        let topo = fp([10, 10]);
-        let mut cache = ResultCache::with_warm_depth(8, 2);
-        for i in 1..=4u64 {
-            cache.insert(fp([i, i]), topo, tagged_solve(i as usize));
-        }
-        // All four entries live, but the index only tracks the two newest:
-        // evicting both must leave the topology hint-less even though
-        // entries 1 and 2 survive.
-        cache.with_warm_hint_victims(topo);
-    }
-
-    impl ResultCache {
-        /// Test helper: assert the warm index for `topo` holds exactly the
-        /// two newest entries (4, then 3) and nothing older.
-        fn with_warm_hint_victims(&mut self, topo: Fingerprint) {
-            let index = self.by_topology.get(&topo).expect("indexed").clone();
-            assert_eq!(index, vec![fp_raw(4), fp_raw(3)]);
-        }
-    }
-
-    fn fp_raw(i: u64) -> Fingerprint {
-        Fingerprint([i, i])
+        assert_eq!(ResultCache::new(0).capacity(), 1);
     }
 
     #[test]
@@ -596,12 +376,12 @@ mod tests {
         cache.count_follower_hit(fp([9, 9]));
         assert_eq!(cache.stats().hits, 1);
         let s = solve();
-        cache.insert(fp([1, 1]), fp([10, 10]), s.clone());
-        cache.insert(fp([2, 2]), fp([20, 20]), s.clone());
+        cache.insert(fp([1, 1]), s.clone());
+        cache.insert(fp([2, 2]), s.clone());
         // A resident lead is refreshed exactly like a `get` hit, so entry 2
         // becomes the LRU victim.
         cache.count_follower_hit(fp([1, 1]));
-        cache.insert(fp([3, 3]), fp([30, 30]), s);
+        cache.insert(fp([3, 3]), s);
         assert!(cache.peek(fp([1, 1])).is_some());
         assert!(cache.peek(fp([2, 2])).is_none());
         assert_eq!((cache.stats().hits, cache.stats().misses), (2, 0));
@@ -611,9 +391,9 @@ mod tests {
     fn restore_reports_resident_entries_when_capacity_shrinks() {
         let donor = CacheHandle::new(4);
         let s = solve();
-        donor.insert(fp([1, 1]), fp([10, 10]), s.clone());
-        donor.insert(fp([2, 2]), fp([20, 20]), s.clone());
-        donor.insert(fp([3, 3]), fp([30, 30]), s);
+        donor.insert(fp([1, 1]), s.clone());
+        donor.insert(fp([2, 2]), s.clone());
+        donor.insert(fp([3, 3]), s);
         let bytes = donor.snapshot_bytes();
 
         // Restoring three entries into a capacity-1 cache evicts the two
@@ -628,17 +408,16 @@ mod tests {
 
     #[test]
     fn handle_clones_share_one_store_and_its_stats() {
-        let handle = CacheHandle::with_warm_depth(4, 2);
+        let handle = CacheHandle::new(4);
         let clone = handle.clone();
         let spec = JobSpec::new(generators::ota3(), Baseline::Sa(SaConfig::small()), 3);
         let key = spec.fingerprint();
-        let topo = spec.topology_fingerprint();
         assert!(handle.get(key).is_none());
-        clone.insert(key, topo, solve());
+        clone.insert(key, solve());
         let hit = handle.get(key).expect("hit through the other clone");
         assert_eq!(
-            hit.result.reward.to_bits(),
-            clone.peek(key).unwrap().result.reward.to_bits()
+            hit.reward.to_bits(),
+            clone.peek(key).unwrap().reward.to_bits()
         );
         let stats = handle.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
@@ -646,7 +425,5 @@ mod tests {
         assert_eq!(handle.len(), 1);
         assert!(!handle.is_empty());
         assert_eq!(handle.capacity(), 4);
-        assert_eq!(handle.warm_depth(), 2);
-        assert!(handle.warm_hint(topo).is_some());
     }
 }

@@ -43,13 +43,14 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use afp_metaheuristics::common::Candidate;
+use afp_circuit::CircuitError;
 use afp_metaheuristics::{
-    panic_payload_message, BaselineResult, CancelToken, ChainOutcome, RunControl, StopReason,
+    panic_payload_message, Baseline, BaselineResult, CancelToken, ChainOutcome, RunControl,
+    StopReason,
 };
 use afp_par::PoolHandle;
 
-use crate::cache::{CacheHandle, CacheStats, CachedSolve, DEFAULT_WARM_DEPTH};
+use crate::cache::{CacheHandle, CacheStats};
 use crate::fingerprint::{Fingerprint, JobSpec};
 use crate::persist::PersistError;
 
@@ -62,17 +63,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Result-cache capacity in entries (minimum 1).
     pub cache_capacity: usize,
-    /// Whether cache misses with a same-topology cached winner are seeded
-    /// from that winner's layout instead of a random start. Warm starts make
-    /// results depend on the engine's solve history (the hint is whatever
-    /// same-topology entry was cached most recently), so disable this when
-    /// reproducibility across engine instances matters more than solution
-    /// quality.
-    pub warm_start: bool,
-    /// Entries the warm-start index retains per topology key (minimum 1).
-    /// Deeper indexes survive eviction pressure: evicting the most recent
-    /// same-topology entry falls back to the next instead of going cold.
-    pub warm_depth: usize,
     /// Maximum queued (not yet running) jobs; `0` = unbounded. When the
     /// bound is reached, [`JobEngine::try_submit`] returns
     /// [`RejectReason::QueueFull`] instead of admitting.
@@ -93,8 +83,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             cache_capacity: 64,
-            warm_start: true,
-            warm_depth: DEFAULT_WARM_DEPTH,
             queue_depth: 0,
             persist_path: None,
             persist_every_evictions: 64,
@@ -114,7 +102,7 @@ impl JobId {
 }
 
 /// Why a submission was not admitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
     /// The queue is at its configured depth bound.
     QueueFull {
@@ -125,6 +113,16 @@ pub enum RejectReason {
     },
     /// The daemon is shutting down and no longer admits work.
     ShuttingDown,
+    /// The circuit fails [`Circuit::validate`](afp_circuit::Circuit::validate):
+    /// it has no blocks, a block dimension that is not a positive finite
+    /// number, or a net or constraint naming a block that does not exist.
+    InvalidCircuit(CircuitError),
+    /// A solver knob that sizes the search is zero, so the solver has no
+    /// candidate to return (`"population"` for GA, `"particles"` for PSO).
+    EmptySearch {
+        /// The zero knob.
+        knob: &'static str,
+    },
 }
 
 impl fmt::Display for RejectReason {
@@ -134,6 +132,8 @@ impl fmt::Display for RejectReason {
                 write!(f, "queue full ({pending} pending, bound {bound})")
             }
             RejectReason::ShuttingDown => write!(f, "daemon is shutting down"),
+            RejectReason::InvalidCircuit(e) => write!(f, "invalid circuit: {e}"),
+            RejectReason::EmptySearch { knob } => write!(f, "solver {knob} is zero"),
         }
     }
 }
@@ -169,7 +169,9 @@ pub struct JobOutcome {
     pub result: BaselineResult,
     /// Whether the result was served from the cache (no solver ran).
     pub cache_hit: bool,
-    /// Whether the solver was warm-started from a cached same-topology winner.
+    /// Always `false`: no solve is seeded from a cached winner any more.
+    /// Kept only because the `benchmark/` package still reads it; the next
+    /// change to that package removes it.
     pub warm_started: bool,
     /// The job's canonical fingerprint (its cache key).
     pub fingerprint: Fingerprint,
@@ -206,7 +208,6 @@ impl JobState {
 struct Job {
     request: JobRequest,
     fingerprint: Fingerprint,
-    topology: Fingerprint,
     state: JobState,
     token: CancelToken,
 }
@@ -230,7 +231,6 @@ pub struct JobEngine {
     pool: PoolHandle,
     cache: CacheHandle,
     state: Arc<Mutex<EngineState>>,
-    warm_start: bool,
     queue_depth: usize,
     persist_path: Option<PathBuf>,
     persist_every_evictions: u64,
@@ -240,8 +240,6 @@ pub struct JobEngine {
 struct Scheduled {
     job: usize,
     fingerprint: Fingerprint,
-    topology: Fingerprint,
-    warm: Option<Candidate>,
     spec: JobSpec,
     deadline: Option<Duration>,
     budget: Option<u64>,
@@ -256,20 +254,18 @@ impl JobEngine {
 
     /// Creates an engine on a shared pool handle (`config.workers` ignored).
     pub fn with_pool(config: &ServeConfig, pool: PoolHandle) -> Self {
-        let cache = CacheHandle::with_warm_depth(config.cache_capacity, config.warm_depth);
-        JobEngine::with_cache(config, pool, cache)
+        JobEngine::with_cache(config, pool, CacheHandle::new(config.cache_capacity))
     }
 
     /// Creates an engine on a shared pool *and* a shared cache
-    /// (`config.workers`, `config.cache_capacity` and `config.warm_depth`
-    /// ignored — the handles decide). N engines built this way memoize into
-    /// one store: a solve completed by any of them is a hit for all.
+    /// (`config.workers` and `config.cache_capacity` ignored — the handles
+    /// decide). N engines built this way memoize into one store: a solve
+    /// completed by any of them is a hit for all.
     pub fn with_cache(config: &ServeConfig, pool: PoolHandle, cache: CacheHandle) -> Self {
         JobEngine {
             pool,
             cache,
             state: Arc::new(Mutex::new(EngineState::default())),
-            warm_start: config.warm_start,
             queue_depth: config.queue_depth,
             persist_path: config.persist_path.clone(),
             persist_every_evictions: config.persist_every_evictions,
@@ -301,10 +297,12 @@ impl JobEngine {
         self.lock().jobs.len()
     }
 
-    /// Enqueues a job, honoring the queue-depth bound.
+    /// Enqueues a job, honoring the queue-depth bound. A request no solver
+    /// can run ([`RejectReason::InvalidCircuit`],
+    /// [`RejectReason::EmptySearch`]) is rejected before it is fingerprinted.
     pub fn try_submit(&self, request: JobRequest) -> Result<JobId, RejectReason> {
+        validate(&request.spec)?;
         let fingerprint = request.spec.fingerprint();
-        let topology = request.spec.topology_fingerprint();
         let mut state = self.lock();
         if self.queue_depth != 0 && state.queue.len() >= self.queue_depth {
             return Err(RejectReason::QueueFull {
@@ -316,7 +314,6 @@ impl JobEngine {
         state.jobs.push(Job {
             request,
             fingerprint,
-            topology,
             state: JobState::Queued,
             token: CancelToken::new(),
         });
@@ -435,7 +432,6 @@ impl JobEngine {
                     continue;
                 }
                 let fingerprint = state.jobs[id].fingerprint;
-                let topology = state.jobs[id].topology;
                 if let Some(lead) = to_run.iter().position(|s| s.fingerprint == fingerprint) {
                     // In-flight duplicate: resolved in phase 3 from the
                     // lead's result. No cache lookup is counted for it yet —
@@ -444,9 +440,9 @@ impl JobEngine {
                     followers.push((id, lead));
                     continue;
                 }
-                if let Some(cached) = self.cache.get(fingerprint) {
+                if let Some(result) = self.cache.get(fingerprint) {
                     state.jobs[id].state = JobState::Done(JobOutcome {
-                        result: cached.result,
+                        result,
                         cache_hit: true,
                         warm_started: false,
                         fingerprint,
@@ -454,17 +450,10 @@ impl JobEngine {
                     *resolved += 1;
                     continue;
                 }
-                let warm = if self.warm_start {
-                    self.cache.warm_hint(topology)
-                } else {
-                    None
-                };
                 state.jobs[id].state = JobState::Running;
                 to_run.push(Scheduled {
                     job: id,
                     fingerprint,
-                    topology,
-                    warm,
                     spec: state.jobs[id].request.spec.clone(),
                     deadline: state.jobs[id].request.deadline,
                     budget: state.jobs[id].request.budget,
@@ -486,7 +475,7 @@ impl JobEngine {
         // followers: the cache copy can be LRU-evicted by later inserts in
         // the same round (a round can complete more distinct fingerprints
         // than the cache holds), so followers must never depend on it.
-        let mut memoized: Vec<Option<CachedSolve>> = vec![None; to_run.len()];
+        let mut memoized: Vec<Option<BaselineResult>> = vec![None; to_run.len()];
         if !to_run.is_empty() {
             // Phase 2 (sharded, lock-free): one work item per miss. Jobs
             // carry heterogeneous circuits, so there is no shareable
@@ -501,7 +490,7 @@ impl JobEngine {
                 &never,
                 |_state, scheduled| {
                     if scheduled.token.is_cancelled() {
-                        return (ChainOutcome::Skipped, None, false);
+                        return ChainOutcome::Skipped;
                     }
                     let mut control =
                         RunControl::unbounded().with_cancel_token(scheduled.token.clone());
@@ -511,21 +500,15 @@ impl JobEngine {
                     if let Some(evals) = scheduled.budget {
                         control = control.with_budget(evals);
                     }
-                    let warm_started = scheduled.warm.is_some();
                     match catch_unwind(AssertUnwindSafe(|| {
                         scheduled.spec.solver.run_controlled(
                             &scheduled.spec.circuit,
                             scheduled.spec.seed,
                             &control,
-                            scheduled.warm.as_ref(),
                         )
                     })) {
-                        Ok((result, best)) => (ChainOutcome::Finished(result), best, warm_started),
-                        Err(payload) => (
-                            ChainOutcome::Panicked(panic_payload_message(payload)),
-                            None,
-                            false,
-                        ),
+                        Ok(result) => ChainOutcome::Finished(result),
+                        Err(payload) => ChainOutcome::Panicked(panic_payload_message(payload)),
                     }
                 },
             );
@@ -536,25 +519,20 @@ impl JobEngine {
             let mut state = self.lock();
             for (idx, (scheduled, slot)) in to_run.iter().zip(outcomes).enumerate() {
                 let job_state = match slot {
-                    Some((ChainOutcome::Finished(result), best, warm_started)) => {
+                    Some(ChainOutcome::Finished(result)) => {
                         if result.stop == StopReason::Completed {
-                            let solve = CachedSolve {
-                                result: result.clone(),
-                                best,
-                            };
-                            self.cache
-                                .insert(scheduled.fingerprint, scheduled.topology, solve.clone());
-                            memoized[idx] = Some(solve);
+                            self.cache.insert(scheduled.fingerprint, result.clone());
+                            memoized[idx] = Some(result.clone());
                         }
                         JobState::Done(JobOutcome {
                             result,
                             cache_hit: false,
-                            warm_started,
+                            warm_started: false,
                             fingerprint: scheduled.fingerprint,
                         })
                     }
-                    Some((ChainOutcome::Panicked(message), _, _)) => JobState::Failed(message),
-                    Some((ChainOutcome::Skipped, _, _)) | None => JobState::Cancelled,
+                    Some(ChainOutcome::Panicked(message)) => JobState::Failed(message),
+                    Some(ChainOutcome::Skipped) | None => JobState::Cancelled,
                 };
                 state.jobs[scheduled.job].state = job_state;
                 *resolved += 1;
@@ -568,7 +546,7 @@ impl JobEngine {
                 if state.jobs[id].token.is_cancelled() {
                     state.jobs[id].state = JobState::Cancelled;
                     *resolved += 1;
-                } else if let Some(solve) = &memoized[lead] {
+                } else if let Some(result) = &memoized[lead] {
                     let fingerprint = to_run[lead].fingerprint;
                     // Served from the held clone, not a cache re-fetch: the
                     // entry may already be evicted. The counted hit (and
@@ -576,7 +554,7 @@ impl JobEngine {
                     // hits + misses == submissions reconciles exactly.
                     self.cache.count_follower_hit(fingerprint);
                     state.jobs[id].state = JobState::Done(JobOutcome {
-                        result: solve.result.clone(),
+                        result: result.clone(),
                         cache_hit: true,
                         warm_started: false,
                         fingerprint,
@@ -644,11 +622,28 @@ impl JobEngine {
     }
 }
 
+/// Admission checks for what would otherwise be solved into a meaningless
+/// answer (an invalid circuit) or panic inside the solver (an empty search).
+fn validate(spec: &JobSpec) -> Result<(), RejectReason> {
+    spec.circuit
+        .validate()
+        .map_err(RejectReason::InvalidCircuit)?;
+    match &spec.solver {
+        Baseline::Ga(cfg) if cfg.population == 0 => Err(RejectReason::EmptySearch {
+            knob: "population",
+        }),
+        Baseline::Pso(cfg) if cfg.particles == 0 => Err(RejectReason::EmptySearch {
+            knob: "particles",
+        }),
+        _ => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use afp_circuit::generators;
-    use afp_metaheuristics::{Baseline, GaConfig, SaConfig};
+    use afp_metaheuristics::{GaConfig, SaConfig};
 
     fn sa_spec(seed: u64) -> JobSpec {
         JobSpec::new(generators::ota5(), Baseline::Sa(SaConfig::small()), seed)
@@ -768,44 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn near_identical_requests_are_warm_started() {
-        let engine = engine(1);
-        engine.submit(JobRequest::new(sa_spec(3)));
-        engine.run_pending();
-
-        // Same topology, perturbed sizing: a miss, but warm-started.
-        let mut resized = sa_spec(3);
-        resized.circuit.blocks[0].area_um2 *= 1.05;
-        let warm = engine.submit(JobRequest::new(resized));
-        engine.run_pending();
-        let outcome = engine.outcome(warm).expect("done");
-        assert!(!outcome.cache_hit);
-        assert!(outcome.warm_started);
-        assert_eq!(engine.cache_stats().warm_seeds, 1);
-        assert_eq!(
-            outcome.result.floorplan.num_placed(),
-            generators::ota5().num_blocks()
-        );
-    }
-
-    #[test]
-    fn warm_start_can_be_disabled() {
-        let engine = JobEngine::new(&ServeConfig {
-            workers: 1,
-            warm_start: false,
-            ..ServeConfig::default()
-        });
-        engine.submit(JobRequest::new(sa_spec(3)));
-        engine.run_pending();
-        let mut resized = sa_spec(3);
-        resized.circuit.blocks[0].area_um2 *= 1.05;
-        let cold = engine.submit(JobRequest::new(resized));
-        engine.run_pending();
-        assert!(!engine.outcome(cold).unwrap().warm_started);
-        assert_eq!(engine.cache_stats().warm_seeds, 0);
-    }
-
-    #[test]
     fn queued_jobs_cancel_before_running() {
         let engine = engine(1);
         let keep = engine.submit(JobRequest::new(sa_spec(1)));
@@ -879,10 +836,7 @@ mod tests {
             .collect();
         engine.run_pending();
         for (spec, id) in specs.iter().zip(ids) {
-            let alone = spec
-                .solver
-                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
-                .0;
+            let alone = spec.solver.run(&spec.circuit, spec.seed);
             let sharded = engine.outcome(id).expect("done").result;
             assert_eq!(alone.reward.to_bits(), sharded.reward.to_bits());
             assert_eq!(alone.floorplan, sharded.floorplan);

@@ -192,10 +192,10 @@ fn digest<F: FnOnce(&mut FingerprintHasher)>(encode: F) -> [u64; 2] {
     hasher.finish().0
 }
 
-/// Encodes the discrete structure of a circuit: block inventory (kind,
-/// geometry parameters, connectivity counts), nets as sorted pin sets, and
+/// Encodes the structure of a circuit: block inventory (kind, geometry
+/// parameters, connectivity counts), nets as sorted pin sets, and
 /// the order-normalized constraint set. Names are excluded (see module docs).
-fn write_structure(hasher: &mut FingerprintHasher, circuit: &Circuit, with_geometry: bool) {
+fn write_structure(hasher: &mut FingerprintHasher, circuit: &Circuit) {
     hasher.write_tag(TAG_BLOCKS);
     hasher.write_usize(circuit.blocks.len());
     for block in &circuit.blocks {
@@ -204,10 +204,8 @@ fn write_structure(hasher: &mut FingerprintHasher, circuit: &Circuit, with_geome
         hasher.write_u64(placement_index(block.internal_placement));
         hasher.write_u64(u64::from(block.pin_count));
         hasher.write_usize(block.devices.len());
-        if with_geometry {
-            hasher.write_f64(block.area_um2);
-            hasher.write_f64(block.stripe_width_um);
-        }
+        hasher.write_f64(block.area_um2);
+        hasher.write_f64(block.stripe_width_um);
     }
 
     hasher.write_tag(TAG_NETS);
@@ -422,24 +420,11 @@ impl JobSpec {
     /// Equal fingerprints imply bit-identical solve results.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut hasher = FingerprintHasher::new();
-        write_structure(&mut hasher, &self.circuit, true);
+        write_structure(&mut hasher, &self.circuit);
         write_evaluation_context(&mut hasher, &self.circuit);
         write_solver(&mut hasher, &self.solver);
         hasher.write_tag(TAG_SEED);
         hasher.write_u64(self.seed);
-        hasher.finish()
-    }
-
-    /// The topology-only fingerprint: block inventory and connectivity and
-    /// constraints, but no block geometry, shape tables, solver config, or
-    /// seed. Two specs with equal topology fingerprints describe the same
-    /// circuit graph with (possibly) perturbed sizings — exactly the case
-    /// where a cached winner's sequence-pair candidate is a valid warm start,
-    /// because candidates encode block orderings and shape indices, both of
-    /// which transfer across re-sizings of the same block set.
-    pub fn topology_fingerprint(&self) -> Fingerprint {
-        let mut hasher = FingerprintHasher::new();
-        write_structure(&mut hasher, &self.circuit, false);
         hasher.finish()
     }
 }
@@ -447,7 +432,7 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afp_circuit::{generators, NetClass, Pin};
+    use afp_circuit::generators;
 
     fn spec(circuit: Circuit) -> JobSpec {
         JobSpec::new(circuit, Baseline::Sa(SaConfig::small()), 7)
@@ -505,7 +490,6 @@ mod tests {
             net.name = format!("n{}", net.id.index());
         }
         assert_eq!(base.fingerprint(), renamed.fingerprint());
-        assert_eq!(base.topology_fingerprint(), renamed.topology_fingerprint());
     }
 
     #[test]
@@ -574,29 +558,35 @@ mod tests {
     }
 
     #[test]
-    fn topology_fingerprint_ignores_sizing_but_not_connectivity() {
-        let base = spec(generators::ota5());
-
-        let mut resized = base.clone();
-        resized.circuit.blocks[0].area_um2 *= 1.25;
-        let mut retuned = resized.clone();
-        retuned.solver = Baseline::Ga(GaConfig::small());
-        retuned.seed = 99;
-        assert_ne!(base.fingerprint(), resized.fingerprint());
-        assert_eq!(base.topology_fingerprint(), resized.topology_fingerprint());
-        assert_eq!(base.topology_fingerprint(), retuned.topology_fingerprint());
-
-        let mut rewired = base.clone();
-        let extra_pin = Pin::new(rewired.circuit.blocks[0].id, "extra");
-        rewired.circuit.nets[0].pins.push(extra_pin);
-        assert_ne!(base.topology_fingerprint(), rewired.topology_fingerprint());
-
-        let mut reclassed = base.clone();
-        reclassed.circuit.nets[0].class = NetClass::Clock;
-        assert_ne!(
-            base.topology_fingerprint(),
-            reclassed.topology_fingerprint()
-        );
+    fn fingerprints_are_pinned() {
+        // Persisted snapshots key results by these bits under
+        // TAG_LAYOUT_VERSION 1, so the encoder must reproduce them exactly.
+        use afp_metaheuristics::RlSaConfig;
+        let pins = [
+            (
+                JobSpec::new(generators::ota5(), Baseline::Sa(SaConfig::small()), 7),
+                "7883b5c65c94378bc8f5cb4b33fbaf83",
+            ),
+            (
+                JobSpec::new(generators::bias9(), Baseline::Ga(GaConfig::table1()), 1),
+                "082525e5e6ac9cb3f283186e97afc4d4",
+            ),
+            (
+                JobSpec::new(generators::ota8(), Baseline::Pso(PsoConfig::small()), 3),
+                "81230faa43031ab59ac8a22a029b671c",
+            ),
+            (
+                JobSpec::new(generators::ota3(), Baseline::RlSa(RlSaConfig::small()), 11),
+                "dce833ad47602c3d890e04490d95c248",
+            ),
+            (
+                JobSpec::new(generators::ota3(), Baseline::SpRl(SpRlConfig::table1()), 0),
+                "b93e48d615460f656afe1f9f0cc13a42",
+            ),
+        ];
+        for (spec, pin) in pins {
+            assert_eq!(spec.fingerprint().to_string(), pin, "{}", spec.circuit.name);
+        }
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //!   unordered collections sorted, floats bit-normalized, non-semantic knobs
 //!   dropped) guarantees that two [`JobSpec`]s hash equal exactly when their
 //!   solves are bit-identical.
-//! * [`cache`] — the content-addressed [`ResultCache`]: bounded,
-//!   LRU-evicting, with hit/miss/eviction counters ([`CacheStats`]) and a
-//!   K-deep per-topology warm-start index. Exact fingerprint hits return the
-//!   memoized [`BaselineResult`] verbatim; near-identical requests (same
-//!   topology fingerprint) are seeded from a cached winner's layout. The
-//!   cloneable [`CacheHandle`] shares one store across N engines.
+//! * [`cache`] — the content-addressed [`ResultCache`]: a bounded LRU map
+//!   from [`Fingerprint`] to [`BaselineResult`] with hit/miss/eviction
+//!   counters ([`CacheStats`]). Exact fingerprint hits return the memoized
+//!   result verbatim; every miss is solved from its seed. The cloneable
+//!   [`CacheHandle`] shares one store across N engines.
 //! * [`engine`] — the [`JobEngine`]: typed job lifecycle
 //!   ([`JobState`]: Queued → Running → Done/Cancelled/Failed), typed
 //!   admission ([`RejectReason`]), per-job
@@ -28,7 +27,7 @@
 //!   `run_pending` running as jobs stream in, with graceful shutdown and a
 //!   per-job [`ShutdownReport`].
 //! * [`persist`] — versioned, checksummed binary cache snapshots
-//!   ([`PersistError`]), so a warm cache survives a restart; version or
+//!   ([`PersistError`]), so a populated cache survives a restart; version or
 //!   corruption problems degrade to a cold start, never a panic.
 //!
 //! The whole design leans on one property of the layers below: every solver
@@ -37,10 +36,10 @@
 //! future request with the same fingerprint. The engine protects the
 //! contract by memoizing only runs that stopped with
 //! [`StopReason::Completed`](afp_metaheuristics::StopReason): a
-//! deadline-truncated best-so-far is never served for a repeat. Warm starts
-//! trade a little of this purity for quality (results then depend on what
-//! the engine solved earlier) and can be disabled per engine
-//! ([`ServeConfig::warm_start`]). See `ARCHITECTURE.md` § "The serve layer"
+//! deadline-truncated best-so-far is never served for a repeat. Nothing a
+//! miss runs depends on what the engine solved before or on which jobs
+//! share its round, so every served answer is a pure function of its
+//! request. See `ARCHITECTURE.md` § "The serve layer"
 //! for the full determinism argument and `docs/TUNING.md` for the cache and
 //! concurrency knobs.
 //!
@@ -73,7 +72,7 @@ pub mod engine;
 pub mod fingerprint;
 pub mod persist;
 
-pub use cache::{CacheHandle, CacheStats, CachedSolve, ResultCache};
+pub use cache::{CacheHandle, CacheStats, ResultCache};
 pub use daemon::{ServeDaemon, ShutdownReport};
 pub use engine::{
     JobEngine, JobId, JobOutcome, JobRequest, JobState, RejectReason, ServeConfig,

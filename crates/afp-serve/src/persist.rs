@@ -15,14 +15,12 @@
 //!          format_version   u32      layout of this file (FORMAT_VERSION)
 //!          tag_layout       u32      fingerprint::TAG_LAYOUT_VERSION at save
 //!          capacity         u64      cache capacity at save (informational)
-//!          warm_depth       u64      warm index depth at save (informational)
 //!          entry_count      u64
 //! entries  entry_count records, oldest-first by recency, each:
 //!          record_len       u32      bytes in the record body that follows
-//!          body             exact fingerprint (2×u64), topology (2×u64),
-//!                           algorithm string, result scalars, stop code,
-//!                           metrics, floorplan (canvas + grid side + placed
-//!                           blocks), optional winning candidate
+//!          body             exact fingerprint (2×u64), algorithm string,
+//!                           result scalars, stop code, metrics, floorplan
+//!                           (canvas + grid side + placed blocks)
 //! trailer  checksum         u64      FNV-1a 64 over all preceding bytes
 //! ```
 //!
@@ -44,14 +42,14 @@ use std::path::Path;
 
 use afp_circuit::{BlockId, Shape};
 use afp_layout::{Canvas, Cell, Floorplan, FloorplanMetrics};
-use afp_metaheuristics::{BaselineResult, Candidate, StopReason};
+use afp_metaheuristics::{BaselineResult, StopReason};
 
-use crate::cache::{CachedSolve, ResultCache};
+use crate::cache::ResultCache;
 use crate::fingerprint::{Fingerprint, TAG_LAYOUT_VERSION};
 
 /// Version of the snapshot byte layout documented in the module docs. Bump
 /// on any change to the header or record encoding.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Leading magic of every snapshot.
 pub const MAGIC: [u8; 4] = *b"AFPC";
@@ -61,7 +59,6 @@ pub const MAGIC: [u8; 4] = *b"AFPC";
 const MAX_ENTRIES: u64 = 1 << 20;
 const MAX_STRING: u32 = 1 << 12;
 const MAX_PLACED: u64 = 1 << 16;
-const MAX_SEQ: u64 = 1 << 20;
 const MAX_RECORD: u32 = 1 << 26;
 
 /// Why a snapshot failed to save or load. Every load failure is recoverable
@@ -138,16 +135,14 @@ impl std::error::Error for PersistError {
 }
 
 /// A decoded snapshot: the saved cache shape plus its entries oldest-first
-/// (insertion in that order reproduces recency and the warm-start index).
+/// (insertion in that order reproduces recency).
 #[derive(Debug)]
 pub struct Snapshot {
     /// Cache capacity at save time. Informational — a restore targets the
     /// receiving cache's own capacity.
     pub capacity: usize,
-    /// Warm-index depth at save time. Informational, like `capacity`.
-    pub warm_depth: usize,
-    /// `(exact fingerprint, topology fingerprint, solve)` rows, oldest first.
-    pub entries: Vec<(Fingerprint, Fingerprint, CachedSolve)>,
+    /// `(fingerprint, result)` rows, oldest first.
+    pub entries: Vec<(Fingerprint, BaselineResult)>,
 }
 
 /// FNV-1a 64 over `bytes` — cheap, dependency-free corruption detection
@@ -190,12 +185,6 @@ impl Writer {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
-    fn usize_seq(&mut self, seq: &[usize]) {
-        self.u64(seq.len() as u64);
-        for &v in seq {
-            self.u64(v as u64);
-        }
-    }
 }
 
 // Code 4 is retired: it named a first-feasible race stop that no served job
@@ -220,10 +209,8 @@ fn decode_stop(code: u8) -> Option<StopReason> {
     })
 }
 
-fn encode_entry(w: &mut Writer, fp: Fingerprint, topology: Fingerprint, solve: &CachedSolve) {
+fn encode_entry(w: &mut Writer, fp: Fingerprint, result: &BaselineResult) {
     w.fingerprint(fp);
-    w.fingerprint(topology);
-    let result = &solve.result;
     w.str(&result.algorithm);
     w.f64_bits(result.reward);
     w.f64_bits(result.runtime_s);
@@ -246,15 +233,6 @@ fn encode_entry(w: &mut Writer, fp: Fingerprint, topology: Fingerprint, solve: &
         w.u64(placed.cell.x as u64);
         w.u64(placed.cell.y as u64);
     }
-    match &solve.best {
-        None => w.u8(0),
-        Some(best) => {
-            w.u8(1);
-            w.usize_seq(&best.positive);
-            w.usize_seq(&best.negative);
-            w.usize_seq(&best.shape_choice);
-        }
-    }
 }
 
 /// Serializes a cache into the snapshot byte format.
@@ -265,11 +243,10 @@ pub(crate) fn snapshot_bytes(cache: &ResultCache) -> Vec<u8> {
     w.u32(FORMAT_VERSION);
     w.u32(TAG_LAYOUT_VERSION);
     w.u64(cache.capacity() as u64);
-    w.u64(cache.warm_depth() as u64);
     w.u64(entries.len() as u64);
-    for (fp, topology, solve) in entries {
+    for (fp, result) in entries {
         let mut body = Writer { buf: Vec::new() };
-        encode_entry(&mut body, fp, topology, solve);
+        encode_entry(&mut body, fp, result);
         w.u32(body.buf.len() as u32);
         w.buf.extend_from_slice(&body.buf);
     }
@@ -332,18 +309,10 @@ impl<'a> Reader<'a> {
             what: "string not utf-8",
         })
     }
-    fn usize_seq(&mut self) -> Result<Vec<usize>, PersistError> {
-        let len = self.u64()?;
-        if len > MAX_SEQ {
-            return Err(self.corrupt("sequence length over cap"));
-        }
-        (0..len).map(|_| Ok(self.u64()? as usize)).collect()
-    }
 }
 
-fn decode_entry(r: &mut Reader<'_>) -> Result<(Fingerprint, Fingerprint, CachedSolve), PersistError> {
+fn decode_entry(r: &mut Reader<'_>) -> Result<(Fingerprint, BaselineResult), PersistError> {
     let fp = r.fingerprint()?;
-    let topology = r.fingerprint()?;
     let algorithm = r.str()?;
     let reward = r.f64_bits()?;
     let runtime_s = r.f64_bits()?;
@@ -396,29 +365,16 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<(Fingerprint, Fingerprint, CachedS
         plan.place(block, shape_index, shape, cell)
             .map_err(|_| r.corrupt("unplaceable block record"))?;
     }
-    let best = match r.u8()? {
-        0 => None,
-        1 => Some(Candidate {
-            positive: r.usize_seq()?,
-            negative: r.usize_seq()?,
-            shape_choice: r.usize_seq()?,
-        }),
-        _ => return Err(r.corrupt("bad candidate flag")),
-    };
     Ok((
         fp,
-        topology,
-        CachedSolve {
-            result: BaselineResult {
-                algorithm,
-                floorplan: plan,
-                metrics,
-                reward,
-                runtime_s,
-                evaluations,
-                stop,
-            },
-            best,
+        BaselineResult {
+            algorithm,
+            floorplan: plan,
+            metrics,
+            reward,
+            runtime_s,
+            evaluations,
+            stop,
         },
     ))
 }
@@ -457,7 +413,6 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
         return Err(PersistError::ChecksumMismatch);
     }
     let capacity = r.u64()? as usize;
-    let warm_depth = r.u64()? as usize;
     let entry_count = r.u64()?;
     if entry_count > MAX_ENTRIES {
         return Err(r.corrupt("entry count over cap"));
@@ -484,11 +439,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, PersistError> {
             what: "trailing bytes after last record",
         });
     }
-    Ok(Snapshot {
-        capacity,
-        warm_depth,
-        entries,
-    })
+    Ok(Snapshot { capacity, entries })
 }
 
 /// Writes snapshot bytes to `path` atomically: a sibling temp file is
@@ -523,28 +474,18 @@ pub(crate) fn write_snapshot_file(path: &Path, bytes: &[u8]) -> Result<(), Persi
 mod tests {
     use super::*;
     use afp_circuit::generators;
-    use afp_metaheuristics::{Baseline, RunControl, SaConfig};
+    use afp_metaheuristics::{Baseline, SaConfig};
 
     use crate::cache::CacheHandle;
     use crate::fingerprint::JobSpec;
 
     fn populated_handle() -> (CacheHandle, Vec<Fingerprint>) {
-        let handle = CacheHandle::with_warm_depth(8, 2);
+        let handle = CacheHandle::new(8);
         let mut keys = Vec::new();
         for seed in [3u64, 5, 9] {
             let spec = JobSpec::new(generators::ota3(), Baseline::Sa(SaConfig::small()), seed);
-            let (result, best) = Baseline::Sa(SaConfig::small()).run_controlled(
-                &spec.circuit,
-                seed,
-                &RunControl::unbounded(),
-                None,
-            );
             let key = spec.fingerprint();
-            handle.insert(
-                key,
-                spec.topology_fingerprint(),
-                CachedSolve { result, best },
-            );
+            handle.insert(key, spec.solver.run(&spec.circuit, seed));
             keys.push(key);
         }
         (handle, keys)
@@ -554,27 +495,17 @@ mod tests {
     fn snapshot_round_trips_bit_identically() {
         let (handle, keys) = populated_handle();
         let bytes = handle.snapshot_bytes();
-        let fresh = CacheHandle::with_warm_depth(8, 2);
+        let fresh = CacheHandle::new(8);
         assert_eq!(fresh.restore_bytes(&bytes).expect("restore"), keys.len());
         for key in &keys {
             let orig = handle.peek(*key).expect("original");
             let restored = fresh.peek(*key).expect("restored");
-            assert_eq!(
-                restored.result.reward.to_bits(),
-                orig.result.reward.to_bits()
-            );
-            assert_eq!(restored.result.floorplan, orig.result.floorplan);
-            assert_eq!(restored.result.evaluations, orig.result.evaluations);
-            assert_eq!(restored.result.stop, orig.result.stop);
-            assert_eq!(restored.result.algorithm, orig.result.algorithm);
-            assert_eq!(
-                restored.best.as_ref().map(|b| &b.positive),
-                orig.best.as_ref().map(|b| &b.positive)
-            );
+            assert_eq!(restored.reward.to_bits(), orig.reward.to_bits());
+            assert_eq!(restored.floorplan, orig.floorplan);
+            assert_eq!(restored.evaluations, orig.evaluations);
+            assert_eq!(restored.stop, orig.stop);
+            assert_eq!(restored.algorithm, orig.algorithm);
         }
-        // Warm index rebuilt: the same topology serves a hint after restore.
-        let spec = JobSpec::new(generators::ota3(), Baseline::Sa(SaConfig::small()), 3);
-        assert!(fresh.warm_hint(spec.topology_fingerprint()).is_some());
     }
 
     #[test]
@@ -604,6 +535,39 @@ mod tests {
             Err(PersistError::TagLayoutMismatch { found, current })
                 if found == TAG_LAYOUT_VERSION + 7 && current == TAG_LAYOUT_VERSION
         ));
+
+        // A checksum-valid snapshot in the retired version-1 layout (header
+        // warm depth, per-record topology fingerprint and candidate flag) is
+        // refused by version, and restoring it from disk is a cold start.
+        let v2_body = one_record_body(0, (0, 0), stop_code(StopReason::Completed));
+        let mut body = Writer { buf: Vec::new() };
+        body.buf.extend_from_slice(&v2_body[..16]); // exact fingerprint
+        body.fingerprint(Fingerprint([3, 4])); // topology fingerprint
+        body.buf.extend_from_slice(&v2_body[16..]);
+        body.u8(0); // no candidate
+        let mut v1 = Writer { buf: Vec::new() };
+        v1.buf.extend_from_slice(&MAGIC);
+        v1.u32(1);
+        v1.u32(TAG_LAYOUT_VERSION);
+        v1.u64(8); // capacity
+        v1.u64(2); // warm depth
+        v1.u64(1); // entry count
+        v1.u32(body.buf.len() as u32);
+        v1.buf.extend_from_slice(&body.buf);
+        let checksum = fnv1a(&v1.buf);
+        v1.u64(checksum);
+        assert!(matches!(
+            decode_snapshot(&v1.buf),
+            Err(PersistError::UnsupportedFormatVersion { found: 1, supported: 2 })
+        ));
+        let dir = std::env::temp_dir().join(format!("afp-persist-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("v1.afpc");
+        std::fs::write(&path, &v1.buf).expect("write v1 snapshot");
+        let cache = CacheHandle::new(8);
+        assert_eq!(cache.restore_or_cold(&path), 0);
+        assert!(cache.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -631,13 +595,11 @@ mod tests {
         assert!(msg.contains("checksum"));
     }
 
-    /// A checksum-valid snapshot holding one record with stop byte `stop`
-    /// whose floorplan places a 1×1 µm block `block` at `cell` on a 32×32
-    /// grid.
-    fn one_record_snapshot(block: u64, cell: (u64, u64), stop: u8) -> Vec<u8> {
+    /// The body of one record with stop byte `stop` whose floorplan places a
+    /// 1×1 µm block `block` at `cell` on a 32×32 grid.
+    fn one_record_body(block: u64, cell: (u64, u64), stop: u8) -> Vec<u8> {
         let mut body = Writer { buf: Vec::new() };
         body.fingerprint(Fingerprint([1, 2]));
-        body.fingerprint(Fingerprint([3, 4]));
         body.str("SA");
         body.f64_bits(-1.0); // reward
         body.f64_bits(0.0); // runtime_s
@@ -656,16 +618,21 @@ mod tests {
         body.f64_bits(1.0);
         body.u64(cell.0);
         body.u64(cell.1);
-        body.u8(0); // no candidate
+        body.buf
+    }
+
+    /// A checksum-valid snapshot holding the one record of
+    /// [`one_record_body`].
+    fn one_record_snapshot(block: u64, cell: (u64, u64), stop: u8) -> Vec<u8> {
+        let body = one_record_body(block, cell, stop);
         let mut w = Writer { buf: Vec::new() };
         w.buf.extend_from_slice(&MAGIC);
         w.u32(FORMAT_VERSION);
         w.u32(TAG_LAYOUT_VERSION);
         w.u64(8); // capacity
-        w.u64(2); // warm depth
         w.u64(1); // entry count
-        w.u32(body.buf.len() as u32);
-        w.buf.extend_from_slice(&body.buf);
+        w.u32(body.len() as u32);
+        w.buf.extend_from_slice(&body);
         let checksum = fnv1a(&w.buf);
         w.u64(checksum);
         w.buf
@@ -707,7 +674,7 @@ mod tests {
         ] {
             let snapshot = decode_snapshot(&one_record_snapshot(0, (0, 0), stop_code(stop)))
                 .expect("assigned stop code decodes");
-            assert_eq!(snapshot.entries[0].2.result.stop, stop);
+            assert_eq!(snapshot.entries[0].1.stop, stop);
         }
         for code in [4u8, 255] {
             assert!(

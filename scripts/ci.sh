@@ -10,6 +10,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The end-to-end benchmark is its own Cargo workspace over crates/*: build it
+# here so a change that breaks its build fails CI, not the benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
 # Differential safety net: the differential proptests (reused-buffer vs
@@ -17,8 +20,8 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 # vs legacy oracle, BitGrid vs scalar oracle, controlled vs unbounded runs of
 # every baseline, the order-preserving conv/deconv/dense kernels vs their
 # naive loops, the batch-innermost kernels and the batched PPO update vs the
-# per-sample loops) and the hostile-SPICE no-panic property run as part of the
-# workspace tests above; run them once more by name so a filtered or
+# per-sample loops) and the hostile-SPICE and hostile-job-request no-panic
+# properties run as part of the workspace tests above; run them once more by name so a filtered or
 # partially-cached test run cannot silently skip them.
 diff_tests=(
     incremental_realize_matches_full_after_perturbation_sequences
@@ -33,6 +36,7 @@ diff_tests=(
     serve_daemon_stress_submitters_race_drain
     multiword_grid_fits_anchors_and_nearest_fit_match_scalar
     spice_text_never_panics_through_the_greedy_pipeline
+    hostile_job_requests_are_rejected_or_served
     conv_kernels_match_naive_oracle_bitwise
     deconv_kernels_match_naive_oracle_bitwise
     dense_forward_matches_naive_oracle_bitwise

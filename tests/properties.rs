@@ -721,13 +721,13 @@ proptest! {
         };
         let mut cache = CostCache::new(&problem);
         let unbounded = RunControl::unbounded();
-        let plain = simulated_annealing_on(&problem, &cfg, None, &mut cache, &unbounded).0;
+        let plain = simulated_annealing_on(&problem, &cfg, None, &mut cache, &unbounded);
         let control = RunControl::unbounded()
             .with_deadline(Duration::from_secs(3600))
             .with_budget(u64::MAX)
             .with_stride(stride);
         let mut cache = CostCache::new(&problem);
-        let controlled = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control).0;
+        let controlled = simulated_annealing_on(&problem, &cfg, None, &mut cache, &control);
         prop_assert_eq!(controlled.stop, StopReason::Completed);
         prop_assert_eq!(controlled.reward, plain.reward, "reward diverged (stride {})", stride);
         prop_assert_eq!(controlled.evaluations, plain.evaluations);
@@ -758,14 +758,14 @@ fn every_baseline_replays_under_generous_control_and_stops_on_budget() {
             .with_deadline(Duration::from_secs(3600))
             .with_budget(1_000_000)
             .with_stride(16);
-        let (controlled, _) = baseline.run_controlled(&circuit, 7, &generous, None);
+        let controlled = baseline.run_controlled(&circuit, 7, &generous);
         assert_eq!(controlled.stop, StopReason::Completed, "{name}");
         assert_eq!(controlled.reward, plain.reward, "{name}: reward diverged");
         assert_eq!(controlled.evaluations, plain.evaluations, "{name}");
         assert_eq!(controlled.floorplan, plain.floorplan, "{name}: floorplan");
 
         let tight = RunControl::unbounded().with_budget(BUDGET);
-        let (budgeted, _) = baseline.run_controlled(&circuit, 7, &tight, None);
+        let budgeted = baseline.run_controlled(&circuit, 7, &tight);
         assert_eq!(budgeted.stop, StopReason::Budget, "{name}");
         assert!(
             budgeted.evaluations >= BUDGET as usize,
@@ -796,8 +796,7 @@ proptest! {
     /// family, solver knobs, or seed must get distinct fingerprints, while
     /// renaming every block/net/circuit and shuffling every unordered
     /// collection (nets, pins, constraint internals) must not move the
-    /// fingerprint — and a sizing jitter must preserve the topology
-    /// fingerprint that keys warm starts.
+    /// fingerprint.
     #[test]
     fn serve_fingerprints_are_injective_and_canonical(
         seed in 0u64..1_000_000,
@@ -817,7 +816,7 @@ proptest! {
             specs.push(JobSpec::new(base.clone(), Baseline::Ga(GaConfig::small()), seed));
             let retuned = SaConfig { cooling: 0.77, ..SaConfig::small() };
             specs.push(JobSpec::new(base.clone(), Baseline::Sa(retuned), seed));
-            // Same topology with jittered sizing.
+            // Same circuit with jittered sizing.
             let mut resized = base.clone();
             for block in &mut resized.blocks {
                 block.area_um2 *= 1.0 + jitter;
@@ -831,17 +830,8 @@ proptest! {
             }
         }
 
-        // The jittered variant keys the same warm-start topology as its base.
-        for pair in specs.chunks(5) {
-            prop_assert_eq!(
-                pair[0].topology_fingerprint(),
-                pair[4].topology_fingerprint(),
-                "sizing jitter moved the topology fingerprint"
-            );
-        }
-
         // Canonicalization: renaming everything and reversing every
-        // unordered collection must not move either fingerprint.
+        // unordered collection must not move the fingerprint.
         for spec in &specs {
             let mut scrambled = spec.clone();
             scrambled.circuit.name = format!("{}-renamed", scrambled.circuit.name);
@@ -867,7 +857,6 @@ proptest! {
             }
             scrambled.circuit.constraints = constraints.into_iter().collect();
             prop_assert_eq!(spec.fingerprint(), scrambled.fingerprint());
-            prop_assert_eq!(spec.topology_fingerprint(), scrambled.topology_fingerprint());
         }
     }
 
@@ -898,8 +887,7 @@ proptest! {
         let spec = JobSpec::new(circuit, solver, seed);
         let reference = spec
             .solver
-            .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
-            .0;
+            .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded());
         prop_assert_eq!(reference.stop, StopReason::Completed);
 
         for workers in [1usize, 2, 4] {
@@ -1087,13 +1075,8 @@ proptest! {
             JobSpec::new(generators::ota3(), solver.clone(), seed ^ 13),
         ];
 
-        // Warm starts off: they seed a solve from whatever same-topology
-        // entry happens to be cached when the drain thread picks the job up,
-        // which is exactly the history-dependence this bit-identity check
-        // must not race against.
         let daemon = ServeDaemon::spawn(&ServeConfig {
             workers,
-            warm_start: false,
             ..ServeConfig::default()
         });
         // Stream the jobs in one at a time so later admissions land while
@@ -1110,8 +1093,7 @@ proptest! {
             let outcome = daemon.outcome(*id).expect("job resolved");
             let direct = spec
                 .solver
-                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
-                .0;
+                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded());
             prop_assert_eq!(outcome.result.stop, StopReason::Completed);
             prop_assert_eq!(
                 outcome.result.reward.to_bits(),
@@ -1168,18 +1150,13 @@ fn serve_daemon_stress_submitters_race_drain() {
         .iter()
         .map(|spec| {
             spec.solver
-                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded(), None)
-                .0
+                .run_controlled(&spec.circuit, spec.seed, &RunControl::unbounded())
         })
         .collect();
 
     for workers in [1usize, 2, 4] {
-        // Warm starts off for the same reason as the daemon proptest above:
-        // bit-identity to a fixed cold solve requires solves that do not
-        // depend on which same-topology entries were cached first.
         let daemon = ServeDaemon::spawn(&ServeConfig {
             workers,
-            warm_start: false,
             ..ServeConfig::default()
         });
         // (spec index, job id) pairs from every submitter thread.
@@ -1558,5 +1535,217 @@ proptest! {
             }
         });
         prop_assert!(outcome.is_ok(), "panicked on SPICE input {:?}", text);
+    }
+}
+
+/// What admission must do with one hostile request.
+#[derive(Debug, Clone, Copy)]
+enum Admission {
+    /// Rejected with a typed `RejectReason`.
+    Rejected,
+    /// Admitted, and it must end in `JobState::Done`.
+    Served,
+}
+
+/// Malformed `JobRequest`s built directly (not through `parse_spice`): an
+/// empty circuit, a block dimension set to `bad`, a constraint and a net pin
+/// naming a block past the end, empty GA/PSO searches, zero-iteration runs
+/// of every baseline, and zero budgets and deadlines.
+fn hostile_job_requests(
+    seed: u64,
+    bad: f64,
+) -> Vec<(&'static str, analog_floorplan::serve::JobRequest, Admission)> {
+    use analog_floorplan::circuit::{
+        generators, AlignmentGroup, Axis, Circuit, Constraint, Net, NetId, Pin,
+    };
+    use analog_floorplan::metaheuristics::{
+        Baseline, GaConfig, PsoConfig, RlSaConfig, SaConfig, SpRlConfig,
+    };
+    use analog_floorplan::serve::{JobRequest, JobSpec};
+    use std::time::Duration;
+
+    let base = match seed % 3 {
+        0 => generators::ota3(),
+        1 => generators::ota5(),
+        _ => generators::ota8(),
+    };
+    let n = base.num_blocks();
+    let victim = (seed as usize / 3) % n;
+    let past_end = BlockId(n + (seed as usize / 7) % 4);
+    let sa = Baseline::Sa(SaConfig {
+        iterations: 30,
+        ..SaConfig::small()
+    });
+    let job = |circuit: &Circuit, solver: &Baseline| {
+        JobRequest::new(JobSpec::new(circuit.clone(), solver.clone(), seed))
+    };
+
+    let mut area = base.clone();
+    area.blocks[victim].area_um2 = bad;
+    let mut stripe = base.clone();
+    stripe.blocks[victim].stripe_width_um = bad;
+    let mut constrained = base.clone();
+    constrained
+        .constraints
+        .push(Constraint::Alignment(AlignmentGroup::new(
+            Axis::Horizontal,
+            vec![BlockId(victim), past_end],
+        )));
+    let mut wired = base.clone();
+    wired.nets.push(Net::new(
+        NetId(wired.nets.len()),
+        "dangling",
+        vec![Pin::new(BlockId(victim), "a"), Pin::new(past_end, "b")],
+    ));
+
+    let mut requests = vec![
+        (
+            "zero blocks",
+            job(&Circuit::new("empty"), &sa),
+            Admission::Rejected,
+        ),
+        ("block area", job(&area, &sa), Admission::Rejected),
+        ("block stripe width", job(&stripe, &sa), Admission::Rejected),
+        (
+            "constraint past the end",
+            job(&constrained, &sa),
+            Admission::Rejected,
+        ),
+        (
+            "net pin past the end",
+            job(&wired, &sa),
+            Admission::Rejected,
+        ),
+        (
+            "zero GA population",
+            job(
+                &base,
+                &Baseline::Ga(GaConfig {
+                    population: 0,
+                    ..GaConfig::small()
+                }),
+            ),
+            Admission::Rejected,
+        ),
+        (
+            "zero PSO particles",
+            job(
+                &base,
+                &Baseline::Pso(PsoConfig {
+                    particles: 0,
+                    ..PsoConfig::small()
+                }),
+            ),
+            Admission::Rejected,
+        ),
+    ];
+    let zero_iterations = [
+        Baseline::Sa(SaConfig {
+            iterations: 0,
+            ..SaConfig::small()
+        }),
+        Baseline::Ga(GaConfig {
+            generations: 0,
+            ..GaConfig::small()
+        }),
+        Baseline::Pso(PsoConfig {
+            iterations: 0,
+            ..PsoConfig::small()
+        }),
+        Baseline::SpRl(SpRlConfig {
+            episodes: 0,
+            ..SpRlConfig::small()
+        }),
+        Baseline::RlSa(RlSaConfig {
+            warmup: SpRlConfig {
+                episodes: 0,
+                ..SpRlConfig::small()
+            },
+            refinement: SaConfig {
+                iterations: 0,
+                ..SaConfig::small()
+            },
+        }),
+    ];
+    for solver in &zero_iterations {
+        requests.push(("zero iterations", job(&base, solver), Admission::Served));
+    }
+    let mut budget = job(&base, &sa);
+    budget.budget = Some(0);
+    requests.push(("zero budget", budget, Admission::Served));
+    let mut deadline = job(&base, &sa);
+    deadline.deadline = Some(Duration::ZERO);
+    requests.push(("zero deadline", deadline, Admission::Served));
+    requests
+}
+
+proptest! {
+    // Hostile-input contract of the serve admission path: run by name in
+    // scripts/ci.sh. Each case drains a handful of tiny solves.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Malformed job requests never panic through `try_submit` →
+    /// `run_pending`: a request no solver can run is a typed `RejectReason`
+    /// at admission, every admitted one ends in `JobState::Done` (never
+    /// `Failed`), and a valid job served afterwards still equals its
+    /// `Baseline::run` bit for bit.
+    #[test]
+    fn hostile_job_requests_are_rejected_or_served(
+        seed in 0u64..1_000_000,
+        bad_index in 0usize..6,
+    ) {
+        use analog_floorplan::circuit::generators;
+        use analog_floorplan::metaheuristics::{Baseline, SaConfig};
+        use analog_floorplan::serve::{
+            JobEngine, JobRequest, JobSpec, JobState, RejectReason, ServeConfig,
+        };
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -2.5][bad_index];
+        let engine = JobEngine::new(&ServeConfig {
+            workers: 1 + (seed % 2) as usize,
+            ..ServeConfig::default()
+        });
+        for (what, request, expected) in hostile_job_requests(seed, bad) {
+            let admitted = catch_unwind(AssertUnwindSafe(|| engine.try_submit(request)));
+            prop_assert!(admitted.is_ok(), "{}: admission panicked", what);
+            match (admitted.unwrap(), expected) {
+                (Err(reason), Admission::Rejected) => {
+                    prop_assert!(
+                        matches!(
+                            reason,
+                            RejectReason::InvalidCircuit(_) | RejectReason::EmptySearch { .. }
+                        ),
+                        "{}: rejected as {}", what, reason
+                    );
+                }
+                (Ok(id), Admission::Served) => {
+                    let drained = catch_unwind(AssertUnwindSafe(|| engine.run_pending()));
+                    prop_assert!(drained.is_ok(), "{}: the drain panicked", what);
+                    let state = engine.state(id);
+                    prop_assert!(
+                        matches!(state, JobState::Done(_)),
+                        "{}: ended {:?}, not Done", what, state
+                    );
+                }
+                (outcome, _) => prop_assert!(
+                    false,
+                    "{}: expected {:?}, admission gave {:?}", what, expected, outcome
+                ),
+            }
+        }
+
+        let spec = JobSpec::new(
+            generators::ota5(),
+            Baseline::Sa(SaConfig { iterations: 60, ..SaConfig::small() }),
+            seed,
+        );
+        let id = engine.submit(JobRequest::new(spec.clone()));
+        engine.run_pending();
+        let served = engine.outcome(id).expect("valid job served");
+        let direct = spec.solver.run(&spec.circuit, spec.seed);
+        prop_assert_eq!(served.result.reward.to_bits(), direct.reward.to_bits());
+        prop_assert_eq!(served.result.evaluations, direct.evaluations);
+        prop_assert_eq!(&served.result.floorplan, &direct.floorplan);
     }
 }
