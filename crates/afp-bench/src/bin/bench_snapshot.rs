@@ -1,9 +1,7 @@
 //! Reproducible perf snapshot: writes `BENCH_pack.json` with the packing
 //! engines' median times, the grid-realization (`snap`), large-n cost
-//! pipeline (`large_n`), positional-mask (`masks`), parallel
-//! generation-evaluation (`eval_pool`), parked-pool dispatch
-//! (`pool_overhead`) and locality-aware move mix (`sa_locality`) medians,
-//! the serve layer's cache-hit latency and job
+//! pipeline (`large_n`), positional-mask (`masks`) and locality-aware move
+//! mix (`sa_locality`) medians, the serve layer's cache-hit latency and job
 //! throughput (`serve`), the serve daemon's drain-loop throughput and
 //! snapshot restore-then-hit latency (`serve_daemon`), the SA evaluation
 //! throughput, and the agent's kernels, policy forward and PPO update
@@ -17,18 +15,17 @@
 use std::time::Instant;
 
 use afp_bench::perf::{
-    interleaved_median_ns, masks_workload, median_ns, policy_layers, random_pair, seeded_rollouts,
-    snap_workload, sparse_values, synthetic_circuit, LARGE_N_SIZES, PACK_SIZES,
+    masks_workload, median_ns, policy_layers, random_pair, seeded_rollouts, snap_workload,
+    sparse_values, synthetic_circuit, LARGE_N_SIZES, PACK_SIZES,
 };
 use afp_circuit::generators;
 use afp_layout::masks::positional_masks;
 use afp_layout::sequence_pair::{realize_floorplan, PackedFloorplan};
 use afp_layout::{Floorplan, PackScratch};
 use afp_metaheuristics::{
-    simulated_annealing, Baseline, Candidate, CostCache, EvalPool, GaConfig, MoveMix, Problem,
-    SaConfig,
+    simulated_annealing, Baseline, Candidate, CostCache, GaConfig, MoveMix, Problem, SaConfig,
 };
-use afp_par::{PoolHandle, WorkerPool};
+use afp_par::PoolHandle;
 use afp_rl::{FloorplanAgent, PolicyConfig, PpoStats, PpoTrainer, RolloutBuffer};
 use afp_serve::{CacheHandle, JobEngine, JobRequest, JobSpec, ServeConfig, ServeDaemon};
 use afp_tensor::{Layer, Tensor};
@@ -51,100 +48,8 @@ fn main() {
         sa_samples.push(started.elapsed().as_secs_f64());
     }
 
-    // Parallel generation evaluation (EvalPool): a GA-style 40-candidate
-    // generation on Bias-2 through the serial `cost_cached` loop and through
-    // the pool at 1/2/4 workers — measured here, while the machine is still
-    // quiet, for the same reason SA is. Bit-identity of the pool against the
-    // serial loop is asserted outright: a divergence aborts the snapshot and
-    // with it the CI smoke run.
-    let pool_problem = Problem::new(&sa_circuit);
-    const POPULATION: usize = 40;
+    let sa_problem = Problem::new(&sa_circuit);
     let hardware_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut rng = StdRng::seed_from_u64(0xE7A1);
-    let initial_generation: Vec<Candidate> = (0..POPULATION)
-        .map(|_| Candidate::random(pool_problem.num_blocks(), &mut rng))
-        .collect();
-    let bit_identical = {
-        let mut check_cache = CostCache::new(&pool_problem);
-        let serial_costs: Vec<f64> = initial_generation
-            .iter()
-            .map(|c| pool_problem.cost_cached(c, &mut check_cache))
-            .collect();
-        [1usize, 2, 4].into_iter().all(|workers| {
-            let mut pool = EvalPool::new(&pool_problem, workers);
-            pool.evaluate(&pool_problem, &initial_generation) == serial_costs
-        })
-    };
-    // The recorded verdict is the computed one; a divergence still aborts the
-    // snapshot (and with it the CI smoke run) rather than writing `false`.
-    assert!(bit_identical, "EvalPool diverged from the serial loop");
-    // Every timing row restarts from the same population and perturbation
-    // stream, so serial and 1/2/4-worker rows time the identical candidate
-    // workload and their ratio (speedup_workers4) is workload-matched.
-    let time_row = |pool_workers: Option<usize>| -> f64 {
-        let mut generation = initial_generation.clone();
-        let mut rng = StdRng::seed_from_u64(0x6E21);
-        let mut cache = CostCache::new(&pool_problem);
-        let mut pool = pool_workers.map(|w| EvalPool::new(&pool_problem, w));
-        median_ns(|| {
-            for candidate in &mut generation {
-                let _ = candidate.perturb(&mut rng);
-            }
-            match &mut pool {
-                Some(pool) => {
-                    let _ = pool.evaluate(&pool_problem, &generation);
-                }
-                None => {
-                    for candidate in &generation {
-                        let _ = pool_problem.cost_cached(candidate, &mut cache);
-                    }
-                }
-            }
-        })
-    };
-    let serial_generation_ns = time_row(None);
-    let pool_generation_ns: Vec<(usize, f64)> = [1usize, 2, 4]
-        .into_iter()
-        .map(|workers| (workers, time_row(Some(workers))))
-        .collect();
-    let workers4_ns = pool_generation_ns
-        .iter()
-        .find(|(w, _)| *w == 4)
-        .map(|&(_, ns)| ns)
-        .expect("4-worker row measured");
-    let pool_speedup_4 = serial_generation_ns / workers4_ns.max(1e-9);
-
-    // Per-batch dispatch overhead of the parked pool against a spawn-per-call
-    // baseline (a transient pool built, used once and joined per batch), on
-    // a trivial 8-item batch at 2 workers: the work is negligible, so each
-    // median is the fixed cost per batch its model charges. The acceptance
-    // bar for the persistent pool is that the parked dispatch (one epoch bump
-    // + unpark per active worker) lands strictly below a thread
-    // spawn-and-join, which holds even on a 1-hardware-thread host — both
-    // models context-switch there, but only the baseline pays thread
-    // creation and teardown too. The two models are sampled pair by pair,
-    // so a host phase switch mid-section slows both rows alike instead of
-    // only whichever block it fell into.
-    const OVERHEAD_WORKERS: usize = 2;
-    let overhead_items: Vec<u64> = (0..8).collect();
-    let mut overhead_pool = WorkerPool::new(OVERHEAD_WORKERS);
-    let mut spawn_states = vec![0u64; OVERHEAD_WORKERS];
-    let mut parked_states = vec![0u64; OVERHEAD_WORKERS];
-    let (spawn_batch_ns, parked_batch_ns) = interleaved_median_ns(
-        || {
-            let _ = WorkerPool::new(OVERHEAD_WORKERS).map_scoped(
-                &overhead_items,
-                &mut spawn_states,
-                |_, &x| x,
-            );
-        },
-        || {
-            let _ = overhead_pool.map_scoped(&overhead_items, &mut parked_states, |_, &x| x);
-        },
-    );
-    let overhead_stats = overhead_pool.stats();
-    drop(overhead_pool);
-    let spawn_over_parked = spawn_batch_ns / parked_batch_ns.max(1e-9);
 
     // Serve layer: cache-hit latency vs cold solve, and job throughput at
     // 1/2/4 pool workers on a batch of distinct-seed Table-I SA jobs.
@@ -319,12 +224,12 @@ fn main() {
     // historical uniform proposal stream) vs the Table I bias, per move.
     let locality_move_ns = |bias: f64| {
         let mix = MoveMix::local(bias);
-        let mut cache = CostCache::new(&pool_problem);
+        let mut cache = CostCache::new(&sa_problem);
         let mut rng = StdRng::seed_from_u64(0x10CA);
-        let mut walk = Candidate::random(pool_problem.num_blocks(), &mut rng);
+        let mut walk = Candidate::random(sa_problem.num_blocks(), &mut rng);
         median_ns(|| {
             let _ = walk.perturb_with(&mix, &mut rng);
-            let _ = pool_problem.cost_cached(&walk, &mut cache);
+            let _ = sa_problem.cost_cached(&walk, &mut cache);
         })
     };
     let uniform_move_ns = locality_move_ns(0.0);
@@ -375,7 +280,7 @@ fn main() {
     // Large-n workload tier: 200/500/1000-block synthetic circuits through
     // the cost pipeline on multi-word occupancy grids
     // (grid_side_for picks 64/96/128 cells per side). Each row records the
-    // warm per-move SA cost and a 6-candidate EvalPool generation.
+    // warm per-move SA cost.
     let mut large_n_rows = Vec::new();
     for &n in &LARGE_N_SIZES {
         let circuit = synthetic_circuit(n);
@@ -388,18 +293,9 @@ fn main() {
             let _ = walk.perturb(&mut rng);
             let _ = problem.cost_cached(&walk, &mut cache);
         });
-        let generation: Vec<Candidate> = (0..6)
-            .map(|_| Candidate::random(problem.num_blocks(), &mut rng))
-            .collect();
-        let mut pool = EvalPool::new(&problem, 2);
-        let pool_generation_ns = median_ns(|| {
-            let _ = pool.evaluate(&problem, &generation);
-        });
-        println!(
-            "large_n n={n:>4}: grid {grid_side:>3}  sa {sa_move_ns:>10.1} ns/move  pool-gen {pool_generation_ns:>12.1} ns"
-        );
+        println!("large_n n={n:>4}: grid {grid_side:>3}  sa {sa_move_ns:>10.1} ns/move");
         large_n_rows.push(format!(
-            "    {{\"blocks\": {n}, \"grid_side\": {grid_side}, \"sa_move_ns\": {sa_move_ns:.1}, \"eval_pool_generation_ns\": {pool_generation_ns:.1}}}"
+            "    {{\"blocks\": {n}, \"grid_side\": {grid_side}, \"sa_move_ns\": {sa_move_ns:.1}}}"
         ));
     }
 
@@ -411,18 +307,6 @@ fn main() {
     });
     println!("masks bias19: positional_masks {masks_ns:>12.1} ns");
 
-    println!(
-        "eval_pool bias19: serial 40-gen {serial_generation_ns:>10.1} ns  pool {} (speedup x4 {pool_speedup_4:.2}, {hardware_threads} hw threads)",
-        pool_generation_ns
-            .iter()
-            .map(|(w, ns)| format!("w{w} {ns:.0}"))
-            .collect::<Vec<_>>()
-            .join("  "),
-    );
-    println!(
-        "pool_overhead: spawn-per-call {spawn_batch_ns:>10.1} ns/batch  parked {parked_batch_ns:>10.1} ns/batch ({spawn_over_parked:.1}x, {} batches, {} wakes)",
-        overhead_stats.batches, overhead_stats.threads_woken,
-    );
     println!(
         "serve bias19: cold {:.1} ms  hit {:.1} us ({serve_hit_speedup:.0}x)  {SERVE_JOBS} jobs  w1 {serve_jps_w1:.1}/s  w2 {serve_jps_w2:.1}/s  w4 {serve_jps_w4:.1}/s",
         serve_cold_ns / 1e6,
@@ -459,27 +343,13 @@ fn main() {
         result.reward
     );
 
-    // The EvalPool and locality-mix sections, assembled separately so the
-    // top-level format string stays readable.
-    let eval_pool_json = format!(
-        "  \"eval_pool\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"population\": {POPULATION},\n    \"hardware_threads\": {hardware_threads},\n    \"serial_generation_ns\": {serial_generation_ns:.1},\n    \"workers1_generation_ns\": {:.1},\n    \"workers2_generation_ns\": {:.1},\n    \"workers4_generation_ns\": {:.1},\n    \"speedup_workers4\": {pool_speedup_4:.2},\n    \"bit_identical\": {bit_identical}\n  }}",
-        sa_circuit.name,
-        sa_circuit.num_blocks(),
-        pool_generation_ns[0].1,
-        pool_generation_ns[1].1,
-        pool_generation_ns[2].1,
-    );
+    // The per-section objects, assembled separately so the top-level format
+    // string stays readable.
     let sa_locality_json = format!(
         "  \"sa_locality\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"locality_bias\": {:.2},\n    \"uniform_move_ns\": {uniform_move_ns:.1},\n    \"local_move_ns\": {local_move_ns:.1}\n  }}",
         sa_circuit.name,
         sa_circuit.num_blocks(),
         config.locality_bias,
-    );
-    let pool_overhead_json = format!(
-        "  \"pool_overhead\": {{\n    \"hardware_threads\": {hardware_threads},\n    \"workers\": {OVERHEAD_WORKERS},\n    \"batch_items\": {},\n    \"spawn_batch_ns\": {spawn_batch_ns:.1},\n    \"parked_batch_ns\": {parked_batch_ns:.1},\n    \"spawn_over_parked\": {spawn_over_parked:.2},\n    \"parked_batches\": {},\n    \"parked_threads_woken\": {}\n  }}",
-        overhead_items.len(),
-        overhead_stats.batches,
-        overhead_stats.threads_woken,
     );
     let serve_json = format!(
         "  \"serve\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"hardware_threads\": {hardware_threads},\n    \"solver\": \"SA\",\n    \"cold_solve_ns\": {serve_cold_ns:.1},\n    \"cache_hit_ns\": {serve_hit_ns:.1},\n    \"hit_speedup\": {serve_hit_speedup:.1},\n    \"batch_jobs\": {SERVE_JOBS},\n    \"jobs_per_sec_workers1\": {serve_jps_w1:.2},\n    \"jobs_per_sec_workers2\": {serve_jps_w2:.2},\n    \"jobs_per_sec_workers4\": {serve_jps_w4:.2},\n    \"bit_identical\": {serve_bit_identical}\n  }}",
@@ -496,7 +366,7 @@ fn main() {
     let agent_json = agent_json(hardware_threads);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, positional masks; parallel EvalPool generation evaluation, parked WorkerPool dispatch overhead, locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n{eval_pool_json},\n{pool_overhead_json},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, positional masks; locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
         pack_rows.join(",\n"),
         snap_rows.join(",\n"),
         large_n_rows.join(",\n"),

@@ -232,19 +232,6 @@ pub fn median_ns<F: FnMut()>(mut f: F) -> f64 {
     median((0..15).map(|_| batch_ns(&mut f, batch)).collect())
 }
 
-/// [`median_ns`] of two workloads sampled pair by pair: each of the 15
-/// rounds times one batch of `f`, then one of `g`. A host slowdown that
-/// starts mid-run then lands on both medians alike, so their ratio stays
-/// meaningful where two back-to-back `median_ns` blocks would split across
-/// the switch.
-pub fn interleaved_median_ns<F: FnMut(), G: FnMut()>(mut f: F, mut g: G) -> (f64, f64) {
-    let (f_batch, g_batch) = (calibrated_batch(&mut f), calibrated_batch(&mut g));
-    let (f_samples, g_samples): (Vec<f64>, Vec<f64>) = (0..15)
-        .map(|_| (batch_ns(&mut f, f_batch), batch_ns(&mut g, g_batch)))
-        .unzip();
-    (median(f_samples), median(g_samples))
-}
-
 /// Calls per timed batch of `f`: the count that makes one batch last
 /// ~10 ms, from a geometric calibration run.
 fn calibrated_batch<F: FnMut()>(f: &mut F) -> u64 {
@@ -307,14 +294,5 @@ mod tests {
         let mut acc = 0u64;
         let ns = median_ns(|| acc = acc.wrapping_add(std::hint::black_box(1)));
         assert!(ns > 0.0);
-    }
-
-    #[test]
-    fn interleaved_medians_time_each_workload() {
-        let (short, long) = interleaved_median_ns(
-            || std::hint::black_box(()),
-            || std::thread::sleep(std::time::Duration::from_micros(200)),
-        );
-        assert!(short > 0.0 && short < long);
     }
 }

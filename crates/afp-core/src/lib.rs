@@ -10,13 +10,14 @@
 //! * [`report`] — the Table I / Table II row structures, the paper's recorded
 //!   manual-design reference values and plain-text rendering,
 //! * [`stats`] — interquartile means and standard deviations,
-//! * [`WorkerPool`], [`RunControl`] and the rest of the run-control
-//!   vocabulary — re-exported from the bottom-layer `afp-par` crate, which
-//!   powers `afp-metaheuristics`' batched candidate-evaluation pool,
+//! * [`PoolHandle`], [`RunControl`] and the rest of the run-control
+//!   vocabulary — re-exported from the bottom-layer `afp-par` crate, whose
+//!   scoped-thread `map` runs the serve engine's independent jobs side by
+//!   side,
 //! * [`serve`] — the solve service (re-exported from `afp-serve`): canonical
 //!   problem fingerprints, a content-addressed result cache, and a
-//!   [`JobEngine`] that shards cancellable, deadline-aware solve jobs across
-//!   a shared persistent worker pool.
+//!   [`JobEngine`] that runs cancellable, deadline-aware solve jobs side by
+//!   side, each one serial.
 //!
 //! # Examples
 //!
@@ -38,7 +39,7 @@ pub mod pipeline;
 pub mod report;
 pub mod stats;
 
-pub use afp_par::{CancelToken, PoolStats, RunControl, StopReason, WorkerPool};
+pub use afp_par::{CancelToken, PoolHandle, PoolStats, RunControl, StopReason};
 pub use pipeline::{FloorplanMethod, LayoutPipeline, PipelineConfig, PipelineResult};
 pub use serve::{JobEngine, JobRequest, JobSpec, ServeConfig};
 pub use report::{

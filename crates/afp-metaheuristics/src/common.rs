@@ -272,7 +272,7 @@ pub struct Problem {
     pub canvas: Canvas,
     /// Cells per side of the placement grid ([`grid_side_for`] the block
     /// count): every floorplan realized for this problem — `Problem::realize`,
-    /// `CostCache`, each `EvalPool` worker — uses this discretization.
+    /// every `CostCache` — uses this discretization.
     pub grid_side: usize,
     /// Candidate shapes per block. Private so the precomputed
     /// effective-shape table cannot silently go stale; read through
@@ -545,129 +545,6 @@ impl CostCache {
     }
 }
 
-/// The parallel batched evaluation engine of the population optimizers: one
-/// [`CostCache`] — with its pack, floorplan and `MetricsScratch` buffers and
-/// its memo — per worker, and a generation-at-a-time `evaluate` that fans the
-/// candidates out over the workers through a persistent
-/// [`afp_par::WorkerPool`].
-///
-/// This is layer 4 of the evaluation stack (see `ARCHITECTURE.md`): where
-/// layers 1–3 make one evaluation cheap, the pool makes a *generation* of
-/// them concurrent. Worker caches are built once, at pool construction, and
-/// the scoped map lends each worker `&mut` access to its own cache per batch
-/// — so caches stay warm across generations and no locking happens on the
-/// evaluation path. The worker *threads* are equally persistent: they are
-/// spawned at pool construction and parked between generations, so an
-/// optimizer pays one wake-up per generation per active worker instead of a
-/// thread spawn-and-join (the pre-PR-6 cost). Generations smaller than the
-/// worker complement wake only as many threads as there are candidates;
-/// [`pool_stats`](EvalPool::pool_stats) exposes the dispatch counters.
-///
-/// # Determinism contract
-///
-/// * **Bit-identical at one worker.** With `workers = 1`, `evaluate` *is* the
-///   serial `cost_cached` loop over one cache — the byte-for-byte code path
-///   GA/PSO/SP-RL ran before the pool existed.
-/// * **Seed-stable at any worker count.** Costs come out in candidate order
-///   regardless of which worker computed them, and each individual cost is
-///   bit-identical to `Problem::cost` by the layer 1–3 bit-identity contract
-///   — *no matter what state the evaluating worker's cache is in*. Worker
-///   count therefore changes scheduling only, never results: the optimizers'
-///   whole trajectories are reproducible for a seed at any `workers`.
-///
-/// Like [`CostCache`], a pool is keyed to one [`Problem`]; build one pool per
-/// problem.
-///
-/// # Examples
-///
-/// ```
-/// use afp_circuit::generators;
-/// use afp_metaheuristics::{Candidate, EvalPool, Problem};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
-///
-/// let circuit = generators::ota8();
-/// let problem = Problem::new(&circuit);
-/// let mut rng = StdRng::seed_from_u64(3);
-/// let generation: Vec<Candidate> = (0..12)
-///     .map(|_| Candidate::random(problem.num_blocks(), &mut rng))
-///     .collect();
-///
-/// let mut pool = EvalPool::new(&problem, 4);
-/// let costs = pool.evaluate(&problem, &generation);
-///
-/// // Costs are in candidate order and bit-identical to the serial path.
-/// for (candidate, &cost) in generation.iter().zip(&costs) {
-///     assert_eq!(cost, problem.cost(candidate));
-/// }
-/// assert_eq!(pool.misses(), 12);
-/// ```
-#[derive(Debug)]
-pub struct EvalPool {
-    /// One warm evaluation stack per worker; `caches.len()` is the worker
-    /// count handed to the scoped map.
-    caches: Vec<CostCache>,
-    /// The parked worker threads servicing `evaluate` batches. Sized to
-    /// `caches.len()`, spawned once here, alive until the pool drops — a
-    /// 1-worker pool spawns no thread at all.
-    pool: afp_par::WorkerPool,
-}
-
-impl EvalPool {
-    /// Creates a pool with `workers` worker caches (and `workers − 1` parked
-    /// worker threads) for one problem. `workers = 0` means one per
-    /// available hardware thread; any value is clamped to at least 1.
-    pub fn new(problem: &Problem, workers: usize) -> Self {
-        let pool = afp_par::WorkerPool::new(workers);
-        EvalPool {
-            caches: (0..pool.workers())
-                .map(|_| CostCache::new(problem))
-                .collect(),
-            pool,
-        }
-    }
-
-    /// Number of workers (and worker caches) the pool owns.
-    pub fn workers(&self) -> usize {
-        self.caches.len()
-    }
-
-    /// Evaluates a generation of candidates, returning their costs in
-    /// candidate order. Values are bit-identical to [`Problem::cost`] for
-    /// every candidate at every worker count (see the determinism contract
-    /// above); with one worker no thread is woken and the batch runs inline.
-    pub fn evaluate(&mut self, problem: &Problem, candidates: &[Candidate]) -> Vec<f64> {
-        self.pool
-            .map_scoped(candidates, &mut self.caches, |cache, candidate| {
-                problem.cost_cached(candidate, cache)
-            })
-    }
-
-    /// Evaluates a single candidate through worker 0's cache — the pool's
-    /// serial entry point for recurrences (an SA chain, SP-RL's per-episode
-    /// policy update) that only expose one candidate at a time.
-    pub fn evaluate_one(&mut self, problem: &Problem, candidate: &Candidate) -> f64 {
-        problem.cost_cached(candidate, &mut self.caches[0])
-    }
-
-    /// Total memo hits across all worker caches.
-    pub fn hits(&self) -> u64 {
-        self.caches.iter().map(|c| c.hits).sum()
-    }
-
-    /// Total memo misses (full evaluations) across all worker caches.
-    pub fn misses(&self) -> u64 {
-        self.caches.iter().map(|c| c.misses).sum()
-    }
-
-    /// Dispatch counters of the underlying [`afp_par::WorkerPool`]: batches
-    /// served, inline (single-worker) batches, thread wake-ups, and batches
-    /// clamped below the worker complement.
-    pub fn pool_stats(&self) -> afp_par::PoolStats {
-        self.pool.stats()
-    }
-}
-
 /// Fingerprint of a candidate (sequences + shape choices). Zero is reserved
 /// as the empty-slot sentinel of the memo.
 ///
@@ -783,7 +660,7 @@ pub enum ChainOutcome {
     /// The job panicked; the payload's message is retained.
     Panicked(String),
     /// The job never started: its cancel token was already raised when a
-    /// pool worker picked it up.
+    /// serve worker picked it up.
     Skipped,
 }
 
@@ -907,55 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_pool_matches_serial_loop_at_every_worker_count() {
-        let circuit = generators::bias9();
-        let problem = Problem::new(&circuit);
-        let mut rng = StdRng::seed_from_u64(0xE7A1);
-        let mut generation: Vec<Candidate> = (0..17)
-            .map(|_| Candidate::random(problem.num_blocks(), &mut rng))
-            .collect();
-        let mut cache = CostCache::new(&problem);
-        for workers in [1usize, 2, 3, 4] {
-            let mut pool = EvalPool::new(&problem, workers);
-            assert_eq!(pool.workers(), workers);
-            // Two generations per pool so the second batch runs on warm
-            // per-worker caches — the steady state the optimizers live in.
-            for _ in 0..2 {
-                let serial: Vec<f64> = generation
-                    .iter()
-                    .map(|c| problem.cost_cached(c, &mut cache))
-                    .collect();
-                let batch = pool.evaluate(&problem, &generation);
-                assert_eq!(batch, serial, "diverged at {workers} workers");
-                for c in &mut generation {
-                    let _ = c.perturb(&mut rng);
-                }
-            }
-            assert!(pool.misses() > 0);
-        }
-    }
-
-    #[test]
-    fn eval_pool_auto_worker_count_is_positive() {
-        let circuit = generators::ota3();
-        let problem = Problem::new(&circuit);
-        let pool = EvalPool::new(&problem, 0);
-        assert!(pool.workers() >= 1);
-    }
-
-    #[test]
-    fn eval_pool_evaluate_one_matches_cost() {
-        let circuit = generators::ota5();
-        let problem = Problem::new(&circuit);
-        let mut pool = EvalPool::new(&problem, 2);
-        let c = Candidate::identity(problem.num_blocks(), problem.shape_sets());
-        assert_eq!(pool.evaluate_one(&problem, &c), problem.cost(&c));
-        // The repeat is a memo hit on worker 0.
-        assert_eq!(pool.evaluate_one(&problem, &c), problem.cost(&c));
-        assert!(pool.hits() >= 1);
-    }
-
-    #[test]
     fn undo_reverts_any_perturbation() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut c = Candidate::random(12, &mut rng);
@@ -1045,8 +873,7 @@ mod tests {
     #[test]
     fn large_n_cost_pipeline_matches_uncached_cost() {
         // 200 blocks: the cached cost pipeline must stay bit-identical to the
-        // uncached cost past every old 64-element ceiling, serially and
-        // through the pool.
+        // uncached cost past every old 64-element ceiling.
         let circuit = chain_circuit(200);
         let problem = Problem::new(&circuit);
         assert_eq!(problem.grid_side, 64, "200 blocks realize on a 64×64 grid");
@@ -1063,15 +890,6 @@ mod tests {
             if step % 2 == 0 {
                 c.undo(undo);
             }
-        }
-
-        let mut pool = EvalPool::new(&problem, 2);
-        let generation: Vec<Candidate> = (0..6)
-            .map(|_| Candidate::random(problem.num_blocks(), &mut rng))
-            .collect();
-        let costs = pool.evaluate(&problem, &generation);
-        for (candidate, &cost) in generation.iter().zip(&costs) {
-            assert_eq!(cost, problem.cost(candidate), "pool diverged at 200 blocks");
         }
     }
 }

@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
-use crate::common::{BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason};
+use crate::common::{BaselineResult, Candidate, CostCache, Problem, RunControl, StopReason};
 
 /// Genetic-algorithm configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,10 +24,6 @@ pub struct GaConfig {
     pub elitism: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for generation evaluation through the [`EvalPool`]
-    /// (`0` = one per available hardware thread). Results are bit-identical
-    /// at any worker count; see `docs/TUNING.md` for how to choose.
-    pub workers: usize,
 }
 
 impl GaConfig {
@@ -40,7 +36,6 @@ impl GaConfig {
             tournament: 3,
             elitism: 2,
             seed: 0,
-            workers: 1,
         }
     }
 
@@ -55,7 +50,6 @@ impl GaConfig {
             tournament: 4,
             elitism: 3,
             seed: 0,
-            workers: 0,
         }
     }
 }
@@ -139,7 +133,13 @@ pub fn genetic_algorithm_on(
 ) -> BaselineResult {
     let started = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut pool = EvalPool::new(problem, config.workers);
+    let mut cache = CostCache::new(problem);
+    let mut score = |population: &[Candidate]| -> Vec<f64> {
+        population
+            .iter()
+            .map(|c| problem.cost_cached(c, &mut cache))
+            .collect()
+    };
     let n = problem.num_blocks();
 
     let mut population: Vec<Candidate> = (0..config.population)
@@ -151,7 +151,7 @@ pub fn genetic_algorithm_on(
             }
         })
         .collect();
-    let mut costs: Vec<f64> = pool.evaluate(problem, &population);
+    let mut costs: Vec<f64> = score(&population);
     debug_assert!(
         costs.iter().all(|c| c.is_finite()),
         "non-finite candidate cost would scramble selection"
@@ -193,11 +193,9 @@ pub fn genetic_algorithm_on(
             next.push(child);
         }
         population = next;
-        // The whole generation is scored as one pool batch. Elites re-enter
-        // as memo hits when their worker scored them last generation; either
-        // way their costs are bit-identical, so worker count never changes
-        // the selection pressure.
-        costs = pool.evaluate(problem, &population);
+        // Elites usually re-enter as memo hits; either way their costs are
+        // bit-identical to `Problem::cost`.
+        costs = score(&population);
         debug_assert!(
             costs.iter().all(|c| c.is_finite()),
             "non-finite candidate cost would scramble selection"
@@ -274,28 +272,6 @@ mod tests {
         assert_eq!(a.reward, b.reward);
         assert_eq!(a.floorplan.num_placed(), circuit.num_blocks());
         assert_eq!(a.algorithm, "GA");
-    }
-
-    #[test]
-    fn ga_results_are_identical_across_worker_counts() {
-        // The EvalPool determinism contract, end to end: the whole GA
-        // trajectory — every tournament, every elite, the final best cost —
-        // must be reproducible for a seed at any worker count, because
-        // per-candidate costs are bit-identical no matter which worker's
-        // cache evaluates them. `workers: 1` additionally pins the persistent
-        // pool's inline path against the serial default config.
-        let circuit = generators::ota8();
-        let serial = genetic_algorithm(&circuit, &GaConfig::small());
-        for workers in [1usize, 2, 4] {
-            let cfg = GaConfig {
-                workers,
-                ..GaConfig::small()
-            };
-            let parallel = genetic_algorithm(&circuit, &cfg);
-            assert_eq!(parallel.reward, serial.reward, "{workers} workers diverged");
-            assert_eq!(parallel.evaluations, serial.evaluations);
-            assert_eq!(parallel.floorplan, serial.floorplan);
-        }
     }
 
     #[test]

@@ -17,19 +17,15 @@
 //!
 //! All baselines evaluate candidates through [`Problem::cost_cached`], which
 //! runs `afp-layout`'s cost pipeline (one full FAST-SP sweep → one grid
-//! realization pass → one full HPWL/violation rescan) into reused buffers
-//! behind a small cost memo — bit-identical to [`Problem::cost`]. The
-//! population optimizers evaluate through an [`EvalPool`] — one
-//! [`CostCache`] per worker, results bit-identical at any worker count; GA
-//! and PSO score whole generations per call, SP-RL's one-candidate-at-a-time
-//! recurrence uses the pool's serial entry point — while SA proposes moves
-//! from a configurable mix ([`MoveMix`],
-//! [`SaConfig::locality_bias`](SaConfig)). All thread pools are persistent
-//! parked [`afp_par::WorkerPool`]s: spawned once per optimizer run, parked
-//! between batches. See `ARCHITECTURE.md` at the repository root for the
-//! evaluation stack and its determinism contract, and `docs/TUNING.md` for
-//! how to choose worker counts, population sizes, the locality bias and SA
-//! restarts.
+//! realization pass → one full HPWL/violation rescan) into one run's reused
+//! [`CostCache`] behind a small cost memo — bit-identical to
+//! [`Problem::cost`]. Every run is serial: parallelism lives one level up,
+//! where the serve engine runs independent jobs side by side. SA proposes
+//! moves from a configurable mix ([`MoveMix`],
+//! [`SaConfig::locality_bias`](SaConfig)). See `ARCHITECTURE.md` at the
+//! repository root for the evaluation stack and its determinism contract,
+//! and `docs/TUNING.md` for how to choose population sizes and the locality
+//! bias.
 //!
 //! Every optimizer has exactly two entry points: the circuit-level
 //! convenience above (`simulated_annealing(circuit, config)`, …) and one
@@ -66,8 +62,8 @@ mod sa;
 mod sp_rl;
 
 pub use common::{
-    BaselineResult, Candidate, CancelToken, ChainOutcome, CostCache, EvalPool, MoveMix,
-    PerturbUndo, Problem, RunControl, StopReason,
+    BaselineResult, CancelToken, Candidate, ChainOutcome, CostCache, MoveMix, PerturbUndo, Problem,
+    RunControl, StopReason,
 };
 pub use common::panic_payload_message;
 pub use ga::{genetic_algorithm, genetic_algorithm_on, GaConfig};

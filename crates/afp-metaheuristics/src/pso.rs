@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
-use crate::common::{BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason};
+use crate::common::{BaselineResult, Candidate, CostCache, Problem, RunControl, StopReason};
 
 /// PSO configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,10 +29,6 @@ pub struct PsoConfig {
     pub social: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for swarm evaluation through the [`EvalPool`]
-    /// (`0` = one per available hardware thread). Results are bit-identical
-    /// at any worker count; see `docs/TUNING.md` for how to choose.
-    pub workers: usize,
 }
 
 impl PsoConfig {
@@ -45,7 +41,6 @@ impl PsoConfig {
             cognitive: 1.5,
             social: 1.5,
             seed: 0,
-            workers: 1,
         }
     }
 
@@ -59,7 +54,6 @@ impl PsoConfig {
             cognitive: 1.5,
             social: 1.5,
             seed: 0,
-            workers: 0,
         }
     }
 }
@@ -123,7 +117,7 @@ pub fn particle_swarm_on(
 ) -> BaselineResult {
     let started = Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut pool = EvalPool::new(problem, config.workers);
+    let mut cache = CostCache::new(problem);
     let n = problem.num_blocks();
     let dim = 3 * n;
 
@@ -147,13 +141,14 @@ pub fn particle_swarm_on(
     let mut swarm: Vec<Candidate> = Vec::with_capacity(config.particles);
 
     for _ in 0..config.iterations {
-        // Decode the whole swarm, score it as one pool batch, then reduce in
-        // particle order — the same order the serial loop updated bests in,
-        // so the global best (and with it the next velocity update) is
-        // identical at any worker count.
+        // Decode and score the whole swarm, then update bests in particle
+        // order.
         swarm.clear();
         swarm.extend(particles.iter().map(|p| decode(&p.position, n)));
-        let costs = pool.evaluate(problem, &swarm);
+        let costs: Vec<f64> = swarm
+            .iter()
+            .map(|c| problem.cost_cached(c, &mut cache))
+            .collect();
         debug_assert!(
             costs.iter().all(|c| c.is_finite()),
             "non-finite particle cost would scramble best tracking"
@@ -215,26 +210,6 @@ mod tests {
         assert_eq!(a.floorplan.num_placed(), circuit.num_blocks());
         assert_eq!(a.algorithm, "PSO");
         assert!(a.evaluations > 0);
-    }
-
-    #[test]
-    fn pso_results_are_identical_across_worker_counts() {
-        // EvalPool determinism: the swarm trajectory (personal bests, global
-        // best, final decoded candidate) is reproducible for a seed at any
-        // worker count. `workers: 1` additionally pins the persistent pool's
-        // inline path against the serial default config.
-        let circuit = generators::ota8();
-        let serial = particle_swarm(&circuit, &PsoConfig::small());
-        for workers in [1usize, 2, 4] {
-            let cfg = PsoConfig {
-                workers,
-                ..PsoConfig::small()
-            };
-            let parallel = particle_swarm(&circuit, &cfg);
-            assert_eq!(parallel.reward, serial.reward, "{workers} workers diverged");
-            assert_eq!(parallel.evaluations, serial.evaluations);
-            assert_eq!(parallel.floorplan, serial.floorplan);
-        }
     }
 
     #[test]

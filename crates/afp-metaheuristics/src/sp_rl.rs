@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use afp_circuit::{Circuit, SHAPES_PER_BLOCK};
 
-use crate::common::{BaselineResult, Candidate, EvalPool, Problem, RunControl, StopReason};
+use crate::common::{BaselineResult, Candidate, CostCache, Problem, RunControl, StopReason};
 
 /// Number of move types the policy chooses between.
 const NUM_MOVES: usize = 4;
@@ -143,16 +143,10 @@ pub fn sequence_pair_rl_on(
     let mut rng = StdRng::seed_from_u64(config.seed);
     let n = problem.num_blocks();
 
-    // The REINFORCE recurrence only ever exposes one candidate at a time
-    // (the logits update needs each episode's end cost before the next
-    // episode's moves are sampled), so SP-RL evaluates through the pool's
-    // serial entry point: the pool owns the warm cache stack like it does
-    // for GA/PSO, but no batch wider than one exists to fan out — and a
-    // 2-item batch would never amortize a thread spawn (docs/TUNING.md).
-    let mut pool = EvalPool::new(problem, 1);
+    let mut cache = CostCache::new(problem);
     let mut logits = vec![0.0f64; NUM_MOVES];
     let mut best = Candidate::identity(n, problem.shape_sets());
-    let mut best_cost = pool.evaluate_one(problem, &best);
+    let mut best_cost = problem.cost_cached(&best, &mut cache);
     let mut evaluations = 1;
     let mut baseline_return = 0.0f64;
     let mut stop = StopReason::Completed;
@@ -169,7 +163,7 @@ pub fn sequence_pair_rl_on(
         } else {
             best.clone()
         };
-        let start_cost = pool.evaluate_one(problem, &candidate);
+        let start_cost = problem.cost_cached(&candidate, &mut cache);
         evaluations += 1;
         let mut chosen_moves = Vec::with_capacity(config.moves_per_episode);
         for _ in 0..config.moves_per_episode {
@@ -178,7 +172,7 @@ pub fn sequence_pair_rl_on(
             chosen_moves.push(mv);
             apply_move(&mut candidate, mv, &mut rng);
         }
-        let end_cost = pool.evaluate_one(problem, &candidate);
+        let end_cost = problem.cost_cached(&candidate, &mut cache);
         evaluations += 1;
         if end_cost < best_cost {
             best_cost = end_cost;

@@ -1,12 +1,11 @@
 //! Cooperative run control: deadlines, budgets and cancellation for
-//! long-running optimizer loops and pool batches.
+//! long-running optimizer loops.
 //!
 //! The types here are the workspace-wide vocabulary for *stopping things*:
 //!
 //! * [`CancelToken`] — a clonable `AtomicBool` flag. Cloning shares the flag,
 //!   so one `cancel()` is observed by every holder: the serve engine that
-//!   issued a job, the pool's chunk-claim loop, and the optimizer loops
-//!   themselves.
+//!   issued a job and the optimizer loop running it.
 //! * [`RunControl`] — the handle an optimizer run polls: an optional
 //!   wall-clock deadline, an optional evaluation budget, the cancel token,
 //!   and the polling stride.
@@ -70,12 +69,6 @@ impl CancelToken {
     /// Whether the flag has been raised (by any clone).
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
-    }
-
-    /// The shared flag, for advisory relaxed loads inside the pool's
-    /// chunk-claim loop.
-    pub(crate) fn flag(&self) -> &AtomicBool {
-        &self.flag
     }
 }
 

@@ -1,43 +1,51 @@
-//! Shared ownership of a [`WorkerPool`]: a clonable handle through which
-//! several runners borrow one process-wide pool instead of each owning
-//! (and spawning) their own.
+//! [`PoolHandle`]: a worker count, dispatch counters, and one scoped
+//! [`map`](PoolHandle::map).
 //!
-//! ## Why a handle
+//! ## Why scoped threads
 //!
-//! A caller that *owns* a persistent [`WorkerPool`] cannot share it: a job
-//! engine whose jobs run a pooled optimizer would stack two thread
-//! complements (the engine's and the runner's) and oversubscribe the
-//! machine. [`PoolHandle`] makes the pool
-//! a process-wide resource: the engine and every nested runner clone the same
-//! handle, and whoever dispatches first holds the workers while the dispatch
-//! lasts.
+//! The only parallel traffic in the workspace is the serve engine's phase 2:
+//! one dispatch per drain round, each item a millisecond-scale solve. A
+//! thread spawn costs tens of microseconds, so parking threads between
+//! rounds would save nothing measurable; `map` spawns its helpers on
+//! [`std::thread::scope`] per call, which lets them borrow the items and the
+//! closure directly.
 //!
-//! ## Re-entrancy
+//! ## Determinism
 //!
-//! A nested runner may be *called from inside* a batch running on the very
-//! pool it wants to borrow (a job closure that itself fans out chains). A
-//! blocking lock would deadlock: the outer dispatch holds the pool until the
-//! batch drains, and the batch cannot drain until the inner call returns.
-//! The handle therefore takes the pool with [`Mutex::try_lock`] and, when the
-//! pool is busy, falls back to the inline serial loop over `states[0]` — the
-//! exact code path a 1-worker pool runs. By the workspace's bit-identity
-//! contract (results are independent of worker count), the fallback changes
-//! *when* work runs, never *what* comes back.
+//! Workers claim items one at a time through an atomic index. Each result is
+//! tagged with its item index and put back in input order, so the returned
+//! vector does not depend on which worker ran which item.
 
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread;
 
-use crate::control::CancelToken;
-use crate::pool::{PoolStats, WorkerPool};
+/// Dispatch counters of a [`PoolHandle`], shared by all of its clones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Total [`map`](PoolHandle::map) calls (including empty ones).
+    pub batches: u64,
+    /// Helper threads spawned across all calls (the caller is never
+    /// counted; an inline call adds nothing).
+    pub threads_woken: u64,
+    /// Calls with fewer items than workers, where the helper count was
+    /// clamped to the item count.
+    pub clamped_batches: u64,
+}
 
-/// A clonable, shareable handle to one [`WorkerPool`].
+#[derive(Debug, Default)]
+struct Counters {
+    batches: AtomicU64,
+    threads_woken: AtomicU64,
+    clamped_batches: AtomicU64,
+}
+
+/// A clonable worker count with shared dispatch counters.
 ///
-/// All clones refer to the same pool; dispatches serialize on an internal
-/// mutex. When the pool is already dispatching (including the re-entrant
-/// case where the caller *is* one of the pool's workers), the batch runs
-/// inline on the calling thread as a serial loop over `states[0]` instead of
-/// blocking — deadlock-free by construction, and bit-identical by the
-/// worker-count-independence contract the scoped mappers guarantee.
+/// Clones share the counters; each [`map`](PoolHandle::map) call brings its
+/// own scoped threads, so concurrent and nested calls never wait on each
+/// other.
 ///
 /// # Examples
 ///
@@ -45,149 +53,117 @@ use crate::pool::{PoolStats, WorkerPool};
 /// use afp_par::PoolHandle;
 ///
 /// let handle = PoolHandle::new(4);
-/// let runner = handle.clone(); // same pool, no new threads
+/// let runner = handle.clone(); // same counters
 /// let items: Vec<u64> = (0..100).collect();
-/// let mut states = vec![(); 4];
-/// let out = runner.map_scoped(&items, &mut states, |_, &x| x * 2);
+/// let out = runner.map(&items, |&x| x * 2);
 /// assert_eq!(out[99], 198);
 /// assert_eq!(handle.workers(), 4);
+/// assert_eq!(handle.stats().batches, 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PoolHandle {
-    inner: Arc<Mutex<WorkerPool>>,
-    /// Cached so `workers()` never has to take (or wait on) the pool lock.
     workers: usize,
+    counters: Arc<Counters>,
 }
 
 impl PoolHandle {
-    /// Creates a handle owning a fresh pool of `workers` total workers
-    /// (`0` = one per hardware thread; see [`WorkerPool::new`]).
+    /// A handle of `workers` total workers, counting the calling thread.
+    /// `0` means one per available hardware thread.
     pub fn new(workers: usize) -> Self {
-        Self::from_pool(WorkerPool::new(workers))
-    }
-
-    /// Wraps an existing pool in a shared handle.
-    pub fn from_pool(pool: WorkerPool) -> Self {
-        let workers = pool.workers();
+        let workers = if workers == 0 {
+            thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            workers
+        };
         PoolHandle {
-            inner: Arc::new(Mutex::new(pool)),
             workers,
+            counters: Arc::default(),
         }
     }
 
-    /// Total worker count of the underlying pool (including the dispatching
-    /// thread), cached at construction — never blocks.
+    /// Total worker count, counting the calling thread as worker 0.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Dispatch counters of the underlying pool.
-    ///
-    /// Taken under the pool lock; if the pool is mid-dispatch this waits for
-    /// the current batch to drain (stats are an observability surface, not a
-    /// hot path). Inline-fallback batches are not visible here — they never
-    /// touch the pool.
+    /// Dispatch counters accumulated across every clone of this handle.
     pub fn stats(&self) -> PoolStats {
-        self.lock().stats()
-    }
-
-    /// Non-blocking variant of [`stats`](PoolHandle::stats): `None` when the
-    /// pool is mid-dispatch instead of waiting for the batch to drain.
-    ///
-    /// Meant for monitoring surfaces that sample a live pool (the serve
-    /// daemon's drain loop keeps the pool busy for seconds at a time) where
-    /// a stale reading is fine but a blocked reader is not.
-    pub fn try_stats(&self) -> Option<PoolStats> {
-        self.try_lock().map(|pool| pool.stats())
-    }
-
-    /// [`WorkerPool::map_scoped`] through the shared handle.
-    ///
-    /// Takes the pool with `try_lock`; when the pool is busy (another clone
-    /// is dispatching, or this call is re-entrant from inside a batch) the
-    /// items run inline as the serial loop over `states[0]`. Results are in
-    /// input order and bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states` is empty; propagates panics from worker closures.
-    pub fn map_scoped<T, R, S, F>(&self, items: &[T], states: &mut [S], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        S: Send,
-        F: Fn(&mut S, &T) -> R + Sync,
-    {
-        assert!(
-            !states.is_empty(),
-            "map_scoped needs at least one worker state"
-        );
-        match self.try_lock() {
-            Some(mut pool) => pool.map_scoped(items, states, f),
-            None => {
-                let state = &mut states[0];
-                items.iter().map(|item| f(state, item)).collect()
-            }
+        PoolStats {
+            batches: self.counters.batches.load(Ordering::Relaxed),
+            threads_woken: self.counters.threads_woken.load(Ordering::Relaxed),
+            clamped_batches: self.counters.clamped_batches.load(Ordering::Relaxed),
         }
     }
 
-    /// [`WorkerPool::map_scoped_cancellable`] through the shared handle: the
-    /// same busy-fallback as [`map_scoped`](PoolHandle::map_scoped), with the
-    /// token observed per item on the inline path (the serial analogue of a
-    /// chunk-claim boundary).
+    /// Applies `f` to every item on up to [`workers`](PoolHandle::workers)
+    /// threads and returns the results in input order.
+    ///
+    /// The caller runs as worker 0; `min(workers, items) − 1` helpers are
+    /// spawned on a [`thread::scope`]. With one worker or one item the call
+    /// runs inline and spawns nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `states` is empty; propagates panics from worker closures.
-    pub fn map_scoped_cancellable<T, R, S, F>(
-        &self,
-        items: &[T],
-        states: &mut [S],
-        cancel: &CancelToken,
-        f: F,
-    ) -> Vec<Option<R>>
+    /// If `f` panics on any worker, the remaining items still run and the
+    /// first panic is re-raised after every thread has joined.
+    pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
-        S: Send,
-        F: Fn(&mut S, &T) -> R + Sync,
+        F: Fn(&T) -> R + Sync,
     {
-        assert!(
-            !states.is_empty(),
-            "map_scoped_cancellable needs at least one worker state"
-        );
-        match self.try_lock() {
-            Some(mut pool) => pool.map_scoped_cancellable(items, states, cancel, f),
-            None => {
-                let state = &mut states[0];
-                let flag = cancel.flag();
-                items
-                    .iter()
-                    .map(|item| {
-                        if flag.load(Ordering::Relaxed) {
-                            None
-                        } else {
-                            Some(f(state, item))
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        if items.len() < self.workers {
+            self.counters
+                .clamped_batches
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        let active = self.workers.min(items.len());
+        if active <= 1 {
+            return items.iter().map(f).collect();
+        }
+        self.counters
+            .threads_woken
+            .fetch_add(active as u64 - 1, Ordering::Relaxed);
+
+        // `Relaxed` suffices: the index publishes no data, and each
+        // worker's results reach the caller through its join.
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return done;
+                };
+                done.push((i, f(item)));
+            }
+        };
+        let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        let mut panic = None;
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (1..active).map(|_| scope.spawn(claim)).collect();
+            let own = catch_unwind(AssertUnwindSafe(&claim));
+            for joined in std::iter::once(own).chain(helpers.into_iter().map(|h| h.join())) {
+                match joined {
+                    Ok(done) => {
+                        for (i, r) in done {
+                            slots[i] = Some(r);
                         }
-                    })
-                    .collect()
+                    }
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                    }
+                }
             }
+        });
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
-    }
-
-    /// Blocking lock used by non-dispatch accessors. Poisoning is recovered:
-    /// the pool is designed to survive worker panics (batches drain before
-    /// re-raising), so a poisoned mutex still guards a usable pool.
-    fn lock(&self) -> std::sync::MutexGuard<'_, WorkerPool> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn try_lock(&self) -> Option<std::sync::MutexGuard<'_, WorkerPool>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        slots
+            .into_iter()
+            .map(|r| r.expect("every item is claimed exactly once"))
+            .collect()
     }
 }
 
@@ -196,106 +172,112 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handle_matches_owned_pool_results() {
+    fn map_matches_serial_at_every_worker_count() {
         let items: Vec<u64> = (0..257).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9E37)).collect();
-        for workers in [1usize, 2, 4] {
+        for workers in [1usize, 2, 3, 4, 8] {
             let handle = PoolHandle::new(workers);
-            let mut states = vec![(); workers];
-            let out = handle.map_scoped(&items, &mut states, |_, &x| x.wrapping_mul(0x9E37));
+            let out = handle.map(&items, |&x| x.wrapping_mul(0x9E37));
             assert_eq!(out, serial, "diverged at {workers} workers");
         }
     }
 
     #[test]
-    fn clones_share_one_pool() {
-        let handle = PoolHandle::new(3);
-        let clone = handle.clone();
-        let items: Vec<u64> = (0..64).collect();
-        let mut states = vec![(); 3];
-        let _ = handle.map_scoped(&items, &mut states, |_, &x| x);
-        let _ = clone.map_scoped(&items, &mut states, |_, &x| x);
-        // Both dispatches landed on the same pool's counters.
-        assert_eq!(handle.stats().batches, 2);
-        assert_eq!(clone.stats().batches, 2);
+    fn one_worker_or_one_item_runs_inline() {
+        let caller = thread::current().id();
+        let items: Vec<u64> = (0..16).collect();
+        let single = PoolHandle::new(1);
+        assert!(single
+            .map(&items, |_| thread::current().id() == caller)
+            .iter()
+            .all(|&b| b));
+        let wide = PoolHandle::new(4);
+        assert_eq!(
+            wide.map(&[7u64], |_| thread::current().id() == caller),
+            vec![true]
+        );
+        assert_eq!(single.stats().threads_woken + wide.stats().threads_woken, 0);
     }
 
     #[test]
-    fn reentrant_dispatch_falls_back_inline_without_deadlock() {
-        // An outer batch whose closure dispatches on the same handle: the
-        // inner call must take the inline path (the pool lock is held by the
-        // outer dispatch) and still return correct, ordered results.
+    fn small_batches_clamp_the_helper_count() {
+        let handle = PoolHandle::new(4);
+        let out = handle.map(&[1u64, 2], |&x| x + 1);
+        assert_eq!(out, vec![2, 3]);
+        let full: Vec<u64> = (0..8).collect();
+        let _ = handle.map(&full, |&x| x);
+        let stats = handle.stats();
+        assert_eq!(stats.batches, 2);
+        assert_eq!(stats.clamped_batches, 1);
+        // One helper for the 2-item call, three for the 8-item one.
+        assert_eq!(stats.threads_woken, 4);
+    }
+
+    #[test]
+    fn empty_batch_returns_empty() {
+        let handle = PoolHandle::new(3);
+        let out: Vec<u64> = handle.map(&[] as &[u64], |&x| x);
+        assert!(out.is_empty());
+        assert_eq!(handle.stats().batches, 1);
+    }
+
+    #[test]
+    fn auto_worker_count_is_positive() {
+        assert!(PoolHandle::new(0).workers() >= 1);
+    }
+
+    #[test]
+    fn clones_share_counters() {
+        let handle = PoolHandle::new(3);
+        let clone = handle.clone();
+        let items: Vec<u64> = (0..64).collect();
+        let _ = handle.map(&items, |&x| x);
+        let _ = clone.map(&items, |&x| x);
+        assert_eq!(handle.stats().batches, 2);
+        assert_eq!(clone.stats(), handle.stats());
+    }
+
+    #[test]
+    fn nested_map_completes_and_matches_serial() {
+        // A closure that maps on a clone of its own handle: each call brings
+        // its own scoped threads, so the inner call never waits on the outer.
         let handle = PoolHandle::new(2);
         let inner_items: Vec<u64> = (0..10).collect();
         let outer_items: Vec<u64> = (0..8).collect();
-        let mut states = vec![(); 2];
         let nested = handle.clone();
-        let out = handle.map_scoped(&outer_items, &mut states, |_, &x| {
-            let mut inner_states = vec![(); 2];
-            let inner: Vec<u64> =
-                nested.map_scoped(&inner_items, &mut inner_states, |_, &y| y + x);
-            inner.iter().sum::<u64>()
+        let out = handle.map(&outer_items, |&x| {
+            nested.map(&inner_items, |&y| y + x).iter().sum::<u64>()
         });
         let expected: Vec<u64> = outer_items
             .iter()
             .map(|&x| inner_items.iter().map(|&y| y + x).sum())
             .collect();
         assert_eq!(out, expected);
-        // Only the outer dispatches reached the pool.
-        assert_eq!(handle.stats().batches, 1);
+        assert_eq!(handle.stats().batches, 1 + outer_items.len() as u64);
     }
 
     #[test]
-    fn try_stats_is_none_only_while_the_pool_is_held() {
-        let handle = PoolHandle::new(2);
-        let items: Vec<u64> = (0..8).collect();
-        let mut states = vec![(); 2];
-        let _ = handle.map_scoped(&items, &mut states, |_, &x| x);
-        // Idle pool: the sample succeeds and sees the dispatch above.
-        assert_eq!(handle.try_stats().expect("pool idle").batches, 1);
-        // Pool held by a running batch: the sample declines instead of
-        // blocking until the batch drains.
-        let sampler = handle.clone();
-        let out = handle.map_scoped(&[0u8], &mut states, |_, _| sampler.try_stats().is_none());
-        assert_eq!(out, vec![true]);
-    }
-
-    #[test]
-    fn cancellable_through_handle_observes_the_token() {
-        let handle = PoolHandle::new(2);
-        let token = CancelToken::new();
-        token.cancel();
-        let items: Vec<u64> = (0..50).collect();
-        let mut states = vec![0u64; 2];
-        let out = handle.map_scoped_cancellable(&items, &mut states, &token, |s, &x| {
-            *s += 1;
-            x
-        });
-        assert!(out.iter().all(Option::is_none));
-        assert_eq!(states.iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn inline_fallback_observes_the_token_per_item() {
-        // Force the fallback by holding the pool from an outer dispatch, then
-        // cancel partway through the inner loop.
-        let handle = PoolHandle::new(2);
-        let mut states = vec![(); 2];
-        let nested = handle.clone();
-        let out = handle.map_scoped(&[0u8], &mut states, |_, _| {
-            let token = CancelToken::new();
-            let items: Vec<u64> = (0..100).collect();
-            let mut inner_states = vec![(); 1];
-            let inner = nested.map_scoped_cancellable(&items, &mut inner_states, &token, |_, &x| {
+    fn panic_is_reraised_after_the_other_items_run() {
+        let handle = PoolHandle::new(3);
+        let items: Vec<u64> = (0..64).collect();
+        let ran = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            handle.map(&items, |&x| {
                 if x == 5 {
-                    token.cancel();
+                    panic!("boom at {x}");
                 }
+                ran.fetch_add(1, Ordering::Relaxed);
                 x
-            });
-            inner.iter().filter(|r| r.is_some()).count()
-        });
-        // Items 0..=5 ran (the flag is checked before each item), the rest
-        // were skipped.
-        assert_eq!(out, vec![6]);
+            })
+        }));
+        let payload = outcome.expect_err("the panic propagates");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("boom at 5")
+        );
+        // Every other item ran before the panic was re-raised.
+        assert_eq!(ran.load(Ordering::Relaxed), 63);
+        // The handle stays usable.
+        assert_eq!(handle.map(&items, |&x| x), items);
     }
 }

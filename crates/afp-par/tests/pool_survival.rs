@@ -1,18 +1,18 @@
-//! The persistent [`WorkerPool`]'s failure-domain property under planned
-//! panics and stalls (`scripts/ci.sh` also runs it by name under `timeout`).
+//! [`PoolHandle::map`]'s failure-domain property under planned panics and
+//! stalls (`scripts/ci.sh` also runs it by name under `timeout`).
 //!
 //! A splitmix64 roll of `(seed, job)` makes planned jobs panic or stall, and
-//! 200 proptest cases assert the pool's contract: planned panics propagate
-//! exactly and never deadlock the dispatcher, stalls only delay,
+//! 200 proptest cases assert the contract: planned panics propagate exactly
+//! and never deadlock the caller, stalls only delay,
 //! [`PoolStats`](afp_par::PoolStats) stays consistent through it all, and a
-//! pool remains usable after arbitrarily many faulted batches.
+//! handle remains usable after arbitrarily many faulted batches.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use afp_par::{CancelToken, WorkerPool};
+use afp_par::PoolHandle;
 
 #[derive(Debug, PartialEq)]
 enum Fault {
@@ -58,8 +58,7 @@ proptest! {
         stall_percent in 0u8..25,
         batches in 1usize..4,
     ) {
-        let mut pool = WorkerPool::new(workers);
-        let mut states = vec![0u64; workers];
+        let pool = PoolHandle::new(workers);
         let xs: Vec<u64> = (0..items as u64).collect();
         for batch in 0..batches as u64 {
             // Job ids advance across batches so each batch faults at
@@ -69,7 +68,7 @@ proptest! {
                 .iter()
                 .any(|&x| fault(seed, offset + x, panic_percent, stall_percent) == Some(Fault::Panic));
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                pool.map_scoped(&xs, &mut states, |hits, &x| {
+                pool.map(&xs, |&x| {
                     match fault(seed, offset + x, panic_percent, stall_percent) {
                         Some(Fault::Panic) => {
                             panic!("injected fault: job {} (seed {seed})", offset + x)
@@ -77,7 +76,6 @@ proptest! {
                         Some(Fault::Stall(pause)) => std::thread::sleep(pause),
                         None => {}
                     }
-                    *hits += 1;
                     x.wrapping_mul(0x9E37)
                 })
             }));
@@ -101,18 +99,17 @@ proptest! {
                 }
             }
         }
-        // PoolStats consistency after repeated faulted batches.
+        // PoolStats consistency after repeated faulted batches: every call
+        // spawned min(workers, items) − 1 helpers, panic or not.
         let stats = pool.stats();
         prop_assert_eq!(stats.batches, batches as u64);
-        prop_assert_eq!(stats.inline_batches + stats.parked_dispatches, stats.batches);
-        prop_assert!(stats.threads_woken <= stats.parked_dispatches * (workers as u64));
-        // Reusability: a clean batch (and a clean cancellable batch) both
-        // run to completion with exact results.
-        let clean = pool.map_scoped(&xs, &mut states, |_, &x| x + 1);
+        let helpers = (workers.min(items) - 1) as u64;
+        prop_assert_eq!(stats.threads_woken, helpers * batches as u64);
+        let clamped = if items < workers { batches as u64 } else { 0 };
+        prop_assert_eq!(stats.clamped_batches, clamped);
+        // Reusability: a clean batch runs to completion with exact results.
+        let clean = pool.map(&xs, |&x| x + 1);
         prop_assert_eq!(clean, (1..=items as u64).collect::<Vec<_>>());
-        let token = CancelToken::new();
-        let gated = pool.map_scoped_cancellable(&xs, &mut states, &token, |_, &x| x + 1);
-        prop_assert!(gated.iter().all(Option::is_some));
-        prop_assert_eq!(pool.stats().batches, batches as u64 + 2);
+        prop_assert_eq!(pool.stats().batches, batches as u64 + 1);
     }
 }

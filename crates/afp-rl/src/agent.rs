@@ -119,7 +119,8 @@ pub struct FloorplanAgent {
     encoder: RgcnEncoder,
     policy: ActorCritic,
     config: AgentConfig,
-    embedding_cache: HashMap<String, CircuitEmbedding>,
+    /// Per circuit name, the graph last encoded under it and its embedding.
+    embedding_cache: HashMap<String, (CircuitGraph, CircuitEmbedding)>,
 }
 
 impl FloorplanAgent {
@@ -174,10 +175,15 @@ impl FloorplanAgent {
     }
 
     /// Encodes a circuit graph, caching by circuit name (the encoder is frozen
-    /// during RL, so embeddings never change for a given circuit).
+    /// during RL, so embeddings never change for a given graph). A hit must
+    /// be for the same graph: a circuit whose constraints changed under the
+    /// same name, as the curriculum's injected constraints do, is re-encoded
+    /// and replaces the entry.
     pub fn embed(&mut self, name: &str, graph: &CircuitGraph) -> CircuitEmbedding {
-        if let Some(hit) = self.embedding_cache.get(name) {
-            return hit.clone();
+        if let Some((cached, hit)) = self.embedding_cache.get(name) {
+            if cached == graph {
+                return hit.clone();
+            }
         }
         let embedding = if self.config.ablation.use_encoder {
             self.encoder.encode(graph)
@@ -187,7 +193,8 @@ impl FloorplanAgent {
                 graph_embedding: Tensor::zeros(&[afp_gnn::EMBEDDING_DIM]),
             }
         };
-        self.embedding_cache.insert(name.to_string(), embedding.clone());
+        self.embedding_cache
+            .insert(name.to_string(), (graph.clone(), embedding.clone()));
         embedding
     }
 
@@ -386,6 +393,25 @@ mod tests {
         agent.clear_embedding_cache();
         let c = agent.embed(&circuit.name, &graph);
         assert_eq!(a.graph_embedding.data(), c.graph_embedding.data());
+    }
+
+    #[test]
+    fn a_changed_graph_under_the_same_name_is_re_encoded() {
+        let mut agent = FloorplanAgent::new(AgentConfig::small());
+        let mut circuit = generators::bias19();
+        let before = agent.embed(&circuit.name, &CircuitGraph::from_circuit(&circuit));
+        let constraints = circuit.constraints.len();
+        let mut rng = StdRng::seed_from_u64(3);
+        while circuit.constraints.len() == constraints {
+            crate::curriculum::inject_random_constraint(&mut circuit, &mut rng);
+        }
+        let graph = CircuitGraph::from_circuit(&circuit);
+        let after = agent.embed(&circuit.name, &graph);
+        assert_ne!(before.node_embeddings.data(), after.node_embeddings.data());
+        // Same seed, same encoder weights, empty cache: a fresh encode.
+        let fresh = FloorplanAgent::new(AgentConfig::small()).embed(&circuit.name, &graph);
+        assert_eq!(after.node_embeddings.data(), fresh.node_embeddings.data());
+        assert_eq!(after.graph_embedding.data(), fresh.graph_embedding.data());
     }
 
     #[test]

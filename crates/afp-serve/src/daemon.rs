@@ -432,17 +432,17 @@ mod tests {
         let engine = JobEngine::with_cache(&ServeConfig::default(), pool, cache.clone());
         let daemon = ServeDaemon::spawn_with_engine(engine);
 
-        // `moves_per_temperature: 0` divides by zero inside SA.
-        let bad = daemon
-            .submit(JobRequest::new(JobSpec::new(
-                generators::ota3(),
-                Baseline::Sa(SaConfig {
-                    moves_per_temperature: 0,
-                    ..SaConfig::small()
-                }),
-                1,
-            )))
-            .expect("admit bad");
+        // `moves_per_temperature: 0` divides by zero inside SA. Admission
+        // rejects it, so it is queued on the engine unvalidated; the good
+        // job's submit then wakes the drain loop for both.
+        let bad = daemon.engine().submit_unvalidated(JobRequest::new(JobSpec::new(
+            generators::ota3(),
+            Baseline::Sa(SaConfig {
+                moves_per_temperature: 0,
+                ..SaConfig::small()
+            }),
+            1,
+        )));
         let good = daemon.submit(JobRequest::new(sa_spec(1))).expect("admit good");
         daemon.wait_idle();
         assert!(matches!(daemon.engine().state(bad), JobState::Failed(_)));

@@ -4,14 +4,14 @@
 //! [`Fingerprint`], and drains the queue in batches with
 //! [`JobEngine::run_pending`]: exact fingerprint hits are answered from the
 //! shared [`CacheHandle`] without touching a worker, and the remaining misses
-//! are sharded across the engine's [`PoolHandle`] — one persistent
-//! process-wide `WorkerPool` shared by every engine that clones the handle.
-//! Each miss runs its baseline under its own [`RunControl`] (per-job
-//! deadline, evaluation budget, and [`CancelToken`]) inside a
-//! `catch_unwind`, so a panicking solve becomes [`JobState::Failed`] for
-//! that job alone — the pool, the cache, and the other jobs in the batch are
-//! unaffected. Each job's outcome is a [`ChainOutcome`]: finished, panicked,
-//! or skipped because its token was raised before it started.
+//! fan out over the engine's [`PoolHandle`] — one serial solve per item,
+//! on scoped threads. Each miss runs its baseline under its own
+//! [`RunControl`] (per-job deadline, evaluation budget, and [`CancelToken`])
+//! inside a `catch_unwind`, so a panicking solve becomes
+//! [`JobState::Failed`] for that job alone — the cache and the other jobs in
+//! the batch are unaffected. Each job's outcome is a [`ChainOutcome`]:
+//! finished, panicked, or skipped because its token was raised before it
+//! started.
 //!
 //! Only runs that stopped with [`StopReason::Completed`] are memoized: the
 //! fingerprint does not encode deadlines or budgets, so an interrupted
@@ -45,8 +45,8 @@ use std::time::Duration;
 
 use afp_circuit::CircuitError;
 use afp_metaheuristics::{
-    panic_payload_message, Baseline, BaselineResult, CancelToken, ChainOutcome, RunControl,
-    StopReason,
+    panic_payload_message, Baseline, BaselineResult, CancelToken, ChainOutcome, RlSaConfig,
+    RunControl, SaConfig, StopReason,
 };
 use afp_par::PoolHandle;
 
@@ -57,9 +57,9 @@ use crate::persist::PersistError;
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads in the engine's pool (`0` = one per available hardware
-    /// thread). Ignored by [`JobEngine::with_pool`], where the shared handle
-    /// decides.
+    /// Jobs solved side by side in one drain round (`0` = one per available
+    /// hardware thread). Ignored by [`JobEngine::with_pool`], where the
+    /// handle decides.
     pub workers: usize,
     /// Result-cache capacity in entries (minimum 1).
     pub cache_capacity: usize,
@@ -118,7 +118,9 @@ pub enum RejectReason {
     /// number, or a net or constraint naming a block that does not exist.
     InvalidCircuit(CircuitError),
     /// A solver knob that sizes the search is zero, so the solver has no
-    /// candidate to return (`"population"` for GA, `"particles"` for PSO).
+    /// candidate to return (`"population"` for GA, `"particles"` for PSO)
+    /// or cannot run its cooling schedule (`"moves_per_temperature"` for SA
+    /// and for RL-SA's refinement stage).
     EmptySearch {
         /// The zero knob.
         knob: &'static str,
@@ -222,7 +224,7 @@ struct EngineState {
 /// Sharded, cancellable, cache-backed solve engine.
 ///
 /// Cloning is cheap and clones share everything: job table, queue, cache,
-/// pool. Solver work inside a batch is sharded across the pool; all
+/// pool. Solver work inside a batch fans out over the pool; all
 /// bookkeeping happens on whichever thread calls into the engine, under a
 /// short-held internal lock (see the module docs for the admission
 /// guarantees this buys).
@@ -272,7 +274,7 @@ impl JobEngine {
         }
     }
 
-    /// The engine's pool handle (clone it to share the pool).
+    /// The engine's pool handle (clone it to share its counters).
     pub fn pool(&self) -> &PoolHandle {
         &self.pool
     }
@@ -302,6 +304,18 @@ impl JobEngine {
     /// [`RejectReason::EmptySearch`]) is rejected before it is fingerprinted.
     pub fn try_submit(&self, request: JobRequest) -> Result<JobId, RejectReason> {
         validate(&request.spec)?;
+        self.admit(request)
+    }
+
+    /// Enqueues a job without the admission checks, so a test can make a
+    /// solver panic inside a drain round.
+    #[cfg(test)]
+    pub(crate) fn submit_unvalidated(&self, request: JobRequest) -> JobId {
+        self.admit(request).expect("unbounded queue")
+    }
+
+    /// Fingerprints and enqueues an already validated request.
+    fn admit(&self, request: JobRequest) -> Result<JobId, RejectReason> {
         let fingerprint = request.spec.fingerprint();
         let mut state = self.lock();
         if self.queue_depth != 0 && state.queue.len() >= self.queue_depth {
@@ -394,7 +408,7 @@ impl JobEngine {
     }
 
     /// Drains the queue: answers exact-fingerprint hits from the cache,
-    /// shards the misses across the pool, and memoizes completed solves.
+    /// fans the misses out over the pool, and memoizes completed solves.
     /// Returns the number of jobs that reached a terminal state. Runs
     /// rounds until the queue is observed empty, so jobs admitted while a
     /// batch is in flight are drained by the same call.
@@ -467,7 +481,7 @@ impl JobEngine {
         true
     }
 
-    /// Phases 2 and 3 of one round: shard the misses across the pool
+    /// Phases 2 and 3 of one round: fan the misses out over the pool
     /// (holding no engine lock, so submissions stay admissible), then fold
     /// outcomes into job states, the cache, and the round's duplicates.
     fn run_batch(&self, resolved: &mut usize, to_run: Vec<Scheduled>, followers: Vec<(usize, usize)>) {
@@ -477,41 +491,32 @@ impl JobEngine {
         // than the cache holds), so followers must never depend on it.
         let mut memoized: Vec<Option<BaselineResult>> = vec![None; to_run.len()];
         if !to_run.is_empty() {
-            // Phase 2 (sharded, lock-free): one work item per miss. Jobs
-            // carry heterogeneous circuits, so there is no shareable
-            // evaluator state — each solve builds its own Problem/CostCache
-            // internally and the per-worker state is unit.
-            let workers = self.pool.workers().min(to_run.len()).max(1);
-            let mut states = vec![(); workers];
-            let never = CancelToken::new();
-            let outcomes = self.pool.map_scoped_cancellable(
-                &to_run,
-                &mut states,
-                &never,
-                |_state, scheduled| {
-                    if scheduled.token.is_cancelled() {
-                        return ChainOutcome::Skipped;
-                    }
-                    let mut control =
-                        RunControl::unbounded().with_cancel_token(scheduled.token.clone());
-                    if let Some(after) = scheduled.deadline {
-                        control = control.with_deadline(after);
-                    }
-                    if let Some(evals) = scheduled.budget {
-                        control = control.with_budget(evals);
-                    }
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        scheduled.spec.solver.run_controlled(
-                            &scheduled.spec.circuit,
-                            scheduled.spec.seed,
-                            &control,
-                        )
-                    })) {
-                        Ok(result) => ChainOutcome::Finished(result),
-                        Err(payload) => ChainOutcome::Panicked(panic_payload_message(payload)),
-                    }
-                },
-            );
+            // Phase 2 (fanned out, lock-free): one serial solve per miss,
+            // each building its own Problem/CostCache and polling its own
+            // RunControl.
+            let outcomes = self.pool.map(&to_run, |scheduled| {
+                if scheduled.token.is_cancelled() {
+                    return ChainOutcome::Skipped;
+                }
+                let mut control =
+                    RunControl::unbounded().with_cancel_token(scheduled.token.clone());
+                if let Some(after) = scheduled.deadline {
+                    control = control.with_deadline(after);
+                }
+                if let Some(evals) = scheduled.budget {
+                    control = control.with_budget(evals);
+                }
+                match catch_unwind(AssertUnwindSafe(|| {
+                    scheduled.spec.solver.run_controlled(
+                        &scheduled.spec.circuit,
+                        scheduled.spec.seed,
+                        &control,
+                    )
+                })) {
+                    Ok(result) => ChainOutcome::Finished(result),
+                    Err(payload) => ChainOutcome::Panicked(panic_payload_message(payload)),
+                }
+            });
 
             // Phase 3 (serial): fold outcomes back into job states and the
             // cache. Memoization happens before follower resolution so the
@@ -519,7 +524,7 @@ impl JobEngine {
             let mut state = self.lock();
             for (idx, (scheduled, slot)) in to_run.iter().zip(outcomes).enumerate() {
                 let job_state = match slot {
-                    Some(ChainOutcome::Finished(result)) => {
+                    ChainOutcome::Finished(result) => {
                         if result.stop == StopReason::Completed {
                             self.cache.insert(scheduled.fingerprint, result.clone());
                             memoized[idx] = Some(result.clone());
@@ -531,8 +536,8 @@ impl JobEngine {
                             fingerprint: scheduled.fingerprint,
                         })
                     }
-                    Some(ChainOutcome::Panicked(message)) => JobState::Failed(message),
-                    Some(ChainOutcome::Skipped) | None => JobState::Cancelled,
+                    ChainOutcome::Panicked(message) => JobState::Failed(message),
+                    ChainOutcome::Skipped => JobState::Cancelled,
                 };
                 state.jobs[scheduled.job].state = job_state;
                 *resolved += 1;
@@ -628,13 +633,21 @@ fn validate(spec: &JobSpec) -> Result<(), RejectReason> {
     spec.circuit
         .validate()
         .map_err(RejectReason::InvalidCircuit)?;
+    let empty = |knob| Err(RejectReason::EmptySearch { knob });
     match &spec.solver {
-        Baseline::Ga(cfg) if cfg.population == 0 => Err(RejectReason::EmptySearch {
-            knob: "population",
-        }),
-        Baseline::Pso(cfg) if cfg.particles == 0 => Err(RejectReason::EmptySearch {
-            knob: "particles",
-        }),
+        Baseline::Ga(cfg) if cfg.population == 0 => empty("population"),
+        Baseline::Pso(cfg) if cfg.particles == 0 => empty("particles"),
+        Baseline::Sa(SaConfig {
+            moves_per_temperature: 0,
+            ..
+        })
+        | Baseline::RlSa(RlSaConfig {
+            refinement: SaConfig {
+                moves_per_temperature: 0,
+                ..
+            },
+            ..
+        }) => empty("moves_per_temperature"),
         _ => Ok(()),
     }
 }
@@ -918,9 +931,10 @@ mod tests {
     #[test]
     fn a_panicking_job_fails_alone() {
         // `moves_per_temperature: 0` makes SA's cooling schedule divide by
-        // zero; the healthy job beside it must still finish and be cached.
+        // zero (admission rejects it, so it is enqueued unvalidated); the
+        // healthy job beside it must still finish and be cached.
         let engine = engine(2);
-        let bad = engine.submit(JobRequest::new(JobSpec::new(
+        let bad = engine.submit_unvalidated(JobRequest::new(JobSpec::new(
             generators::ota3(),
             Baseline::Sa(SaConfig {
                 moves_per_temperature: 0,

@@ -26,10 +26,9 @@
 //!   circuit, pairs within a symmetry group, blocks within an alignment
 //!   group, and constraints within the set are all order-normalized, because
 //!   the evaluation stack treats them as sets.
-//! * **Non-semantic knobs are excluded.** Optimizer `workers` counts are not
-//!   hashed (results are bit-identical at any worker count), and the
-//!   config-embedded `seed` is ignored in favor of [`JobSpec::seed`], which
-//!   is what [`Baseline::run_controlled`] actually uses.
+//! * **Non-semantic knobs are excluded.** The config-embedded `seed` is
+//!   ignored in favor of [`JobSpec::seed`], which is what
+//!   [`Baseline::run_controlled`] actually uses.
 //!
 //! [`BaselineResult`]: afp_metaheuristics::BaselineResult
 //! [`Baseline::run_controlled`]: afp_metaheuristics::Baseline::run_controlled
@@ -543,14 +542,11 @@ mod tests {
     }
 
     #[test]
-    fn workers_and_embedded_seed_are_not_part_of_the_key() {
-        // Worker counts never change results (bit-identical EvalPool), and
-        // the embedded seed is overridden by JobSpec::seed.
+    fn embedded_seed_is_not_part_of_the_key() {
+        // The embedded seed is overridden by JobSpec::seed.
         let mut a_cfg = GaConfig::small();
-        a_cfg.workers = 1;
         a_cfg.seed = 1;
         let mut b_cfg = a_cfg.clone();
-        b_cfg.workers = 4;
         b_cfg.seed = 99;
         let a = JobSpec::new(generators::ota5(), Baseline::Ga(a_cfg), 7);
         let b = JobSpec::new(generators::ota5(), Baseline::Ga(b_cfg), 7);

@@ -2,7 +2,8 @@
 //!
 //! The serve layer turns the repository's optimizer stack into a solve
 //! *service*: callers submit jobs, the engine answers repeats from a cache
-//! and shards the rest across a persistent worker pool. Five pieces:
+//! and runs the rest side by side, one serial solve per thread. Five
+//! pieces:
 //!
 //! * [`fingerprint`] — the canonical problem [`Fingerprint`]: a 128-bit
 //!   structural hash over netlist topology, shape tables, constraint set,
@@ -21,8 +22,8 @@
 //!   [`RunControl`](afp_metaheuristics::RunControl) (deadline, budget,
 //!   cancel token), per-job panic isolation (each job's
 //!   `catch_unwind` outcome is a `ChainOutcome`), and batch execution
-//!   sharded over a process-wide [`afp_par::PoolHandle`] — with admission
-//!   locks scoped so submits never block on a running batch.
+//!   fanned out by [`afp_par::PoolHandle::map`] on scoped threads — with
+//!   admission locks scoped so submits never block on a running batch.
 //! * [`daemon`] — the [`ServeDaemon`]: a drain thread that keeps
 //!   `run_pending` running as jobs stream in, with graceful shutdown and a
 //!   per-job [`ShutdownReport`].
@@ -31,7 +32,7 @@
 //!   corruption problems degrade to a cold start, never a panic.
 //!
 //! The whole design leans on one property of the layers below: every solver
-//! is deterministic for its inputs, at any worker count. That is what makes
+//! is a serial, deterministic function of its inputs. That is what makes
 //! a cached result a *correct* answer — not a stale approximation — for any
 //! future request with the same fingerprint. The engine protects the
 //! contract by memoizing only runs that stopped with

@@ -16,7 +16,7 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
 # Differential safety net: the differential proptests (reused-buffer vs
-# fresh realization, parallel EvalPool vs the serial cost_cached loop, FAST-SP
+# fresh realization, a warm CostCache vs Problem::cost, FAST-SP
 # vs legacy oracle, BitGrid vs scalar oracle, controlled vs unbounded runs of
 # every baseline, the order-preserving conv/deconv/dense kernels vs their
 # naive loops, the batch-innermost kernels and the batched PPO update vs the
@@ -26,7 +26,7 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 diff_tests=(
     incremental_realize_matches_full_after_perturbation_sequences
     incremental_realize_matches_full_beyond_64_blocks
-    eval_pool_matches_serial_cost_cached
+    cost_cache_matches_cost_across_perturbed_generations
     sa_with_generous_deadline_replays_the_unbounded_run
     every_baseline_replays_under_generous_control_and_stops_on_budget
     serve_fingerprints_are_injective_and_canonical
@@ -65,8 +65,8 @@ run_diff_tests \
     || { echo "ci: rotating-seed leg failed; replay with PROPTEST_RNG_SEED=$rotating_seed" >&2; exit 1; }
 unset PROPTEST_RNG_SEED
 
-# Large-n cost pipeline: the 200-block unit test pins the cached cost (serial
-# and through the EvalPool) to the uncached one past every historical
+# Large-n cost pipeline: the 200-block unit test pins the cached cost to the
+# uncached one past every historical
 # 64-element ceiling. Run it by name so a filtered run cannot silently skip
 # it.
 large_out="$(cargo test -p afp-metaheuristics large_n_cost_pipeline_matches_uncached_cost 2>&1)" \
@@ -75,9 +75,9 @@ echo "$large_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
     || { echo "ci: large-n test filter matched no tests" >&2; exit 1; }
 
 # Robustness safety net: the pool-survival proptest (planned panics and
-# stalls propagate exactly, stats balance, the pool stays reusable) runs once
-# more by name. `timeout` guards the no-deadlock claim itself: a hung pool
-# must fail CI, not wedge it.
+# stalls through PoolHandle::map propagate exactly, stats balance, the handle
+# stays reusable) runs once more by name. `timeout` guards the no-deadlock
+# claim itself: a hung map must fail CI, not wedge it.
 survival_out="$(timeout 600 cargo test -p afp-par pool_survives_injected_faults 2>&1)" \
     || { echo "$survival_out"; echo "ci: pool-survival test failed or timed out" >&2; exit 1; }
 echo "$survival_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
@@ -96,9 +96,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 repo_root="$(pwd)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-# `timeout` bounds the smoke run: the snapshot binary drives every parallel
-# subsystem, so a dispatch/cancellation regression that deadlocks the pool
-# must fail CI here instead of hanging it.
+# `timeout` bounds the smoke run: the snapshot binary drives the serve engine
+# and daemon at several worker counts, so a regression that deadlocks a drain
+# round must fail CI here instead of hanging it.
 (cd "$smoke_dir" && timeout 1800 cargo run --release --manifest-path "$repo_root/Cargo.toml" \
     -p afp-bench --bin bench_snapshot)
 if command -v python3 > /dev/null; then
@@ -109,8 +109,8 @@ with open(sys.argv[1]) as f:
     snap = json.load(f)
 with open(sys.argv[2]) as f:
     committed = json.load(f)
-for section in ("pack", "snap", "large_n", "masks", "eval_pool", "pool_overhead", "serve",
-                "serve_daemon", "sa_locality", "agent", "sa"):
+for section in ("pack", "snap", "large_n", "masks", "serve", "serve_daemon",
+                "sa_locality", "agent", "sa"):
     assert section in snap, f"missing snapshot section: {section}"
 # The large-n tier: one row per block count past the old 64-element ceilings,
 # each run end to end through the cost pipeline on a multi-word grid.
@@ -120,32 +120,7 @@ assert [row["blocks"] for row in large] == [200, 500, 1000], \
 assert [row["grid_side"] for row in large] == [64, 96, 128], \
     "large_n grid sides diverged from grid_side_for()"
 for row in large:
-    for key in ("sa_move_ns", "eval_pool_generation_ns"):
-        assert row[key] > 0.0, f"nonsensical large_n timing: {key}"
-pool = snap["eval_pool"]
-for key in ("hardware_threads", "population", "serial_generation_ns",
-            "workers1_generation_ns", "workers2_generation_ns",
-            "workers4_generation_ns", "speedup_workers4", "bit_identical"):
-    assert key in pool, f"missing eval_pool key: {key}"
-# bench_snapshot computes the verdict by comparing pool output against the
-# serial loop and aborts on divergence before writing any JSON, so a present
-# section with a true verdict proves the check ran and passed. The speedup is
-# machine-dependent (≈ hardware_threads-bounded), so only its presence and
-# sign are gated.
-assert pool["bit_identical"] is True, "EvalPool bit-identity check not recorded"
-assert pool["speedup_workers4"] > 0.0, "nonsensical eval_pool speedup"
-po = snap["pool_overhead"]
-for key in ("workers", "batch_items", "spawn_batch_ns", "parked_batch_ns",
-            "spawn_over_parked", "parked_batches", "parked_threads_woken"):
-    assert key in po, f"missing pool_overhead key: {key}"
-# The persistent pool's acceptance bar: a parked dispatch (epoch bump +
-# unpark per active worker) must cost strictly less per batch than the
-# spawn-per-call baseline's thread spawn-and-join — on any machine, including
-# a 1-thread host (both models context-switch there; only the baseline also
-# creates and tears down threads).
-assert po["parked_batch_ns"] > 0.0, "nonsensical parked dispatch time"
-assert po["parked_batch_ns"] < po["spawn_batch_ns"], \
-    "parked pool dispatch is not cheaper than spawn-per-call"
+    assert row["sa_move_ns"] > 0.0, "nonsensical large_n timing: sa_move_ns"
 serve = snap["serve"]
 for key in ("cold_solve_ns", "cache_hit_ns", "hit_speedup", "batch_jobs",
             "jobs_per_sec_workers1", "jobs_per_sec_workers2",

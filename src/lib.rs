@@ -17,8 +17,8 @@
 //! * [`afp_metaheuristics`] — SA / GA / PSO / RL-SA / sequence-pair RL baselines.
 //! * [`afp_route`] — OARSMT global routing and procedural layout completion.
 //! * [`afp_core`] — the end-to-end [`afp_core::pipeline::LayoutPipeline`].
-//! * [`afp_par`] — the persistent worker pool and the run-control vocabulary
-//!   (deadlines, budgets, cancellation).
+//! * [`afp_par`] — scoped-thread fan-out of independent jobs and the
+//!   run-control vocabulary (deadlines, budgets, cancellation).
 //! * [`afp_serve`] — floorplanning as a service: canonical problem
 //!   fingerprints, the content-addressed result cache, and the sharded,
 //!   cancellable job engine.

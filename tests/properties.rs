@@ -638,24 +638,22 @@ proptest! {
 }
 
 proptest! {
-    // Differential safety net of the parallel evaluation engine (layer 4,
-    // see ARCHITECTURE.md): run by name in scripts/ci.sh.
+    // Differential safety net of the optimizers' scoring path: run by name
+    // in scripts/ci.sh.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// `EvalPool::evaluate` must return, for random populations and any
-    /// worker count, exactly the costs the serial `cost_cached` loop
-    /// produces — in candidate order, bit-identical `f64`s. Two generations
-    /// are scored per case so the second batch runs on warm per-worker
-    /// caches (buffers and memo holding whichever candidates that worker saw
-    /// last — the steady state GA/PSO live in).
+    /// One warm `CostCache` — the way GA and PSO score a run's generations —
+    /// must return, for random populations, exactly `Problem::cost` for
+    /// every candidate, bit-identical `f64`s. Two generations are scored per
+    /// case so the second one runs on a warm cache (buffers and memo holding
+    /// the previous generation — the steady state GA/PSO live in).
     #[test]
-    fn eval_pool_matches_serial_cost_cached(
+    fn cost_cache_matches_cost_across_perturbed_generations(
         seed in 0u64..1_000_000,
         population in 2usize..24,
-        workers in 1usize..5,
     ) {
         use analog_floorplan::circuit::generators;
-        use analog_floorplan::metaheuristics::{Candidate, CostCache, EvalPool, Problem};
+        use analog_floorplan::metaheuristics::{Candidate, CostCache, Problem};
         use rand::SeedableRng;
         let circuit = match seed % 3 {
             0 => generators::ota5(),
@@ -668,21 +666,15 @@ proptest! {
             .map(|_| Candidate::random(problem.num_blocks(), &mut rng))
             .collect();
 
-        let mut pool = EvalPool::new(&problem, workers);
-        let mut serial_cache = CostCache::new(&problem);
+        let mut cache = CostCache::new(&problem);
         for round in 0..2 {
-            let batch = pool.evaluate(&problem, &generation);
-            let serial: Vec<f64> = generation
-                .iter()
-                .map(|c| problem.cost_cached(c, &mut serial_cache))
-                .collect();
-            prop_assert_eq!(
-                &batch, &serial,
-                "pool diverged from the serial loop (round {}, {} workers)",
-                round, workers
-            );
-            for (candidate, &cost) in generation.iter().zip(&batch) {
-                prop_assert_eq!(cost, problem.cost(candidate), "cost diverged from Problem::cost");
+            for candidate in &generation {
+                prop_assert_eq!(
+                    problem.cost_cached(candidate, &mut cache),
+                    problem.cost(candidate),
+                    "warm cache diverged from Problem::cost (round {})",
+                    round
+                );
             }
             // GA-style drift into the next generation: perturb every member.
             for candidate in &mut generation {
@@ -1549,7 +1541,8 @@ enum Admission {
 
 /// Malformed `JobRequest`s built directly (not through `parse_spice`): an
 /// empty circuit, a block dimension set to `bad`, a constraint and a net pin
-/// naming a block past the end, empty GA/PSO searches, zero-iteration runs
+/// naming a block past the end, empty GA/PSO searches, SA and RL-SA cooling
+/// schedules with zero moves per temperature, zero-iteration runs
 /// of every baseline, and zero budgets and deadlines.
 fn hostile_job_requests(
     seed: u64,
@@ -1634,6 +1627,31 @@ fn hostile_job_requests(
                 &Baseline::Pso(PsoConfig {
                     particles: 0,
                     ..PsoConfig::small()
+                }),
+            ),
+            Admission::Rejected,
+        ),
+        (
+            "zero SA moves per temperature",
+            job(
+                &base,
+                &Baseline::Sa(SaConfig {
+                    moves_per_temperature: 0,
+                    ..SaConfig::small()
+                }),
+            ),
+            Admission::Rejected,
+        ),
+        (
+            "zero RL-SA refinement moves per temperature",
+            job(
+                &base,
+                &Baseline::RlSa(RlSaConfig {
+                    refinement: SaConfig {
+                        moves_per_temperature: 0,
+                        ..SaConfig::small()
+                    },
+                    ..RlSaConfig::small()
                 }),
             ),
             Admission::Rejected,
