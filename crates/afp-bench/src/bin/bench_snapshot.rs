@@ -2,11 +2,9 @@
 //! engines' median times, the grid-realization (`snap`), large-n cost
 //! pipeline (`large_n`), positional-mask (`masks`) and locality-aware move
 //! mix (`sa_locality`) medians, the serve layer's cache-hit latency and job
-//! throughput (`serve`), the serve daemon's drain-loop throughput and
-//! snapshot restore-then-hit latency (`serve_daemon`), the SA evaluation
-//! throughput, and the agent's kernels, policy forward and PPO update
-//! (`agent`), so every PR that touches the hot path has a trajectory to
-//! compare against.
+//! throughput (`serve`), the SA evaluation throughput, and the agent's
+//! kernels, policy forward and PPO update (`agent`), so every PR that touches
+//! the hot path has a trajectory to compare against.
 //!
 //! Usage: `cargo run --release -p afp-bench --bin bench_snapshot`
 //! (run from the repository root; the snapshot is written to
@@ -23,11 +21,11 @@ use afp_layout::masks::positional_masks;
 use afp_layout::sequence_pair::{realize_floorplan, PackedFloorplan};
 use afp_layout::{Floorplan, PackScratch};
 use afp_metaheuristics::{
-    simulated_annealing, Baseline, Candidate, CostCache, GaConfig, MoveMix, Problem, SaConfig,
+    simulated_annealing, Baseline, Candidate, CostCache, MoveMix, Problem, SaConfig,
 };
 use afp_par::PoolHandle;
 use afp_rl::{FloorplanAgent, PolicyConfig, PpoStats, PpoTrainer, RolloutBuffer};
-use afp_serve::{CacheHandle, JobEngine, JobRequest, JobSpec, ServeConfig, ServeDaemon};
+use afp_serve::{JobEngine, JobRequest, JobSpec, ServeConfig};
 use afp_tensor::{Layer, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -128,98 +126,6 @@ fn main() {
     let serve_jps_w2 = serve_jobs_per_sec(2);
     let serve_jps_w4 = serve_jobs_per_sec(4);
 
-    // Serve daemon: restore-then-hit latency against the cold solve, and
-    // sustained throughput through the live drain loop on an 8-job mixed
-    // SA/GA batch at 1/2/4 pool workers. The restored hit's bit-identity
-    // against the cold outcome is asserted before any timing — a written
-    // `serve_daemon` section proves a snapshotted cache answers exactly
-    // what the cold engine solved.
-    let (daemon_snapshot_bytes, daemon_bit_identical) = {
-        let engine = JobEngine::with_pool(&ServeConfig::default(), serve_pool.clone());
-        let id = engine.submit(JobRequest::new(serve_spec.clone()));
-        engine.run_pending();
-        let cold = engine.outcome(id).expect("cold solve finished");
-        let bytes = engine.cache().snapshot_bytes();
-        let restored = CacheHandle::new(64);
-        restored
-            .restore_bytes(&bytes)
-            .expect("snapshot round-trips");
-        let warm = JobEngine::with_cache(&ServeConfig::default(), serve_pool.clone(), restored);
-        let id = warm.submit(JobRequest::new(serve_spec.clone()));
-        warm.run_pending();
-        let hit = warm.outcome(id).expect("restored hit resolved");
-        let identical = hit.cache_hit
-            && cold.result.reward.to_bits() == hit.result.reward.to_bits()
-            && cold.result.evaluations == hit.result.evaluations
-            && cold.result.floorplan == hit.result.floorplan;
-        (bytes, identical)
-    };
-    assert!(
-        daemon_bit_identical,
-        "restored cache hit diverged from the cold solve"
-    );
-    // Restore-then-hit latency: each sample decodes the snapshot into a
-    // fresh cache and serves 200 hits through a fresh engine, so the
-    // per-hit figure carries its amortized share of the restore. Same
-    // bounded-sample shape as `serve_hit_ns` (median_ns would calibrate to
-    // millions of job records).
-    let daemon_restored_hit_ns = {
-        let mut samples: Vec<f64> = (0..5)
-            .map(|_| {
-                const HITS: usize = 200;
-                let started = Instant::now();
-                let restored = CacheHandle::new(64);
-                restored
-                    .restore_bytes(&daemon_snapshot_bytes)
-                    .expect("snapshot round-trips");
-                let engine =
-                    JobEngine::with_cache(&ServeConfig::default(), serve_pool.clone(), restored);
-                for _ in 0..HITS {
-                    let id = engine.submit(JobRequest::new(serve_spec.clone()));
-                    engine.run_pending();
-                    assert!(engine.outcome(id).expect("resolved").cache_hit);
-                }
-                started.elapsed().as_nanos() as f64 / HITS as f64
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let daemon_restore_speedup = serve_cold_ns / daemon_restored_hit_ns.max(1e-9);
-    const DAEMON_JOBS: u64 = 8;
-    let mut daemon_seed = 0u64;
-    let mut daemon_jobs_per_sec = |workers: usize| {
-        // One persistent daemon per worker count; every sample streams 8
-        // fresh-seed jobs through the live drain loop and blocks on
-        // `wait_idle`, so the number is sustained submit-to-resolved
-        // throughput, not cache hits.
-        let daemon = ServeDaemon::spawn(&ServeConfig {
-            workers,
-            ..ServeConfig::default()
-        });
-        let ns = median_ns(|| {
-            for _ in 0..DAEMON_JOBS {
-                daemon_seed += 1;
-                let solver = if daemon_seed % 2 == 0 {
-                    Baseline::Ga(GaConfig::small())
-                } else {
-                    Baseline::Sa(SaConfig::table1())
-                };
-                let spec =
-                    JobSpec::new(sa_circuit.clone(), solver, 0xDAE0_0000 + daemon_seed);
-                daemon
-                    .submit(JobRequest::new(spec))
-                    .expect("daemon admits while draining");
-            }
-            daemon.wait_idle();
-        });
-        daemon.shutdown();
-        DAEMON_JOBS as f64 / (ns * 1e-9).max(1e-12)
-    };
-    let daemon_jps_w1 = daemon_jobs_per_sec(1);
-    let daemon_jps_w2 = daemon_jobs_per_sec(2);
-    let daemon_jps_w4 = daemon_jobs_per_sec(4);
-
     // Locality-aware SA move mix: the end-to-end cost walk at bias 0 (the
     // historical uniform proposal stream) vs the Table I bias, per move.
     let locality_move_ns = |bias: f64| {
@@ -313,11 +219,6 @@ fn main() {
         serve_hit_ns / 1e3,
     );
     println!(
-        "serve_daemon bias19: restored hit {:.1} us ({daemon_restore_speedup:.0}x vs cold, {} snapshot bytes)  {DAEMON_JOBS} jobs  w1 {daemon_jps_w1:.1}/s  w2 {daemon_jps_w2:.1}/s  w4 {daemon_jps_w4:.1}/s",
-        daemon_restored_hit_ns / 1e3,
-        daemon_snapshot_bytes.len(),
-    );
-    println!(
         "sa_locality bias19: uniform {uniform_move_ns:>8.1} ns/move  bias {:.2} {local_move_ns:>8.1} ns/move",
         config.locality_bias,
     );
@@ -356,17 +257,10 @@ fn main() {
         sa_circuit.name,
         sa_circuit.num_blocks(),
     );
-    let serve_daemon_json = format!(
-        "  \"serve_daemon\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"hardware_threads\": {hardware_threads},\n    \"batch_jobs\": {DAEMON_JOBS},\n    \"drain_jobs_per_sec_workers1\": {daemon_jps_w1:.2},\n    \"drain_jobs_per_sec_workers2\": {daemon_jps_w2:.2},\n    \"drain_jobs_per_sec_workers4\": {daemon_jps_w4:.2},\n    \"restored_hit_ns\": {daemon_restored_hit_ns:.1},\n    \"restore_speedup\": {daemon_restore_speedup:.1},\n    \"snapshot_bytes\": {},\n    \"bit_identical\": {daemon_bit_identical}\n  }}",
-        sa_circuit.name,
-        sa_circuit.num_blocks(),
-        daemon_snapshot_bytes.len(),
-    );
-
     let agent_json = agent_json(hardware_threads);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, positional masks; locality-aware SA move mix, the serve layer's result cache and job engine, the serve daemon's drain loop and snapshot restore, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n{serve_json},\n{serve_daemon_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, positional masks; locality-aware SA move mix, the serve layer's result cache and job engine, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n{serve_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
         pack_rows.join(",\n"),
         snap_rows.join(",\n"),
         large_n_rows.join(",\n"),

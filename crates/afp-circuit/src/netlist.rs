@@ -154,9 +154,7 @@ impl Circuit {
         ids.sort_by(|a, b| {
             let aa = self.blocks[a.index()].area_um2;
             let ab = self.blocks[b.index()].area_um2;
-            ab.partial_cmp(&aa)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index().cmp(&b.index()))
+            ab.total_cmp(&aa).then(a.index().cmp(&b.index()))
         });
         ids
     }

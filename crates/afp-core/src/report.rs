@@ -79,16 +79,13 @@ pub struct TableOneRow {
 }
 
 impl TableOneRow {
-    /// The method with the best (highest) reward in this row.
+    /// The method with the best (highest) reward in this row; a NaN reward
+    /// is never the best.
     pub fn best_method(&self) -> Option<&str> {
         self.methods
             .iter()
-            .max_by(|a, b| {
-                a.1.reward
-                    .iq_mean
-                    .partial_cmp(&b.1.reward.iq_mean)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .filter(|(_, m)| !m.reward.iq_mean.is_nan())
+            .max_by(|a, b| a.1.reward.iq_mean.total_cmp(&b.1.reward.iq_mean))
             .map(|(name, _)| name.as_str())
     }
 }
@@ -274,6 +271,7 @@ mod tests {
                 ("SA".into(), summary(-2.0)),
                 ("Ours".into(), summary(-0.5)),
                 ("GA".into(), summary(-3.0)),
+                ("PSO".into(), summary(f64::NAN)),
             ],
         };
         assert_eq!(row.best_method(), Some("Ours"));

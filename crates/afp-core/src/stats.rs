@@ -5,7 +5,8 @@
 
 /// Interquartile mean of a sample: the mean of the values between the 25th and
 /// 75th percentile (inclusive). Falls back to the plain mean for fewer than
-/// four samples.
+/// four samples. Values are ordered by [`f64::total_cmp`], so a NaN sorts
+/// past every number and is trimmed like any other outlier.
 pub fn interquartile_mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -14,7 +15,7 @@ pub fn interquartile_mean(values: &[f64]) -> f64 {
         return mean(values);
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(f64::total_cmp);
     let q = sorted.len() / 4;
     let trimmed = &sorted[q..sorted.len() - q];
     mean(trimmed)
@@ -87,6 +88,21 @@ mod tests {
         assert_eq!(interquartile_mean(&[3.0, 5.0]), 4.0);
         assert_eq!(interquartile_mean(&[]), 0.0);
         assert_eq!(std_dev(&[1.0]), 0.0);
+    }
+
+    #[test]
+    fn a_nan_in_the_sample_neither_panics_nor_survives_the_trim() {
+        // `partial_cmp(..).unwrap_or(Equal)` is not a total order once a NaN
+        // is present, and the standard sort panics on this sample with it.
+        let mut v: Vec<f64> = (0..21u64).map(|i| ((i * 62) % 97) as f64).collect();
+        v[10] = f64::NAN;
+        let mut finite: Vec<f64> = v.iter().copied().filter(|x| !x.is_nan()).collect();
+        finite.sort_by(f64::total_cmp);
+        let expected = mean(&finite[5..16]);
+        assert_eq!(interquartile_mean(&v), expected);
+        let summary = Summary::of(&v);
+        assert_eq!(summary.iq_mean, expected);
+        assert!(summary.std.is_nan());
     }
 
     #[test]

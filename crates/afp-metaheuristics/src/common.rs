@@ -644,41 +644,6 @@ impl BaselineResult {
     }
 }
 
-/// What became of one job the serve engine scheduled: the outcome of one
-/// [`Baseline::run_controlled`](crate::Baseline::run_controlled) call run
-/// inside the engine's per-job `catch_unwind`.
-///
-/// Each job is its own failure domain — a panicking job is caught, recorded
-/// here, and its slot's results discarded instead of unwinding the whole
-/// batch (see the "run control & failure domains" section of
-/// `ARCHITECTURE.md`).
-#[derive(Debug, Clone)]
-pub enum ChainOutcome {
-    /// The job ran to a result (complete or control-interrupted — check
-    /// [`BaselineResult::stop`]).
-    Finished(BaselineResult),
-    /// The job panicked; the payload's message is retained.
-    Panicked(String),
-    /// The job never started: its cancel token was already raised when a
-    /// serve worker picked it up.
-    Skipped,
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-///
-/// The serve-layer job engine isolates per-job panics with `catch_unwind` +
-/// [`ChainOutcome`] and records the extracted message in its `Failed` job
-/// state.
-pub fn panic_payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,10 +62,9 @@ mod sa;
 mod sp_rl;
 
 pub use common::{
-    BaselineResult, CancelToken, Candidate, ChainOutcome, CostCache, MoveMix, PerturbUndo, Problem,
-    RunControl, StopReason,
+    BaselineResult, CancelToken, Candidate, CostCache, MoveMix, PerturbUndo, Problem, RunControl,
+    StopReason,
 };
-pub use common::panic_payload_message;
 pub use ga::{genetic_algorithm, genetic_algorithm_on, GaConfig};
 pub use pso::{particle_swarm, particle_swarm_on, PsoConfig};
 pub use rl_sa::{rl_sa, rl_sa_on, RlSaConfig};

@@ -11,23 +11,20 @@
 //! least-recently-used entry (recency is a logical tick bumped on every get
 //! and insert, so the policy is deterministic — no wall clock involved).
 //!
-//! [`CacheHandle`] wraps the cache in an `Arc<Mutex<…>>` so several
-//! [`JobEngine`](crate::engine::JobEngine)s (and a
-//! [`ServeDaemon`](crate::daemon::ServeDaemon)'s drain thread) memoize into
-//! one store. Unlike [`afp_par::PoolHandle`], whose dispatch holds its lock
-//! for a whole batch and therefore needs a `try_lock` + inline-fallback
-//! discipline, every cache operation is microseconds and never calls back
-//! into user code, so a plain blocking lock cannot deadlock and keeps the
-//! counters exact.
+//! [`CacheHandle`] wraps the cache in an `Arc<Mutex<…>>` so the clones of one
+//! [`JobEngine`](crate::engine::JobEngine) (a
+//! [`ServeDaemon`](crate::daemon::ServeDaemon)'s drain thread holds one)
+//! memoize into one store. The cache is process memory: it starts empty with
+//! its engine and is gone when the last clone drops. Every cache operation
+//! is microseconds and never calls back into user code, so a plain blocking
+//! lock cannot deadlock and keeps the counters exact.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use afp_metaheuristics::BaselineResult;
 
 use crate::fingerprint::Fingerprint;
-use crate::persist::{self, PersistError};
 
 /// Hit/miss/eviction counters, monotone over the cache's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,7 +38,7 @@ pub struct CacheStats {
     /// `serve.warm_seed_rate` row; the next change to that package removes
     /// both.
     pub warm_seeds: u64,
-    /// Entries inserted (restores from a snapshot count here too).
+    /// Entries inserted.
     pub insertions: u64,
     /// Entries evicted by the LRU bound.
     pub evictions: u64,
@@ -146,22 +143,6 @@ impl ResultCache {
         self.stats.hits += 1;
     }
 
-    /// Entries in ascending recency order (least recently used first, ties
-    /// broken by fingerprint). Re-inserting them in this order into a fresh
-    /// cache reproduces the LRU eviction order — the canonical form the
-    /// snapshot persists.
-    pub(crate) fn entries_by_recency(&self) -> Vec<(Fingerprint, &BaselineResult)> {
-        let mut rows: Vec<(u64, Fingerprint, &BaselineResult)> = self
-            .entries
-            .iter()
-            .map(|(fp, entry)| (entry.last_used, *fp, &entry.result))
-            .collect();
-        rows.sort_by_key(|&(tick, fp, _)| (tick, fp));
-        rows.into_iter()
-            .map(|(_, fp, result)| (fp, result))
-            .collect()
-    }
-
     fn evict_lru(&mut self) {
         // O(n) scan: the cache is bounded and small relative to solve cost,
         // so a heap would be complexity without payoff. Ties broken by
@@ -180,12 +161,11 @@ impl ResultCache {
 
 /// A clonable, shareable handle to one [`ResultCache`].
 ///
-/// All clones refer to the same store, so N [`JobEngine`]s (or a
-/// [`ServeDaemon`] plus ad-hoc engines) memoize into one cache and one set of
-/// [`CacheStats`]. Every method takes the internal lock for the duration of
+/// All clones refer to the same store, so the clones of one [`JobEngine`]
+/// (and a [`ServeDaemon`]'s drain thread) memoize into one cache and one set
+/// of [`CacheStats`]. Every method takes the internal lock for the duration of
 /// one cache operation only — the lock is never held across a solve, a pool
-/// dispatch, or any user code, so a blocking lock is deadlock-free here (see
-/// the module docs for the contrast with [`afp_par::PoolHandle`]).
+/// dispatch, or any user code, so a blocking lock is deadlock-free here.
 ///
 /// [`JobEngine`]: crate::engine::JobEngine
 /// [`ServeDaemon`]: crate::daemon::ServeDaemon
@@ -197,18 +177,13 @@ pub struct CacheHandle {
 impl CacheHandle {
     /// Creates a handle owning a fresh cache of `capacity` entries.
     pub fn new(capacity: usize) -> Self {
-        CacheHandle::from_cache(ResultCache::new(capacity))
-    }
-
-    /// Wraps an existing cache in a shared handle.
-    pub fn from_cache(cache: ResultCache) -> Self {
         CacheHandle {
-            inner: Arc::new(Mutex::new(cache)),
+            inner: Arc::new(Mutex::new(ResultCache::new(capacity))),
         }
     }
 
-    /// Lifetime counters of the shared store (totals across every engine
-    /// that clones this handle).
+    /// Lifetime counters of the shared store (totals across every clone of
+    /// this handle).
     pub fn stats(&self) -> CacheStats {
         self.lock().stats()
     }
@@ -247,54 +222,6 @@ impl CacheHandle {
     /// Counts an externally served hit ([`ResultCache::count_follower_hit`]).
     pub(crate) fn count_follower_hit(&self, fingerprint: Fingerprint) {
         self.lock().count_follower_hit(fingerprint);
-    }
-
-    /// Serializes the shared cache into the versioned binary snapshot format
-    /// (see [`crate::persist`]).
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        persist::snapshot_bytes(&self.lock())
-    }
-
-    /// Decodes a snapshot and inserts its entries (oldest first, so recency
-    /// rebuilds in snapshot order) into the shared cache. Returns the number
-    /// of snapshot entries actually resident afterwards — restoring into a
-    /// cache with a smaller capacity than the snapshot evicts the oldest
-    /// entries during the insert loop, and those are not counted. Decoding
-    /// is atomic: on any [`PersistError`] the cache is left untouched — the
-    /// caller falls back to cold.
-    pub fn restore_bytes(&self, bytes: &[u8]) -> Result<usize, PersistError> {
-        let snapshot = persist::decode_snapshot(bytes)?;
-        let mut cache = self.lock();
-        let keys: Vec<Fingerprint> = snapshot.entries.iter().map(|(fp, _)| *fp).collect();
-        for (fingerprint, result) in snapshot.entries {
-            cache.insert(fingerprint, result);
-        }
-        Ok(keys
-            .iter()
-            .filter(|fp| cache.peek(**fp).is_some())
-            .count())
-    }
-
-    /// Writes the snapshot to `path` (via a sibling temp file + rename, so a
-    /// crash mid-write never leaves a truncated snapshot behind).
-    pub fn persist(&self, path: &Path) -> Result<(), PersistError> {
-        let bytes = self.snapshot_bytes();
-        persist::write_snapshot_file(path, &bytes)
-    }
-
-    /// Reads and restores a snapshot from `path`. Typed-error counterpart of
-    /// [`CacheHandle::restore_or_cold`].
-    pub fn restore(&self, path: &Path) -> Result<usize, PersistError> {
-        let bytes = std::fs::read(path).map_err(PersistError::Io)?;
-        self.restore_bytes(&bytes)
-    }
-
-    /// Reads and restores a snapshot from `path`, treating every failure —
-    /// missing file, truncation, corruption, version mismatch — as a cold
-    /// start. Returns the number of entries restored (0 on any failure).
-    /// Never panics: a damaged snapshot costs re-solves, not the process.
-    pub fn restore_or_cold(&self, path: &Path) -> usize {
-        self.restore(path).unwrap_or(0)
     }
 
     /// Poisoning is recovered: the cache's own invariants hold after every
@@ -385,25 +312,6 @@ mod tests {
         assert!(cache.peek(fp([1, 1])).is_some());
         assert!(cache.peek(fp([2, 2])).is_none());
         assert_eq!((cache.stats().hits, cache.stats().misses), (2, 0));
-    }
-
-    #[test]
-    fn restore_reports_resident_entries_when_capacity_shrinks() {
-        let donor = CacheHandle::new(4);
-        let s = solve();
-        donor.insert(fp([1, 1]), s.clone());
-        donor.insert(fp([2, 2]), s.clone());
-        donor.insert(fp([3, 3]), s);
-        let bytes = donor.snapshot_bytes();
-
-        // Restoring three entries into a capacity-1 cache evicts the two
-        // oldest during the insert loop; the reported count is what is
-        // actually resident, not the snapshot's length.
-        let small = CacheHandle::new(1);
-        assert_eq!(small.restore_bytes(&bytes).expect("restore"), 1);
-        assert_eq!(small.len(), 1);
-        // Snapshot order is oldest-first, so the most recent entry survives.
-        assert!(small.peek(fp([3, 3])).is_some());
     }
 
     #[test]

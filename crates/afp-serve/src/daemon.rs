@@ -13,17 +13,17 @@
 //!
 //! ```text
 //! spawn ──────► idle ◄───────► draining ─────► stopped
-//!   │            ▲   submit /     │  queue       ▲
-//!   │ restore    │   wake         │  empty       │ shutdown / shutdown_now /
-//!   └─ or cold   └────────────────┘              └─ Drop (implicit shutdown_now)
+//!                ▲   submit /     │  queue       ▲
+//!                │   wake         │  empty       │ shutdown / shutdown_now /
+//!                └────────────────┘              └─ Drop (implicit shutdown_now)
 //! ```
 //!
-//! - **spawn**: if the engine has a [`ServeConfig::persist_path`], the cache
-//!   is restored from it (cold on any failure) before the first job runs.
+//! - **spawn**: starts the drain thread over the engine as it is (a fresh
+//!   engine's cache is empty).
 //! - **shutdown** (graceful): stops admission, cancels every queued job,
 //!   lets the in-flight batch finish under its own per-job deadlines, joins
-//!   the drain thread, autosaves the cache if configured, and reports what
-//!   happened to every job ([`ShutdownReport`]).
+//!   the drain thread, and reports what happened to every job
+//!   ([`ShutdownReport`]).
 //! - **shutdown_now**: like `shutdown`, but also raises every running job's
 //!   cancel token, so in-flight solves stop at their next control poll with
 //!   [`StopReason::Cancelled`] and land as interrupted best-so-far results.
@@ -31,7 +31,7 @@
 //!
 //! The drain thread never dies with a job: solver panics are contained by
 //! the engine's per-job `catch_unwind`, so a poisoned spec fails alone while
-//! the loop, the pool, and the shared cache keep serving.
+//! the loop, the pool, and the engine's cache keep serving.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -101,19 +101,16 @@ pub struct ServeDaemon {
 }
 
 impl ServeDaemon {
-    /// Builds an engine per `config` and starts draining it. Restores the
-    /// cache from [`ServeConfig::persist_path`] first when one is set
-    /// (falling back to cold on any snapshot problem).
+    /// Builds an engine per `config` and starts draining it.
     pub fn spawn(config: &ServeConfig) -> Self {
         ServeDaemon::spawn_with_engine(JobEngine::new(config))
     }
 
-    /// Starts a drain loop over an existing engine — the way to serve a
-    /// shared pool/cache ([`JobEngine::with_cache`]): the daemon drains,
-    /// while other clones of the engine keep full access to states, stats,
-    /// and the cache.
+    /// Starts a drain loop over an existing engine — the way to serve on a
+    /// shared pool ([`JobEngine::with_pool`]): the daemon drains, while
+    /// other clones of the engine keep full access to states, stats, and the
+    /// cache.
     pub fn spawn_with_engine(engine: JobEngine) -> Self {
-        engine.restore_or_cold();
         let shared = Arc::new(Shared {
             state: Mutex::new(DaemonState::default()),
             wake: Condvar::new(),
@@ -134,7 +131,7 @@ impl ServeDaemon {
         }
     }
 
-    /// The underlying engine (for states, outcomes, cache and pool handles).
+    /// The underlying engine (for states, outcomes and cache counters).
     pub fn engine(&self) -> &JobEngine {
         &self.engine
     }
@@ -178,9 +175,8 @@ impl ServeDaemon {
 
     /// Graceful shutdown: stops admission, cancels the queued backlog, lets
     /// the in-flight batch finish (under its own per-job deadlines), joins
-    /// the drain thread, autosaves the cache when a persist path is
-    /// configured, and reports per-job outcomes. Idempotent — a second call
-    /// rebuilds the report from the engine's job table.
+    /// the drain thread, and reports per-job outcomes. Idempotent — a
+    /// second call rebuilds the report from the engine's job table.
     pub fn shutdown(&self) -> ShutdownReport {
         self.shutdown_inner(false)
     }
@@ -214,9 +210,6 @@ impl ServeDaemon {
         // thread never saw. It is cancelled, not solved — admission was
         // already closed from the caller's point of view.
         self.engine.cancel_queued();
-        if rounds > 0 {
-            let _ = self.engine.persist();
-        }
         self.report(rounds)
     }
 
@@ -306,7 +299,6 @@ mod tests {
     use afp_metaheuristics::{Baseline, SaConfig};
     use afp_par::PoolHandle;
 
-    use crate::cache::CacheHandle;
     use crate::fingerprint::JobSpec;
 
     fn sa_spec(seed: u64) -> JobSpec {
@@ -427,9 +419,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_poisons_neither_the_shared_cache_nor_the_drain_loop() {
-        let pool = PoolHandle::new(2);
-        let cache = CacheHandle::new(16);
-        let engine = JobEngine::with_cache(&ServeConfig::default(), pool, cache.clone());
+        let engine = JobEngine::with_pool(&ServeConfig::default(), PoolHandle::new(2));
         let daemon = ServeDaemon::spawn_with_engine(engine);
 
         // `moves_per_temperature: 0` divides by zero inside SA. Admission
@@ -449,12 +439,13 @@ mod tests {
         assert!(daemon.outcome(good).is_some());
 
         // The drain loop survived: a repeat of the good job is served as a
-        // cache hit through the same daemon, from the same shared cache.
+        // cache hit through the same daemon, from the cache its drain thread
+        // shares with the daemon's engine.
         let repeat = daemon.submit(JobRequest::new(sa_spec(1))).expect("admit repeat");
         daemon.wait_idle();
         let repeat = daemon.outcome(repeat).expect("repeat done");
         assert!(repeat.cache_hit);
-        assert_eq!(cache.stats().insertions, 1);
+        assert_eq!(daemon.engine().cache_stats().insertions, 1);
         let report = daemon.shutdown();
         assert_eq!(report.failed, 1);
         assert_eq!(report.completed, 2);

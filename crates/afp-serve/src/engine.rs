@@ -3,13 +3,13 @@
 //! [`JobEngine`] accepts [`JobRequest`]s, keys each by its canonical
 //! [`Fingerprint`], and drains the queue in batches with
 //! [`JobEngine::run_pending`]: exact fingerprint hits are answered from the
-//! shared [`CacheHandle`] without touching a worker, and the remaining misses
-//! fan out over the engine's [`PoolHandle`] — one serial solve per item,
+//! engine's [`CacheHandle`] without touching a worker, and the remaining
+//! misses fan out over the engine's [`PoolHandle`] — one serial solve per item,
 //! on scoped threads. Each miss runs its baseline under its own
 //! [`RunControl`] (per-job deadline, evaluation budget, and [`CancelToken`])
 //! inside a `catch_unwind`, so a panicking solve becomes
 //! [`JobState::Failed`] for that job alone — the cache and the other jobs in
-//! the batch are unaffected. Each job's outcome is a [`ChainOutcome`]:
+//! the batch are unaffected. Each job's run ends as a `SolveOutcome`:
 //! finished, panicked, or skipped because its token was raised before it
 //! started.
 //!
@@ -21,12 +21,13 @@
 //! ## Sharing and live admission
 //!
 //! The engine is a cheap [`Clone`]: clones share one job table, queue,
-//! cache, and pool. Internally the job table sits behind a mutex that is
-//! held only for the serial bookkeeping phases of a round — never across
-//! solver work — so [`JobEngine::try_submit`] from another thread admits a
-//! job *while a batch is in flight* instead of blocking until the batch
-//! ends. [`crate::daemon::ServeDaemon`] builds its drain loop on exactly
-//! this property. Admission is bounded by [`ServeConfig::queue_depth`]; a
+//! cache, and pool. The cache is the engine's own: it starts empty and is
+//! shared with nothing but the engine's clones. Internally the job table
+//! sits behind a mutex that is held only for the serial bookkeeping phases
+//! of a round — never across solver work — so [`JobEngine::try_submit`]
+//! from another thread admits a job *while a batch is in flight* instead of
+//! blocking until the batch ends. [`crate::daemon::ServeDaemon`] builds its
+//! drain loop on exactly this property. Admission is bounded by [`ServeConfig::queue_depth`]; a
 //! full queue is a typed [`RejectReason::QueueFull`], not a panic or a
 //! silent drop.
 //!
@@ -36,23 +37,21 @@
 //! is queued while another clone is already running it. The daemon avoids
 //! this by draining from a single thread.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use afp_circuit::CircuitError;
 use afp_metaheuristics::{
-    panic_payload_message, Baseline, BaselineResult, CancelToken, ChainOutcome, RlSaConfig,
-    RunControl, SaConfig, StopReason,
+    Baseline, BaselineResult, CancelToken, RlSaConfig, RunControl, SaConfig, StopReason,
 };
 use afp_par::PoolHandle;
 
 use crate::cache::{CacheHandle, CacheStats};
 use crate::fingerprint::{Fingerprint, JobSpec};
-use crate::persist::PersistError;
 
 /// Engine-wide configuration.
 #[derive(Debug, Clone)]
@@ -67,15 +66,6 @@ pub struct ServeConfig {
     /// bound is reached, [`JobEngine::try_submit`] returns
     /// [`RejectReason::QueueFull`] instead of admitting.
     pub queue_depth: usize,
-    /// Where to persist cache snapshots. `None` disables persistence; the
-    /// explicit [`JobEngine::persist`]/[`JobEngine::restore_or_cold`] hooks
-    /// and the eviction-threshold autosave all use this path.
-    pub persist_path: Option<PathBuf>,
-    /// Autosave the cache after this many evictions since the last save
-    /// (`0` disables the autosave; explicit hooks still work). Eviction
-    /// count is the natural trigger: entries only become unreachable-after-
-    /// restart when they are about to be pushed out.
-    pub persist_every_evictions: u64,
 }
 
 impl Default for ServeConfig {
@@ -84,8 +74,6 @@ impl Default for ServeConfig {
             workers: 0,
             cache_capacity: 64,
             queue_depth: 0,
-            persist_path: None,
-            persist_every_evictions: 64,
         }
     }
 }
@@ -218,7 +206,6 @@ struct Job {
 struct EngineState {
     jobs: Vec<Job>,
     queue: VecDeque<usize>,
-    evictions_at_last_persist: u64,
 }
 
 /// Sharded, cancellable, cache-backed solve engine.
@@ -234,8 +221,6 @@ pub struct JobEngine {
     cache: CacheHandle,
     state: Arc<Mutex<EngineState>>,
     queue_depth: usize,
-    persist_path: Option<PathBuf>,
-    persist_every_evictions: u64,
 }
 
 /// A batch-round entry scheduled to actually run a solver.
@@ -248,43 +233,42 @@ struct Scheduled {
     token: CancelToken,
 }
 
+/// What became of one scheduled miss: the outcome of one
+/// [`Baseline::run_controlled`] call inside the job's own `catch_unwind`.
+enum SolveOutcome {
+    /// The solve returned a result (complete or control-interrupted — check
+    /// [`BaselineResult::stop`]).
+    Finished(BaselineResult),
+    /// The solve panicked; the payload's message is retained.
+    Panicked(String),
+    /// The solve never started: the job's cancel token was already raised
+    /// when a worker picked it up.
+    Skipped,
+}
+
 impl JobEngine {
     /// Creates an engine with its own pool and cache per `config`.
     pub fn new(config: &ServeConfig) -> Self {
         JobEngine::with_pool(config, PoolHandle::new(config.workers))
     }
 
-    /// Creates an engine on a shared pool handle (`config.workers` ignored).
+    /// Creates an engine with its own cache on a shared pool handle
+    /// (`config.workers` ignored).
     pub fn with_pool(config: &ServeConfig, pool: PoolHandle) -> Self {
-        JobEngine::with_cache(config, pool, CacheHandle::new(config.cache_capacity))
-    }
-
-    /// Creates an engine on a shared pool *and* a shared cache
-    /// (`config.workers` and `config.cache_capacity` ignored — the handles
-    /// decide). N engines built this way memoize into one store: a solve
-    /// completed by any of them is a hit for all.
-    pub fn with_cache(config: &ServeConfig, pool: PoolHandle, cache: CacheHandle) -> Self {
         JobEngine {
             pool,
-            cache,
+            cache: CacheHandle::new(config.cache_capacity),
             state: Arc::new(Mutex::new(EngineState::default())),
             queue_depth: config.queue_depth,
-            persist_path: config.persist_path.clone(),
-            persist_every_evictions: config.persist_every_evictions,
         }
     }
 
-    /// The engine's pool handle (clone it to share its counters).
-    pub fn pool(&self) -> &PoolHandle {
-        &self.pool
-    }
-
-    /// The engine's cache handle (clone it to share the cache).
+    /// The engine's cache handle (for uncounted inspection).
     pub fn cache(&self) -> &CacheHandle {
         &self.cache
     }
 
-    /// Result-cache counters (shared across every engine on this cache).
+    /// Result-cache counters (totals across every clone of this engine).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -477,7 +461,6 @@ impl JobEngine {
         }
 
         self.run_batch(resolved, to_run, followers);
-        self.maybe_autopersist();
         true
     }
 
@@ -496,7 +479,7 @@ impl JobEngine {
             // RunControl.
             let outcomes = self.pool.map(&to_run, |scheduled| {
                 if scheduled.token.is_cancelled() {
-                    return ChainOutcome::Skipped;
+                    return SolveOutcome::Skipped;
                 }
                 let mut control =
                     RunControl::unbounded().with_cancel_token(scheduled.token.clone());
@@ -513,8 +496,8 @@ impl JobEngine {
                         &control,
                     )
                 })) {
-                    Ok(result) => ChainOutcome::Finished(result),
-                    Err(payload) => ChainOutcome::Panicked(panic_payload_message(payload)),
+                    Ok(result) => SolveOutcome::Finished(result),
+                    Err(payload) => SolveOutcome::Panicked(panic_message(payload)),
                 }
             });
 
@@ -524,7 +507,7 @@ impl JobEngine {
             let mut state = self.lock();
             for (idx, (scheduled, slot)) in to_run.iter().zip(outcomes).enumerate() {
                 let job_state = match slot {
-                    ChainOutcome::Finished(result) => {
+                    SolveOutcome::Finished(result) => {
                         if result.stop == StopReason::Completed {
                             self.cache.insert(scheduled.fingerprint, result.clone());
                             memoized[idx] = Some(result.clone());
@@ -536,8 +519,8 @@ impl JobEngine {
                             fingerprint: scheduled.fingerprint,
                         })
                     }
-                    ChainOutcome::Panicked(message) => JobState::Failed(message),
-                    ChainOutcome::Skipped => JobState::Cancelled,
+                    SolveOutcome::Panicked(message) => JobState::Failed(message),
+                    SolveOutcome::Skipped => JobState::Cancelled,
                 };
                 state.jobs[scheduled.job].state = job_state;
                 *resolved += 1;
@@ -573,57 +556,22 @@ impl JobEngine {
         }
     }
 
-    /// Saves the cache to the configured [`ServeConfig::persist_path`].
-    /// Returns `Ok(false)` when no path is configured.
-    pub fn persist(&self) -> Result<bool, PersistError> {
-        match &self.persist_path {
-            Some(path) => self.cache.persist(path).map(|()| true),
-            None => Ok(false),
-        }
-    }
-
-    /// Restores the cache from the configured path, treating any failure —
-    /// no path, missing file, corruption, version mismatch — as a cold
-    /// start. Returns the number of entries restored (resident after the
-    /// restore — squeezing a snapshot into a smaller cache drops the
-    /// oldest entries).
-    pub fn restore_or_cold(&self) -> usize {
-        let restored = match &self.persist_path {
-            Some(path) => self.cache.restore_or_cold(path),
-            None => return 0,
-        };
-        // Evictions incurred while squeezing the snapshot into a smaller
-        // cache are not serving-time churn; rebaseline so they don't trip
-        // the eviction-threshold autosave right after startup.
-        self.lock().evictions_at_last_persist = self.cache.stats().evictions;
-        restored
-    }
-
-    /// Autosave trigger: persists when `persist_every_evictions` or more
-    /// evictions happened since the last save. A failed autosave is skipped
-    /// silently (the next threshold retries); persistence is an
-    /// optimization, never worth failing a batch over.
-    fn maybe_autopersist(&self) {
-        if self.persist_path.is_none() || self.persist_every_evictions == 0 {
-            return;
-        }
-        let evictions = self.cache.stats().evictions;
-        let mut state = self.lock();
-        if evictions.saturating_sub(state.evictions_at_last_persist)
-            >= self.persist_every_evictions
-        {
-            // Mark first: a failing disk must not retry on every round.
-            state.evictions_at_last_persist = evictions;
-            drop(state);
-            let _ = self.persist();
-        }
-    }
-
     fn lock(&self) -> MutexGuard<'_, EngineState> {
         // Poisoning is recovered: job-table updates are single statements
         // and solver panics are caught in phase 2 before they can unwind
         // through an engine lock.
         self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// Extracts a human-readable message from a caught panic payload.
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -870,29 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_share_a_cache_through_the_handle() {
-        // Cross-engine memoization: a solve completed by engine A is a
-        // bit-identical hit for engine B.
-        let pool = PoolHandle::new(2);
-        let cache = CacheHandle::new(16);
-        let config = ServeConfig::default();
-        let a = JobEngine::with_cache(&config, pool.clone(), cache.clone());
-        let b = JobEngine::with_cache(&config, pool, cache.clone());
-        let cold = a.submit(JobRequest::new(sa_spec(9)));
-        a.run_pending();
-        let hot = b.submit(JobRequest::new(sa_spec(9)));
-        b.run_pending();
-        let cold = a.outcome(cold).expect("cold done");
-        let hot = b.outcome(hot).expect("hot done");
-        assert!(!cold.cache_hit);
-        assert!(hot.cache_hit);
-        assert_eq!(cold.result.reward.to_bits(), hot.result.reward.to_bits());
-        assert_eq!(cold.result.floorplan, hot.result.floorplan);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
-    }
-
-    #[test]
     fn queue_depth_bound_rejects_with_a_typed_reason() {
         let engine = JobEngine::new(&ServeConfig {
             workers: 1,
@@ -947,80 +872,5 @@ mod tests {
         assert!(matches!(engine.state(bad), JobState::Failed(_)));
         assert!(matches!(engine.state(good), JobState::Done(_)));
         assert_eq!(engine.cache_stats().insertions, 1);
-    }
-
-    #[test]
-    fn persistence_hooks_round_trip_through_the_configured_path() {
-        let dir = std::env::temp_dir().join(format!("afp-engine-persist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("engine.afpc");
-        let config = ServeConfig {
-            workers: 1,
-            persist_path: Some(path.clone()),
-            ..ServeConfig::default()
-        };
-        let engine = JobEngine::new(&config);
-        let cold = engine.submit(JobRequest::new(sa_spec(11)));
-        engine.run_pending();
-        assert!(engine.persist().expect("persist"));
-
-        let fresh = JobEngine::new(&config);
-        assert_eq!(fresh.restore_or_cold(), 1);
-        let hot = fresh.submit(JobRequest::new(sa_spec(11)));
-        fresh.run_pending();
-        let cold = engine.outcome(cold).expect("cold done");
-        let hot = fresh.outcome(hot).expect("hot done");
-        assert!(hot.cache_hit);
-        assert_eq!(cold.result.reward.to_bits(), hot.result.reward.to_bits());
-        assert_eq!(cold.result.floorplan, hot.result.floorplan);
-
-        // Unconfigured engines report the no-op; damaged files are cold.
-        let unconfigured = JobEngine::new(&ServeConfig::default());
-        assert!(!unconfigured.persist().expect("no-op"));
-        std::fs::write(&path, b"AFPCgarbage").expect("damage");
-        let damaged = JobEngine::new(&config);
-        assert_eq!(damaged.restore_or_cold(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn restore_evictions_do_not_trip_the_autosave_threshold() {
-        let dir = std::env::temp_dir().join(format!("afp-engine-restore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("engine.afpc");
-        let big = JobEngine::new(&ServeConfig {
-            workers: 1,
-            persist_path: Some(path.clone()),
-            ..ServeConfig::default()
-        });
-        for seed in 1..=3 {
-            big.submit(JobRequest::new(sa_spec(seed)));
-        }
-        big.run_pending();
-        assert!(big.persist().expect("persist"));
-
-        // Squeezing the three-entry snapshot into a capacity-1 cache evicts
-        // twice during restore; those evictions are not serving-time churn
-        // and must not count toward persist_every_evictions.
-        let small = JobEngine::new(&ServeConfig {
-            workers: 1,
-            cache_capacity: 1,
-            persist_path: Some(path.clone()),
-            persist_every_evictions: 1,
-            ..ServeConfig::default()
-        });
-        assert_eq!(small.restore_or_cold(), 1, "only the most recent entry fits");
-        assert_eq!(small.cache_stats().evictions, 2);
-
-        // A batch with no new evictions must not autosave.
-        std::fs::remove_file(&path).expect("rm snapshot");
-        let hot = small.submit(JobRequest::new(sa_spec(3)));
-        small.run_pending();
-        assert!(small.outcome(hot).expect("done").cache_hit);
-        assert!(
-            !path.exists(),
-            "restore-time evictions tripped the autosave threshold"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

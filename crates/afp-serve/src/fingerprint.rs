@@ -138,16 +138,8 @@ impl Default for FingerprintHasher {
     }
 }
 
-/// Version of the section-tag layout below. Bump this whenever a tag is
-/// renumbered, removed, or a fingerprinted field changes meaning — anything
-/// that makes old fingerprints incomparable to new ones. Persisted cache
-/// snapshots embed this version in their header ([`crate::persist`]) and a
-/// loader rejects a mismatch as a typed error instead of serving results
-/// keyed by a stale hash function.
-pub const TAG_LAYOUT_VERSION: u32 = 1;
-
 // Section tags. Gaps left between groups so new sections slot in without
-// renumbering (renumbering would silently invalidate persisted caches).
+// renumbering (renumbering would move every fingerprint).
 const TAG_BLOCKS: u8 = 0x01;
 const TAG_NETS: u8 = 0x02;
 const TAG_CONSTRAINTS: u8 = 0x03;
@@ -555,8 +547,9 @@ mod tests {
 
     #[test]
     fn fingerprints_are_pinned() {
-        // Persisted snapshots key results by these bits under
-        // TAG_LAYOUT_VERSION 1, so the encoder must reproduce them exactly.
+        // Pins the key function itself: a change to the encoder that moves
+        // any of these bits changes which requests share a cache entry, so
+        // it must be deliberate and visible here.
         use afp_metaheuristics::RlSaConfig;
         let pins = [
             (

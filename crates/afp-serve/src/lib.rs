@@ -2,7 +2,7 @@
 //!
 //! The serve layer turns the repository's optimizer stack into a solve
 //! *service*: callers submit jobs, the engine answers repeats from a cache
-//! and runs the rest side by side, one serial solve per thread. Five
+//! and runs the rest side by side, one serial solve per thread. Four
 //! pieces:
 //!
 //! * [`fingerprint`] — the canonical problem [`Fingerprint`]: a 128-bit
@@ -14,22 +14,20 @@
 //! * [`cache`] — the content-addressed [`ResultCache`]: a bounded LRU map
 //!   from [`Fingerprint`] to [`BaselineResult`] with hit/miss/eviction
 //!   counters ([`CacheStats`]). Exact fingerprint hits return the memoized
-//!   result verbatim; every miss is solved from its seed. The cloneable
-//!   [`CacheHandle`] shares one store across N engines.
+//!   result verbatim; every miss is solved from its seed. The cache is
+//!   process memory that lives and dies with its engine: the cloneable
+//!   [`CacheHandle`] shares it only among clones of that engine.
 //! * [`engine`] — the [`JobEngine`]: typed job lifecycle
 //!   ([`JobState`]: Queued → Running → Done/Cancelled/Failed), typed
 //!   admission ([`RejectReason`]), per-job
 //!   [`RunControl`](afp_metaheuristics::RunControl) (deadline, budget,
-//!   cancel token), per-job panic isolation (each job's
-//!   `catch_unwind` outcome is a `ChainOutcome`), and batch execution
+//!   cancel token), per-job panic isolation (each job runs inside its own
+//!   `catch_unwind`), and batch execution
 //!   fanned out by [`afp_par::PoolHandle::map`] on scoped threads — with
 //!   admission locks scoped so submits never block on a running batch.
 //! * [`daemon`] — the [`ServeDaemon`]: a drain thread that keeps
 //!   `run_pending` running as jobs stream in, with graceful shutdown and a
 //!   per-job [`ShutdownReport`].
-//! * [`persist`] — versioned, checksummed binary cache snapshots
-//!   ([`PersistError`]), so a populated cache survives a restart; version or
-//!   corruption problems degrade to a cold start, never a panic.
 //!
 //! The whole design leans on one property of the layers below: every solver
 //! is a serial, deterministic function of its inputs. That is what makes
@@ -71,7 +69,6 @@ pub mod cache;
 pub mod daemon;
 pub mod engine;
 pub mod fingerprint;
-pub mod persist;
 
 pub use cache::{CacheHandle, CacheStats, ResultCache};
 pub use daemon::{ServeDaemon, ShutdownReport};
@@ -79,7 +76,6 @@ pub use engine::{
     JobEngine, JobId, JobOutcome, JobRequest, JobState, RejectReason, ServeConfig,
 };
 pub use fingerprint::{Fingerprint, FingerprintHasher, JobSpec};
-pub use persist::PersistError;
 
 // Re-exported so example code and downstream callers can name the result
 // type without depending on afp-metaheuristics directly.

@@ -31,7 +31,6 @@ diff_tests=(
     every_baseline_replays_under_generous_control_and_stops_on_budget
     serve_fingerprints_are_injective_and_canonical
     serve_cache_hit_replays_the_cold_solve_bit_for_bit
-    serve_persist_round_trip_restores_bit_identical_hits
     serve_daemon_admits_while_draining_and_matches_cold_solves
     serve_daemon_stress_submitters_race_drain
     multiword_grid_fits_anchors_and_nearest_fit_match_scalar
@@ -45,10 +44,13 @@ diff_tests=(
     policy_layer_shapes_match_batched_oracle_bitwise
     batched_ppo_update_matches_per_transition_reference
 )
+# `timeout` guards the no-deadlock claim of the two serve_daemon properties,
+# which drive the live drain loop: a hung drain round must fail CI, not wedge
+# it.
 run_diff_tests() {
     for diff_test in "${diff_tests[@]}"; do
-        diff_out="$(cargo test --test properties "$diff_test" 2>&1)" \
-            || { echo "$diff_out"; return 1; }
+        diff_out="$(timeout 600 cargo test --test properties "$diff_test" 2>&1)" \
+            || { echo "$diff_out"; echo "ci: '$diff_test' failed or timed out" >&2; return 1; }
         echo "$diff_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
             || { echo "ci: differential proptest filter '$diff_test' matched no tests" >&2; return 1; }
     done
@@ -97,8 +99,8 @@ repo_root="$(pwd)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 # `timeout` bounds the smoke run: the snapshot binary drives the serve engine
-# and daemon at several worker counts, so a regression that deadlocks a drain
-# round must fail CI here instead of hanging it.
+# at several worker counts, so a regression that deadlocks a drain round must
+# fail CI here instead of hanging it.
 (cd "$smoke_dir" && timeout 1800 cargo run --release --manifest-path "$repo_root/Cargo.toml" \
     -p afp-bench --bin bench_snapshot)
 if command -v python3 > /dev/null; then
@@ -109,8 +111,8 @@ with open(sys.argv[1]) as f:
     snap = json.load(f)
 with open(sys.argv[2]) as f:
     committed = json.load(f)
-for section in ("pack", "snap", "large_n", "masks", "serve", "serve_daemon",
-                "sa_locality", "agent", "sa"):
+for section in ("pack", "snap", "large_n", "masks", "serve", "sa_locality",
+                "agent", "sa"):
     assert section in snap, f"missing snapshot section: {section}"
 # The large-n tier: one row per block count past the old 64-element ceilings,
 # each run end to end through the cost pipeline on a multi-word grid.
@@ -139,27 +141,6 @@ assert serve["cache_hit_ns"] * 10.0 < serve["cold_solve_ns"], \
 for key in ("jobs_per_sec_workers1", "jobs_per_sec_workers2",
             "jobs_per_sec_workers4"):
     assert serve[key] > 0.0, f"nonsensical serve throughput: {key}"
-daemon = snap["serve_daemon"]
-for key in ("batch_jobs", "drain_jobs_per_sec_workers1",
-            "drain_jobs_per_sec_workers2", "drain_jobs_per_sec_workers4",
-            "restored_hit_ns", "restore_speedup",
-            "snapshot_bytes", "bit_identical"):
-    assert key in daemon, f"missing serve_daemon key: {key}"
-# bench_snapshot restores the persisted cache into a fresh engine and asserts
-# the repeat job is a bit-identical hit before timing anything — a written
-# section with a true verdict proves restore preserved the memoized result
-# exactly. The restored hit carries an amortized share of the snapshot decode,
-# so the bar sits at 10x under the `serve` section's cold solve (observed far
-# higher) rather than matching the in-memory hit's ~200x.
-assert daemon["bit_identical"] is True, \
-    "serve_daemon restore bit-identity check not recorded"
-assert daemon["snapshot_bytes"] > 0, "empty cache snapshot"
-assert daemon["restored_hit_ns"] > 0.0, "nonsensical restored-hit latency"
-assert daemon["restored_hit_ns"] * 10.0 < serve["cold_solve_ns"], \
-    "restored cache hit is not meaningfully cheaper than a cold solve"
-for key in ("drain_jobs_per_sec_workers1", "drain_jobs_per_sec_workers2",
-            "drain_jobs_per_sec_workers4"):
-    assert daemon[key] > 0.0, f"nonsensical drain-loop throughput: {key}"
 loc = snap["sa_locality"]
 for key in ("locality_bias", "uniform_move_ns", "local_move_ns"):
     assert key in loc, f"missing sa_locality key: {key}"

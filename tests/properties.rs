@@ -913,136 +913,6 @@ proptest! {
 }
 
 proptest! {
-    // Persistence round-trip contract: run by name in scripts/ci.sh,
-    // because a restored cache is only safe if the hits it serves are
-    // bit-identical to what the *current* solver stack would produce. Many cases, tiny
-    // solves: the surface under test is the snapshot codec, not the solver.
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Random job mixes → `persist()` → fresh-engine `restore()` → repeats
-    /// are cache hits bit-identical to the pre-restart outcomes, at a
-    /// per-case worker count drawn from {1, 2, 4}; corrupted, truncated and
-    /// version-bumped snapshot bytes load as typed errors and fall back to
-    /// cold — never a panic, and never partially restored state.
-    #[test]
-    fn serve_persist_round_trip_restores_bit_identical_hits(
-        seed in 0u64..1_000_000,
-    ) {
-        use analog_floorplan::circuit::generators;
-        use analog_floorplan::metaheuristics::{Baseline, SaConfig, StopReason};
-        use analog_floorplan::serve::{
-            CacheHandle, JobEngine, JobRequest, JobSpec, PersistError, ServeConfig,
-        };
-        use analog_floorplan::par::PoolHandle;
-
-        let workers = [1usize, 2, 4][(seed % 3) as usize];
-        let solver = Baseline::Sa(SaConfig { iterations: 30, ..SaConfig::small() });
-        let specs: Vec<JobSpec> = (0..2 + (seed % 2))
-            .map(|i| {
-                let circuit = if (seed + i) % 2 == 0 {
-                    generators::ota3()
-                } else {
-                    generators::ota5()
-                };
-                JobSpec::new(circuit, solver.clone(), seed ^ (i << 8))
-            })
-            .collect();
-
-        // Solve the mix cold, then snapshot the populated cache.
-        let config = ServeConfig { workers, ..ServeConfig::default() };
-        let engine = JobEngine::new(&config);
-        let ids: Vec<_> = specs
-            .iter()
-            .map(|s| engine.submit(JobRequest::new(s.clone())))
-            .collect();
-        engine.run_pending();
-        let originals: Vec<_> = ids
-            .iter()
-            .map(|id| engine.outcome(*id).expect("cold job done"))
-            .collect();
-        for outcome in &originals {
-            prop_assert_eq!(outcome.result.stop, StopReason::Completed);
-        }
-        let bytes = engine.cache().snapshot_bytes();
-
-        // Restore into a fresh engine: every repeat is a hit, bit-identical
-        // to its pre-restart outcome.
-        let restored_cache = CacheHandle::new(64);
-        prop_assert_eq!(
-            restored_cache.restore_bytes(&bytes).expect("restore"),
-            specs.len()
-        );
-        let fresh = JobEngine::with_cache(&config, PoolHandle::new(workers), restored_cache);
-        let repeat_ids: Vec<_> = specs
-            .iter()
-            .map(|s| fresh.submit(JobRequest::new(s.clone())))
-            .collect();
-        fresh.run_pending();
-        for (original, id) in originals.iter().zip(repeat_ids) {
-            let repeat = fresh.outcome(id).expect("repeat done");
-            prop_assert!(repeat.cache_hit, "restored repeat missed the cache");
-            prop_assert_eq!(
-                repeat.result.reward.to_bits(),
-                original.result.reward.to_bits()
-            );
-            prop_assert_eq!(&repeat.result.floorplan, &original.result.floorplan);
-            prop_assert_eq!(repeat.result.evaluations, original.result.evaluations);
-        }
-        let stats = fresh.cache_stats();
-        prop_assert_eq!(stats.hits, specs.len() as u64);
-        prop_assert_eq!(stats.misses, 0);
-
-        // Damaged bytes: typed rejection, cold fallback, never a panic —
-        // and the cold engine still solves the job for real.
-        let damaged = match seed % 4 {
-            0 => {
-                let mut b = bytes.clone();
-                b.truncate((seed as usize) % bytes.len());
-                b
-            }
-            1 => {
-                let mut b = bytes.clone();
-                let mid = 12 + (seed as usize) % (bytes.len() - 12);
-                b[mid] ^= 0x40;
-                b
-            }
-            2 => {
-                let mut b = bytes.clone();
-                let bumped = analog_floorplan::serve::persist::FORMAT_VERSION + 1;
-                b[4..8].copy_from_slice(&bumped.to_le_bytes());
-                b
-            }
-            _ => {
-                let mut b = bytes.clone();
-                let bumped = analog_floorplan::serve::fingerprint::TAG_LAYOUT_VERSION + 1;
-                b[8..12].copy_from_slice(&bumped.to_le_bytes());
-                b
-            }
-        };
-        let cold_cache = CacheHandle::new(64);
-        let error = cold_cache.restore_bytes(&damaged);
-        match seed % 4 {
-            2 => prop_assert!(matches!(
-                error,
-                Err(PersistError::UnsupportedFormatVersion { .. })
-            )),
-            3 => prop_assert!(matches!(error, Err(PersistError::TagLayoutMismatch { .. }))),
-            _ => prop_assert!(error.is_err(), "damaged bytes restored cleanly"),
-        }
-        prop_assert!(cold_cache.is_empty(), "partial state escaped a failed restore");
-        let cold = JobEngine::with_cache(&config, PoolHandle::new(workers), cold_cache);
-        let id = cold.submit(JobRequest::new(specs[0].clone()));
-        cold.run_pending();
-        let outcome = cold.outcome(id).expect("cold fallback still solves");
-        prop_assert!(!outcome.cache_hit);
-        prop_assert_eq!(
-            outcome.result.reward.to_bits(),
-            originals[0].result.reward.to_bits()
-        );
-    }
-}
-
-proptest! {
     // Daemon contract: live admission against a running drain loop, with
     // outcomes bit-identical to direct cold solves and fully reconciled
     // counters. Few cases — each spins up a daemon and real threads.
