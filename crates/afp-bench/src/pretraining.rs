@@ -2,7 +2,6 @@
 //! Fig. 3): dataset generation, reward regression and the resulting encoder.
 
 use afp_gnn::{pretrain_with_labeler, PretrainConfig, PretrainResult};
-use afp_layout::metrics;
 use afp_metaheuristics::{simulated_annealing, SaConfig};
 
 use crate::ExperimentScale;
@@ -70,18 +69,6 @@ pub fn run(scale: ExperimentScale) -> PretrainSummary {
         result.final_validation_mse()
     ));
     PretrainSummary { result, rendered }
-}
-
-/// Convenience check used by tests and the binary: the label distribution of a
-/// labeller over the benchmark circuits (min / mean / max reward).
-pub fn label_distribution(labeler: &dyn Fn(&afp_circuit::Circuit) -> f64) -> (f64, f64, f64) {
-    let circuits = afp_circuit::generators::dataset_families();
-    let labels: Vec<f64> = circuits.iter().map(|c| labeler(c)).collect();
-    let min = labels.iter().cloned().fold(f64::MAX, f64::min);
-    let max = labels.iter().cloned().fold(f64::MIN, f64::max);
-    let mean = labels.iter().sum::<f64>() / labels.len() as f64;
-    let _ = metrics::hpwl_lower_bound(&circuits[0]);
-    (min, mean, max)
 }
 
 #[cfg(test)]

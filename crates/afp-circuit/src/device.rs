@@ -35,24 +35,6 @@ pub enum DeviceKind {
 }
 
 impl DeviceKind {
-    /// All device kinds, in a stable order (used for feature encodings).
-    pub const ALL: [DeviceKind; 6] = [
-        DeviceKind::Nmos,
-        DeviceKind::Pmos,
-        DeviceKind::Resistor,
-        DeviceKind::Capacitor,
-        DeviceKind::Diode,
-        DeviceKind::Bjt,
-    ];
-
-    /// Index of this kind within [`DeviceKind::ALL`].
-    pub fn index(self) -> usize {
-        DeviceKind::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("kind is a member of ALL")
-    }
-
     /// Returns `true` for MOS transistors.
     pub fn is_mos(self) -> bool {
         matches!(self, DeviceKind::Nmos | DeviceKind::Pmos)
@@ -111,16 +93,6 @@ impl Device {
         w_total * self.length_um * self.multiplier as f64
     }
 
-    /// Electrical size parameter used for matching detection: W/L for MOS,
-    /// width for passives.
-    pub fn strength(&self) -> f64 {
-        if self.kind.is_mos() {
-            self.width_um / self.length_um.max(1e-9)
-        } else {
-            self.width_um
-        }
-    }
-
     /// Returns `true` if `self` and `other` are electrically matched devices
     /// (same kind, same W, L and fingers within a small tolerance), which is
     /// the precondition for symmetry constraints.
@@ -143,13 +115,6 @@ mod tests {
 
     fn nmos(id: usize, w: f64, l: f64, fingers: u32) -> Device {
         Device::new(DeviceId(id), format!("N{id}"), DeviceKind::Nmos, w, l, fingers)
-    }
-
-    #[test]
-    fn kind_index_roundtrip() {
-        for (i, k) in DeviceKind::ALL.iter().enumerate() {
-            assert_eq!(k.index(), i);
-        }
     }
 
     #[test]
@@ -176,14 +141,6 @@ mod tests {
         let c = nmos(2, 9.0, 0.4, 2);
         assert!(a.is_matched_with(&b));
         assert!(!a.is_matched_with(&c));
-    }
-
-    #[test]
-    fn strength_is_w_over_l_for_mos() {
-        let d = nmos(0, 10.0, 0.5, 1);
-        assert!((d.strength() - 20.0).abs() < 1e-9);
-        let r = Device::new(DeviceId(1), "R1", DeviceKind::Resistor, 2.0, 10.0, 1);
-        assert!((r.strength() - 2.0).abs() < 1e-9);
     }
 
     #[test]

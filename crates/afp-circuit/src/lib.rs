@@ -4,8 +4,9 @@
 //! circuit, mirroring the front half of the paper's pipeline (Fig. 1):
 //!
 //! * primitive [`Device`]s and device-level [`Schematic`]s,
-//! * automatic [`recognition`] of functional structures (the substitute for
-//!   Infineon's GCN + K-means structure-recognition tool),
+//! * automatic [`recognition`] of functional structures (a rule-based
+//!   substitute for Infineon's GCN + K-means structure-recognition tool
+//!   \[21\]),
 //! * typed functional [`Block`]s with the geometry summary the R-GCN node
 //!   features require,
 //! * block-level [`Net`]s, positional [`constraint`]s (symmetry / alignment)

@@ -60,21 +60,6 @@ impl Schematic {
         ));
     }
 
-    /// Devices sharing a net with `device` (excluding itself).
-    pub fn neighbors(&self, device: DeviceId) -> Vec<DeviceId> {
-        let mut out = Vec::new();
-        for (_, pins) in &self.connections {
-            if pins.iter().any(|(d, _)| *d == device) {
-                for (d, _) in pins {
-                    if *d != device && !out.contains(d) {
-                        out.push(*d);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Nets attached to a specific terminal of a device.
     pub fn nets_on_terminal(&self, device: DeviceId, terminal: &str) -> Vec<&str> {
         self.connections
@@ -511,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn schematic_neighbors() {
+    fn nets_on_terminal_lists_the_terminals_nets() {
         let mut s = Schematic::new("sch");
         let d0 = s.add_device(Device::new(
             DeviceId(0),
@@ -539,8 +524,6 @@ mod tests {
         ));
         s.connect("net1", vec![(d0, "d"), (d1, "g")]);
         s.connect("net2", vec![(d1, "d"), (d2, "d")]);
-        assert_eq!(s.neighbors(d0), vec![d1]);
-        assert_eq!(s.neighbors(d1), vec![d0, d2]);
         assert_eq!(s.nets_on_terminal(d1, "g"), vec!["net1"]);
     }
 

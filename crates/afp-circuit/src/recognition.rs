@@ -2,20 +2,12 @@
 //!
 //! The paper uses Infineon's GCN + K-means structure recognition tool \[21\] to
 //! detect functional blocks in the input schematic (pipeline step 2, Fig. 1).
-//! That tool is proprietary, so this module provides two interchangeable
-//! substitutes that produce the same artefact — a grouping of devices into
-//! typed functional blocks:
-//!
-//! 1. [`recognize`] — a deterministic rule-based matcher for the classic
-//!    analog structures (differential pairs, current mirrors, cascodes,
-//!    output stages, passives), and
-//! 2. [`cluster_devices`] — a feature-space k-means clustering of devices,
-//!    mirroring the embedding + clustering flavour of the original tool.
-//!
-//! Both paths feed the same downstream floorplanner, so the substitution does
-//! not change the behaviour being reproduced.
-
-use rand::Rng;
+//! That tool is proprietary, so [`recognize`] stands in for it with a
+//! deterministic rule-based matcher for the classic analog structures
+//! (differential pairs, current mirrors, cascodes, output stages, passives).
+//! It produces the same artefact — a grouping of devices into typed
+//! functional blocks — and feeds the same downstream floorplanner, so the
+//! substitution does not change the behaviour being reproduced.
 
 use crate::block::{Block, BlockId, BlockKind};
 use crate::constraint::{Axis, Constraint, SymmetryGroup};
@@ -266,129 +258,10 @@ pub fn classify_net(name: &str) -> NetClass {
     }
 }
 
-/// Per-device feature vector used by the k-means recognition path.
-fn device_features(schematic: &Schematic, d: DeviceId) -> Vec<f64> {
-    let dev = &schematic.devices[d.index()];
-    let mut f = vec![0.0; DeviceKind::ALL.len()];
-    f[dev.kind.index()] = 1.0;
-    f.push((1.0 + dev.area_um2()).ln());
-    f.push((1.0 + dev.strength()).ln());
-    f.push(schematic.neighbors(d).len() as f64 / 8.0);
-    f
-}
-
-/// Clusters devices into `k` groups with k-means over simple electrical
-/// features, mirroring the GCN-embedding + K-means flavour of the paper's
-/// structure-recognition tool. Returns the device groups; empty clusters are
-/// dropped.
-pub fn cluster_devices<R: Rng + ?Sized>(
-    schematic: &Schematic,
-    k: usize,
-    iterations: usize,
-    rng: &mut R,
-) -> Vec<Vec<DeviceId>> {
-    let n = schematic.devices.len();
-    if n == 0 || k == 0 {
-        return Vec::new();
-    }
-    let k = k.min(n);
-    let feats: Vec<Vec<f64>> = (0..n)
-        .map(|i| device_features(schematic, DeviceId(i)))
-        .collect();
-    let dim = feats[0].len();
-    // Initialize centroids with distinct random devices.
-    let mut centroid_idx: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.gen_range(0..=i);
-        centroid_idx.swap(i, j);
-    }
-    let mut centroids: Vec<Vec<f64>> = centroid_idx[..k].iter().map(|&i| feats[i].clone()).collect();
-    let mut assignment = vec![0usize; n];
-    for _ in 0..iterations.max(1) {
-        // Assign.
-        for (i, f) in feats.iter().enumerate() {
-            let mut best = 0;
-            let mut best_d = f64::MAX;
-            for (c, cent) in centroids.iter().enumerate() {
-                let d: f64 = f.iter().zip(cent.iter()).map(|(a, b)| (a - b) * (a - b)).sum();
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            assignment[i] = best;
-        }
-        // Update.
-        for (c, cent) in centroids.iter_mut().enumerate() {
-            let members: Vec<usize> = (0..n).filter(|&i| assignment[i] == c).collect();
-            if members.is_empty() {
-                continue;
-            }
-            for d in 0..dim {
-                cent[d] = members.iter().map(|&i| feats[i][d]).sum::<f64>() / members.len() as f64;
-            }
-        }
-    }
-    (0..k)
-        .map(|c| {
-            (0..n)
-                .filter(|&i| assignment[i] == c)
-                .map(DeviceId)
-                .collect::<Vec<_>>()
-        })
-        .filter(|g: &Vec<DeviceId>| !g.is_empty())
-        .collect()
-}
-
-/// Runs the k-means recognition path end to end: clusters devices and builds a
-/// block-level circuit with [`BlockKind::Unclassified`] blocks refined by a
-/// majority-kind heuristic.
-pub fn recognize_with_kmeans<R: Rng + ?Sized>(
-    schematic: &Schematic,
-    k: usize,
-    rng: &mut R,
-) -> Circuit {
-    let clusters = cluster_devices(schematic, k, 20, rng);
-    let groups: Vec<(BlockKind, Vec<DeviceId>)> = clusters
-        .into_iter()
-        .map(|members| {
-            let kind = majority_kind(schematic, &members);
-            (kind, members)
-        })
-        .collect();
-    build_circuit_from_groups(schematic, &groups)
-}
-
-fn majority_kind(schematic: &Schematic, members: &[DeviceId]) -> BlockKind {
-    let mos = members
-        .iter()
-        .filter(|d| schematic.devices[d.index()].kind.is_mos())
-        .count();
-    let caps = members
-        .iter()
-        .filter(|d| schematic.devices[d.index()].kind == DeviceKind::Capacitor)
-        .count();
-    let res = members
-        .iter()
-        .filter(|d| schematic.devices[d.index()].kind == DeviceKind::Resistor)
-        .count();
-    if caps > mos && caps >= res {
-        BlockKind::CapacitorBank
-    } else if res > mos {
-        BlockKind::ResistorBank
-    } else if members.len() >= 2 {
-        BlockKind::CurrentMirror
-    } else {
-        BlockKind::CommonSource
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::Device;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// A small 5-transistor OTA schematic: tail source, diff pair, mirror load.
     fn five_t_ota() -> Schematic {
@@ -457,31 +330,5 @@ mod tests {
         assert_eq!(classify_net("ibias_10u"), NetClass::Bias);
         assert_eq!(classify_net("clk_out"), NetClass::Clock);
         assert_eq!(classify_net("vout"), NetClass::Signal);
-    }
-
-    #[test]
-    fn kmeans_produces_requested_clusters() {
-        let s = five_t_ota();
-        let mut rng = StdRng::seed_from_u64(1);
-        let clusters = cluster_devices(&s, 3, 10, &mut rng);
-        assert!(!clusters.is_empty() && clusters.len() <= 3);
-        let total: usize = clusters.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 5);
-    }
-
-    #[test]
-    fn kmeans_recognition_builds_valid_circuit() {
-        let s = five_t_ota();
-        let mut rng = StdRng::seed_from_u64(2);
-        let circuit = recognize_with_kmeans(&s, 3, &mut rng);
-        circuit.validate().unwrap();
-        assert!(circuit.num_blocks() >= 1);
-    }
-
-    #[test]
-    fn kmeans_handles_degenerate_inputs() {
-        let s = Schematic::new("empty");
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(cluster_devices(&s, 3, 5, &mut rng).is_empty());
     }
 }

@@ -6,7 +6,9 @@
 //!
 //! * [`LayoutPipeline`] — schematic → structure recognition → floorplanning
 //!   (R-GCN + RL agent, greedy placer or any baseline) → OARSMT global routing
-//!   → procedural layout completion,
+//!   → procedural layout completion; the only choice is the floorplanning
+//!   method, and every run scores with the default reward weights and
+//!   completes with the default procedural configuration,
 //! * [`report`] — the Table I / Table II row structures, the paper's recorded
 //!   manual-design reference values and plain-text rendering,
 //! * [`stats`] — interquartile means and standard deviations,
@@ -40,7 +42,7 @@ pub mod report;
 pub mod stats;
 
 pub use afp_par::{CancelToken, PoolHandle, PoolStats, RunControl, StopReason};
-pub use pipeline::{FloorplanMethod, LayoutPipeline, PipelineConfig, PipelineResult};
+pub use pipeline::{FloorplanMethod, LayoutPipeline, PipelineResult};
 pub use serve::{JobEngine, JobRequest, JobSpec, ServeConfig};
 pub use report::{
     format_table_one, format_table_two, paper_manual_references, ManualReference,

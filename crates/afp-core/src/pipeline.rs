@@ -29,25 +29,6 @@ pub enum FloorplanMethod {
     Baseline(Baseline, u64),
 }
 
-/// Pipeline configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PipelineConfig {
-    /// Configuration of the procedural completion (routing resolution, wire
-    /// width, track pitch, design rules).
-    pub procedural: ProceduralConfig,
-    /// Reward weights used to score floorplans.
-    pub weights: RewardWeights,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            procedural: ProceduralConfig::default(),
-            weights: RewardWeights::default(),
-        }
-    }
-}
-
 /// The result of one pipeline run.
 #[derive(Debug)]
 pub struct PipelineResult {
@@ -96,7 +77,6 @@ impl PipelineResult {
 #[derive(Debug)]
 pub struct LayoutPipeline {
     method: FloorplanMethod,
-    config: PipelineConfig,
 }
 
 impl LayoutPipeline {
@@ -104,7 +84,6 @@ impl LayoutPipeline {
     pub fn with_agent(agent: FloorplanAgent) -> Self {
         LayoutPipeline {
             method: FloorplanMethod::Agent(Box::new(agent)),
-            config: PipelineConfig::default(),
         }
     }
 
@@ -112,7 +91,6 @@ impl LayoutPipeline {
     pub fn with_greedy() -> Self {
         LayoutPipeline {
             method: FloorplanMethod::Greedy,
-            config: PipelineConfig::default(),
         }
     }
 
@@ -120,19 +98,7 @@ impl LayoutPipeline {
     pub fn with_baseline(baseline: Baseline, seed: u64) -> Self {
         LayoutPipeline {
             method: FloorplanMethod::Baseline(baseline, seed),
-            config: PipelineConfig::default(),
         }
-    }
-
-    /// Overrides the pipeline configuration (builder-style).
-    pub fn with_config(mut self, config: PipelineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 
     /// Structure recognition: groups the devices of a schematic into typed
@@ -155,7 +121,7 @@ impl LayoutPipeline {
             circuit,
             &floorplan,
             metrics::hpwl_lower_bound(circuit),
-            &self.config.weights,
+            &RewardWeights::default(),
         );
         (floorplan, elapsed, reward)
     }
@@ -163,7 +129,7 @@ impl LayoutPipeline {
     /// Runs the full pipeline on a block-level circuit.
     pub fn run(&mut self, circuit: &Circuit) -> PipelineResult {
         let (floorplan, floorplan_time_s, floorplan_reward) = self.floorplan(circuit);
-        let layout = complete_layout(circuit, &floorplan, &self.config.procedural);
+        let layout = complete_layout(circuit, &floorplan, &ProceduralConfig::default());
         let report = LayoutReport::from_layout(circuit, &layout, floorplan_time_s);
         PipelineResult {
             floorplan_metrics: metrics::metrics(circuit, &floorplan),

@@ -177,11 +177,6 @@ impl Floorplan {
             .flat_map(move |y| (0..grid.width()).map(move |x| grid.get(Cell::new(x, y))))
     }
 
-    /// Returns `true` if the cell is inside the grid and not occupied.
-    pub fn is_free(&self, cell: Cell) -> bool {
-        cell.x < self.grid.width() && cell.y < self.grid.height() && !self.grid.get(cell)
-    }
-
     /// The grid footprint of a shape on this floorplan's canvas, using the
     /// paper's ceiling mapping at this floorplan's grid side (identical to
     /// [`Canvas::shape_to_cells`] on the default grid).

@@ -51,19 +51,6 @@ pub struct SaConfig {
     /// the smallest sequence diff; `0.0` reproduces the historical uniform
     /// walk bit-for-bit.
     pub locality_bias: f64,
-    /// Number of restarts: the move budget is split into `restarts + 1` equal
-    /// segments, and at each segment boundary the chain teleports back to the
-    /// incumbent best and the temperature is reheated (see
-    /// [`reheat_factor`](SaConfig::reheat_factor)). Restart boundaries draw
-    /// nothing from the RNG, so `0` — the default everywhere — replays
-    /// historical move streams bit-for-bit, and a restarted run stays
-    /// deterministic for its seed.
-    pub restarts: usize,
-    /// On restart the temperature is raised to at least
-    /// `initial_temperature * reheat_factor` (it is never lowered: a segment
-    /// still hotter than the reheat target keeps its temperature). Ignored
-    /// when `restarts` is `0`.
-    pub reheat_factor: f64,
 }
 
 impl SaConfig {
@@ -76,8 +63,6 @@ impl SaConfig {
             moves_per_temperature: 20,
             seed: 0,
             locality_bias: 0.0,
-            restarts: 0,
-            reheat_factor: 0.5,
         }
     }
 
@@ -94,8 +79,6 @@ impl SaConfig {
             moves_per_temperature: 50,
             seed: 0,
             locality_bias: 0.5,
-            restarts: 0,
-            reheat_factor: 0.5,
         }
     }
 }
@@ -155,13 +138,6 @@ pub fn simulated_annealing_on(
             .with_stop(reason);
     }
 
-    // Restart boundaries split the budget into `restarts + 1` equal segments
-    // (integer division leaves the remainder to the last segment). The check
-    // below draws nothing from the RNG, so with `restarts: 0` this function
-    // is instruction-for-instruction the historical annealing loop.
-    let segments = config.restarts + 1;
-    let mut next_boundary = 1usize;
-
     for step in 0..config.iterations {
         // Perturb in place and remember the inverse move: a rejected proposal
         // is reverted with two index swaps instead of cloning the candidate
@@ -182,17 +158,6 @@ pub fn simulated_annealing_on(
         }
         if (step + 1) % config.moves_per_temperature == 0 {
             temperature *= config.cooling;
-        }
-        if next_boundary <= config.restarts
-            && step + 1 == next_boundary * config.iterations / segments
-        {
-            // Restart: resume the walk from the incumbent best (abandoning a
-            // chain that wandered into a penalty basin) with enough heat to
-            // escape the best's own neighborhood.
-            current.clone_from(&best);
-            current_cost = best_cost;
-            temperature = temperature.max(config.initial_temperature * config.reheat_factor);
-            next_boundary += 1;
         }
         // Control poll, after the move has fully settled: nothing here
         // touches the RNG, so an uninterrupted run replays the historical
@@ -274,56 +239,6 @@ mod tests {
         let b = simulated_annealing(&circuit, &explicit);
         assert_eq!(a.reward, b.reward);
         assert_eq!(a.floorplan, b.floorplan);
-    }
-
-    #[test]
-    fn zero_restarts_replays_the_historical_stream_bit_for_bit() {
-        // The restart fields must be inert at their defaults: a config that
-        // spells out `restarts: 0` (with any reheat factor) is the historical
-        // annealing loop, same RNG stream, same trajectory, same floorplan.
-        let circuit = generators::ota8();
-        let base = SaConfig {
-            iterations: 300,
-            seed: 42,
-            ..SaConfig::table1()
-        };
-        assert_eq!(base.restarts, 0);
-        let explicit = SaConfig {
-            restarts: 0,
-            reheat_factor: 0.9,
-            ..base.clone()
-        };
-        let a = simulated_annealing(&circuit, &base);
-        let b = simulated_annealing(&circuit, &explicit);
-        assert_eq!(a.reward, b.reward);
-        assert_eq!(a.evaluations, b.evaluations);
-        assert_eq!(a.floorplan, b.floorplan);
-    }
-
-    #[test]
-    fn restarted_walk_is_deterministic_and_spends_the_same_budget() {
-        // Restart boundaries draw nothing from the RNG: the proposal stream
-        // is shared with the non-restarted run, only the accept states
-        // diverge. Evaluations (and thus the move budget) must not change,
-        // and the run must stay seed-deterministic.
-        let circuit = generators::ota8();
-        let plain = SaConfig {
-            iterations: 400,
-            seed: 9,
-            ..SaConfig::table1()
-        };
-        let restarted = SaConfig {
-            restarts: 3,
-            reheat_factor: 0.5,
-            ..plain.clone()
-        };
-        let a = simulated_annealing(&circuit, &restarted);
-        let b = simulated_annealing(&circuit, &restarted);
-        assert_eq!(a.reward, b.reward);
-        assert_eq!(a.floorplan, b.floorplan);
-        let base = simulated_annealing(&circuit, &plain);
-        assert_eq!(a.evaluations, base.evaluations, "restarts must not change the budget");
-        assert_eq!(a.floorplan.num_placed(), circuit.num_blocks());
     }
 
     #[test]

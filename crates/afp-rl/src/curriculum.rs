@@ -44,11 +44,6 @@ impl HclSchedule {
         self.circuits.len() * self.episodes_per_circuit
     }
 
-    /// Number of episodes already issued.
-    pub fn episodes_issued(&self) -> usize {
-        self.episode
-    }
-
     /// Whether every scheduled episode has been issued.
     pub fn is_finished(&self) -> bool {
         self.episode >= self.total_episodes()

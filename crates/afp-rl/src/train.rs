@@ -1,10 +1,12 @@
 //! The full RL training loop with the hybrid curriculum schedule.
 //!
-//! Reproduces the paper's §V-A setup: multiple environments gather
-//! experience, PPO updates run after every rollout, the curriculum advances
-//! through circuits of increasing complexity, and the per-update mean episode
-//! reward and approximate KL divergence are recorded — exactly the two curves
-//! plotted in Fig. 6.
+//! Follows the paper's §V-A setup with one serial environment: episodes are
+//! collected one after another into a rollout, a PPO update runs after every
+//! rollout, the curriculum advances through circuits of increasing
+//! complexity, and the per-update mean episode reward and approximate KL
+//! divergence are recorded — exactly the two curves plotted in Fig. 6. The
+//! paper gathers experience in 16 parallel environments; serial collection
+//! keeps a seeded run replayable bit for bit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,11 +27,7 @@ pub struct TrainConfig {
     pub agent: AgentConfig,
     /// Episodes spent on each curriculum circuit (4096 in the paper).
     pub episodes_per_circuit: usize,
-    /// Number of environments gathering experience per update (16 in the
-    /// paper). Environments are stepped round-robin; the aggregated rollout
-    /// size per update equals `environments × mean episode length`.
-    pub environments: usize,
-    /// Episodes collected (across environments) between PPO updates.
+    /// Episodes collected between PPO updates.
     pub episodes_per_update: usize,
     /// Probability of sampling a new circuit variant in the second curriculum
     /// phase (0.5 in the paper).
@@ -47,7 +45,6 @@ impl TrainConfig {
         TrainConfig {
             agent: AgentConfig::small(),
             episodes_per_circuit: 8,
-            environments: 2,
             episodes_per_update: 4,
             p_circuit: 0.5,
             p_constraint: 0.3,
@@ -55,13 +52,12 @@ impl TrainConfig {
         }
     }
 
-    /// The paper-scale configuration (§V-A): 16 environments, 4096 episodes
-    /// per circuit. Only used by the long-running reproduction binaries.
+    /// The paper-scale configuration (§V-A): 4096 episodes per circuit.
+    /// Only used by the long-running reproduction binaries.
     pub fn paper() -> Self {
         TrainConfig {
             agent: AgentConfig::paper(),
             episodes_per_circuit: 4096,
-            environments: 16,
             episodes_per_update: 32,
             p_circuit: 0.5,
             p_constraint: 0.3,
@@ -160,10 +156,8 @@ pub fn train_agent(
         let mut completions = 0usize;
         let stage = schedule.current_stage();
         let stage_circuit = schedule.circuits()[stage].name.clone();
-        // Collect a rollout: `episodes_per_update` episodes spread round-robin
-        // over `environments` logical environments. Because the embedding
-        // cache is keyed by circuit name, reusing environments is equivalent
-        // to fresh ones (the MDP is reset between episodes).
+        // Collect a rollout: `episodes_per_update` episodes, each in a fresh
+        // environment.
         let mut collected = 0usize;
         while collected < config.episodes_per_update && !schedule.is_finished() {
             let circuit = match schedule.next_episode(&mut rng) {

@@ -52,7 +52,7 @@ struct Entry {
 
 /// Bounded, LRU-evicting, content-addressed store of solve results.
 #[derive(Debug)]
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     entries: HashMap<Fingerprint, Entry>,
     capacity: usize,
     tick: u64,
@@ -159,7 +159,7 @@ impl ResultCache {
     }
 }
 
-/// A clonable, shareable handle to one [`ResultCache`].
+/// A clonable, shareable handle to one bounded, LRU-evicting result cache.
 ///
 /// All clones refer to the same store, so the clones of one [`JobEngine`]
 /// (and a [`ServeDaemon`]'s drain thread) memoize into one cache and one set
@@ -205,17 +205,17 @@ impl CacheHandle {
 
     /// Counted exact lookup ([`ResultCache::get`]), cloning the hit out of
     /// the lock scope.
-    pub fn get(&self, fingerprint: Fingerprint) -> Option<BaselineResult> {
+    pub(crate) fn get(&self, fingerprint: Fingerprint) -> Option<BaselineResult> {
         self.lock().get(fingerprint).cloned()
     }
 
-    /// Uncounted exact lookup ([`ResultCache::peek`]).
+    /// Exact lookup without touching recency or counters (for inspection).
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<BaselineResult> {
         self.lock().peek(fingerprint).cloned()
     }
 
     /// Inserts a result ([`ResultCache::insert`]).
-    pub fn insert(&self, fingerprint: Fingerprint, result: BaselineResult) {
+    pub(crate) fn insert(&self, fingerprint: Fingerprint, result: BaselineResult) {
         self.lock().insert(fingerprint, result);
     }
 

@@ -278,11 +278,6 @@ impl JobEngine {
         self.lock().queue.len()
     }
 
-    /// Total jobs ever submitted to this engine (valid `JobId` range).
-    pub fn job_count(&self) -> usize {
-        self.lock().jobs.len()
-    }
-
     /// Enqueues a job, honoring the queue-depth bound. A request no solver
     /// can run ([`RejectReason::InvalidCircuit`],
     /// [`RejectReason::EmptySearch`]) is rejected before it is fingerprinted.

@@ -36,8 +36,8 @@
 use std::fmt;
 
 use afp_circuit::{Axis, Circuit, Constraint, InternalPlacement, RoutingDirection, ShapeSet};
-use afp_layout::{Canvas, SpacingConfig};
-use afp_metaheuristics::{Baseline, GaConfig, Problem, PsoConfig, SaConfig, SpRlConfig};
+use afp_layout::{Canvas, RewardWeights, SpacingConfig};
+use afp_metaheuristics::{Baseline, GaConfig, PsoConfig, SaConfig, SpRlConfig};
 
 /// A 128-bit canonical problem fingerprint (the cache key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -292,7 +292,7 @@ fn write_structure(hasher: &mut FingerprintHasher, circuit: &Circuit) {
 
 /// Encodes the evaluation context the solvers actually see: per-block shape
 /// tables, canvas, spacing, and reward weights — all derived exactly as
-/// [`Problem::new`] derives them.
+/// [`Problem::new`](afp_metaheuristics::Problem::new) derives them.
 fn write_evaluation_context(hasher: &mut FingerprintHasher, circuit: &Circuit) {
     hasher.write_tag(TAG_SHAPES);
     for block in &circuit.blocks {
@@ -314,7 +314,7 @@ fn write_evaluation_context(hasher: &mut FingerprintHasher, circuit: &Circuit) {
     hasher.write_f64(spacing.max_relative_margin);
 
     hasher.write_tag(TAG_WEIGHTS);
-    let weights = Problem::new(circuit).weights;
+    let weights = RewardWeights::default();
     hasher.write_f64(weights.alpha);
     hasher.write_f64(weights.beta);
     hasher.write_f64(weights.gamma);
@@ -327,8 +327,6 @@ fn write_sa_config(hasher: &mut FingerprintHasher, cfg: &SaConfig) {
     hasher.write_f64(cfg.cooling);
     hasher.write_usize(cfg.moves_per_temperature);
     hasher.write_f64(cfg.locality_bias);
-    hasher.write_usize(cfg.restarts);
-    hasher.write_f64(cfg.reheat_factor);
 }
 
 fn write_ga_config(hasher: &mut FingerprintHasher, cfg: &GaConfig) {
@@ -554,7 +552,7 @@ mod tests {
         let pins = [
             (
                 JobSpec::new(generators::ota5(), Baseline::Sa(SaConfig::small()), 7),
-                "7883b5c65c94378bc8f5cb4b33fbaf83",
+                "fe5d4678951b3537fb0fcf46043c7e6b",
             ),
             (
                 JobSpec::new(generators::bias9(), Baseline::Ga(GaConfig::table1()), 1),
@@ -566,7 +564,7 @@ mod tests {
             ),
             (
                 JobSpec::new(generators::ota3(), Baseline::RlSa(RlSaConfig::small()), 11),
-                "dce833ad47602c3d890e04490d95c248",
+                "cb2977f514a9ca38e7f6ce8da7d7e5cc",
             ),
             (
                 JobSpec::new(generators::ota3(), Baseline::SpRl(SpRlConfig::table1()), 0),

@@ -11,7 +11,7 @@
 //!   unordered collections sorted, floats bit-normalized, non-semantic knobs
 //!   dropped) guarantees that two [`JobSpec`]s hash equal exactly when their
 //!   solves are bit-identical.
-//! * [`cache`] — the content-addressed [`ResultCache`]: a bounded LRU map
+//! * [`cache`] — the content-addressed result cache: a bounded LRU map
 //!   from [`Fingerprint`] to [`BaselineResult`] with hit/miss/eviction
 //!   counters ([`CacheStats`]). Exact fingerprint hits return the memoized
 //!   result verbatim; every miss is solved from its seed. The cache is
@@ -70,7 +70,7 @@ pub mod daemon;
 pub mod engine;
 pub mod fingerprint;
 
-pub use cache::{CacheHandle, CacheStats, ResultCache};
+pub use cache::{CacheHandle, CacheStats};
 pub use daemon::{ServeDaemon, ShutdownReport};
 pub use engine::{
     JobEngine, JobId, JobOutcome, JobRequest, JobState, RejectReason, ServeConfig,

@@ -41,11 +41,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends a boxed layer to the stack.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()

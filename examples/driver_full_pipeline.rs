@@ -12,6 +12,7 @@ use std::fs;
 use analog_floorplan::circuit::generators;
 use analog_floorplan::core::LayoutPipeline;
 use analog_floorplan::metaheuristics::{Baseline, SaConfig};
+use analog_floorplan::route::ProceduralConfig;
 
 fn main() {
     let circuit = generators::driver();
@@ -43,11 +44,12 @@ fn main() {
         Err(e) => println!("\ncould not write {path}: {e}"),
     }
     println!("\nchannels extracted: {}", result.layout.channels.len());
+    let track_pitch_um = ProceduralConfig::default().track_pitch_um;
     let congested = result
         .layout
         .channels
         .iter()
-        .filter(|c| c.is_congested(ours.config().procedural.track_pitch_um))
+        .filter(|c| c.is_congested(track_pitch_um))
         .count();
     println!("congested channels: {congested}");
 }

@@ -2,10 +2,11 @@
 # Tier-1 verification plus the repo's own extended checks.
 #
 #   tier-1:   cargo build --release && cargo test -q
-#   extended: workspace-wide tests, the differential, pool-survival and
-#             rustdoc checks below, and a smoke run of the perf snapshot (the
-#             harness must never rot between perf PRs: the run fails the
-#             build if bench_snapshot panics or emits malformed JSON).
+#   extended: workspace-wide tests, the differential, fingerprint-pin,
+#             pool-survival and rustdoc checks below, and a smoke run of the
+#             perf snapshot (the harness must never rot between perf PRs:
+#             the run fails the build if bench_snapshot panics or emits
+#             malformed JSON).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +76,15 @@ large_out="$(cargo test -p afp-metaheuristics large_n_cost_pipeline_matches_unca
     || { echo "$large_out"; exit 1; }
 echo "$large_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
     || { echo "ci: large-n test filter matched no tests" >&2; exit 1; }
+
+# Cache-key pins: `fingerprints_are_pinned` fixes the bits of the serve
+# fingerprint for one job per baseline, so any change to which requests share
+# a cache entry must edit it deliberately. Run it by name so a filtered run
+# cannot silently skip it.
+pins_out="$(cargo test -p afp-serve fingerprints_are_pinned 2>&1)" \
+    || { echo "$pins_out"; exit 1; }
+echo "$pins_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
+    || { echo "ci: fingerprint-pin test filter matched no tests" >&2; exit 1; }
 
 # Robustness safety net: the pool-survival proptest (planned panics and
 # stalls through PoolHandle::map propagate exactly, stats balance, the handle

@@ -685,14 +685,16 @@ proptest! {
 
     /// An SA run under a `RunControl` whose deadline and budget can never
     /// fire must replay the uncontrolled run bit for bit, at any polling
-    /// stride: the control layer's polls draw nothing from the RNG, so PR 6
-    /// trajectories are preserved exactly. (An interrupted run is allowed to
-    /// — and does — stop early; this pins the *uninterrupted* contract.)
+    /// stride and under both move mixes (the uniform walk of
+    /// `SaConfig::small()` and the locality-biased Table I mix): the control
+    /// layer's polls draw nothing from the RNG, so historical trajectories
+    /// are preserved exactly. (An interrupted run is allowed to — and does —
+    /// stop early; this pins the *uninterrupted* contract.)
     #[test]
     fn sa_with_generous_deadline_replays_the_unbounded_run(
         seed in 0u64..1_000_000,
         stride in 1u64..200,
-        restarts in 0usize..3,
+        table1_mix in 0u8..2,
     ) {
         use std::time::Duration;
         use analog_floorplan::circuit::generators;
@@ -708,7 +710,7 @@ proptest! {
         let cfg = SaConfig {
             iterations: 150,
             seed,
-            restarts,
+            locality_bias: if table1_mix == 1 { SaConfig::table1().locality_bias } else { 0.0 },
             ..SaConfig::small()
         };
         let mut cache = CostCache::new(&problem);
