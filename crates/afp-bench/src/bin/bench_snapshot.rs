@@ -184,14 +184,13 @@ fn main() {
     }
 
     // Large-n workload tier: 200/500/1000-block synthetic circuits through
-    // the cost pipeline on multi-word occupancy grids
-    // (grid_side_for picks 64/96/128 cells per side). Each row records the
-    // warm per-move SA cost.
+    // the cost pipeline on the 64×64 grid grid_side_for picks past 64
+    // blocks. Each row records the warm per-move SA cost.
     let mut large_n_rows = Vec::new();
     for &n in &LARGE_N_SIZES {
         let circuit = synthetic_circuit(n);
         let problem = Problem::new(&circuit);
-        let grid_side = problem.grid_side;
+        let grid_side = problem.grid_side();
         let mut cache = CostCache::new(&problem);
         let mut rng = StdRng::seed_from_u64(0x1A26 ^ n as u64);
         let mut walk = Candidate::random(problem.num_blocks(), &mut rng);
@@ -260,7 +259,7 @@ fn main() {
     let agent_json = agent_json(hardware_threads);
 
     let json = format!(
-        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (multi-word rows past 64 columns), the large-n workload tier, positional masks; locality-aware SA move mix, the serve layer's result cache and job engine, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n{serve_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
+        "{{\n  \"benchmark\": \"pack\",\n  \"description\": \"FAST-SP vs legacy relaxation packing; BitGrid grid realization (one u64 word per row), the large-n workload tier, positional masks; locality-aware SA move mix, the serve layer's result cache and job engine, SA cost-evaluation throughput, and the RL agent's conv/deconv/dense kernels, policy forward and PPO update\",\n  \"pack\": [\n{}\n  ],\n  \"snap\": [\n{}\n  ],\n  \"large_n\": [\n{}\n  ],\n  \"masks\": {{\n    \"circuit\": \"{}\",\n    \"positional_masks_ns\": {:.1}\n  }},\n{serve_json},\n{sa_locality_json},\n{agent_json},\n  \"sa\": {{\n    \"circuit\": \"{}\",\n    \"blocks\": {},\n    \"iterations\": {},\n    \"evaluations\": {},\n    \"locality_bias\": {:.2},\n    \"seconds\": {:.4},\n    \"moves_per_sec\": {:.0}\n  }}\n}}\n",
         pack_rows.join(",\n"),
         snap_rows.join(",\n"),
         large_n_rows.join(",\n"),

@@ -21,9 +21,9 @@ use rand::{Rng, SeedableRng};
 pub const PACK_SIZES: [usize; 5] = [10, 19, 50, 100, 200];
 
 /// Block counts of the large-n workload tier: synthetic circuits past every
-/// historical 64-element ceiling, run end to end through the full incremental
-/// cost pipeline (multi-word grids, spilled metric masks) by the
-/// `bench_snapshot` `large_n` section and the CI gates.
+/// historical 64-element ceiling, run end to end through the full cost
+/// pipeline on the 64×64 grid by the `bench_snapshot` `large_n` section and
+/// the CI gates.
 pub const LARGE_N_SIZES: [usize; 3] = [200, 500, 1000];
 
 /// Deterministic random sequence pair with `n` blocks.

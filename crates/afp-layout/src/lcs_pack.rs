@@ -33,8 +33,8 @@
 //! Because each coordinate is produced by the *same* recurrence (`f64` max
 //! over `x[a] + w[a]` terms) that the relaxation solver iterates to a fixed
 //! point, the computed positions are bit-identical to the legacy packer's —
-//! property-tested in `tests/properties.rs` against the
-//! `legacy-pack`-gated oracle.
+//! property-tested in `tests/properties.rs` against that oracle
+//! (`SequencePair::pack_relaxation`).
 //!
 //! # Scratch reuse
 //!

@@ -3,8 +3,8 @@
 //! Everything geometric that the floorplanning methods share:
 //!
 //! * the 32×32 placement `grid` and continuous [`Canvas`] (paper §IV-D1),
-//! * the [`bitgrid`] occupancy bitboard (`u64` row words, one per row up to
-//!   64 columns) behind every footprint query, snap search and positional
+//! * the [`bitgrid`] occupancy bitboard (one `u64` word per row, grid sides
+//!   up to 64) behind every footprint query, snap search and positional
 //!   mask,
 //! * the incremental [`Floorplan`] state with overlap-free placement,
 //! * [`metrics`]: HPWL (Eq. 3), dead space, the intermediate reward (Eq. 4)

@@ -272,7 +272,7 @@ mod tests {
         let wm = wire_mask(&c, &fp, BlockId(1), &Shape::new(4.0, 4.0));
         // Placing right next to block A increases HPWL less than placing at
         // the opposite corner.
-        let near = wm[0 * GRID_SIZE + 4];
+        let near = wm[4]; // row 0, column 4
         let far = wm[27 * GRID_SIZE + 27];
         assert!(near < far, "near={near} far={far}");
     }

@@ -70,10 +70,11 @@ const UNPLACED: u32 = u32::MAX;
 /// placement and the free-anchor maps behind the snap search and the RL
 /// positional masks are word-level bit operations. The grid defaults to the
 /// paper's `GRID_SIZE × GRID_SIZE` discretization; [`Floorplan::with_grid_side`]
-/// instantiates a finer grid over the same canvas for large-n workloads.
+/// instantiates a finer grid (up to 64 cells per side) over the same canvas
+/// for circuits with more than 64 blocks.
 /// Per-block lookup ([`Floorplan::is_placed`], [`Floorplan::find`]) is O(1)
 /// through a block-index → placement-slot table instead of a linear scan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Floorplan {
     canvas: Canvas,
     /// Cell dimensions of `canvas`, cached so the placement hot path does
@@ -84,10 +85,7 @@ pub struct Floorplan {
     placed: Vec<PlacedBlock>,
     /// `slot[block.index()]` is the index into `placed`, or [`UNPLACED`].
     /// Grown on demand; trailing entries may be missing for never-seen ids.
-    /// Fully derivable from `placed` (and ignored by `PartialEq`); when the
-    /// vendored serde stub is swapped for the real crate, this field should
-    /// be skipped on serialize and rebuilt from `placed` on deserialize —
-    /// the stub derive cannot express `#[serde(skip)]`.
+    /// Fully derivable from `placed` (and ignored by `PartialEq`).
     slot: Vec<u32>,
 }
 
@@ -118,6 +116,12 @@ impl Floorplan {
     /// [`Floorplan::new`] (same cell-size division, same footprint ceiling);
     /// larger sides keep per-cell resolution sane for circuits whose block
     /// count would otherwise saturate the 32×32 discretization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side` is zero or exceeds
+    /// [`MAX_GRID_SIDE`](crate::bitgrid::MAX_GRID_SIDE)` = 64`: each grid row
+    /// is one `u64` word.
     pub fn with_grid_side(canvas: Canvas, side: usize) -> Self {
         Floorplan {
             canvas,
@@ -423,5 +427,11 @@ mod tests {
         fp.place(BlockId(1), 0, Shape::new(4.0, 4.0), Cell::new(4, 0))
             .unwrap();
         assert_eq!(fp.num_placed(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "each grid row is one u64 word")]
+    fn grid_sides_above_one_word_are_rejected() {
+        let _ = Floorplan::with_grid_side(canvas(), 65);
     }
 }

@@ -17,12 +17,11 @@
 //!   Fenwick prefix-max sweep. `pack_into` reuses a caller-held
 //!   [`PackScratch`] and output buffers, making steady-state packing
 //!   allocation-free.
-//! * `SequencePair::pack_relaxation` — the original O(n³) repeated
-//!   relaxation longest-path solver, compiled only for tests or under the
-//!   `legacy-pack` feature. It is retained as a differential-testing oracle
-//!   (`tests/properties.rs` asserts bit-identical positions on random pairs)
-//!   and as the baseline `bench_snapshot`'s `pack` section measures speedups
-//!   against.
+//! * [`SequencePair::pack_relaxation`] — the original O(n³) repeated
+//!   relaxation longest-path solver. It is retained as a differential-testing
+//!   oracle (`tests/properties.rs` asserts bit-identical positions on random
+//!   pairs) and as the baseline `bench_snapshot`'s `pack` section measures
+//!   speedups against.
 //!
 //! Both engines evaluate the same recurrence
 //! `x[b] = max { x[a] + w[a] : a left of b }` (and the y analogue), so their
@@ -164,9 +163,7 @@ impl SequencePair {
     /// Packs with the original O(n³) repeated-relaxation longest-path solver.
     ///
     /// Kept as the differential-testing oracle for the FAST-SP engine and as
-    /// the baseline of `bench_snapshot`'s `pack` section; compiled only for
-    /// tests or when the `legacy-pack` feature is enabled.
-    #[cfg(any(test, feature = "legacy-pack"))]
+    /// the baseline of `bench_snapshot`'s `pack` section.
     pub fn pack_relaxation(&self) -> PackedFloorplan {
         let n = self.len();
         let mut pos_index = vec![0usize; n];
@@ -297,7 +294,7 @@ pub fn realize_floorplan(
         let shape = Shape::new(shapes[i].width_um * scale, shapes[i].height_um * scale);
         let cell_x = ((px * scale) / cw).round() as usize;
         let cell_y = ((py * scale) / ch).round() as usize;
-        let cell = crate::grid::Cell::new(cell_x.min(side - 1), cell_y.min(side - 1));
+        let cell = Cell::new(cell_x.min(side - 1), cell_y.min(side - 1));
         // Grid snapping can create spurious overlaps; scan outward for the
         // nearest free anchor so every block ends up placed.
         let (gw, gh) = fp.grid_footprint(&shape);
@@ -365,119 +362,22 @@ const PROBE_RADIUS: usize = 3;
 /// [`BitGrid::fits`](crate::bitgrid::BitGrid::fits) predicate exactly
 /// (an anchor-mask bit ⟺ `fits`), so placements are bit-identical to the
 /// historical path.
-pub fn find_nearest_fit(
-    fp: &Floorplan,
-    start: crate::grid::Cell,
-    gw: usize,
-    gh: usize,
-) -> Option<crate::grid::Cell> {
-    use crate::bitgrid::{first_set_in_range, row_bit, MAX_WPR};
+pub fn find_nearest_fit(fp: &Floorplan, start: Cell, gw: usize, gh: usize) -> Option<Cell> {
+    use crate::bitgrid::{nearest_anchor_from, scan_rings};
     if fp.fits(start, gw, gh) {
         return Some(start);
     }
     let grid = fp.grid();
-    let width = grid.width() as isize;
-    let height = grid.height() as isize;
-    let wpr = grid.words_per_row();
-    const BAND_ROWS: usize = 2 * PROBE_RADIUS + 1;
-    if wpr == 1 {
-        // One-word rows (every grid up to 64 columns, the 32×32 default
-        // included): each band row's anchor mask is a single u64 held by
-        // value, sparing the multi-word band buffer and its per-row slices.
-        let mut band = [0u64; BAND_ROWS];
-        let mut filled = [false; BAND_ROWS];
-        for radius in 1..=(PROBE_RADIUS as isize) {
-            for dy in -radius..=radius {
-                let y = start.y as isize + dy;
-                if !(0..height).contains(&y) {
-                    continue;
-                }
-                let bi = (dy + PROBE_RADIUS as isize) as usize;
-                if !filled[bi] {
-                    grid.row_anchors_into(
-                        y as usize,
-                        gw,
-                        gh,
-                        std::slice::from_mut(&mut band[bi]),
-                    );
-                    filled[bi] = true;
-                }
-                let anchors = band[bi];
-                if anchors == 0 {
-                    continue;
-                }
-                if dy.abs() == radius {
-                    // Ring boundary row: all Δx ascending ⇒ the lowest set
-                    // anchor bit in the clamped window [x − r, x + r].
-                    let lo = (start.x as isize - radius).max(0) as usize;
-                    let hi = ((start.x as isize + radius).min(width - 1)) as usize;
-                    let window = if hi - lo + 1 == 64 {
-                        !0u64
-                    } else {
-                        ((1u64 << (hi - lo + 1)) - 1) << lo
-                    };
-                    let hits = anchors & window;
-                    if hits != 0 {
-                        return Some(Cell::new(hits.trailing_zeros() as usize, y as usize));
-                    }
-                } else {
-                    // Interior row: only Δx = −r then Δx = +r are on the ring.
-                    let left = start.x as isize - radius;
-                    if left >= 0 && (anchors >> left) & 1 == 1 {
-                        return Some(Cell::new(left as usize, y as usize));
-                    }
-                    let right = start.x as isize + radius;
-                    if right < width && (anchors >> right) & 1 == 1 {
-                        return Some(Cell::new(right as usize, y as usize));
-                    }
-                }
-            }
-        }
-        let anchors = grid.free_anchors(gw, gh);
-        return crate::bitgrid::nearest_anchor_from(&anchors, start, PROBE_RADIUS + 1);
-    }
-    // Anchor masks of the probed band, keyed by Δy, filled on first use —
-    // a stack buffer of `MAX_WPR` words per band row.
-    let mut band = [0u64; BAND_ROWS * MAX_WPR];
-    let mut filled = [false; BAND_ROWS];
-    for radius in 1..=(PROBE_RADIUS as isize) {
-        for dy in -radius..=radius {
-            let y = start.y as isize + dy;
-            if !(0..height).contains(&y) {
-                continue;
-            }
-            let bi = (dy + PROBE_RADIUS as isize) as usize;
-            if !filled[bi] {
-                grid.row_anchors_into(y as usize, gw, gh, &mut band[bi * MAX_WPR..]);
-                filled[bi] = true;
-            }
-            let anchors = &band[bi * MAX_WPR..bi * MAX_WPR + wpr];
-            if anchors.iter().all(|&w| w == 0) {
-                continue;
-            }
-            if dy.abs() == radius {
-                // Ring boundary row: all Δx ascending ⇒ the lowest set
-                // anchor bit in the clamped window [x − r, x + r].
-                let lo = (start.x as isize - radius).max(0) as usize;
-                let hi = ((start.x as isize + radius).min(width - 1)) as usize;
-                if let Some(x) = first_set_in_range(anchors, lo, hi) {
-                    return Some(Cell::new(x, y as usize));
-                }
-            } else {
-                // Interior row: only Δx = −r then Δx = +r are on the ring.
-                let left = start.x as isize - radius;
-                if left >= 0 && row_bit(anchors, left as usize) {
-                    return Some(Cell::new(left as usize, y as usize));
-                }
-                let right = start.x as isize + radius;
-                if right < width && row_bit(anchors, right as usize) {
-                    return Some(Cell::new(right as usize, y as usize));
-                }
-            }
-        }
-    }
-    let anchors = grid.free_anchors(gw, gh);
-    crate::bitgrid::nearest_anchor_from(&anchors, start, PROBE_RADIUS + 1)
+    // Anchor words of the probed band, keyed by Δy, computed on first use.
+    let mut band = [None; 2 * PROBE_RADIUS + 1];
+    let ring_hit = scan_rings(
+        start,
+        grid.width(),
+        grid.height(),
+        1..PROBE_RADIUS + 1,
+        |y| *band[y + PROBE_RADIUS - start.y].get_or_insert_with(|| grid.row_anchors(y, gw, gh)),
+    );
+    ring_hit.or_else(|| nearest_anchor_from(&grid.free_anchors(gw, gh), start, PROBE_RADIUS + 1))
 }
 
 #[cfg(test)]

@@ -246,18 +246,14 @@ fn two_distinct<R: Rng + ?Sized>(n: usize, rng: &mut R) -> (usize, usize) {
 
 /// Grid discretization for an `n`-block problem: the paper's 32×32 grid for
 /// every circuit in its size class (n ≤ 64 — bit-identical to the historical
-/// fixed grid), then the next multiple of 32 that gives at least `4·√n` cells
-/// per side, capped at 128. The cap bounds the grid that every snap search
-/// scans; it binds past 1 024 blocks, so moving it would change the grid,
-/// and with it every trajectory, of those circuits. 200 blocks → 64,
-/// 500 → 96, 1000 → 128.
+/// fixed grid), and the widest one-word grid,
+/// [`MAX_GRID_SIDE`](afp_layout::bitgrid::MAX_GRID_SIDE)` = 64`, past it.
 pub fn grid_side_for(n: usize) -> usize {
     if n <= 64 {
-        return afp_layout::GRID_SIZE;
+        afp_layout::GRID_SIZE
+    } else {
+        afp_layout::bitgrid::MAX_GRID_SIDE
     }
-    let wanted = 4.0 * (n as f64).sqrt();
-    let side = 32 * (wanted / 32.0).ceil() as usize;
-    side.clamp(64, 128)
 }
 
 /// The shared evaluation context: circuit, canvas, per-block shape sets,
@@ -270,10 +266,6 @@ pub struct Problem {
     circuit: Circuit,
     /// The placement canvas.
     pub canvas: Canvas,
-    /// Cells per side of the placement grid ([`grid_side_for`] the block
-    /// count): every floorplan realized for this problem — `Problem::realize`,
-    /// every `CostCache` — uses this discretization.
-    pub grid_side: usize,
     /// Candidate shapes per block. Private so the precomputed
     /// effective-shape table cannot silently go stale; read through
     /// [`Problem::shape_sets`].
@@ -301,7 +293,6 @@ impl Problem {
     pub fn new(circuit: &Circuit) -> Self {
         let mut problem = Problem {
             canvas: Canvas::for_circuit(circuit),
-            grid_side: grid_side_for(circuit.num_blocks()),
             shape_sets: shape_sets(circuit),
             spacing: Some(SpacingConfig::default()),
             hpwl_min: metrics::hpwl_lower_bound(circuit),
@@ -316,6 +307,13 @@ impl Problem {
     /// The circuit being floorplanned.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
+    }
+
+    /// Cells per side of the placement grid ([`grid_side_for`] the block
+    /// count): every floorplan realized for this problem — `Problem::realize`,
+    /// every `CostCache` — uses this discretization.
+    pub fn grid_side(&self) -> usize {
+        grid_side_for(self.circuit.num_blocks())
     }
 
     /// The candidate shapes per block.
@@ -393,7 +391,7 @@ impl Problem {
     pub fn realize(&self, candidate: &Candidate) -> Floorplan {
         let shapes = self.shapes_for(candidate);
         let mut scratch = PackScratch::with_capacity(shapes.len());
-        let mut fp = Floorplan::with_grid_side(self.canvas, self.grid_side);
+        let mut fp = Floorplan::with_grid_side(self.canvas, self.grid_side());
         candidate.to_sequence_pair(&shapes).to_floorplan_into(
             &self.circuit,
             self.canvas,
@@ -527,7 +525,7 @@ impl CostCache {
         CostCache {
             pack: PackScratch::with_capacity(n),
             metrics: MetricsScratch::new(),
-            floorplan: Floorplan::with_grid_side(problem.canvas, problem.grid_side),
+            floorplan: Floorplan::with_grid_side(problem.canvas, problem.grid_side()),
             shapes: Vec::with_capacity(n),
             memo: vec![(0, 0.0); MEMO_SLOTS],
             hits: 0,
@@ -802,17 +800,17 @@ mod tests {
     #[test]
     fn grid_side_tracks_block_count() {
         // Paper-class circuits keep the historical 32×32 grid bit-identical;
-        // larger circuits get the next 32-multiple ≥ 4·√n, capped at 128.
+        // larger circuits get the widest one-word grid, 64×64.
         for n in [1, 19, 64] {
             assert_eq!(grid_side_for(n), afp_layout::GRID_SIZE, "n = {n}");
         }
         assert_eq!(grid_side_for(65), 64);
         assert_eq!(grid_side_for(200), 64);
         assert_eq!(grid_side_for(256), 64);
-        assert_eq!(grid_side_for(257), 96);
-        assert_eq!(grid_side_for(500), 96);
-        assert_eq!(grid_side_for(1000), 128);
-        assert_eq!(grid_side_for(10_000), 128, "cap holds");
+        assert_eq!(grid_side_for(257), 64);
+        assert_eq!(grid_side_for(500), 64);
+        assert_eq!(grid_side_for(1000), 64);
+        assert_eq!(grid_side_for(10_000), 64, "cap holds");
     }
 
     /// A deterministic large chain circuit (no constraints — feasible
@@ -841,7 +839,11 @@ mod tests {
         // uncached cost past every old 64-element ceiling.
         let circuit = chain_circuit(200);
         let problem = Problem::new(&circuit);
-        assert_eq!(problem.grid_side, 64, "200 blocks realize on a 64×64 grid");
+        assert_eq!(
+            problem.grid_side(),
+            64,
+            "200 blocks realize on a 64×64 grid"
+        );
         let mut cache = CostCache::new(&problem);
         let mut rng = StdRng::seed_from_u64(0x1A26);
         let mut c = Candidate::random(problem.num_blocks(), &mut rng);

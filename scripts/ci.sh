@@ -3,7 +3,7 @@
 #
 #   tier-1:   cargo build --release && cargo test -q
 #   extended: workspace-wide tests, the differential, fingerprint-pin,
-#             pool-survival and rustdoc checks below, and a smoke run of the
+#             pool-survival, rustdoc and clippy checks below, and a smoke run of the
 #             perf snapshot (the harness must never rot between perf PRs:
 #             the run fails the build if bench_snapshot panics or emits
 #             malformed JSON).
@@ -34,7 +34,7 @@ diff_tests=(
     serve_cache_hit_replays_the_cold_solve_bit_for_bit
     serve_daemon_admits_while_draining_and_matches_cold_solves
     serve_daemon_stress_submitters_race_drain
-    multiword_grid_fits_anchors_and_nearest_fit_match_scalar
+    wide_grid_fits_anchors_and_nearest_fit_match_scalar
     spice_text_never_panics_through_the_greedy_pipeline
     hostile_job_requests_are_rejected_or_served
     conv_kernels_match_naive_oracle_bitwise
@@ -101,6 +101,11 @@ echo "$survival_out" | grep -qE 'test result: ok\. [1-9][0-9]* passed' \
 # facade crate, which silently skipped every member crate's rustdoc.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# Lints over every target, tests included: deny-level clippy lints (the
+# correctness group, e.g. `erasing_op`) fail CI; warn-level lints are only
+# reported.
+cargo clippy --workspace --all-targets -q
+
 # Perf-harness smoke: run bench_snapshot into a scratch directory (so the
 # committed BENCH_pack.json — the canonical perf trajectory — is not churned
 # by every CI run) and validate the emitted JSON. Perf PRs refresh the real
@@ -125,11 +130,11 @@ for section in ("pack", "snap", "large_n", "masks", "serve", "sa_locality",
                 "agent", "sa"):
     assert section in snap, f"missing snapshot section: {section}"
 # The large-n tier: one row per block count past the old 64-element ceilings,
-# each run end to end through the cost pipeline on a multi-word grid.
+# each run end to end through the cost pipeline on the 64×64 grid.
 large = snap["large_n"]
 assert [row["blocks"] for row in large] == [200, 500, 1000], \
     "large_n tier does not cover the expected block counts"
-assert [row["grid_side"] for row in large] == [64, 96, 128], \
+assert [row["grid_side"] for row in large] == [64, 64, 64], \
     "large_n grid sides diverged from grid_side_for()"
 for row in large:
     assert row["sa_move_ns"] > 0.0, "nonsensical large_n timing: sa_move_ns"

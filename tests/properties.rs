@@ -21,9 +21,9 @@ use nn_oracle::{
 /// Scalar `Vec<bool>` occupancy grid — the pre-bitboard reference
 /// implementation of `fits`, the spiral nearest-fit scan and the positional
 /// free-space test, retained as the differential oracle for the `BitGrid`
-/// word-level engine (mirroring how `legacy-pack` oracles FAST-SP). The side
-/// is parametric so the same oracle also checks multi-word grids past the
-/// historical 64-column ceiling.
+/// word-level engine (mirroring how `SequencePair::pack_relaxation` oracles
+/// FAST-SP). The side is parametric so the same oracle also checks grids up
+/// to the 64-column one-word maximum.
 struct ScalarGrid {
     side: usize,
     occ: Vec<bool>,
@@ -215,8 +215,9 @@ proptest! {
 
     /// Differential test of the packing engines: the FAST-SP O(n log n) LCS
     /// evaluation must produce byte-identical positions and enclosing
-    /// dimensions to the legacy O(n³) relaxation oracle (`legacy-pack`
-    /// feature), and the packing must be overlap-free. Block counts go up to
+    /// dimensions to the legacy O(n³) relaxation oracle
+    /// (`SequencePair::pack_relaxation`), and the packing must be
+    /// overlap-free. Block counts go up to
     /// 64 — beyond every circuit in the paper.
     #[test]
     fn fast_sp_packing_matches_legacy_relaxation(
@@ -448,55 +449,65 @@ fn large_circuit(n: usize, seed: u64) -> analog_floorplan::circuit::Circuit {
 }
 
 proptest! {
-    // 200+ random cases: the acceptance bar of the multi-word occupancy
-    // engine — the same scalar differential as the block above, but on grids
-    // wider than one 64-bit word. Run by name in scripts/ci.sh.
+    // 200+ random cases: the same scalar differential as the block above,
+    // but on grids 33–64 columns wide, up to the last bit of the row word.
+    // Run by name in scripts/ci.sh.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Word-spanning occupancy queries versus the scalar oracle: on a grid
-    /// with 65–96 columns (2 words per row), `fits`, the free-anchor map and
-    /// the banded nearest-fit search must agree with the scalar grid and the
-    /// historical spiral scan on every cell — anchors probed across both
-    /// word seams.
+    /// Full-word occupancy queries versus the scalar oracle: on a grid with
+    /// 33–64 columns (half the cases on the 64-column grid that circuits
+    /// past 64 blocks realize on), `fits`, the free-anchor map and the
+    /// banded nearest-fit search must agree with the scalar grid and the
+    /// historical spiral scan on every cell. A 1×1 block on the last column
+    /// and footprints one and zero cells narrower than the grid put column
+    /// 63 and `gw == 64` under test.
     #[test]
-    fn multiword_grid_fits_anchors_and_nearest_fit_match_scalar(
-        side in 65usize..97,
+    fn wide_grid_fits_anchors_and_nearest_fit_match_scalar(
+        side in 33usize..65,
+        full_word in 0usize..2,
+        edge_row in 0usize..64,
         placements in prop::collection::vec(
-            ((0usize..96), (0usize..96), (1.0f64..18.0), (1.0f64..18.0)), 1..24),
+            ((0usize..64), (0usize..64), (1.0f64..18.0), (1.0f64..18.0)), 1..24),
         footprint in ((1usize..20), (1usize..8)),
-        start in ((0usize..96), (0usize..96)),
+        start in ((0usize..64), (0usize..64)),
     ) {
         use analog_floorplan::layout::sequence_pair::find_nearest_fit;
+        let side = if full_word == 0 { 64 } else { side };
         let canvas = Canvas::new(side as f64, side as f64);
         let mut fp = Floorplan::with_grid_side(canvas, side);
         let mut scalar = ScalarGrid::with_side(side);
+        let edge = Cell::new(side - 1, edge_row.min(side - 1));
+        fp.place(BlockId(0), 0, Shape::new(1.0, 1.0), edge).unwrap();
+        scalar.set_rect(edge, 1, 1);
         for (i, (x, y, w, h)) in placements.into_iter().enumerate() {
             if x >= side || y >= side {
                 continue;
             }
-            if fp.place(BlockId(i), 0, Shape::new(w, h), Cell::new(x, y)).is_ok() {
+            if fp.place(BlockId(i + 1), 0, Shape::new(w, h), Cell::new(x, y)).is_ok() {
                 let p = fp.placed().last().unwrap();
                 scalar.set_rect(p.cell, p.grid_w, p.grid_h);
             }
         }
-        let (gw, gh) = footprint;
-        let anchors = fp.grid().free_anchors(gw, gh);
-        for y in 0..side {
-            for x in 0..side {
-                let cell = Cell::new(x, y);
-                let expected = scalar.fits(cell, gw, gh);
-                prop_assert_eq!(fp.fits(cell, gw, gh), expected,
-                    "fits diverges at ({}, {}) for {}x{} on side {}", x, y, gw, gh, side);
-                prop_assert_eq!(anchors.get(x, y), expected,
-                    "anchor bit diverges at ({}, {}) for {}x{} on side {}", x, y, gw, gh, side);
-            }
-        }
         let start = Cell::new(start.0.min(side - 1), start.1.min(side - 1));
-        prop_assert_eq!(
-            find_nearest_fit(&fp, start, gw, gh),
-            scalar.find_nearest_fit(start, gw, gh),
-            "nearest fit diverges from spiral scan at start ({}, {})", start.x, start.y
-        );
+        for (gw, gh) in [footprint, (side - 1, 1), (side, 1)] {
+            let anchors = fp.grid().free_anchors(gw, gh);
+            for y in 0..side {
+                for x in 0..side {
+                    let cell = Cell::new(x, y);
+                    let expected = scalar.fits(cell, gw, gh);
+                    prop_assert_eq!(fp.fits(cell, gw, gh), expected,
+                        "fits diverges at ({}, {}) for {}x{} on side {}", x, y, gw, gh, side);
+                    prop_assert_eq!(anchors.get(x, y), expected,
+                        "anchor bit diverges at ({}, {}) for {}x{} on side {}", x, y, gw, gh, side);
+                }
+            }
+            prop_assert_eq!(
+                find_nearest_fit(&fp, start, gw, gh),
+                scalar.find_nearest_fit(start, gw, gh),
+                "nearest fit diverges from spiral scan at start ({}, {}) for {}x{}",
+                start.x, start.y, gw, gh
+            );
+        }
     }
 }
 
@@ -623,8 +634,8 @@ proptest! {
     }
 
     /// Reused vs fresh realization buffers past the 64-block ceiling: walks
-    /// of up to 4 moves over 65–200 block chain circuits on a 96-cell
-    /// multi-word grid.
+    /// of up to 4 moves over 65–200 block chain circuits on the 64-cell
+    /// grid those circuits realize on.
     #[test]
     fn incremental_realize_matches_full_beyond_64_blocks(
         n in 65usize..201,
@@ -633,7 +644,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = large_circuit(n, seed);
-        check_reused_buffers_match_fresh(&circuit, 96, moves, &mut rng);
+        check_reused_buffers_match_fresh(&circuit, 64, moves, &mut rng);
     }
 }
 
