@@ -204,11 +204,13 @@ fn main() {
         ));
     }
 
-    // Positional-mask (f_p) construction from the free-anchor bitmask — the
-    // per-step cost of the RL env and mask-dataset builds.
+    // Positional-mask (f_p) construction: free-anchor words with the
+    // constraint window ANDed in — the per-step cost of the RL env and
+    // mask-dataset builds. The maps live on the stack, so `black_box` keeps
+    // the build from being optimized away.
     let (mcircuit, mfp, mblock, mshapes) = masks_workload();
     let masks_ns = median_ns(|| {
-        let _ = positional_masks(&mcircuit, &mfp, mblock, &mshapes);
+        std::hint::black_box(positional_masks(&mcircuit, &mfp, mblock, &mshapes));
     });
     println!("masks bias19: positional_masks {masks_ns:>12.1} ns");
 

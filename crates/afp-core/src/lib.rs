@@ -11,15 +11,11 @@
 //!   completes with the default procedural configuration,
 //! * [`report`] — the Table I / Table II row structures, the paper's recorded
 //!   manual-design reference values and plain-text rendering,
-//! * [`stats`] — interquartile means and standard deviations,
-//! * [`PoolHandle`], [`RunControl`] and the rest of the run-control
-//!   vocabulary — re-exported from the bottom-layer `afp-par` crate, whose
-//!   scoped-thread `map` runs the serve engine's independent jobs side by
-//!   side,
-//! * [`serve`] — the solve service (re-exported from `afp-serve`): canonical
-//!   problem fingerprints, a content-addressed result cache, and a
-//!   [`JobEngine`] that runs cancellable, deadline-aware solve jobs side by
-//!   side, each one serial.
+//! * [`stats`] — interquartile means and standard deviations.
+//!
+//! The run-control vocabulary (`afp-par`) and the solve service
+//! (`afp-serve`) sit beside this crate, not under it: use them directly or
+//! through the root facade's `par` and `serve` modules.
 //!
 //! # Examples
 //!
@@ -36,14 +32,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub use afp_serve as serve;
 pub mod pipeline;
 pub mod report;
 pub mod stats;
 
-pub use afp_par::{CancelToken, PoolHandle, PoolStats, RunControl, StopReason};
 pub use pipeline::{FloorplanMethod, LayoutPipeline, PipelineResult};
-pub use serve::{JobEngine, JobRequest, JobSpec, ServeConfig};
 pub use report::{
     format_table_one, format_table_two, paper_manual_references, ManualReference,
     MethodMeasurements, MethodSummary, TableOneRow, TableTwoRow,

@@ -55,7 +55,7 @@ pub fn greedy_floorplan(circuit: &Circuit) -> Floorplan {
             // already placed blocks restrict where this one may go.
             let admissible =
                 afp_layout::masks::positional_mask(circuit, &floorplan, block_id, &shape);
-            let allowed_count = admissible.iter().filter(|&&v| v == 1.0).count();
+            let allowed_count = admissible.count();
             // Subsample the candidate anchors when the admissible region is
             // large; evaluate all of them when the constraints narrow it down.
             let stride = if allowed_count > 256 { 2 } else { 1 };
@@ -65,7 +65,7 @@ pub fn greedy_floorplan(circuit: &Circuit) -> Floorplan {
                 let mut x = 0;
                 while x < GRID_SIZE {
                     let cell = Cell::new(x, y);
-                    if admissible[cell.index()] == 1.0
+                    if admissible.get(x, y)
                         && scratch.place(block_id, shape_idx, shape, cell).is_ok()
                     {
                         let after = metrics::metrics(circuit, &scratch);

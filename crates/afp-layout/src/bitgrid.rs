@@ -24,7 +24,8 @@
 //! The anchor map is what the grid-realization snap search
 //! ([`crate::sequence_pair::find_nearest_fit`]) and the RL positional masks
 //! `f_p` ([`crate::masks::positional_mask`], paper §IV-D2 after MaskPlace \[4\])
-//! are built from.
+//! are built from; the masks AND a row × column constraint window into its
+//! words ([`AnchorMap::and_window`]).
 
 use std::ops::Range;
 
@@ -132,6 +133,13 @@ impl BitGrid {
     pub fn get(&self, cell: Cell) -> bool {
         debug_assert!(cell.x < self.width() && cell.y < self.height());
         (self.rows[cell.y] >> cell.x) & 1 == 1
+    }
+
+    /// The occupancy word of row `y` (bit `x` is cell `(x, y)`); rows at or
+    /// above `height` read 0. `y` must be below [`MAX_GRID_SIDE`].
+    #[inline]
+    pub fn row(&self, y: usize) -> u64 {
+        self.rows[y]
     }
 
     /// Clears every cell.
@@ -281,8 +289,9 @@ fn run_of_gw(mut m: u64, gw: usize) -> u64 {
 
 /// The free-anchor map of a whole grid (see [`BitGrid::free_anchors`]): bit
 /// `(x, y)` is set iff a `gw × gh` footprint anchored there fits. Stored like
-/// [`BitGrid`] itself, one inline word per row.
-#[derive(Debug, Clone)]
+/// [`BitGrid`] itself, one inline word per row; rows at or above `height`
+/// stay zero.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnchorMap {
     width: u16,
     height: u16,
@@ -302,11 +311,34 @@ impl AnchorMap {
         self.height as usize
     }
 
-    /// Returns `true` if `(x, y)` is an anchor. Must be on the grid.
+    /// Returns `true` if `(x, y)` is an anchor; off-grid cells are not.
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> bool {
-        debug_assert!(x < self.width() && y < self.height());
-        (self.rows[y] >> x) & 1 == 1
+        x < self.width() && y < self.height() && (self.rows[y] >> x) & 1 == 1
+    }
+
+    /// The anchor word of row `y` (bit `x` is cell `(x, y)`); rows at or
+    /// above `height` read 0. `y` must be below [`MAX_GRID_SIDE`].
+    #[inline]
+    pub fn row(&self, y: usize) -> u64 {
+        self.rows[y]
+    }
+
+    /// Keeps only the anchors inside a row × column window: `(x, y)` stays
+    /// set iff bit `x` of `cols` and bit `y` of `rows` are set.
+    pub fn and_window(&mut self, cols: u64, rows: u64) {
+        for (y, word) in self.rows.iter_mut().enumerate() {
+            if (rows >> y) & 1 == 0 {
+                *word = 0;
+            } else {
+                *word &= cols;
+            }
+        }
+    }
+
+    /// Number of anchors.
+    pub fn count(&self) -> usize {
+        self.rows.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The set columns of row `y`, ascending.
@@ -334,20 +366,12 @@ impl AnchorMap {
     }
 }
 
-/// Finds, in a free-anchor map, the set anchor nearest to `start` under the
-/// search order of the historical spiral scan: Chebyshev radius ascending,
+/// Finds, in a free-anchor map, the set anchor nearest to `start` on the
+/// Chebyshev rings of radius `>= min_radius` (ring 0 is `start` itself),
+/// under the search order of the historical spiral scan: radius ascending,
 /// then `Δy` from `-r` to `r`, then `Δx` ascending — so placements stay
-/// bit-identical to the scalar path.
-pub fn nearest_anchor(anchors: &AnchorMap, start: Cell) -> Option<Cell> {
-    if anchors.get(start.x, start.y) {
-        return Some(start);
-    }
-    nearest_anchor_from(anchors, start, 1)
-}
-
-/// [`nearest_anchor`] restricted to Chebyshev radii `>= min_radius`: the
-/// continuation used when smaller rings were already probed (see
-/// `find_nearest_fit`). Scan order within each ring is unchanged.
+/// bit-identical to the scalar path. `find_nearest_fit` continues here past
+/// the rings it already probed.
 pub fn nearest_anchor_from(anchors: &AnchorMap, start: Cell, min_radius: usize) -> Option<Cell> {
     let (width, height) = (anchors.width(), anchors.height());
     scan_rings(start, width, height, min_radius..width.max(height), |y| {
@@ -356,8 +380,8 @@ pub fn nearest_anchor_from(anchors: &AnchorMap, start: Cell, min_radius: usize) 
 }
 
 /// The first anchor on the Chebyshev rings around `start` with a radius in
-/// `radii`, in the spiral order of [`nearest_anchor`]. `row(y)` supplies the
-/// anchor word of grid row `y`. Rows on the ring interior contribute only
+/// `radii`, in the spiral order of [`nearest_anchor_from`]. `row(y)` supplies
+/// the anchor word of grid row `y`. Rows on the ring interior contribute only
 /// `Δx = ±r`; the two boundary rows take the lowest set bit of their
 /// `[x−r, x+r]` window.
 pub(crate) fn scan_rings(
@@ -513,12 +537,12 @@ mod tests {
         g.set_rect(Cell::new(10, 10), 1, 1);
         let anchors = g.free_anchors(1, 1);
         assert_eq!(
-            nearest_anchor(&anchors, Cell::new(10, 10)),
+            nearest_anchor_from(&anchors, Cell::new(10, 10), 0),
             // radius 1, dy = -1 row first, lowest x in window [9, 11].
             Some(Cell::new(9, 9))
         );
         assert_eq!(
-            nearest_anchor(&anchors, Cell::new(4, 4)),
+            nearest_anchor_from(&anchors, Cell::new(4, 4), 0),
             Some(Cell::new(4, 4))
         );
     }
@@ -528,7 +552,7 @@ mod tests {
         let mut g = BitGrid::new();
         g.set_rect(Cell::new(0, 0), 32, 32);
         let anchors = g.free_anchors(1, 1);
-        assert_eq!(nearest_anchor(&anchors, Cell::new(16, 16)), None);
+        assert_eq!(nearest_anchor_from(&anchors, Cell::new(16, 16), 0), None);
         assert!(anchors.is_empty());
     }
 
@@ -617,7 +641,7 @@ mod tests {
         g.clear_rect(Cell::new(63, 4), 1, 1);
         let anchors = g.free_anchors(1, 1);
         assert_eq!(
-            nearest_anchor(&anchors, Cell::new(0, 0)),
+            nearest_anchor_from(&anchors, Cell::new(0, 0), 0),
             Some(Cell::new(63, 4))
         );
         assert_eq!(

@@ -2,58 +2,106 @@
 //!
 //! Two services are provided (paper §IV-D1):
 //!
-//! * [`constraint_mask`] — the binary matrix marking the cells where placing
-//!   the next block keeps its symmetry / alignment constraints satisfiable;
-//!   this matrix is ANDed with the free-space matrix to form the positional
-//!   action masks `f_p`.
+//! * [`constraint_window`] — the cells where placing the next block keeps
+//!   its symmetry / alignment constraints satisfiable, as a row × column
+//!   window of two `u64`s (every predicate reads only the anchor's column or
+//!   only its row); the window is ANDed into the free-anchor words of
+//!   [`BitGrid::free_anchors`](crate::bitgrid::BitGrid::free_anchors) to form
+//!   the positional action masks `f_p`.
 //! * [`count_violations`] — the end-of-episode check that triggers the −50
 //!   penalty of §IV-D4 when a finished floorplan breaks a constraint.
 
 use afp_circuit::{Axis, BlockId, Circuit, Constraint};
 
-use crate::grid::{Cell, GRID_SIZE};
+use crate::grid::Cell;
 use crate::placement::Floorplan;
 
 /// Tolerance, in cells, within which two coordinates are considered equal
 /// when checking symmetry and alignment.
 const CELL_TOLERANCE: f64 = 0.55;
 
-/// Computes, for each grid cell, whether anchoring the lower-left corner of a
-/// `grid_w × grid_h` footprint of `block` there keeps every constraint
-/// involving `block` satisfiable given the already placed blocks.
+/// The constraint window of a `grid_w × grid_h` footprint of `block`: the
+/// column bits `cols` and row bits `rows` such that anchoring the footprint's
+/// lower-left corner at `(x, y)` keeps every constraint involving `block`
+/// satisfiable, given the already placed blocks, iff bit `x` of `cols` and
+/// bit `y` of `rows` are both set.
 ///
-/// The result is a row-major `GRID_SIZE × GRID_SIZE` vector of `0.0` / `1.0`.
-/// Cells where the footprint would leave the grid are marked `0.0`.
-pub fn constraint_mask(
+/// A window is exact because every symmetry and alignment predicate reads
+/// only the anchor's column or only its row. It does not bound the footprint
+/// to the grid: the free-anchor map it is ANDed into already does.
+pub fn constraint_window(
     circuit: &Circuit,
     floorplan: &Floorplan,
     block: BlockId,
     grid_w: usize,
     grid_h: usize,
-) -> Vec<f32> {
-    let mut mask = vec![1.0f32; GRID_SIZE * GRID_SIZE];
-    // Footprint must stay on the grid.
-    for y in 0..GRID_SIZE {
-        for x in 0..GRID_SIZE {
-            if x + grid_w > GRID_SIZE || y + grid_h > GRID_SIZE {
-                mask[y * GRID_SIZE + x] = 0.0;
-            }
-        }
-    }
+) -> (u64, u64) {
+    let side = floorplan.grid_side();
+    let (half_w, half_h) = (grid_w as f64 / 2.0, grid_h as f64 / 2.0);
+    // The anchors whose footprint centre `i + half` is within tolerance of
+    // `target` along one axis.
+    let near = |half: f64, target: f64| {
+        axis_bits(side, |i| (i as f64 + half - target).abs() <= CELL_TOLERANCE)
+    };
+    let (mut cols, mut rows) = (u64::MAX, u64::MAX);
     for constraint in circuit.constraints.iter() {
         if !constraint.members().contains(&block) {
             continue;
         }
         match constraint {
             Constraint::Symmetry(group) => {
-                apply_symmetry_mask(&mut mask, floorplan, group, block, grid_w, grid_h);
+                let axis_pos = implied_axis(floorplan, group);
+                let partner = group.pairs.iter().find_map(|&(a, b)| {
+                    (a == block).then_some(b).or((b == block).then_some(a))
+                });
+                // A pair member mirrors its placed partner across the axis.
+                if let Some((pcx, pcy)) = partner.and_then(|p| placed_center_cells(floorplan, p)) {
+                    match group.axis {
+                        Axis::Vertical => {
+                            // Mirrored across a vertical line: same row.
+                            rows &= near(half_h, pcy);
+                            if let Some(axis) = axis_pos {
+                                cols &= near(half_w, 2.0 * axis - pcx);
+                            }
+                        }
+                        Axis::Horizontal => {
+                            cols &= near(half_w, pcx);
+                            if let Some(axis) = axis_pos {
+                                rows &= near(half_h, 2.0 * axis - pcy);
+                            }
+                        }
+                    }
+                }
+                // A self-symmetric member is centred on the axis.
+                if let Some(axis) = axis_pos.filter(|_| group.self_symmetric.contains(&block)) {
+                    match group.axis {
+                        Axis::Vertical => cols &= near(half_w, axis),
+                        Axis::Horizontal => rows &= near(half_h, axis),
+                    }
+                }
             }
             Constraint::Alignment(group) => {
-                apply_alignment_mask(&mut mask, floorplan, group.axis, &group.blocks, block);
+                // Share the bottom row (row alignment) or the left column
+                // (column alignment) of a placed other member.
+                let reference = group
+                    .blocks
+                    .iter()
+                    .filter(|&&m| m != block)
+                    .find_map(|&m| floorplan.find(m));
+                match (reference, group.axis) {
+                    (None, _) => {}
+                    (Some(r), Axis::Horizontal) => rows &= 1 << r.cell.y,
+                    (Some(r), Axis::Vertical) => cols &= 1 << r.cell.x,
+                }
             }
         }
     }
-    mask
+    (cols, rows)
+}
+
+/// The bits `i < side` of one grid axis for which `keep(i)` holds.
+fn axis_bits(side: usize, keep: impl Fn(usize) -> bool) -> u64 {
+    (0..side).filter(|&i| keep(i)).fold(0, |bits, i| bits | 1 << i)
 }
 
 /// Centre of a placed block in fractional cell coordinates.
@@ -104,122 +152,6 @@ fn implied_axis(
         None
     } else {
         Some(sum / count as f64)
-    }
-}
-
-fn apply_symmetry_mask(
-    mask: &mut [f32],
-    floorplan: &Floorplan,
-    group: &afp_circuit::SymmetryGroup,
-    block: BlockId,
-    grid_w: usize,
-    grid_h: usize,
-) {
-    let axis_pos = implied_axis(floorplan, group);
-    // Is `block` half of a pair, or self-symmetric?
-    let partner = group
-        .pairs
-        .iter()
-        .find_map(|&(a, b)| {
-            if a == block {
-                Some(b)
-            } else if b == block {
-                Some(a)
-            } else {
-                None
-            }
-        });
-    let is_self = group.self_symmetric.contains(&block);
-    let half_w = grid_w as f64 / 2.0;
-    let half_h = grid_h as f64 / 2.0;
-
-    for y in 0..GRID_SIZE {
-        for x in 0..GRID_SIZE {
-            let idx = y * GRID_SIZE + x;
-            if mask[idx] == 0.0 {
-                continue;
-            }
-            let cx = x as f64 + half_w;
-            let cy = y as f64 + half_h;
-            let mut ok = true;
-            if let Some(p) = partner {
-                if let Some((pcx, pcy)) = placed_center_cells(floorplan, p) {
-                    match group.axis {
-                        Axis::Vertical => {
-                            // Mirrored across a vertical line: same row.
-                            if (cy - pcy).abs() > CELL_TOLERANCE {
-                                ok = false;
-                            }
-                            if let Some(axis) = axis_pos {
-                                let required = 2.0 * axis - pcx;
-                                if (cx - required).abs() > CELL_TOLERANCE {
-                                    ok = false;
-                                }
-                            }
-                        }
-                        Axis::Horizontal => {
-                            if (cx - pcx).abs() > CELL_TOLERANCE {
-                                ok = false;
-                            }
-                            if let Some(axis) = axis_pos {
-                                let required = 2.0 * axis - pcy;
-                                if (cy - required).abs() > CELL_TOLERANCE {
-                                    ok = false;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            if ok && is_self {
-                if let Some(axis) = axis_pos {
-                    let c = match group.axis {
-                        Axis::Vertical => cx,
-                        Axis::Horizontal => cy,
-                    };
-                    if (c - axis).abs() > CELL_TOLERANCE {
-                        ok = false;
-                    }
-                }
-            }
-            if !ok {
-                mask[idx] = 0.0;
-            }
-        }
-    }
-}
-
-fn apply_alignment_mask(
-    mask: &mut [f32],
-    floorplan: &Floorplan,
-    axis: Axis,
-    members: &[BlockId],
-    block: BlockId,
-) {
-    // Find a placed reference member (other than the block itself).
-    let reference = members
-        .iter()
-        .filter(|&&m| m != block)
-        .find_map(|&m| floorplan.find(m));
-    let Some(reference) = reference else {
-        return;
-    };
-    for y in 0..GRID_SIZE {
-        for x in 0..GRID_SIZE {
-            let idx = y * GRID_SIZE + x;
-            if mask[idx] == 0.0 {
-                continue;
-            }
-            let aligned = match axis {
-                // Row alignment: share the bottom row.
-                Axis::Horizontal => y == reference.cell.y,
-                // Column alignment: share the left column.
-                Axis::Vertical => x == reference.cell.x,
-            };
-            if !aligned {
-                mask[idx] = 0.0;
-            }
-        }
     }
 }
 
@@ -336,7 +268,7 @@ fn alignment_violated(floorplan: &Floorplan, axis: Axis, members: &[BlockId]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Canvas;
+    use crate::grid::{Canvas, GRID_SIZE};
     use afp_circuit::{BlockKind, NetClass, Shape};
 
     /// Circuit with two symmetric mirrors (vertical axis) and an aligned pair.
@@ -363,9 +295,7 @@ mod tests {
         let c = constrained_circuit();
         let fp = Floorplan::new(canvas());
         // Block T has an alignment constraint but nothing placed → everything allowed
-        let mask = constraint_mask(&c, &fp, BlockId(2), 4, 4);
-        let allowed = mask.iter().filter(|&&v| v == 1.0).count();
-        assert_eq!(allowed, (GRID_SIZE - 3) * (GRID_SIZE - 3));
+        assert_eq!(constraint_window(&c, &fp, BlockId(2), 4, 4), (u64::MAX, u64::MAX));
     }
 
     #[test]
@@ -373,17 +303,10 @@ mod tests {
         let c = constrained_circuit();
         let mut fp = Floorplan::new(canvas());
         fp.place(BlockId(0), 0, Shape::new(4.0, 4.0), Cell::new(2, 10)).unwrap();
-        let mask = constraint_mask(&c, &fp, BlockId(1), 4, 4);
+        let (cols, rows) = constraint_window(&c, &fp, BlockId(1), 4, 4);
         // Allowed cells must share the partner's row (same centre y ⇒ y = 10).
-        for y in 0..GRID_SIZE {
-            for x in 0..GRID_SIZE - 4 {
-                let v = mask[y * GRID_SIZE + x];
-                if v == 1.0 {
-                    assert_eq!(y, 10, "allowed cell off the partner row at y={y}");
-                }
-            }
-        }
-        assert!(mask.iter().any(|&v| v == 1.0));
+        assert_eq!(rows, 1 << 10, "allowed rows off the partner row");
+        assert_ne!(cols, 0);
     }
 
     #[test]
@@ -391,14 +314,8 @@ mod tests {
         let c = constrained_circuit();
         let mut fp = Floorplan::new(canvas());
         fp.place(BlockId(2), 0, Shape::new(4.0, 4.0), Cell::new(5, 7)).unwrap();
-        let mask = constraint_mask(&c, &fp, BlockId(3), 4, 4);
-        for y in 0..GRID_SIZE {
-            for x in 0..GRID_SIZE {
-                if mask[y * GRID_SIZE + x] == 1.0 {
-                    assert_eq!(y, 7);
-                }
-            }
-        }
+        let (_, rows) = constraint_window(&c, &fp, BlockId(3), 4, 4);
+        assert_eq!(rows, 1 << 7);
     }
 
     #[test]
@@ -444,9 +361,11 @@ mod tests {
     fn footprint_outside_grid_is_masked() {
         let c = constrained_circuit();
         let fp = Floorplan::new(canvas());
-        let mask = constraint_mask(&c, &fp, BlockId(2), 8, 8);
+        let mask = crate::masks::positional_mask(&c, &fp, BlockId(2), &Shape::new(8.0, 8.0));
         // The top-right corner cannot host an 8×8 footprint.
-        assert_eq!(mask[(GRID_SIZE - 1) * GRID_SIZE + (GRID_SIZE - 1)], 0.0);
-        assert_eq!(mask[0], 1.0);
+        assert!(!mask.get(GRID_SIZE - 1, GRID_SIZE - 1));
+        assert!(!mask.get(GRID_SIZE - 8, GRID_SIZE - 7));
+        assert!(mask.get(GRID_SIZE - 8, GRID_SIZE - 8));
+        assert!(mask.get(0, 0));
     }
 }

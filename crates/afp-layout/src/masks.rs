@@ -3,7 +3,8 @@
 //! The agent's state (paper §IV-A, §IV-D2) combines the R-GCN embeddings with
 //! six 32×32 feature maps:
 //!
-//! * `f_g` — the binary grid view of the partial placement,
+//! * `f_g` — the binary grid view of the partial placement (the floorplan's
+//!   [`BitGrid`] itself),
 //! * `f_w` — the wire mask: normalized HPWL increase for placing the current
 //!   block at each cell (after MaskPlace \[4\]),
 //! * `f_ds` — the dead-space mask: normalized increase in empty space
@@ -11,10 +12,17 @@
 //! * `f_p` — three positional masks, one per candidate shape, marking the
 //!   cells where the block fits without overlap and keeps its constraints
 //!   satisfiable; these also drive invalid-action masking.
+//!
+//! The binary planes `f_g` and `f_p` stay row words: each positional mask is
+//! the footprint's free-anchor map with the constraint window — a row ×
+//! column pair of `u64`s — ANDed into its words. Bits become `f32` only at
+//! the tensor boundary, [`StateMasks::to_tensor_data`] and
+//! [`StateMasks::action_mask`].
 
 use afp_circuit::{BlockId, Circuit, Shape, ShapeSet, SHAPES_PER_BLOCK};
 
-use crate::constraints::constraint_mask;
+use crate::bitgrid::{AnchorMap, BitGrid};
+use crate::constraints::constraint_window;
 use crate::grid::{Cell, GRID_SIZE};
 use crate::metrics::{dead_space, hpwl};
 use crate::placement::Floorplan;
@@ -26,67 +34,47 @@ pub type Mask = Vec<f32>;
 /// (`f_g`, `f_w`, `f_ds` and the three positional masks).
 pub const STATE_CHANNELS: usize = 3 + SHAPES_PER_BLOCK;
 
-/// The binary grid view `f_g`: 1 where a cell is occupied.
-pub fn grid_view(floorplan: &Floorplan) -> Mask {
-    floorplan
-        .occupancy_cells()
-        .map(|o| if o { 1.0 } else { 0.0 })
-        .collect()
+/// Appends the `GRID_SIZE × GRID_SIZE` plane of the row words `row(y)` (bit
+/// `x` of word `y` is cell `(x, y)`) as row-major `0.0` / `1.0` — where the
+/// binary planes become the `f32` the tensors take.
+fn extend_plane(out: &mut Vec<f32>, row: impl Fn(usize) -> u64) {
+    for y in 0..GRID_SIZE {
+        let word = row(y);
+        out.extend((0..GRID_SIZE).map(|x| ((word >> x) & 1) as f32));
+    }
 }
 
-/// The positional mask for one candidate shape: 1 where the footprint fits
-/// without overlap *and* the constraint mask allows it.
+/// The positional mask for one candidate shape: the anchors where the
+/// footprint fits without overlap *and* the constraints allow it.
 ///
-/// The fit side comes from one
-/// [`BitGrid::free_anchors`](crate::bitgrid::BitGrid::free_anchors) pass —
-/// a run-of-`gw` shift-AND over 32 row words instead of 1024 per-cell
-/// footprint probes — and only the set anchor bits are checked against the
-/// constraint mask.
+/// One [`BitGrid::free_anchors`] pass — a run-of-`gw` shift-AND over the row
+/// words — with the [`constraint_window`] ANDed into its words.
 pub fn positional_mask(
     circuit: &Circuit,
     floorplan: &Floorplan,
     block: BlockId,
     shape: &Shape,
-) -> Mask {
+) -> AnchorMap {
     let (gw, gh) = floorplan.grid_footprint(shape);
-    let constraints = constraint_mask(circuit, floorplan, block, gw, gh);
-    anchors_into_mask(floorplan, gw, gh, &constraints)
-}
-
-/// ANDs the free-anchor bitmask of a `gw × gh` footprint with a constraint
-/// mask, producing the positional mask.
-fn anchors_into_mask(
-    floorplan: &Floorplan,
-    gw: usize,
-    gh: usize,
-    constraints: &[f32],
-) -> Mask {
-    let anchors = floorplan.grid().free_anchors(gw, gh);
-    let mut mask = vec![0.0f32; GRID_SIZE * GRID_SIZE];
-    for y in 0..anchors.height() {
-        for x in anchors.iter_row(y) {
-            let idx = y * GRID_SIZE + x;
-            if constraints[idx] == 1.0 {
-                mask[idx] = 1.0;
-            }
-        }
-    }
-    mask
+    let (cols, rows) = constraint_window(circuit, floorplan, block, gw, gh);
+    let mut anchors = floorplan.grid().free_anchors(gw, gh);
+    anchors.and_window(cols, rows);
+    anchors
 }
 
 /// The three positional masks `f_p`, one per candidate shape.
 ///
 /// Candidate shapes that quantize to the same grid footprint produce
-/// identical masks (the constraint mask depends only on the footprint), so
-/// the anchor/constraint pass runs once per distinct footprint.
+/// identical masks (the constraint window depends only on the footprint), so
+/// the anchor/window pass runs once per distinct footprint.
 pub fn positional_masks(
     circuit: &Circuit,
     floorplan: &Floorplan,
     block: BlockId,
     shapes: &ShapeSet,
-) -> [Mask; SHAPES_PER_BLOCK] {
+) -> [AnchorMap; SHAPES_PER_BLOCK] {
     let mut footprints = [(0usize, 0usize); SHAPES_PER_BLOCK];
-    let mut masks: [Option<Mask>; SHAPES_PER_BLOCK] = Default::default();
+    let mut masks: [Option<AnchorMap>; SHAPES_PER_BLOCK] = Default::default();
     for k in 0..SHAPES_PER_BLOCK {
         footprints[k] = floorplan.grid_footprint(&shapes.shape(k));
         let duplicate_of = (0..k).find(|&j| footprints[j] == footprints[k]);
@@ -174,14 +162,14 @@ where
 /// Bundles the six feature maps of the agent state for the current block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateMasks {
-    /// Binary partial-placement grid `f_g`.
-    pub grid: Mask,
+    /// Binary partial-placement grid `f_g`: a copy of the floorplan's grid.
+    pub grid: BitGrid,
     /// Wire mask `f_w`.
     pub wire: Mask,
     /// Dead-space mask `f_ds`.
     pub dead_space: Mask,
     /// Positional masks `f_p`, one per candidate shape.
-    pub positional: [Mask; SHAPES_PER_BLOCK],
+    pub positional: [AnchorMap; SHAPES_PER_BLOCK],
 }
 
 impl StateMasks {
@@ -196,7 +184,7 @@ impl StateMasks {
     ) -> Self {
         let reference_shape = shapes.shape(shapes.most_square());
         StateMasks {
-            grid: grid_view(floorplan),
+            grid: floorplan.grid().clone(),
             wire: wire_mask(circuit, floorplan, block, &reference_shape),
             dead_space: dead_space_mask(circuit, floorplan, block, &reference_shape),
             positional: positional_masks(circuit, floorplan, block, shapes),
@@ -204,14 +192,24 @@ impl StateMasks {
     }
 
     /// Flattens the masks into a single `[STATE_CHANNELS, 32, 32]`-shaped
-    /// buffer (channel-major) ready for the CNN feature extractor.
+    /// buffer (channel-major) ready for the CNN feature extractor; the binary
+    /// planes become `0.0` / `1.0` here.
     pub fn to_tensor_data(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(STATE_CHANNELS * GRID_SIZE * GRID_SIZE);
-        out.extend_from_slice(&self.grid);
+        extend_plane(&mut out, |y| self.grid.row(y));
         out.extend_from_slice(&self.wire);
         out.extend_from_slice(&self.dead_space);
+        out.extend(self.action_mask());
+        out
+    }
+
+    /// The three positional planes `f_p` as one flattened `[3, 32, 32]`
+    /// buffer: `1.0` for admissible actions, `0.0` otherwise — the last three
+    /// channels of [`StateMasks::to_tensor_data`].
+    pub fn action_mask(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(SHAPES_PER_BLOCK * GRID_SIZE * GRID_SIZE);
         for p in &self.positional {
-            out.extend_from_slice(p);
+            extend_plane(&mut out, |y| p.row(y));
         }
         out
     }
@@ -219,9 +217,7 @@ impl StateMasks {
     /// Returns `true` if no candidate shape has any admissible cell — the
     /// episode is stuck and must be terminated with the violation penalty.
     pub fn is_dead_end(&self) -> bool {
-        self.positional
-            .iter()
-            .all(|m| m.iter().all(|&v| v == 0.0))
+        self.positional.iter().all(AnchorMap::is_empty)
     }
 }
 
@@ -241,14 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn grid_view_tracks_occupancy() {
+    fn grid_plane_tracks_occupancy() {
         let c = small_circuit();
-        let canvas = Canvas::new(32.0, 32.0);
-        let mut fp = Floorplan::new(canvas);
-        assert_eq!(grid_view(&fp).iter().sum::<f32>(), 0.0);
-        fp.place(BlockId(0), 0, Shape::new(4.0, 4.0), Cell::new(0, 0)).unwrap();
-        assert_eq!(grid_view(&fp).iter().sum::<f32>(), 16.0);
-        let _ = &c;
+        let shapes = afp_circuit::shapes::shape_sets(&c);
+        let mut fp = Floorplan::new(Canvas::new(32.0, 32.0));
+        fp.place(BlockId(0), 0, Shape::new(2.0, 1.0), Cell::new(3, 4)).unwrap();
+        let data = StateMasks::build(&c, &fp, BlockId(1), &shapes[1]).to_tensor_data();
+        let ones: Vec<usize> = (0..GRID_SIZE * GRID_SIZE).filter(|&i| data[i] == 1.0).collect();
+        assert_eq!(ones, [4 * GRID_SIZE + 3, 4 * GRID_SIZE + 4]);
     }
 
     #[test]
@@ -258,10 +254,10 @@ mod tests {
         fp.place(BlockId(0), 0, Shape::new(8.0, 8.0), Cell::new(0, 0)).unwrap();
         let mask = positional_mask(&c, &fp, BlockId(1), &Shape::new(4.0, 4.0));
         // Anchor inside the occupied region is invalid.
-        assert_eq!(mask[0], 0.0);
-        assert_eq!(mask[2 * GRID_SIZE + 2], 0.0);
+        assert!(!mask.get(0, 0));
+        assert!(!mask.get(2, 2));
         // Far corner is valid.
-        assert_eq!(mask[20 * GRID_SIZE + 20], 1.0);
+        assert!(mask.get(20, 20));
     }
 
     #[test]
@@ -300,7 +296,12 @@ mod tests {
         let sm = StateMasks::build(&circuit, &fp, first, &shapes[first.index()]);
         assert_eq!(sm.to_tensor_data().len(), STATE_CHANNELS * GRID_SIZE * GRID_SIZE);
         assert!(!sm.is_dead_end());
-        assert!(sm.grid.iter().all(|&v| v == 0.0));
+        assert_eq!(sm.grid.count_occupied(), 0);
+        let mut stuck = sm.clone();
+        for p in &mut stuck.positional {
+            p.and_window(0, u64::MAX);
+        }
+        assert!(stuck.is_dead_end());
     }
 
     #[test]

@@ -173,14 +173,6 @@ impl Floorplan {
         &self.grid
     }
 
-    /// Row-major iterator over the `side × side` occupancy cells — the
-    /// stable scalar view for serialization and feature maps.
-    pub fn occupancy_cells(&self) -> impl Iterator<Item = bool> + '_ {
-        let grid = &self.grid;
-        (0..grid.height())
-            .flat_map(move |y| (0..grid.width()).map(move |x| grid.get(Cell::new(x, y))))
-    }
-
     /// The grid footprint of a shape on this floorplan's canvas, using the
     /// paper's ceiling mapping at this floorplan's grid side (identical to
     /// [`Canvas::shape_to_cells`] on the default grid).
@@ -393,18 +385,6 @@ mod tests {
         assert!(!fp.is_placed(BlockId(5)));
         assert_eq!(fp.grid().count_occupied(), 0);
         assert_eq!(fp, Floorplan::new(canvas()));
-    }
-
-    #[test]
-    fn occupancy_cells_match_grid() {
-        let mut fp = Floorplan::new(canvas());
-        fp.place(BlockId(0), 0, Shape::new(2.0, 1.0), Cell::new(3, 4))
-            .unwrap();
-        let cells: Vec<bool> = fp.occupancy_cells().collect();
-        assert_eq!(cells.len(), GRID_SIZE * GRID_SIZE);
-        assert_eq!(cells.iter().filter(|&&c| c).count(), 2);
-        assert!(cells[4 * GRID_SIZE + 3]);
-        assert!(cells[4 * GRID_SIZE + 4]);
     }
 
     #[test]

@@ -151,13 +151,8 @@ impl RunControl {
     }
 
     /// Sets a wall-clock deadline `after` from now.
-    pub fn with_deadline(self, after: Duration) -> Self {
-        self.with_deadline_at(Instant::now() + after)
-    }
-
-    /// Sets an absolute wall-clock deadline.
-    pub fn with_deadline_at(mut self, at: Instant) -> Self {
-        self.deadline = Some(at);
+    pub fn with_deadline(mut self, after: Duration) -> Self {
+        self.deadline = Some(Instant::now() + after);
         self
     }
 

@@ -12,7 +12,7 @@ use afp_layout::{
     constraints, masks::StateMasks, metrics, Canvas, Floorplan, FloorplanMetrics, RewardWeights,
 };
 
-use crate::action::{Action, ACTION_SPACE};
+use crate::action::Action;
 
 /// Why an episode ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +37,9 @@ pub struct Observation {
     /// Index of that block in the circuit graph (for the node embedding).
     pub node_index: usize,
     /// Flattened action mask over the full `3 × 32 × 32` action space:
-    /// `1.0` for admissible actions, `0.0` otherwise.
+    /// `1.0` for admissible actions, `0.0` otherwise — the positional masks'
+    /// words as the `f32` the policy's masked softmax takes.
     pub action_mask: Vec<f32>,
-}
-
-impl Observation {
-    /// Number of admissible actions.
-    pub fn num_valid_actions(&self) -> usize {
-        self.action_mask.iter().filter(|&&v| v > 0.0).count()
-    }
 }
 
 /// Result of one environment step.
@@ -179,16 +173,11 @@ impl FloorplanEnv {
         let block = self.order[self.step_index];
         let shapes = &self.shape_sets[block.index()];
         let masks = StateMasks::build(&self.circuit, &self.floorplan, block, shapes);
-        let mut action_mask = vec![0.0f32; ACTION_SPACE];
-        for (shape_index, positional) in masks.positional.iter().enumerate() {
-            let offset = shape_index * positional.len();
-            action_mask[offset..offset + positional.len()].copy_from_slice(positional);
-        }
         Some(Observation {
+            action_mask: masks.action_mask(),
             masks,
             current_block: block,
             node_index: block.index(),
-            action_mask,
         })
     }
 
@@ -212,7 +201,7 @@ impl FloorplanEnv {
         // Check admissibility against the constraint-aware positional mask.
         let positional =
             afp_layout::masks::positional_mask(&self.circuit, &self.floorplan, block, &shape);
-        if positional[action.cell.index()] == 0.0
+        if !positional.get(action.cell.x, action.cell.y)
             || self
                 .floorplan
                 .place(block, action.shape_index, shape, action.cell)
@@ -253,7 +242,7 @@ impl FloorplanEnv {
         // Detect dead ends for the next block (no admissible action at all),
         // keeping the probe's observation for `observe`.
         if let Some(next_obs) = self.build_observation() {
-            if next_obs.num_valid_actions() == 0 {
+            if next_obs.masks.is_dead_end() {
                 self.termination = Termination::DeadEnd;
                 reward += self.weights.violation_penalty;
                 self.accumulated_reward += reward;
@@ -290,6 +279,7 @@ impl FloorplanEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::action::ACTION_SPACE;
     use afp_circuit::generators;
     use afp_layout::Cell;
 
@@ -343,7 +333,8 @@ mod tests {
         let mut env = FloorplanEnv::new(generators::ota8());
         let obs = env.reset().unwrap();
         assert_eq!(obs.action_mask.len(), ACTION_SPACE);
-        assert!(obs.num_valid_actions() > 0);
+        assert!(!obs.masks.is_dead_end());
+        assert!(obs.action_mask.contains(&1.0));
         assert_eq!(obs.masks.to_tensor_data().len(), 6 * 32 * 32);
         assert_eq!(env.episode_length(), 8);
     }

@@ -18,7 +18,8 @@ cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
 # Differential safety net: the differential proptests (reused-buffer vs
 # fresh realization, a warm CostCache vs Problem::cost, FAST-SP
-# vs legacy oracle, BitGrid vs scalar oracle, controlled vs unbounded runs of
+# vs legacy oracle, BitGrid vs scalar oracle, the agent's word-level positional
+# masks vs the per-cell constraint oracle, controlled vs unbounded runs of
 # every baseline, the order-preserving conv/deconv/dense kernels vs their
 # naive loops, the batch-innermost kernels and the batched PPO update vs the
 # per-sample loops) and the hostile-SPICE and hostile-job-request no-panic
@@ -35,6 +36,7 @@ diff_tests=(
     serve_daemon_admits_while_draining_and_matches_cold_solves
     serve_daemon_stress_submitters_race_drain
     wide_grid_fits_anchors_and_nearest_fit_match_scalar
+    positional_masks_match_per_cell_oracle
     spice_text_never_panics_through_the_greedy_pipeline
     hostile_job_requests_are_rejected_or_served
     conv_kernels_match_naive_oracle_bitwise

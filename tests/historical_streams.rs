@@ -1,14 +1,13 @@
 //! Bit-identity pins for the ≤64-block historical solver streams.
 //!
-//! The multi-word `BitGrid` / `MetricsScratch` generalization keeps
-//! `GRID_SIZE = 32` as the default instantiation and promises that every
-//! paper-scale (≤ 64 block) trajectory is byte-for-byte unchanged: the one-word
-//! fast paths must produce the very same bit patterns the pre-generalization
-//! `u32`-row / `u64`-mask engines did. These tests pin the reward bit patterns
-//! and evaluation budgets of the historical streams — SA, GA and PSO
-//! trajectories on Bias-2 — against constants captured from the
-//! single-word implementation, so any representation change that perturbs
-//! even one ulp of one stream fails here with the exact stream named.
+//! Every paper-scale (≤ 64 block) trajectory runs on the default
+//! `GRID_SIZE = 32` grid, one `u64` word per `BitGrid` row, and must stay
+//! byte-for-byte what the historical `u32`-row / `u64`-mask engines produced.
+//! These tests pin the reward bit patterns and evaluation budgets of the
+//! historical streams — SA, GA and PSO trajectories on Bias-2 — against
+//! constants captured from that implementation, so any representation change
+//! that perturbs even one ulp of one stream fails here with the exact stream
+//! named.
 //!
 //! The pinned values are platform-independent: every stream is a deterministic
 //! seeded walk through pure `f64` arithmetic (no wall-clock, no threads).
@@ -53,7 +52,7 @@ struct Pin {
 }
 
 /// Renders a stream table row; the pinned tables below were generated by
-/// printing these rows against the pre-multi-word implementation.
+/// printing these rows against the historical one-word implementation.
 fn row(label: &str, reward: f64, fingerprint: u64, evaluations: usize) -> String {
     format!(
         "{label}: reward_bits=0x{:016x} fingerprint=0x{fingerprint:016x} evaluations={evaluations}",
@@ -123,8 +122,8 @@ fn ga_pso_bias2_streams_are_bit_identical() {
 }
 
 /// Prints the actual stream table (run with `--nocapture`); used to capture
-/// the pinned constants from the single-word implementation and kept so the
-/// pins can be re-derived on demand.
+/// the pinned constants from the historical one-word implementation and kept
+/// so the pins can be re-derived on demand.
 #[test]
 fn print_stream_table() {
     if std::env::var_os("AFP_PRINT_STREAMS").is_none() {

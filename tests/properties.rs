@@ -90,6 +90,199 @@ impl ScalarGrid {
     }
 }
 
+/// The per-cell constraint mask — the pre-window implementation of
+/// positional-constraint admissibility, retained as the differential oracle
+/// for `constraints::constraint_window`: a row-major `GRID_SIZE × GRID_SIZE`
+/// `0.0` / `1.0` mask, filled by one f64 predicate loop per constraint.
+mod constraint_oracle {
+    use analog_floorplan::circuit::{Axis, BlockId, Circuit, Constraint, SymmetryGroup};
+    use analog_floorplan::layout::{Floorplan, GRID_SIZE};
+
+    const CELL_TOLERANCE: f64 = 0.55;
+
+    /// Whether anchoring a `grid_w × grid_h` footprint of `block` at each cell
+    /// keeps every constraint involving `block` satisfiable.
+    pub fn constraint_mask(
+        circuit: &Circuit,
+        floorplan: &Floorplan,
+        block: BlockId,
+        grid_w: usize,
+        grid_h: usize,
+    ) -> Vec<f32> {
+        let mut mask = vec![1.0f32; GRID_SIZE * GRID_SIZE];
+        // Footprint must stay on the grid.
+        for y in 0..GRID_SIZE {
+            for x in 0..GRID_SIZE {
+                if x + grid_w > GRID_SIZE || y + grid_h > GRID_SIZE {
+                    mask[y * GRID_SIZE + x] = 0.0;
+                }
+            }
+        }
+        for constraint in circuit.constraints.iter() {
+            if !constraint.members().contains(&block) {
+                continue;
+            }
+            match constraint {
+                Constraint::Symmetry(group) => {
+                    apply_symmetry_mask(&mut mask, floorplan, group, block, grid_w, grid_h);
+                }
+                Constraint::Alignment(group) => {
+                    apply_alignment_mask(&mut mask, floorplan, group.axis, &group.blocks, block);
+                }
+            }
+        }
+        mask
+    }
+
+    fn placed_center_cells(floorplan: &Floorplan, block: BlockId) -> Option<(f64, f64)> {
+        let p = floorplan.find(block)?;
+        Some((
+            p.cell.x as f64 + p.grid_w as f64 / 2.0,
+            p.cell.y as f64 + p.grid_h as f64 / 2.0,
+        ))
+    }
+
+    /// The mean of the placed pair midpoints and self-symmetric centres along
+    /// the axis-normal direction, in visitation order.
+    fn implied_axis(floorplan: &Floorplan, group: &SymmetryGroup) -> Option<f64> {
+        let mut sum = 0.0f64;
+        let mut count = 0usize;
+        for &(a, b) in &group.pairs {
+            if let (Some(ca), Some(cb)) = (
+                placed_center_cells(floorplan, a),
+                placed_center_cells(floorplan, b),
+            ) {
+                sum += match group.axis {
+                    Axis::Vertical => (ca.0 + cb.0) / 2.0,
+                    Axis::Horizontal => (ca.1 + cb.1) / 2.0,
+                };
+                count += 1;
+            }
+        }
+        for &s in &group.self_symmetric {
+            if let Some(c) = placed_center_cells(floorplan, s) {
+                sum += match group.axis {
+                    Axis::Vertical => c.0,
+                    Axis::Horizontal => c.1,
+                };
+                count += 1;
+            }
+        }
+        if count == 0 {
+            None
+        } else {
+            Some(sum / count as f64)
+        }
+    }
+
+    fn apply_symmetry_mask(
+        mask: &mut [f32],
+        floorplan: &Floorplan,
+        group: &SymmetryGroup,
+        block: BlockId,
+        grid_w: usize,
+        grid_h: usize,
+    ) {
+        let axis_pos = implied_axis(floorplan, group);
+        let partner = group.pairs.iter().find_map(|&(a, b)| {
+            if a == block {
+                Some(b)
+            } else if b == block {
+                Some(a)
+            } else {
+                None
+            }
+        });
+        let is_self = group.self_symmetric.contains(&block);
+        let half_w = grid_w as f64 / 2.0;
+        let half_h = grid_h as f64 / 2.0;
+        for y in 0..GRID_SIZE {
+            for x in 0..GRID_SIZE {
+                let idx = y * GRID_SIZE + x;
+                if mask[idx] == 0.0 {
+                    continue;
+                }
+                let cx = x as f64 + half_w;
+                let cy = y as f64 + half_h;
+                let mut ok = true;
+                if let Some(p) = partner {
+                    if let Some((pcx, pcy)) = placed_center_cells(floorplan, p) {
+                        match group.axis {
+                            Axis::Vertical => {
+                                if (cy - pcy).abs() > CELL_TOLERANCE {
+                                    ok = false;
+                                }
+                                if let Some(axis) = axis_pos {
+                                    let required = 2.0 * axis - pcx;
+                                    if (cx - required).abs() > CELL_TOLERANCE {
+                                        ok = false;
+                                    }
+                                }
+                            }
+                            Axis::Horizontal => {
+                                if (cx - pcx).abs() > CELL_TOLERANCE {
+                                    ok = false;
+                                }
+                                if let Some(axis) = axis_pos {
+                                    let required = 2.0 * axis - pcy;
+                                    if (cy - required).abs() > CELL_TOLERANCE {
+                                        ok = false;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                if ok && is_self {
+                    if let Some(axis) = axis_pos {
+                        let c = match group.axis {
+                            Axis::Vertical => cx,
+                            Axis::Horizontal => cy,
+                        };
+                        if (c - axis).abs() > CELL_TOLERANCE {
+                            ok = false;
+                        }
+                    }
+                }
+                if !ok {
+                    mask[idx] = 0.0;
+                }
+            }
+        }
+    }
+
+    fn apply_alignment_mask(
+        mask: &mut [f32],
+        floorplan: &Floorplan,
+        axis: Axis,
+        members: &[BlockId],
+        block: BlockId,
+    ) {
+        let reference = members
+            .iter()
+            .filter(|&&m| m != block)
+            .find_map(|&m| floorplan.find(m));
+        let Some(reference) = reference else {
+            return;
+        };
+        for y in 0..GRID_SIZE {
+            for x in 0..GRID_SIZE {
+                let idx = y * GRID_SIZE + x;
+                if mask[idx] == 0.0 {
+                    continue;
+                }
+                let aligned = match axis {
+                    Axis::Horizontal => y == reference.cell.y,
+                    Axis::Vertical => x == reference.cell.x,
+                };
+                if !aligned {
+                    mask[idx] = 0.0;
+                }
+            }
+        }
+    }
+}
+
 /// Strategy producing a plausible block area in µm².
 fn area_strategy() -> impl Strategy<Value = f64> {
     1.0f64..2000.0
@@ -210,6 +403,106 @@ proptest! {
 }
 
 proptest! {
+    // Run by name in scripts/ci.sh. Each case walks one partial episode and
+    // checks every state it visits; 200 cases reach the mirrored-position
+    // term of multi-pair symmetry groups.
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// The agent's masks against the per-cell oracle: a random
+    /// `evaluation_set()` circuit through `random_variant` (half of them with
+    /// an injected constraint, and half with every constraint axis turned
+    /// orthogonal, since the Table I circuits are all vertically symmetric
+    /// and row aligned) is walked as a random masked partial episode.
+    /// In every visited state, each shape's positional `AnchorMap` must equal
+    /// the oracle constraint mask ANDed with the scalar free-space test, the
+    /// observation's action mask must be those three planes, and
+    /// `StateMasks::to_tensor_data` must be the six-plane `f32` layout
+    /// (occupancy, wire, dead space, three positional masks), bit for bit.
+    #[test]
+    fn positional_masks_match_per_cell_oracle(seed in 0u64..1_000_000) {
+        use analog_floorplan::circuit::generators::{evaluation_set, random_variant};
+        use analog_floorplan::circuit::{AlignmentGroup, Constraint, SymmetryGroup};
+        use analog_floorplan::circuit::shapes::shape_sets;
+        use analog_floorplan::layout::masks::{dead_space_mask, wire_mask};
+        use analog_floorplan::rl::{inject_random_constraint, Action, FloorplanEnv, Termination};
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let set = evaluation_set();
+        let base = &set[rng.gen_range(0..set.len())].circuit;
+        let mut circuit = random_variant(base, 0.3, &mut rng);
+        if rng.gen_bool(0.5) {
+            inject_random_constraint(&mut circuit, &mut rng);
+        }
+        if rng.gen_bool(0.5) {
+            circuit.constraints = circuit
+                .constraints
+                .iter()
+                .map(|c| match c.clone() {
+                    Constraint::Symmetry(g) => Constraint::Symmetry(SymmetryGroup {
+                        axis: g.axis.orthogonal(),
+                        ..g
+                    }),
+                    Constraint::Alignment(g) => Constraint::Alignment(AlignmentGroup {
+                        axis: g.axis.orthogonal(),
+                        ..g
+                    }),
+                })
+                .collect();
+        }
+        let sets = shape_sets(&circuit);
+        let steps = rng.gen_range(1..=circuit.num_blocks());
+        let mut env = FloorplanEnv::new(circuit.clone());
+        let mut obs = env.reset();
+        for _ in 0..steps {
+            let Some(o) = obs else { break };
+            let fp = env.floorplan();
+            let block = o.current_block;
+            let shapes = &sets[block.index()];
+            let mut scalar = ScalarGrid::new();
+            for p in fp.placed() {
+                scalar.set_rect(p.cell, p.grid_w, p.grid_h);
+            }
+            let mut planes: Vec<f32> = (0..GRID_SIZE * GRID_SIZE)
+                .map(|i| if scalar.occ[i] { 1.0 } else { 0.0 })
+                .collect();
+            let reference = shapes.shape(shapes.most_square());
+            planes.extend(wire_mask(&circuit, fp, block, &reference));
+            planes.extend(dead_space_mask(&circuit, fp, block, &reference));
+            for (k, anchors) in o.masks.positional.iter().enumerate() {
+                let (gw, gh) = fp.grid_footprint(&shapes.shape(k));
+                let constraints = constraint_oracle::constraint_mask(&circuit, fp, block, gw, gh);
+                for y in 0..GRID_SIZE {
+                    for x in 0..GRID_SIZE {
+                        let expected = constraints[y * GRID_SIZE + x] == 1.0
+                            && scalar.fits(Cell::new(x, y), gw, gh);
+                        prop_assert_eq!(anchors.get(x, y), expected,
+                            "{}: shape {} of block {:?} diverges at ({}, {})",
+                            circuit.name, k, block, x, y);
+                        planes.push(if expected { 1.0 } else { 0.0 });
+                    }
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+            let tensor = o.masks.to_tensor_data();
+            prop_assert_eq!(bits(&tensor), bits(&planes),
+                "{}: tensor layout diverges for block {:?}", circuit.name, block);
+            prop_assert_eq!(bits(&o.action_mask), bits(&planes[3 * GRID_SIZE * GRID_SIZE..]),
+                "{}: action mask diverges for block {:?}", circuit.name, block);
+
+            let valid: Vec<usize> = (0..o.action_mask.len())
+                .filter(|&i| o.action_mask[i] == 1.0)
+                .collect();
+            let action = Action::from_index(valid[rng.gen_range(0..valid.len())]);
+            let outcome = env.step(action);
+            prop_assert!(outcome.termination != Termination::InvalidAction,
+                "{}: an admissible action was rejected", circuit.name);
+            obs = env.observe();
+        }
+    }
+}
+
+proptest! {
     // 200+ random pairs: the acceptance bar of the FAST-SP packing engine.
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -303,8 +596,8 @@ proptest! {
         shape_dims in ((1.0f64..10.0), (1.0f64..10.0)),
     ) {
         use analog_floorplan::circuit::{Circuit, NetClass};
-        use analog_floorplan::layout::constraints::constraint_mask;
         use analog_floorplan::layout::masks::positional_mask;
+        use constraint_oracle::constraint_mask;
         let circuit = Circuit::builder("diff")
             .block("L", BlockKind::CurrentMirror, 16.0, 3)
             .block("R", BlockKind::CurrentMirror, 16.0, 3)
@@ -335,14 +628,8 @@ proptest! {
             for y in 0..GRID_SIZE {
                 for x in 0..GRID_SIZE {
                     let idx = y * GRID_SIZE + x;
-                    let expected = if constraints[idx] == 1.0
-                        && scalar.fits(Cell::new(x, y), gw, gh)
-                    {
-                        1.0f32
-                    } else {
-                        0.0
-                    };
-                    prop_assert_eq!(mask[idx], expected,
+                    let expected = constraints[idx] == 1.0 && scalar.fits(Cell::new(x, y), gw, gh);
+                    prop_assert_eq!(mask.get(x, y), expected,
                         "positional mask diverges at ({}, {}) for block {:?}", x, y, block);
                 }
             }
