@@ -15,7 +15,8 @@ impl NetId {
     }
 }
 
-/// The class of a net, used to weight wirelength and to pick routing layers.
+/// The class of a net; supply nets are left out of the circuit graph's
+/// connectivity edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum NetClass {
     /// Ordinary signal net.
@@ -33,18 +34,6 @@ pub enum NetClass {
 }
 
 impl NetClass {
-    /// Default HPWL weight per class: sensitive nets count more, supplies
-    /// count less, mirroring common analog-placement cost functions.
-    pub fn weight(self) -> f64 {
-        match self {
-            NetClass::Critical => 2.0,
-            NetClass::Signal => 1.0,
-            NetClass::Bias => 0.8,
-            NetClass::Clock => 1.5,
-            NetClass::Power | NetClass::Ground => 0.5,
-        }
-    }
-
     /// Returns `true` for power/ground distribution nets.
     pub fn is_supply(self) -> bool {
         matches!(self, NetClass::Power | NetClass::Ground)
@@ -115,11 +104,6 @@ impl Net {
     pub fn degree(&self) -> usize {
         self.pins.len()
     }
-
-    /// HPWL weight of this net.
-    pub fn weight(&self) -> f64 {
-        self.class.weight()
-    }
 }
 
 #[cfg(test)]
@@ -142,12 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn class_weights_ordered() {
-        assert!(NetClass::Critical.weight() > NetClass::Signal.weight());
-        assert!(NetClass::Signal.weight() > NetClass::Power.weight());
-    }
-
-    #[test]
     fn supply_detection() {
         assert!(NetClass::Power.is_supply());
         assert!(NetClass::Ground.is_supply());
@@ -155,8 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn with_class_changes_weight() {
+    fn with_class_sets_the_class() {
         let net = Net::new(NetId(0), "vdd", vec![]).with_class(NetClass::Power);
-        assert_eq!(net.weight(), 0.5);
+        assert_eq!(net.class, NetClass::Power);
     }
 }

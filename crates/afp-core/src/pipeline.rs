@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use afp_circuit::{recognition, Circuit, Schematic};
 use afp_gnn::greedy_floorplan;
-use afp_layout::{export, metrics, Floorplan, FloorplanMetrics, RewardWeights};
+use afp_layout::{export, metrics, Floorplan, FloorplanMetrics};
 use afp_metaheuristics::Baseline;
 use afp_rl::FloorplanAgent;
 use afp_route::{complete_layout, CompletedLayout, LayoutReport, ProceduralConfig};
@@ -117,12 +117,8 @@ impl LayoutPipeline {
             FloorplanMethod::Baseline(baseline, seed) => baseline.run(circuit, *seed).floorplan,
         };
         let elapsed = started.elapsed().as_secs_f64();
-        let reward = metrics::episode_reward(
-            circuit,
-            &floorplan,
-            metrics::hpwl_lower_bound(circuit),
-            &RewardWeights::default(),
-        );
+        let reward =
+            metrics::episode_reward(circuit, &floorplan, metrics::hpwl_lower_bound(circuit));
         (floorplan, elapsed, reward)
     }
 

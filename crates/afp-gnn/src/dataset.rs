@@ -10,7 +10,7 @@
 use rand::Rng;
 
 use afp_circuit::{generators, Circuit, CircuitGraph};
-use afp_layout::{metrics, Canvas, Cell, Floorplan, RewardWeights, GRID_SIZE};
+use afp_layout::{metrics, Canvas, Cell, Floorplan, GRID_SIZE};
 
 /// One pre-training example: a circuit, its relational graph and the reward of
 /// an optimized floorplan for it.
@@ -35,7 +35,7 @@ pub type RewardLabeler = dyn Fn(&Circuit) -> f64 + Send + Sync;
 pub fn greedy_reward_label(circuit: &Circuit) -> f64 {
     let floorplan = greedy_floorplan(circuit);
     let hpwl_min = metrics::hpwl_lower_bound(circuit);
-    metrics::episode_reward(circuit, &floorplan, hpwl_min, &RewardWeights::default())
+    metrics::episode_reward(circuit, &floorplan, hpwl_min)
 }
 
 /// The greedy floorplan underlying [`greedy_reward_label`]; exposed so tests

@@ -8,15 +8,16 @@
 //!   mask,
 //! * the incremental [`Floorplan`] state with overlap-free placement,
 //! * [`metrics`]: HPWL (Eq. 3), dead space, the intermediate reward (Eq. 4)
-//!   and the episode reward (Eq. 5),
+//!   and the episode reward (Eq. 5) with the paper's fixed weights,
 //! * [`constraints`]: grid-level symmetry / alignment masks and the
 //!   end-of-episode violation check,
 //! * [`masks`]: the six observation maps of the RL agent state
 //!   (`f_g`, `f_w`, `f_ds`, `f_p`),
 //! * [`sequence_pair`]: the topological model used by the metaheuristic
 //!   baselines,
-//! * [`spacing`]: congestion-aware device spacing applied to the baselines so
-//!   that the comparison against routing-ready floorplans is fair (§V-B),
+//! * [`spacing`]: the one congestion-aware device spacing applied to every
+//!   baseline so that the comparison against routing-ready floorplans is
+//!   fair (§V-B),
 //! * [`export`]: ASCII / SVG rendering for the figure reproductions.
 //!
 //! # The cost pipeline
@@ -25,8 +26,13 @@
 //! per Table I sweep) runs every stage from scratch into reused buffers:
 //! [`sequence_pair::realize_floorplan`] packs with one full FAST-SP sweep
 //! ([`lcs_pack::pack_coords`]) and snaps every block onto the [`BitGrid`],
-//! and the metrics stage is a plain rescan ([`metrics::episode_reward_with`])
-//! over a reusable [`metrics::MetricsScratch`] center cache.
+//! and the metrics stage is a plain rescan ([`metrics::episode_reward`]) that
+//! reads each pin's centre through the floorplan's O(1) block → slot table.
+//! The evaluation context is constants: the Eq. 5 weights
+//! ([`metrics::ALPHA`], [`metrics::BETA`], [`metrics::GAMMA`],
+//! [`metrics::VIOLATION_PENALTY`]) and the spacing parameters
+//! ([`spacing::TRACK_PITCH_UM`], [`spacing::TRACKS_PER_NET`],
+//! [`spacing::MAX_RELATIVE_MARGIN`]).
 //!
 //! See `ARCHITECTURE.md` at the repository root for the full stack picture
 //! and the bit-identity contract.
@@ -66,8 +72,7 @@ pub use bitgrid::BitGrid;
 pub use grid::{Canvas, Cell, DEFAULT_MAX_ASPECT_RATIO, GRID_SIZE};
 pub use lcs_pack::PackScratch;
 pub use masks::{Mask, StateMasks, STATE_CHANNELS};
-pub use metrics::{FloorplanMetrics, RewardWeights};
+pub use metrics::FloorplanMetrics;
 pub use placement::{Floorplan, PlaceError, PlacedBlock};
 pub use rect::Rect;
 pub use sequence_pair::{PackedFloorplan, SequencePair};
-pub use spacing::SpacingConfig;

@@ -40,96 +40,36 @@ impl FloorplanMetrics {
     }
 }
 
-/// Reusable per-block center cache for the HPWL sweeps.
-///
-/// `Floorplan::block_center` is a linear scan over the placed list, and
-/// `Net::blocks()` allocates a deduplicated vector — per pin, per net, per
-/// evaluation. The scratch turns one HPWL evaluation into a single pass over
-/// the placed blocks followed by direct center lookups per pin, which is what
-/// lets the metaheuristics' cost function skip the unplaced-pin rescans.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsScratch {
-    /// `centers[b]` = center of block index `b`, or `None` while unplaced.
-    centers: Vec<Option<(f64, f64)>>,
-}
-
-impl MetricsScratch {
-    /// Creates an empty scratch; the buffer grows on first use.
-    pub fn new() -> Self {
-        MetricsScratch::default()
-    }
-
-    /// Fills the center cache from the floorplan's placed list.
-    fn fill(&mut self, circuit: &Circuit, floorplan: &Floorplan) {
-        self.centers.clear();
-        self.centers.resize(circuit.num_blocks(), None);
-        for placed in floorplan.placed() {
-            let index = placed.block.index();
-            if index < self.centers.len() {
-                self.centers[index] = Some(placed.rect.center());
-            }
-        }
-    }
-}
-
-/// Half-perimeter bounding box of one net over cached centers. Duplicate pins
-/// on one block are harmless: they collapse to the same point, so the bounding
-/// box (and the `≥ 2` placed-pin gate) matches the deduplicated definition.
-#[inline]
-fn net_bbox_halfperimeter(net: &afp_circuit::Net, centers: &[Option<(f64, f64)>]) -> Option<f64> {
-    let mut min_x = f64::MAX;
-    let mut max_x = f64::MIN;
-    let mut min_y = f64::MAX;
-    let mut max_y = f64::MIN;
-    let mut placed_pins = 0;
-    for pin in &net.pins {
-        let index = pin.block.index();
-        if let Some(Some((cx, cy))) = centers.get(index) {
-            min_x = min_x.min(*cx);
-            max_x = max_x.max(*cx);
-            min_y = min_y.min(*cy);
-            max_y = max_y.max(*cy);
-            placed_pins += 1;
-        }
-    }
-    (placed_pins >= 2).then(|| (max_x - min_x) + (max_y - min_y))
-}
-
 /// Computes the half-perimeter wirelength (paper Eq. 3) of the placed part of
 /// the floorplan. Nets with fewer than two placed blocks contribute nothing.
 /// Each net counts once, unweighted, matching the paper's definition.
+///
+/// Centres come from [`Floorplan::block_center`], an O(1) slot lookup per
+/// pin. Duplicate pins on one block are harmless: they collapse to the same
+/// point, so the bounding box (and the `≥ 2` placed-pin gate) matches the
+/// definition over each net's distinct blocks.
 pub fn hpwl(circuit: &Circuit, floorplan: &Floorplan) -> f64 {
-    hpwl_with(circuit, floorplan, &mut MetricsScratch::new())
-}
-
-/// [`hpwl`] with a caller-held [`MetricsScratch`]; allocation-free once warm.
-pub fn hpwl_with(circuit: &Circuit, floorplan: &Floorplan, scratch: &mut MetricsScratch) -> f64 {
-    scratch.fill(circuit, floorplan);
-    circuit
-        .nets
-        .iter()
-        .filter_map(|net| net_bbox_halfperimeter(net, &scratch.centers))
-        .sum()
-}
-
-/// Net-class-weighted HPWL, used by the metaheuristic baselines' cost
-/// functions (critical nets count double, supplies half).
-pub fn weighted_hpwl(circuit: &Circuit, floorplan: &Floorplan) -> f64 {
-    weighted_hpwl_with(circuit, floorplan, &mut MetricsScratch::new())
-}
-
-/// [`weighted_hpwl`] with a caller-held [`MetricsScratch`].
-pub fn weighted_hpwl_with(
-    circuit: &Circuit,
-    floorplan: &Floorplan,
-    scratch: &mut MetricsScratch,
-) -> f64 {
-    scratch.fill(circuit, floorplan);
     circuit
         .nets
         .iter()
         .filter_map(|net| {
-            net_bbox_halfperimeter(net, &scratch.centers).map(|hp| net.weight() * hp)
+            let mut min_x = f64::MAX;
+            let mut max_x = f64::MIN;
+            let mut min_y = f64::MAX;
+            let mut max_y = f64::MIN;
+            let mut placed_pins = 0;
+            for (cx, cy) in net
+                .pins
+                .iter()
+                .filter_map(|pin| floorplan.block_center(pin.block))
+            {
+                min_x = min_x.min(cx);
+                max_x = max_x.max(cx);
+                min_y = min_y.min(cy);
+                max_y = max_y.max(cy);
+                placed_pins += 1;
+            }
+            (placed_pins >= 2).then_some((max_x - min_x) + (max_y - min_y))
         })
         .sum()
 }
@@ -147,48 +87,24 @@ pub fn dead_space(floorplan: &Floorplan) -> f64 {
 
 /// Computes the full metric snapshot of a floorplan.
 pub fn metrics(circuit: &Circuit, floorplan: &Floorplan) -> FloorplanMetrics {
-    metrics_with(circuit, floorplan, &mut MetricsScratch::new())
-}
-
-/// [`metrics`] with a caller-held [`MetricsScratch`]; allocation-free once
-/// warm, for evaluation loops that score thousands of floorplans.
-pub fn metrics_with(
-    circuit: &Circuit,
-    floorplan: &Floorplan,
-    scratch: &mut MetricsScratch,
-) -> FloorplanMetrics {
     let bb = floorplan.bounding_box();
     FloorplanMetrics {
-        hpwl_um: hpwl_with(circuit, floorplan, scratch),
+        hpwl_um: hpwl(circuit, floorplan),
         dead_space: dead_space(floorplan),
         area_um2: bb.map(|r| r.area()).unwrap_or(0.0),
         aspect_ratio: bb.map(|r| r.aspect()).unwrap_or(1.0),
     }
 }
 
-/// Weights of the episode reward (paper §IV-D4: α=1, β=5, γ=5, −50 penalty).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RewardWeights {
-    /// Weight of the area ratio term.
-    pub alpha: f64,
-    /// Weight of the normalized HPWL term.
-    pub beta: f64,
-    /// Weight of the squared aspect-ratio error term.
-    pub gamma: f64,
-    /// Reward assigned when any constraint is violated.
-    pub violation_penalty: f64,
-}
-
-impl Default for RewardWeights {
-    fn default() -> Self {
-        RewardWeights {
-            alpha: 1.0,
-            beta: 5.0,
-            gamma: 5.0,
-            violation_penalty: -50.0,
-        }
-    }
-}
+/// Weight α of the area-ratio term of Eq. 5 (paper §IV-D4).
+pub const ALPHA: f64 = 1.0;
+/// Weight β of the normalized-HPWL term of Eq. 5 (paper §IV-D4).
+pub const BETA: f64 = 5.0;
+/// Weight γ of the squared aspect-ratio error term of Eq. 5 (paper §IV-D4).
+pub const GAMMA: f64 = 5.0;
+/// Reward of a floorplan that violates a constraint or misses a block, and
+/// of an inadmissible agent action (paper §IV-D4).
+pub const VIOLATION_PENALTY: f64 = -50.0;
 
 /// Intermediate (per-step) reward, paper Eq. 4:
 /// `r_t = −(Δ dead-space + Δ HPWL / hpwl_norm)`.
@@ -210,35 +126,19 @@ pub fn intermediate_reward(
 ///
 /// `R = −(α · F_area / Σ Aᵢ + β · HPWL / HPWL_min + γ · (R* − R)²)`,
 ///
-/// plus the −50 penalty whenever the finished floorplan violates a positional
-/// constraint or does not contain every block.
-pub fn episode_reward(
-    circuit: &Circuit,
-    floorplan: &Floorplan,
-    hpwl_min: f64,
-    weights: &RewardWeights,
-) -> f64 {
-    episode_reward_with(circuit, floorplan, hpwl_min, weights, &mut MetricsScratch::new())
-}
-
-/// [`episode_reward`] with a caller-held [`MetricsScratch`] — the evaluation
-/// behind the metaheuristics' cached cost function.
-pub fn episode_reward_with(
-    circuit: &Circuit,
-    floorplan: &Floorplan,
-    hpwl_min: f64,
-    weights: &RewardWeights,
-    scratch: &mut MetricsScratch,
-) -> f64 {
+/// with [`ALPHA`], [`BETA`] and [`GAMMA`], or [`VIOLATION_PENALTY`] whenever
+/// the finished floorplan violates a positional constraint or does not
+/// contain every block.
+pub fn episode_reward(circuit: &Circuit, floorplan: &Floorplan, hpwl_min: f64) -> f64 {
     if floorplan.num_placed() < circuit.num_blocks() || has_violations(circuit, floorplan) {
-        return weights.violation_penalty;
+        return VIOLATION_PENALTY;
     }
-    let m = metrics_with(circuit, floorplan, scratch);
+    let m = metrics(circuit, floorplan);
     let total_area = circuit.total_block_area().max(1e-9);
-    let area_term = weights.alpha * m.area_um2 / total_area;
-    let hpwl_term = weights.beta * m.hpwl_um / hpwl_min.max(1e-9);
+    let area_term = ALPHA * m.area_um2 / total_area;
+    let hpwl_term = BETA * m.hpwl_um / hpwl_min.max(1e-9);
     let outline_term = match circuit.target_aspect_ratio {
-        Some(target) => weights.gamma * (target - m.aspect_ratio).powi(2),
+        Some(target) => GAMMA * (target - m.aspect_ratio).powi(2),
         None => 0.0,
     };
     -(area_term + hpwl_term + outline_term)
@@ -300,12 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_hpwl_counts_critical_nets_more() {
-        let (c, fp) = place_all(0);
-        assert!(weighted_hpwl(&c, &fp) > hpwl(&c, &fp));
-    }
-
-    #[test]
     fn dead_space_zero_for_perfect_packing() {
         let (_, fp) = place_all(0);
         assert!(dead_space(&fp) < 1e-9);
@@ -344,10 +238,9 @@ mod tests {
     fn episode_reward_prefers_tighter_floorplans() {
         let (c, tight) = place_all(0);
         let (_, loose) = place_all(2);
-        let w = RewardWeights::default();
         let hpwl_min = hpwl_lower_bound(&c);
-        let r_tight = episode_reward(&c, &tight, hpwl_min, &w);
-        let r_loose = episode_reward(&c, &loose, hpwl_min, &w);
+        let r_tight = episode_reward(&c, &tight, hpwl_min);
+        let r_loose = episode_reward(&c, &loose, hpwl_min);
         assert!(r_tight > r_loose, "{r_tight} vs {r_loose}");
         assert!(r_tight < 0.0);
     }
@@ -357,7 +250,7 @@ mod tests {
         let c = circuit();
         let mut fp = Floorplan::new(Canvas::new(32.0, 32.0));
         fp.place(BlockId(0), 0, Shape::new(4.0, 4.0), Cell::new(0, 0)).unwrap();
-        let r = episode_reward(&c, &fp, 1.0, &RewardWeights::default());
+        let r = episode_reward(&c, &fp, 1.0);
         assert_eq!(r, -50.0);
     }
 
@@ -366,9 +259,9 @@ mod tests {
         let mut c = circuit();
         c.target_aspect_ratio = Some(1.0);
         let (_, fp) = place_all(0);
-        let with_outline = episode_reward(&c, &fp, 1.0, &RewardWeights::default());
+        let with_outline = episode_reward(&c, &fp, 1.0);
         c.target_aspect_ratio = None;
-        let without = episode_reward(&c, &fp, 1.0, &RewardWeights::default());
+        let without = episode_reward(&c, &fp, 1.0);
         // The placed row is 12×4, far from square ⇒ outline penalty applies.
         assert!(with_outline < without);
     }

@@ -258,14 +258,14 @@ impl Floorplan {
         Some(last)
     }
 
-    /// Clears all placements and rebinds the canvas, reusing the placed-block
-    /// and slot buffers — the allocation-free alternative to
-    /// [`Floorplan::new`] for evaluation loops that realize thousands of
-    /// candidate floorplans.
+    /// Clears all placements and rebinds the canvas at this floorplan's grid
+    /// side, reusing the placed-block and slot buffers — the allocation-free
+    /// alternative to [`Floorplan::with_grid_side`] for evaluation loops that
+    /// realize thousands of candidate floorplans.
     pub fn reset(&mut self, canvas: Canvas) {
         self.canvas = canvas;
-        self.cell_w_um = canvas.cell_width_um();
-        self.cell_h_um = canvas.cell_height_um();
+        self.cell_w_um = canvas.width_um / self.grid.width() as f64;
+        self.cell_h_um = canvas.height_um / self.grid.height() as f64;
         self.grid.clear();
         self.placed.clear();
         self.slot.iter_mut().for_each(|s| *s = UNPLACED);

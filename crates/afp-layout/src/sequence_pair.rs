@@ -222,41 +222,19 @@ impl SequencePair {
             height,
         }
     }
-
-    /// Converts the packed sequence pair into a [`Floorplan`] on the circuit's
-    /// canvas, so that the shared metric functions (HPWL, dead space, reward)
-    /// can be applied uniformly to RL and baseline results.
-    ///
-    /// Block positions are snapped to the placement grid; if the packing does
-    /// not fit the canvas, it is scaled down uniformly first (this mirrors how
-    /// a real flow would shrink an over-size baseline floorplan candidate).
-    pub fn to_floorplan(&self, circuit: &Circuit, canvas: Canvas) -> Floorplan {
-        let mut scratch = PackScratch::with_capacity(self.len());
-        let mut fp = Floorplan::new(canvas);
-        self.to_floorplan_into(circuit, canvas, &mut scratch, &mut fp);
-        fp
-    }
-
-    /// [`Self::to_floorplan`] with caller-held buffers: the pack scratch and
-    /// the output floorplan are reused, so a metaheuristic evaluating
-    /// thousands of candidates allocates only inside this call's sort.
-    pub fn to_floorplan_into(
-        &self,
-        circuit: &Circuit,
-        canvas: Canvas,
-        scratch: &mut PackScratch,
-        fp: &mut Floorplan,
-    ) {
-        realize_floorplan(&self.positive, &self.negative, &self.shapes, circuit, canvas, scratch, fp);
-    }
 }
 
 /// Packs `(positive, negative, shapes)` with FAST-SP and realizes the result
-/// on the circuit's canvas, writing into `fp`.
+/// on `canvas` at `fp`'s grid side, writing into `fp`, so that the shared
+/// metric functions (HPWL, dead space, reward) apply uniformly to RL and
+/// baseline results.
 ///
-/// This slice-based entry point lets optimizer hot loops evaluate a candidate
-/// without materializing a [`SequencePair`] (which would clone both sequences
-/// and every shape per evaluation).
+/// Block positions are snapped to the placement grid; if the packing does
+/// not fit the canvas, it is scaled down uniformly first (this mirrors how a
+/// real flow would shrink an over-size baseline floorplan candidate). The
+/// slices are taken directly, so optimizer hot loops evaluate a candidate
+/// without materializing a [`SequencePair`] (which would clone both
+/// sequences and every shape per evaluation).
 pub fn realize_floorplan(
     positive: &[usize],
     negative: &[usize],
@@ -467,7 +445,7 @@ mod tests {
     }
 
     #[test]
-    fn to_floorplan_places_every_block() {
+    fn realize_floorplan_places_every_block() {
         let circuit = generators::ota5();
         let canvas = Canvas::for_circuit(&circuit);
         let shapes: Vec<Shape> = circuit
@@ -476,7 +454,16 @@ mod tests {
             .map(|b| Shape::from_area_and_aspect(b.area_um2, 1.0))
             .collect();
         let sp = SequencePair::identity(shapes);
-        let fp = sp.to_floorplan(&circuit, canvas);
+        let mut fp = Floorplan::new(canvas);
+        realize_floorplan(
+            &sp.positive,
+            &sp.negative,
+            &sp.shapes,
+            &circuit,
+            canvas,
+            &mut PackScratch::new(),
+            &mut fp,
+        );
         assert_eq!(fp.num_placed(), circuit.num_blocks());
     }
 

@@ -9,54 +9,27 @@
 
 use afp_circuit::{Block, Circuit, Shape};
 
-/// Parameters of the congestion-aware spacing decoration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpacingConfig {
-    /// Base routing-track pitch in µm (one track is always reserved).
-    pub track_pitch_um: f64,
-    /// Extra tracks reserved per incident net.
-    pub tracks_per_net: f64,
-    /// Upper bound on the inflation, as a fraction of the block's side.
-    pub max_relative_margin: f64,
+/// Base routing-track pitch in µm (one track is always reserved).
+pub const TRACK_PITCH_UM: f64 = 0.4;
+/// Extra tracks reserved per incident net.
+pub const TRACKS_PER_NET: f64 = 0.5;
+/// Upper bound on the inflation, as a fraction of the block's side.
+pub const MAX_RELATIVE_MARGIN: f64 = 0.35;
+
+/// Margin (µm) to add on every side of a block.
+fn margin_for(circuit: &Circuit, block: &Block) -> f64 {
+    let nets = circuit.nets_of_block(block.id).len() as f64;
+    let demand = 1.0 + TRACKS_PER_NET * (nets + block.pin_count as f64 / 2.0);
+    let margin = TRACK_PITCH_UM * demand;
+    let side = block.area_um2.sqrt();
+    margin.min(MAX_RELATIVE_MARGIN * side)
 }
 
-impl Default for SpacingConfig {
-    fn default() -> Self {
-        SpacingConfig {
-            track_pitch_um: 0.4,
-            tracks_per_net: 0.5,
-            max_relative_margin: 0.35,
-        }
-    }
-}
-
-impl SpacingConfig {
-    /// Margin (µm) to add on every side of a block.
-    pub fn margin_for(&self, circuit: &Circuit, block: &Block) -> f64 {
-        let nets = circuit.nets_of_block(block.id).len() as f64;
-        let demand = 1.0 + self.tracks_per_net * (nets + block.pin_count as f64 / 2.0);
-        let margin = self.track_pitch_um * demand;
-        let side = block.area_um2.sqrt();
-        margin.min(self.max_relative_margin * side)
-    }
-
-    /// Inflates a shape by the block's congestion margin (on both sides of
-    /// each dimension).
-    pub fn inflate_shape(&self, circuit: &Circuit, block: &Block, shape: &Shape) -> Shape {
-        let m = self.margin_for(circuit, block);
-        Shape::new(shape.width_um + 2.0 * m, shape.height_um + 2.0 * m)
-    }
-
-    /// Inflates every shape of a per-block shape list (used by the baselines
-    /// before packing their sequence pairs).
-    pub fn inflate_all(&self, circuit: &Circuit, shapes: &[Shape]) -> Vec<Shape> {
-        circuit
-            .blocks
-            .iter()
-            .zip(shapes.iter())
-            .map(|(b, s)| self.inflate_shape(circuit, b, s))
-            .collect()
-    }
+/// Inflates a shape by the block's congestion margin (on both sides of each
+/// dimension).
+pub fn inflate_shape(circuit: &Circuit, block: &Block, shape: &Shape) -> Shape {
+    let m = margin_for(circuit, block);
+    Shape::new(shape.width_um + 2.0 * m, shape.height_um + 2.0 * m)
 }
 
 #[cfg(test)]
@@ -67,21 +40,19 @@ mod tests {
     #[test]
     fn margin_is_positive_and_bounded() {
         let circuit = generators::ota8();
-        let cfg = SpacingConfig::default();
         for block in &circuit.blocks {
-            let m = cfg.margin_for(&circuit, block);
+            let m = margin_for(&circuit, block);
             assert!(m > 0.0);
-            assert!(m <= cfg.max_relative_margin * block.area_um2.sqrt() + 1e-12);
+            assert!(m <= MAX_RELATIVE_MARGIN * block.area_um2.sqrt() + 1e-12);
         }
     }
 
     #[test]
     fn inflation_increases_area() {
         let circuit = generators::ota5();
-        let cfg = SpacingConfig::default();
         let block = &circuit.blocks[0];
         let shape = Shape::from_area_and_aspect(block.area_um2, 1.0);
-        let inflated = cfg.inflate_shape(&circuit, block, &shape);
+        let inflated = inflate_shape(&circuit, block, &shape);
         assert!(inflated.area_um2() > shape.area_um2());
         assert!(inflated.width_um > shape.width_um);
     }
@@ -89,30 +60,17 @@ mod tests {
     #[test]
     fn more_connected_blocks_get_more_space() {
         let circuit = generators::driver();
-        let cfg = SpacingConfig::default();
         // The gate-drive net hub (PRE3) has more connectivity than the ESD cell.
         let busy = circuit.block_by_name("PRE3").unwrap();
         let quiet = circuit.block_by_name("ESD").unwrap();
         let busy_nets = circuit.nets_of_block(busy.id).len();
         let quiet_nets = circuit.nets_of_block(quiet.id).len();
         assert!(busy_nets > quiet_nets);
-        let margin_busy = cfg.margin_for(&circuit, busy);
-        let margin_quiet = cfg.margin_for(&circuit, quiet);
+        let margin_busy = margin_for(&circuit, busy);
+        let margin_quiet = margin_for(&circuit, quiet);
         assert!(
             margin_busy > margin_quiet,
             "busy={margin_busy} quiet={margin_quiet}"
         );
-    }
-
-    #[test]
-    fn inflate_all_preserves_length() {
-        let circuit = generators::rs_latch();
-        let shapes: Vec<Shape> = circuit
-            .blocks
-            .iter()
-            .map(|b| Shape::from_area_and_aspect(b.area_um2, 1.0))
-            .collect();
-        let inflated = SpacingConfig::default().inflate_all(&circuit, &shapes);
-        assert_eq!(inflated.len(), shapes.len());
     }
 }

@@ -7,10 +7,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use afp_circuit::{shapes::shape_sets, Circuit, Shape, ShapeSet, SHAPES_PER_BLOCK};
-use afp_layout::metrics::MetricsScratch;
-use afp_layout::{
-    metrics, Canvas, Floorplan, PackScratch, RewardWeights, SequencePair, SpacingConfig,
-};
+use afp_layout::sequence_pair::realize_floorplan;
+use afp_layout::{metrics, spacing, Canvas, Floorplan, PackScratch};
 
 pub use afp_par::{CancelToken, RunControl, StopReason};
 
@@ -147,16 +145,6 @@ impl Candidate {
             PerturbUndo::Shape { block, previous } => self.shape_choice[block] = previous,
         }
     }
-
-    /// Converts the candidate to a packed [`SequencePair`] over the given
-    /// shapes (one [`ShapeSet`] per block, optionally congestion-inflated).
-    pub fn to_sequence_pair(&self, shapes: &[Shape]) -> SequencePair {
-        SequencePair {
-            positive: self.positive.clone(),
-            negative: self.negative.clone(),
-            shapes: shapes.to_vec(),
-        }
-    }
 }
 
 /// The inverse record of one [`Candidate::perturb`] move.
@@ -256,8 +244,9 @@ pub fn grid_side_for(n: usize) -> usize {
     }
 }
 
-/// The shared evaluation context: circuit, canvas, per-block shape sets,
-/// optional congestion-aware spacing and the reward normalization.
+/// The shared evaluation context: circuit, canvas, per-block shape sets with
+/// the congestion-aware spacing of every baseline (paper §V-B) and the reward
+/// normalization.
 #[derive(Debug)]
 pub struct Problem {
     /// The circuit being floorplanned. Private because the effective-shape
@@ -265,20 +254,13 @@ pub struct Problem {
     /// [`Problem::circuit`].
     circuit: Circuit,
     /// The placement canvas.
-    pub canvas: Canvas,
+    canvas: Canvas,
     /// Candidate shapes per block. Private so the precomputed
     /// effective-shape table cannot silently go stale; read through
     /// [`Problem::shape_sets`].
     shape_sets: Vec<ShapeSet>,
-    /// Congestion-aware spacing applied to baseline shapes (paper §V-B), or
-    /// `None` to pack the raw shapes. Mutate through
-    /// [`Problem::set_spacing`] / [`Problem::without_spacing`], which keep
-    /// the effective-shape table in sync.
-    spacing: Option<SpacingConfig>,
     /// `HPWL_min` estimate used by the reward (paper Eq. 5).
-    pub hpwl_min: f64,
-    /// Reward weights (α, β, γ, violation penalty).
-    pub weights: RewardWeights,
+    hpwl_min: f64,
     /// Effective (spacing-inflated) candidate shape per `[block][shape
     /// index]`, precomputed once: the congestion margin depends only on the
     /// block's connectivity and the chosen shape, never on the candidate's
@@ -288,20 +270,26 @@ pub struct Problem {
 }
 
 impl Problem {
-    /// Builds the evaluation context for a circuit with the paper's defaults
-    /// (congestion-aware spacing enabled for baselines).
+    /// Builds the evaluation context for a circuit: the paper's canvas,
+    /// shape sets and `HPWL_min`, every shape inflated by
+    /// [`spacing::inflate_shape`].
     pub fn new(circuit: &Circuit) -> Self {
-        let mut problem = Problem {
+        let shape_sets = shape_sets(circuit);
+        let effective_shapes = circuit
+            .blocks
+            .iter()
+            .zip(&shape_sets)
+            .map(|(block, set)| {
+                std::array::from_fn(|k| spacing::inflate_shape(circuit, block, &set.shape(k)))
+            })
+            .collect();
+        Problem {
             canvas: Canvas::for_circuit(circuit),
-            shape_sets: shape_sets(circuit),
-            spacing: Some(SpacingConfig::default()),
+            shape_sets,
             hpwl_min: metrics::hpwl_lower_bound(circuit),
-            weights: RewardWeights::default(),
             circuit: circuit.clone(),
-            effective_shapes: Vec::new(),
-        };
-        problem.rebuild_effective_shapes();
-        problem
+            effective_shapes,
+        }
     }
 
     /// The circuit being floorplanned.
@@ -321,99 +309,63 @@ impl Problem {
         &self.shape_sets
     }
 
-    /// The congestion-aware spacing decoration, if enabled.
-    pub fn spacing(&self) -> Option<&SpacingConfig> {
-        self.spacing.as_ref()
-    }
-
-    /// Replaces the spacing decoration and refreshes the effective shapes.
-    pub fn set_spacing(&mut self, spacing: Option<SpacingConfig>) {
-        self.spacing = spacing;
-        self.rebuild_effective_shapes();
-    }
-
-    /// Disables the congestion-aware spacing decoration.
-    pub fn without_spacing(mut self) -> Self {
-        self.set_spacing(None);
-        self
-    }
-
-    /// Recomputes the effective-shape table from `shape_sets` + `spacing`.
-    fn rebuild_effective_shapes(&mut self) {
-        self.effective_shapes = self
-            .circuit
-            .blocks
-            .iter()
-            .zip(&self.shape_sets)
-            .map(|(block, set)| {
-                std::array::from_fn(|k| {
-                    let shape = set.shape(k);
-                    match &self.spacing {
-                        Some(cfg) => cfg.inflate_shape(&self.circuit, block, &shape),
-                        None => shape,
-                    }
-                })
-            })
-            .collect();
-    }
-
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
         self.circuit.num_blocks()
     }
 
-    /// The (possibly inflated) shape of each block under a candidate's shape
-    /// choices.
-    pub fn shapes_for(&self, candidate: &Candidate) -> Vec<Shape> {
-        candidate
-            .shape_choice
-            .iter()
-            .enumerate()
-            .map(|(b, &s)| self.effective_shapes[b][s])
-            .collect()
+    /// Realizes a candidate as a floorplan on the shared canvas, at this
+    /// problem's grid discretization.
+    pub fn realize(&self, candidate: &Candidate) -> Floorplan {
+        let mut fp = Floorplan::with_grid_side(self.canvas, self.grid_side());
+        self.realize_into(
+            candidate,
+            &mut PackScratch::with_capacity(self.num_blocks()),
+            &mut Vec::with_capacity(self.num_blocks()),
+            &mut fp,
+        );
+        fp
     }
 
-    /// The shapes of [`Problem::shapes_for`], written into a caller-held
-    /// buffer instead of a fresh allocation.
-    pub fn shapes_for_into(&self, candidate: &Candidate, out: &mut Vec<Shape>) {
-        out.clear();
-        out.extend(
+    /// [`Problem::realize`] into caller-held buffers: writes the candidate's
+    /// effective shapes into `shapes`, then packs and snaps them with
+    /// [`realize_floorplan`] into `fp`.
+    fn realize_into(
+        &self,
+        candidate: &Candidate,
+        pack: &mut PackScratch,
+        shapes: &mut Vec<Shape>,
+        fp: &mut Floorplan,
+    ) {
+        shapes.clear();
+        shapes.extend(
             candidate
                 .shape_choice
                 .iter()
                 .enumerate()
                 .map(|(b, &s)| self.effective_shapes[b][s]),
         );
-    }
-
-    /// Realizes a candidate as a floorplan on the shared canvas, at this
-    /// problem's grid discretization.
-    pub fn realize(&self, candidate: &Candidate) -> Floorplan {
-        let shapes = self.shapes_for(candidate);
-        let mut scratch = PackScratch::with_capacity(shapes.len());
-        let mut fp = Floorplan::with_grid_side(self.canvas, self.grid_side());
-        candidate.to_sequence_pair(&shapes).to_floorplan_into(
+        realize_floorplan(
+            &candidate.positive,
+            &candidate.negative,
+            shapes,
             &self.circuit,
             self.canvas,
-            &mut scratch,
-            &mut fp,
+            pack,
+            fp,
         );
-        fp
     }
 
     /// Cost of a candidate (lower is better): the negative episode reward of
     /// its floorplan, so that cost minimization and reward maximization agree.
     pub fn cost(&self, candidate: &Candidate) -> f64 {
-        let floorplan = self.realize(candidate);
-        -metrics::episode_reward(&self.circuit, &floorplan, self.hpwl_min, &self.weights)
+        -metrics::episode_reward(&self.circuit, &self.realize(candidate), self.hpwl_min)
     }
 
     /// [`Problem::cost`] through a [`CostCache`]: identical values, but
     /// repeated evaluations reuse every buffer (pack scratch, shapes,
-    /// floorplan, HPWL centers) through one
-    /// [`realize_floorplan`](afp_layout::sequence_pair::realize_floorplan)
-    /// pass (full FAST-SP sweep → snap every block) and one full metrics
-    /// rescan, and candidates seen recently — e.g. the pre-move state SA
+    /// floorplan) through one [`realize_floorplan`] pass (full FAST-SP sweep
+    /// → snap every block) and one full metrics rescan, and candidates seen recently — e.g. the pre-move state SA
     /// returns to after a rejected move, or a GA elite carried into the next
     /// generation — are answered from the memo without re-packing.
     ///
@@ -449,23 +401,13 @@ impl Problem {
             return cost;
         }
         cache.misses += 1;
-        self.shapes_for_into(candidate, &mut cache.shapes);
-        afp_layout::sequence_pair::realize_floorplan(
-            &candidate.positive,
-            &candidate.negative,
-            &cache.shapes,
-            &self.circuit,
-            self.canvas,
+        self.realize_into(
+            candidate,
             &mut cache.pack,
+            &mut cache.shapes,
             &mut cache.floorplan,
         );
-        let cost = -metrics::episode_reward_with(
-            &self.circuit,
-            &cache.floorplan,
-            self.hpwl_min,
-            &self.weights,
-            &mut cache.metrics,
-        );
+        let cost = -metrics::episode_reward(&self.circuit, &cache.floorplan, self.hpwl_min);
         cache.insert(key, cost);
         cost
     }
@@ -477,13 +419,12 @@ const MEMO_SLOTS: usize = 1024;
 /// Reusable evaluation state for the metaheuristic inner loops: the FAST-SP
 /// pack scratch, the shape and floorplan buffers (the floorplan's
 /// [`BitGrid`](afp_layout::BitGrid) is the occupancy every snap searches),
-/// the [`MetricsScratch`] center cache, and a small direct-mapped memo keyed
-/// on a candidate fingerprint.
+/// and a small direct-mapped memo keyed on a candidate fingerprint.
 ///
 /// This is the optimizer-facing handle on the cost pipeline (see
 /// `ARCHITECTURE.md`): [`Problem::cost_cached`] realizes every missed
 /// candidate from scratch into these buffers and scores the floorplan with
-/// one full HPWL / violation rescan ([`metrics::episode_reward_with`]),
+/// one full HPWL / violation rescan ([`metrics::episode_reward`]),
 /// bit-identical to [`Problem::cost`].
 ///
 /// One `CostCache` is owned per optimizer run (it is keyed to one
@@ -507,7 +448,6 @@ const MEMO_SLOTS: usize = 1024;
 #[derive(Debug)]
 pub struct CostCache {
     pack: PackScratch,
-    metrics: MetricsScratch,
     floorplan: Floorplan,
     shapes: Vec<Shape>,
     /// `(fingerprint, cost)` slots; fingerprint 0 marks an empty slot.
@@ -524,7 +464,6 @@ impl CostCache {
         let n = problem.num_blocks();
         CostCache {
             pack: PackScratch::with_capacity(n),
-            metrics: MetricsScratch::new(),
             floorplan: Floorplan::with_grid_side(problem.canvas, problem.grid_side()),
             shapes: Vec::with_capacity(n),
             memo: vec![(0, 0.0); MEMO_SLOTS],
@@ -617,12 +556,7 @@ impl BaselineResult {
     ) -> Self {
         let floorplan = problem.realize(candidate);
         let m = metrics::metrics(&problem.circuit, &floorplan);
-        let reward = metrics::episode_reward(
-            &problem.circuit,
-            &floorplan,
-            problem.hpwl_min,
-            &problem.weights,
-        );
+        let reward = metrics::episode_reward(&problem.circuit, &floorplan, problem.hpwl_min);
         BaselineResult {
             algorithm: algorithm.to_string(),
             floorplan,
@@ -683,16 +617,6 @@ mod tests {
         pos.sort_unstable();
         assert_eq!(pos, (0..10).collect::<Vec<_>>());
         assert!(c.shape_choice.iter().all(|&s| s < SHAPES_PER_BLOCK));
-    }
-
-    #[test]
-    fn spacing_increases_cost() {
-        let circuit = generators::ota8();
-        let with = Problem::new(&circuit);
-        let without = Problem::new(&circuit).without_spacing();
-        let c = Candidate::identity(with.num_blocks(), with.shape_sets());
-        // Inflated shapes should not make the floorplan cheaper.
-        assert!(with.cost(&c) >= without.cost(&c) * 0.99);
     }
 
     #[test]
@@ -777,17 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn shapes_for_into_matches_shapes_for() {
-        let circuit = generators::bias9();
-        let problem = Problem::new(&circuit);
-        let mut rng = StdRng::seed_from_u64(5);
-        let c = Candidate::random(problem.num_blocks(), &mut rng);
-        let mut buffer = Vec::new();
-        problem.shapes_for_into(&c, &mut buffer);
-        assert_eq!(buffer, problem.shapes_for(&c));
-    }
-
-    #[test]
     fn realize_places_all_blocks() {
         let circuit = generators::bias9();
         let problem = Problem::new(&circuit);
@@ -856,6 +769,27 @@ mod tests {
             );
             if step % 2 == 0 {
                 c.undo(undo);
+            }
+        }
+    }
+
+    #[test]
+    fn large_n_rects_sit_on_their_cells() {
+        // Past 64 blocks the grid is 64 cells a side; every rect must start
+        // at its cell times canvas / 64 and stay on the canvas.
+        for n in [65, 200] {
+            let circuit = chain_circuit(n);
+            let problem = Problem::new(&circuit);
+            let side = problem.grid_side() as f64;
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let fp = problem.realize(&Candidate::random(n, &mut rng));
+            let (width, height) = (fp.canvas().width_um, fp.canvas().height_um);
+            assert!(fp.num_placed() > 0);
+            for p in fp.placed() {
+                assert_eq!(p.rect.x0, p.cell.x as f64 * (width / side), "n = {n}");
+                assert_eq!(p.rect.y0, p.cell.y as f64 * (height / side), "n = {n}");
+                assert!(p.rect.x1 <= width * (1.0 + 1e-12), "n = {n}");
+                assert!(p.rect.y1 <= height * (1.0 + 1e-12), "n = {n}");
             }
         }
     }

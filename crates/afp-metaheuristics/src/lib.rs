@@ -10,16 +10,18 @@
 //! * [`rl_sa`] — the RL + SA hybrid of the predecessor work \[13\],
 //! * [`sequence_pair_rl`] — the pure per-instance sequence-pair RL of \[13\].
 //!
-//! Every baseline applies congestion-aware device spacing by default
-//! (paper §V-B) so that its floorplans are comparable with the routing-ready
-//! floorplans of the R-GCN + RL method, and every baseline reports the same
-//! [`BaselineResult`] (runtime, HPWL, dead space, reward) that Table I lists.
+//! Every baseline packs shapes inflated by the one congestion-aware device
+//! spacing of `afp_layout::spacing` (paper §V-B; there is no switch) so that
+//! its floorplans are comparable with the routing-ready floorplans of the
+//! R-GCN + RL method, and every baseline reports the same [`BaselineResult`]
+//! (runtime, HPWL, dead space, reward) that Table I lists, scored with the
+//! fixed Eq. 5 weights of `afp_layout::metrics`.
 //!
 //! All baselines evaluate candidates through [`Problem::cost_cached`], which
 //! runs `afp-layout`'s cost pipeline (one full FAST-SP sweep → one grid
 //! realization pass → one full HPWL/violation rescan) into one run's reused
-//! [`CostCache`] behind a small cost memo — bit-identical to
-//! [`Problem::cost`]. Every run is serial: parallelism lives one level up,
+//! [`CostCache`] (pack scratch, floorplan, shape buffer) behind a small cost
+//! memo — bit-identical to [`Problem::cost`]. Every run is serial: parallelism lives one level up,
 //! where the serve engine runs independent jobs side by side. SA proposes
 //! moves from a configurable mix ([`MoveMix`],
 //! [`SaConfig::locality_bias`](SaConfig)). See `ARCHITECTURE.md` at the

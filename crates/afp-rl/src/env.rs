@@ -7,10 +7,9 @@
 //! terminal reward of Eq. 5. Selecting an invalid action (or reaching a state
 //! where no action is admissible) ends the episode with the −50 penalty.
 
-use afp_circuit::{shapes::shape_sets, BlockId, Circuit, CircuitGraph, ShapeSet};
-use afp_layout::{
-    constraints, masks::StateMasks, metrics, Canvas, Floorplan, FloorplanMetrics, RewardWeights,
-};
+use afp_circuit::{shapes::shape_sets, BlockId, Circuit, CircuitGraph, ShapeSet, SHAPES_PER_BLOCK};
+use afp_layout::metrics::{self, VIOLATION_PENALTY};
+use afp_layout::{constraints, masks::StateMasks, Canvas, Floorplan, FloorplanMetrics};
 
 use crate::action::Action;
 
@@ -64,7 +63,6 @@ pub struct FloorplanEnv {
     order: Vec<BlockId>,
     step_index: usize,
     hpwl_min: f64,
-    weights: RewardWeights,
     previous_metrics: FloorplanMetrics,
     termination: Termination,
     accumulated_reward: f64,
@@ -91,7 +89,6 @@ impl FloorplanEnv {
             order,
             step_index: 0,
             hpwl_min,
-            weights: RewardWeights::default(),
             termination: Termination::Running,
             accumulated_reward: 0.0,
             next_observation: None,
@@ -183,8 +180,9 @@ impl FloorplanEnv {
 
     /// Applies an action for the current block.
     ///
-    /// Invalid actions (masked-out cells, overlaps) terminate the episode with
-    /// the violation penalty, mirroring the paper's constraint handling.
+    /// Invalid actions (shape indices past the block's candidate shapes,
+    /// masked-out cells, overlaps) terminate the episode with the violation
+    /// penalty and place nothing, mirroring the paper's constraint handling.
     pub fn step(&mut self, action: Action) -> StepOutcome {
         self.next_observation = None;
         if self.is_done() || self.step_index >= self.order.len() {
@@ -195,22 +193,22 @@ impl FloorplanEnv {
             };
         }
         let block = self.order[self.step_index];
-        let shapes = &self.shape_sets[block.index()];
-        let shape = shapes.shape(action.shape_index.min(afp_circuit::SHAPES_PER_BLOCK - 1));
-
-        // Check admissibility against the constraint-aware positional mask.
-        let positional =
-            afp_layout::masks::positional_mask(&self.circuit, &self.floorplan, block, &shape);
-        if !positional.get(action.cell.x, action.cell.y)
-            || self
-                .floorplan
-                .place(block, action.shape_index, shape, action.cell)
-                .is_err()
-        {
+        // A candidate shape, admissible under the constraint-aware positional
+        // mask, and placed without overlap.
+        let placed = action.shape_index < SHAPES_PER_BLOCK && {
+            let shape = self.shape_sets[block.index()].shape(action.shape_index);
+            afp_layout::masks::positional_mask(&self.circuit, &self.floorplan, block, &shape)
+                .get(action.cell.x, action.cell.y)
+                && self
+                    .floorplan
+                    .place(block, action.shape_index, shape, action.cell)
+                    .is_ok()
+        };
+        if !placed {
             self.termination = Termination::InvalidAction;
-            self.accumulated_reward += self.weights.violation_penalty;
+            self.accumulated_reward += VIOLATION_PENALTY;
             return StepOutcome {
-                reward: self.weights.violation_penalty,
+                reward: VIOLATION_PENALTY,
                 done: true,
                 termination: self.termination,
             };
@@ -224,12 +222,7 @@ impl FloorplanEnv {
 
         if self.step_index == self.order.len() {
             // Episode complete: add the terminal reward of Eq. 5.
-            reward += metrics::episode_reward(
-                &self.circuit,
-                &self.floorplan,
-                self.hpwl_min,
-                &self.weights,
-            );
+            reward += metrics::episode_reward(&self.circuit, &self.floorplan, self.hpwl_min);
             self.termination = Termination::Completed;
             self.accumulated_reward += reward;
             return StepOutcome {
@@ -244,7 +237,7 @@ impl FloorplanEnv {
         if let Some(next_obs) = self.build_observation() {
             if next_obs.masks.is_dead_end() {
                 self.termination = Termination::DeadEnd;
-                reward += self.weights.violation_penalty;
+                reward += VIOLATION_PENALTY;
                 self.accumulated_reward += reward;
                 return StepOutcome {
                     reward,
@@ -267,7 +260,7 @@ impl FloorplanEnv {
     /// Table I reports. Returns the violation penalty if the episode did not
     /// complete successfully.
     pub fn final_episode_reward(&self) -> f64 {
-        metrics::episode_reward(&self.circuit, &self.floorplan, self.hpwl_min, &self.weights)
+        metrics::episode_reward(&self.circuit, &self.floorplan, self.hpwl_min)
     }
 
     /// Number of constraint violations in the current floorplan.
@@ -326,6 +319,24 @@ mod tests {
         assert!(outcome.done);
         assert_eq!(outcome.termination, Termination::InvalidAction);
         assert_eq!(outcome.reward, -50.0);
+    }
+
+    #[test]
+    fn out_of_range_shape_index_is_an_invalid_action() {
+        let mut env = FloorplanEnv::new(generators::ota5());
+        let obs = env.reset().unwrap();
+        // A cell the last candidate shape may take.
+        let last_plane = (SHAPES_PER_BLOCK - 1) * afp_layout::GRID_SIZE * afp_layout::GRID_SIZE;
+        let offset = obs.action_mask[last_plane..]
+            .iter()
+            .position(|&v| v > 0.0)
+            .expect("the last shape has an admissible cell");
+        let cell = Action::from_index(last_plane + offset).cell;
+        let outcome = env.step(Action::new(SHAPES_PER_BLOCK, cell));
+        assert!(outcome.done);
+        assert_eq!(outcome.termination, Termination::InvalidAction);
+        assert_eq!(outcome.reward, VIOLATION_PENALTY);
+        assert_eq!(env.floorplan().num_placed(), 0);
     }
 
     #[test]

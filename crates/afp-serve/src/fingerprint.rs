@@ -3,8 +3,9 @@
 //! A [`Fingerprint`] is a 128-bit structural hash over everything that
 //! determines a solve's outcome: the netlist topology (block inventory,
 //! connectivity, constraint set), the derived shape tables and canvas, the
-//! evaluation configuration (spacing, reward weights), the optimizer
-//! configuration, and the seed. Two [`JobSpec`]s with equal fingerprints
+//! evaluation constants (the spacing parameters and the Eq. 5 reward
+//! weights, identical for every job), the optimizer configuration, and the
+//! seed. Two [`JobSpec`]s with equal fingerprints
 //! produce bit-identical [`BaselineResult`]s — that is the contract that
 //! makes the result cache safe — so the encoder must be *canonical*:
 //! everything semantically irrelevant is normalized away before hashing.
@@ -36,7 +37,7 @@
 use std::fmt;
 
 use afp_circuit::{Axis, Circuit, Constraint, InternalPlacement, RoutingDirection, ShapeSet};
-use afp_layout::{Canvas, RewardWeights, SpacingConfig};
+use afp_layout::{metrics, spacing, Canvas};
 use afp_metaheuristics::{Baseline, GaConfig, PsoConfig, SaConfig, SpRlConfig};
 
 /// A 128-bit canonical problem fingerprint (the cache key).
@@ -291,8 +292,11 @@ fn write_structure(hasher: &mut FingerprintHasher, circuit: &Circuit) {
 }
 
 /// Encodes the evaluation context the solvers actually see: per-block shape
-/// tables, canvas, spacing, and reward weights — all derived exactly as
-/// [`Problem::new`](afp_metaheuristics::Problem::new) derives them.
+/// tables and canvas, derived exactly as
+/// [`Problem::new`](afp_metaheuristics::Problem::new) derives them, then the
+/// spacing and reward-weight constants. The constants cannot differ between
+/// two jobs; they are hashed so that a build with other values keys its
+/// results apart.
 fn write_evaluation_context(hasher: &mut FingerprintHasher, circuit: &Circuit) {
     hasher.write_tag(TAG_SHAPES);
     for block in &circuit.blocks {
@@ -308,17 +312,15 @@ fn write_evaluation_context(hasher: &mut FingerprintHasher, circuit: &Circuit) {
     hasher.write_f64(canvas.height_um);
 
     hasher.write_tag(TAG_SPACING);
-    let spacing = SpacingConfig::default();
-    hasher.write_f64(spacing.track_pitch_um);
-    hasher.write_f64(spacing.tracks_per_net);
-    hasher.write_f64(spacing.max_relative_margin);
+    hasher.write_f64(spacing::TRACK_PITCH_UM);
+    hasher.write_f64(spacing::TRACKS_PER_NET);
+    hasher.write_f64(spacing::MAX_RELATIVE_MARGIN);
 
     hasher.write_tag(TAG_WEIGHTS);
-    let weights = RewardWeights::default();
-    hasher.write_f64(weights.alpha);
-    hasher.write_f64(weights.beta);
-    hasher.write_f64(weights.gamma);
-    hasher.write_f64(weights.violation_penalty);
+    hasher.write_f64(metrics::ALPHA);
+    hasher.write_f64(metrics::BETA);
+    hasher.write_f64(metrics::GAMMA);
+    hasher.write_f64(metrics::VIOLATION_PENALTY);
 }
 
 fn write_sa_config(hasher: &mut FingerprintHasher, cfg: &SaConfig) {

@@ -335,11 +335,6 @@ impl Tensor {
         self.zip(other, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// Multiplication by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|x| x * s)
@@ -475,16 +470,6 @@ impl Tensor {
             }
         }
         Tensor::from_vec(out, &[n])
-    }
-
-    /// Concatenates 1-D tensors into a single 1-D tensor.
-    pub fn concat(parts: &[&Tensor]) -> Tensor {
-        let mut data = Vec::new();
-        for p in parts {
-            data.extend_from_slice(&p.data);
-        }
-        let n = data.len();
-        Tensor::from_vec(data, &[n])
     }
 
     /// Stacks equally shaped tensors along a new leading dimension.

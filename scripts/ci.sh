@@ -17,7 +17,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --workspace   # superset of tier-1's `cargo test -q`
 
 # Differential safety net: the differential proptests (reused-buffer vs
-# fresh realization, a warm CostCache vs Problem::cost, FAST-SP
+# fresh realization, a warm CostCache vs Problem::cost, HPWL and the Eq. 5
+# reward vs their per-net reference, FAST-SP
 # vs legacy oracle, BitGrid vs scalar oracle, the agent's word-level positional
 # masks vs the per-cell constraint oracle, controlled vs unbounded runs of
 # every baseline, the order-preserving conv/deconv/dense kernels vs their
@@ -29,6 +30,7 @@ diff_tests=(
     incremental_realize_matches_full_after_perturbation_sequences
     incremental_realize_matches_full_beyond_64_blocks
     cost_cache_matches_cost_across_perturbed_generations
+    metrics_match_per_net_reference
     sa_with_generous_deadline_replays_the_unbounded_run
     every_baseline_replays_under_generous_control_and_stops_on_budget
     serve_fingerprints_are_injective_and_canonical

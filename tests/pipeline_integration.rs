@@ -109,16 +109,32 @@ fn recognition_feeds_the_pipeline_end_to_end() {
 
 #[test]
 fn congestion_spacing_makes_baseline_floorplans_larger() {
-    use analog_floorplan::metaheuristics::Problem;
+    use analog_floorplan::layout::sequence_pair::realize_floorplan;
+    use analog_floorplan::layout::{Canvas, Floorplan, PackScratch};
+    use analog_floorplan::metaheuristics::{Candidate, Problem};
     let circuit = generators::ota8();
-    let with_spacing = Problem::new(&circuit);
-    let without = Problem::new(&circuit).without_spacing();
-    let candidate = analog_floorplan::metaheuristics::Candidate::identity(
-        circuit.num_blocks(),
-        with_spacing.shape_sets(),
+    let problem = Problem::new(&circuit);
+    let candidate = Candidate::identity(circuit.num_blocks(), problem.shape_sets());
+    let area_with = problem.realize(&candidate).bounding_box().unwrap().area();
+    // The same candidate realized from the raw, uninflated shapes.
+    let raw: Vec<_> = problem
+        .shape_sets()
+        .iter()
+        .zip(&candidate.shape_choice)
+        .map(|(set, &k)| set.shape(k))
+        .collect();
+    let canvas = Canvas::for_circuit(&circuit);
+    let mut without = Floorplan::new(canvas);
+    realize_floorplan(
+        &candidate.positive,
+        &candidate.negative,
+        &raw,
+        &circuit,
+        canvas,
+        &mut PackScratch::new(),
+        &mut without,
     );
-    let area_with = with_spacing.realize(&candidate).bounding_box().unwrap().area();
-    let area_without = without.realize(&candidate).bounding_box().unwrap().area();
+    let area_without = without.bounding_box().unwrap().area();
     assert!(
         area_with > area_without,
         "congestion-aware spacing should enlarge the floorplan ({area_with} vs {area_without})"

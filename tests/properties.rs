@@ -832,7 +832,6 @@ fn check_reused_buffers_match_fresh(
     let mut scratch = PackScratch::with_capacity(n);
     let mut fp = Floorplan::with_grid_side(canvas, side);
     let hpwl_min = metrics::hpwl_lower_bound(circuit);
-    let weights = metrics::RewardWeights::default();
 
     for _ in 0..moves {
         match rng.gen_range(0..5) {
@@ -896,8 +895,8 @@ fn check_reused_buffers_match_fresh(
         prop_assert_eq!(metrics::hpwl(circuit, &fp), metrics::hpwl(circuit, &fresh));
         prop_assert_eq!(metrics::dead_space(&fp), metrics::dead_space(&fresh));
         prop_assert_eq!(
-            metrics::episode_reward(circuit, &fp, hpwl_min, &weights),
-            metrics::episode_reward(circuit, &fresh, hpwl_min, &weights)
+            metrics::episode_reward(circuit, &fp, hpwl_min),
+            metrics::episode_reward(circuit, &fresh, hpwl_min)
         );
     }
 }
@@ -932,6 +931,110 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let circuit = large_circuit(n, seed);
         check_reused_buffers_match_fresh(&circuit, 64, moves, &mut rng);
+    }
+}
+
+/// Test-only HPWL reference (paper Eq. 3): each net's deduplicated
+/// `Net::blocks()`, every centre found by a linear scan of `placed()`, and
+/// the per-net half-perimeters summed in net order.
+fn reference_hpwl(circuit: &analog_floorplan::circuit::Circuit, fp: &Floorplan) -> f64 {
+    let per_net: Vec<f64> = circuit
+        .nets
+        .iter()
+        .filter_map(|net| {
+            let centers: Vec<(f64, f64)> = net
+                .blocks()
+                .iter()
+                .filter_map(|&b| fp.placed().iter().find(|p| p.block == b))
+                .map(|p| p.rect.center())
+                .collect();
+            if centers.len() < 2 {
+                return None;
+            }
+            let span = |axis: fn(&(f64, f64)) -> f64| {
+                let lo = centers.iter().map(axis).fold(f64::INFINITY, f64::min);
+                let hi = centers.iter().map(axis).fold(f64::NEG_INFINITY, f64::max);
+                hi - lo
+            };
+            Some(span(|c| c.0) + span(|c| c.1))
+        })
+        .collect();
+    per_net.iter().sum()
+}
+
+/// Test-only Eq. 5 reference with the paper's literal weights (α = 1,
+/// β = 5, γ = 5, −50 on an incomplete or violating floorplan), over
+/// [`reference_hpwl`].
+fn reference_episode_reward(
+    circuit: &analog_floorplan::circuit::Circuit,
+    fp: &Floorplan,
+    hpwl_min: f64,
+) -> f64 {
+    use analog_floorplan::layout::constraints::has_violations;
+    if fp.num_placed() < circuit.num_blocks() || has_violations(circuit, fp) {
+        return -50.0;
+    }
+    let bb = fp.bounding_box().expect("complete floorplans have a box");
+    let area_term = 1.0 * bb.area() / circuit.total_block_area().max(1e-9);
+    let hpwl_term = 5.0 * reference_hpwl(circuit, fp) / hpwl_min.max(1e-9);
+    let outline_term = circuit
+        .target_aspect_ratio
+        .map_or(0.0, |target| 5.0 * (target - bb.aspect()).powi(2));
+    -(area_term + hpwl_term + outline_term)
+}
+
+proptest! {
+    // Oracle of the metrics stage: run by name in scripts/ci.sh.
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// `metrics::hpwl` and `metrics::episode_reward` against the per-net
+    /// references above, bit for bit: a random paper-class circuit (half of
+    /// them unconstrained, so complete floorplans reach the Eq. 5 terms)
+    /// realized from a random sequence pair and random candidate shapes on a
+    /// 32- or 64-cell grid, with up to three of the last placed blocks
+    /// removed again to make it partial.
+    #[test]
+    fn metrics_match_per_net_reference(
+        seed in 0u64..1_000_000,
+        wide in 0u8..2,
+        removed in 0usize..4,
+    ) {
+        use analog_floorplan::circuit::{generators, shapes::shape_sets, SHAPES_PER_BLOCK};
+        use analog_floorplan::layout::sequence_pair::realize_floorplan;
+        use analog_floorplan::layout::PackScratch;
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let circuit = generators::random_circuit(&mut rng);
+        let n = circuit.num_blocks();
+        let shapes: Vec<Shape> = shape_sets(&circuit)
+            .iter()
+            .map(|set| set.shape(rng.gen_range(0..SHAPES_PER_BLOCK)))
+            .collect();
+        let mut positive: Vec<usize> = (0..n).collect();
+        let mut negative: Vec<usize> = (0..n).collect();
+        positive.shuffle(&mut rng);
+        negative.shuffle(&mut rng);
+        let canvas = Canvas::for_circuit(&circuit);
+        let side = if wide == 1 { 64 } else { GRID_SIZE };
+        let mut fp = Floorplan::with_grid_side(canvas, side);
+        realize_floorplan(
+            &positive, &negative, &shapes, &circuit, canvas, &mut PackScratch::new(), &mut fp,
+        );
+        for _ in 0..removed {
+            fp.unplace_last();
+        }
+        let hpwl_min = metrics::hpwl_lower_bound(&circuit);
+        prop_assert_eq!(
+            metrics::hpwl(&circuit, &fp).to_bits(),
+            reference_hpwl(&circuit, &fp).to_bits(),
+            "HPWL diverged from the per-net reference"
+        );
+        prop_assert_eq!(
+            metrics::episode_reward(&circuit, &fp, hpwl_min).to_bits(),
+            reference_episode_reward(&circuit, &fp, hpwl_min).to_bits(),
+            "episode reward diverged from Eq. 5"
+        );
     }
 }
 
