@@ -13,6 +13,7 @@ use afp_gnn::{pretrain, PretrainConfig, RgcnEncoder};
 use afp_layout::metrics;
 use afp_metaheuristics::Baseline;
 use afp_rl::{train_with_encoder, AgentConfig, FloorplanAgent, TrainConfig};
+use afp_tensor::copy_values;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -119,18 +120,17 @@ pub struct Table1Result {
     pub rendered: String,
 }
 
-/// Clones an agent through its state dicts (the policy type is not `Clone`
-/// because it owns boxed layers), overriding the configuration — typically to
-/// change the sampling seed between repeated runs.
+/// Clones an agent by copying its encoder and policy weights parameter by
+/// parameter (the policy type is not `Clone` because it owns boxed layers),
+/// overriding the configuration — typically to change the sampling seed
+/// between repeated runs.
 fn clone_agent_with_config(agent: &FloorplanAgent, config: AgentConfig) -> FloorplanAgent {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut encoder = RgcnEncoder::new(NODE_FEATURE_DIM, &mut rng);
-    encoder
-        .load_state_dict(&agent.encoder().state_dict())
+    copy_values(&mut encoder.params_mut(), &agent.encoder().params())
         .expect("identical encoder architecture");
     let mut copy = FloorplanAgent::with_encoder(encoder, config);
-    copy.policy_mut()
-        .load_state_dict(&agent.policy().state_dict())
+    copy_values(&mut copy.policy_mut().params_mut(), &agent.policy().params())
         .expect("identical policy architecture");
     copy
 }
@@ -167,8 +167,8 @@ pub fn run_with_config(config: &Table1Config) -> Table1Result {
         for &budget in &config.fine_tune_budgets {
             let mut measurements = MethodMeasurements::new();
             for seed in 0..config.seeds {
-                // Clone the reference agent through its state dicts so each
-                // seed fine-tunes an identical copy with different sampling.
+                // Copy the reference agent's weights so each seed fine-tunes
+                // an identical copy with different sampling.
                 let mut cfg = reference_agent.config().clone();
                 cfg.seed = seed as u64;
                 let mut agent = clone_agent_with_config(&reference_agent, cfg);
@@ -242,6 +242,26 @@ mod tests {
         }
         assert!(result.rendered.contains("TABLE I"));
         assert!(result.rendered.contains("OTA-1"));
+    }
+
+    #[test]
+    fn cloned_agent_solves_exactly_like_the_original() {
+        let circuit = generators::ota3();
+        let config = AgentConfig::small();
+        // An encoder drawn at another seed and a fine-tuned policy: a fresh
+        // agent at `config.seed` matches neither, so only the copy can.
+        let mut rng = StdRng::seed_from_u64(99);
+        let encoder = RgcnEncoder::new(NODE_FEATURE_DIM, &mut rng);
+        let mut agent = FloorplanAgent::with_encoder(encoder, config.clone());
+        agent.fine_tune(&circuit, 1);
+        let fresh = FloorplanAgent::new(config.clone());
+        assert_ne!(agent.policy().params()[0].value, fresh.policy().params()[0].value);
+
+        let mut copy = clone_agent_with_config(&agent, config);
+        let (a, b) = (agent.solve(&circuit), copy.solve(&circuit));
+        assert_eq!(a.floorplan.placed(), b.floorplan.placed());
+        assert_eq!(a.reward.to_bits(), b.reward.to_bits());
+        assert_eq!(a.termination, b.termination);
     }
 
     #[test]

@@ -6,12 +6,10 @@
 //! (paper §IV-C): area, internal stripe width, terminal routing direction, pin
 //! count and a 28-way one-hot functional-structure encoding.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceId;
 
 /// Identifier of a functional block within a [`crate::Circuit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub usize);
 
 impl BlockId {
@@ -26,7 +24,7 @@ impl BlockId {
 /// The paper encodes the structure as a 28-dimensional one-hot vector; the
 /// variants below cover the structures named in the paper plus the common
 /// analog idioms needed to reach 28 categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// Simple current mirror.
     CurrentMirror,
@@ -152,7 +150,7 @@ impl BlockKind {
 }
 
 /// Preferred direction for a block's terminal routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingDirection {
     /// Terminals exit horizontally (left/right edges).
     Horizontal,
@@ -164,7 +162,7 @@ pub enum RoutingDirection {
 
 /// The internal device-placement style of a multi-device block (paper §IV-B:
 /// "internal routing and device placement (CC, Interdigitated)").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InternalPlacement {
     /// Common-centroid placement of matched devices.
     CommonCentroid,
@@ -177,7 +175,7 @@ pub enum InternalPlacement {
 }
 
 /// A placeable functional block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Identifier within the parent circuit.
     pub id: BlockId,

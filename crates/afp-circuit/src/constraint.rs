@@ -7,12 +7,10 @@
 //! masks, and any residual violation in a finished floorplan triggers the
 //! −50 penalty of §IV-D4.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockId;
 
 /// Orientation of a symmetry axis or alignment direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Axis {
     /// A horizontal axis (symmetry about a horizontal line; alignment along a
     /// row — equal y coordinates).
@@ -34,7 +32,7 @@ impl Axis {
 
 /// A symmetry constraint: pairs of blocks mirrored about a common axis, plus
 /// optional self-symmetric blocks centred on that axis.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SymmetryGroup {
     /// Orientation of the symmetry axis.
     pub axis: Axis,
@@ -85,7 +83,7 @@ impl SymmetryGroup {
 
 /// An alignment constraint: all member blocks share a row (horizontal) or a
 /// column (vertical).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignmentGroup {
     /// Alignment direction.
     pub axis: Axis,
@@ -101,7 +99,7 @@ impl AlignmentGroup {
 }
 
 /// A single positional constraint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Constraint {
     /// Mirror-symmetric placement of matched blocks.
     Symmetry(SymmetryGroup),
@@ -133,7 +131,7 @@ impl Constraint {
 }
 
 /// The full set of constraints attached to a circuit.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConstraintSet {
     constraints: Vec<Constraint>,
 }

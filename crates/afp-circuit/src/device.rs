@@ -4,10 +4,8 @@
 //! stage (paper §IV-B) groups devices into *functional blocks*; the
 //! floorplanner then places blocks, not devices.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a device within a [`crate::Schematic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub usize);
 
 impl DeviceId {
@@ -18,7 +16,7 @@ impl DeviceId {
 }
 
 /// The physical kind of a primitive device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// N-channel MOSFET.
     Nmos,
@@ -45,7 +43,7 @@ impl DeviceKind {
 ///
 /// Geometry is expressed with the parameters a layout generator needs: total
 /// gate width, channel length, number of fingers/stripes and multiplier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Device {
     /// Identifier within the parent schematic.
     pub id: DeviceId,

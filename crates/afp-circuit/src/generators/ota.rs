@@ -170,7 +170,7 @@ mod tests {
     fn all_otas_validate() {
         for c in [ota3(), ota5(), ota8()] {
             c.validate().unwrap();
-            assert!(c.constraints.len() >= 1, "{} has constraints", c.name);
+            assert!(!c.constraints.is_empty(), "{} has constraints", c.name);
             assert!(c.total_block_area() > 0.0);
         }
     }

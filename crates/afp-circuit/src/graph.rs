@@ -7,15 +7,13 @@
 //! exactly what distinguishes the R-GCN (paper Eq. 2) from a plain GCN
 //! (paper Eq. 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockId;
 use crate::constraint::{Axis, Constraint};
 use crate::features::{node_features, NODE_FEATURE_DIM};
 use crate::netlist::Circuit;
 
 /// The relation type attached to a circuit-graph edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EdgeRelation {
     /// The two blocks share at least one (non-supply) net.
     Connectivity,
@@ -52,7 +50,7 @@ impl EdgeRelation {
 }
 
 /// An undirected heterogeneous graph over the blocks of a circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitGraph {
     num_nodes: usize,
     /// `adjacency[r][u]` = neighbours of node `u` under relation `r`.

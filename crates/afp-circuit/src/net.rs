@@ -1,11 +1,9 @@
 //! Nets: electrical connections between block pins.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockId;
 
 /// Identifier of a net within a [`crate::Circuit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub usize);
 
 impl NetId {
@@ -17,7 +15,7 @@ impl NetId {
 
 /// The class of a net; supply nets are left out of the circuit graph's
 /// connectivity edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetClass {
     /// Ordinary signal net.
     Signal,
@@ -41,7 +39,7 @@ impl NetClass {
 }
 
 /// A pin of a net: the block it lands on plus a terminal label.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pin {
     /// The block the pin belongs to.
     pub block: BlockId,
@@ -60,7 +58,7 @@ impl Pin {
 }
 
 /// A net connecting two or more pins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Identifier within the parent circuit.
     pub id: NetId,

@@ -3,8 +3,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{Block, BlockId, BlockKind};
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::device::{Device, DeviceId};
@@ -16,7 +14,7 @@ use crate::net::{Net, NetClass, NetId, Pin};
 /// Nets at this level connect device terminals (gate/drain/source/bulk for MOS
 /// devices). The [`crate::recognition`] module groups these devices into the
 /// functional blocks of a [`Circuit`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Schematic {
     /// Schematic name.
     pub name: String,
@@ -75,7 +73,7 @@ impl Schematic {
 /// `Circuit` owns the functional blocks, the block-level nets and the
 /// positional constraints. It corresponds to the graph shown in the paper's
 /// Fig. 2 before conversion to the R-GCN input.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Circuit {
     /// Circuit name, e.g. `"OTA-2"`.
     pub name: String,

@@ -69,11 +69,10 @@ pub fn recognize(schematic: &Schematic) -> Circuit {
             continue;
         }
         let mut members = vec![ref_dev.id];
-        for j in 0..n {
+        for (j, cand) in schematic.devices.iter().enumerate() {
             if j == i || assigned[j] {
                 continue;
             }
-            let cand = &schematic.devices[j];
             if cand.kind != ref_dev.kind {
                 continue;
             }
@@ -92,11 +91,10 @@ pub fn recognize(schematic: &Schematic) -> Circuit {
 
     // 3. Cascodes: an unassigned MOS whose source net equals the drain net of
     //    another (possibly assigned) MOS of the same kind.
-    for i in 0..n {
+    for (i, dev) in schematic.devices.iter().enumerate() {
         if assigned[i] {
             continue;
         }
-        let dev = &schematic.devices[i];
         if !dev.kind.is_mos() {
             continue;
         }
@@ -119,11 +117,10 @@ pub fn recognize(schematic: &Schematic) -> Circuit {
     }
 
     // 4. Everything else becomes a single-device block typed by device kind.
-    for i in 0..n {
+    for (i, dev) in schematic.devices.iter().enumerate() {
         if assigned[i] {
             continue;
         }
-        let dev = &schematic.devices[i];
         let kind = match dev.kind {
             DeviceKind::Nmos | DeviceKind::Pmos => BlockKind::CommonSource,
             DeviceKind::Resistor => BlockKind::ResistorBank,
@@ -209,8 +206,8 @@ pub fn build_circuit_from_groups(
     // self-symmetry of recognized differential pairs.
     let mut used = vec![false; circuit.blocks.len()];
     let mut group = SymmetryGroup::new(Axis::Vertical);
-    for i in 0..circuit.blocks.len() {
-        if circuit.blocks[i].kind == BlockKind::DifferentialPair {
+    for (i, block) in circuit.blocks.iter().enumerate() {
+        if block.kind == BlockKind::DifferentialPair {
             group = group.with_self_symmetric(BlockId(i));
             used[i] = true;
         }

@@ -6,15 +6,13 @@
 //! total device width — and hence the active area — stays fixed. The agent's
 //! action space is therefore `3 × 32 × 32` (shape × grid cell, §IV-D1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{Block, InternalPlacement};
 
 /// Number of candidate shapes offered per block (fixed by the action space).
 pub const SHAPES_PER_BLOCK: usize = 3;
 
 /// A rectangular realization of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Shape {
     /// Width in µm.
     pub width_um: f64,
@@ -62,7 +60,7 @@ impl Shape {
 }
 
 /// The three candidate shapes of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShapeSet {
     shapes: [Shape; SHAPES_PER_BLOCK],
 }

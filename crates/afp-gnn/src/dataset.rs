@@ -72,7 +72,7 @@ pub fn greedy_floorplan(circuit: &Circuit) -> Floorplan {
                         scratch.unplace_last();
                         let cost = (after.dead_space - before.dead_space)
                             + (after.hpwl_um - before.hpwl_um) / hpwl_norm;
-                        if best.map_or(true, |(b, _, _)| cost < b) {
+                        if best.is_none_or(|(b, _, _)| cost < b) {
                             best = Some((cost, shape_idx, cell));
                         }
                     }

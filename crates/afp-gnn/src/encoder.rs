@@ -9,7 +9,7 @@
 use rand::Rng;
 
 use afp_circuit::CircuitGraph;
-use afp_tensor::{layers::ActivationKind, Param, StateDict, Tensor};
+use afp_tensor::{layers::ActivationKind, Param, Tensor};
 
 use crate::rgcn::RgcnLayer;
 
@@ -81,7 +81,7 @@ impl RgcnEncoder {
 
     /// Builds the node feature matrix of a graph.
     pub fn input_features(graph: &CircuitGraph) -> Tensor {
-        Tensor::from_rows(&graph.feature_rows().to_vec())
+        Tensor::from_rows(graph.feature_rows())
     }
 
     /// Encodes a circuit graph into node and graph embeddings.
@@ -134,45 +134,6 @@ impl RgcnEncoder {
             l.zero_grad();
         }
     }
-
-    /// Extracts the encoder weights as a state dict (for checkpointing and for
-    /// handing the pre-trained encoder to the RL agent).
-    pub fn state_dict(&self) -> StateDict {
-        let mut dict = StateDict::new();
-        for (i, p) in self.params().iter().enumerate() {
-            dict.insert(format!("{i}:{}", p.name), p.value.clone());
-        }
-        dict
-    }
-
-    /// Loads encoder weights from a state dict produced by
-    /// [`RgcnEncoder::state_dict`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string if the parameter count or shapes mismatch.
-    pub fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), String> {
-        let mut params = self.params_mut();
-        if params.len() != dict.len() {
-            return Err(format!(
-                "encoder has {} parameters, checkpoint has {}",
-                params.len(),
-                dict.len()
-            ));
-        }
-        for (p, (_, value)) in params.iter_mut().zip(dict.iter()) {
-            if p.value.shape() != value.shape() {
-                return Err(format!(
-                    "shape mismatch for {}: {:?} vs {:?}",
-                    p.name,
-                    p.value.shape(),
-                    value.shape()
-                ));
-            }
-            p.value = value.clone();
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -219,26 +180,25 @@ mod tests {
     }
 
     #[test]
-    fn state_dict_roundtrip_preserves_outputs() {
+    fn copied_values_preserve_outputs() {
         let circuit = generators::rs_latch();
         let graph = CircuitGraph::from_circuit(&circuit);
         let mut rng = StdRng::seed_from_u64(3);
         let mut enc_a = RgcnEncoder::new(NODE_FEATURE_DIM, &mut rng);
-        let dict = enc_a.state_dict();
         let mut rng2 = StdRng::seed_from_u64(99);
         let mut enc_b = RgcnEncoder::new(NODE_FEATURE_DIM, &mut rng2);
-        enc_b.load_state_dict(&dict).unwrap();
+        afp_tensor::copy_values(&mut enc_b.params_mut(), &enc_a.params()).unwrap();
         let ea = enc_a.encode(&graph);
         let eb = enc_b.encode(&graph);
         assert_eq!(ea.graph_embedding.data(), eb.graph_embedding.data());
     }
 
     #[test]
-    fn load_rejects_wrong_architecture() {
+    fn copy_rejects_wrong_architecture() {
         let mut rng = StdRng::seed_from_u64(4);
         let enc_a = RgcnEncoder::new(NODE_FEATURE_DIM, &mut rng);
         let mut enc_small = RgcnEncoder::with_hidden_dims(NODE_FEATURE_DIM, &[8], &mut rng);
-        assert!(enc_small.load_state_dict(&enc_a.state_dict()).is_err());
+        assert!(afp_tensor::copy_values(&mut enc_small.params_mut(), &enc_a.params()).is_err());
     }
 
     #[test]

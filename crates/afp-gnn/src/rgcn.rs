@@ -268,7 +268,7 @@ mod tests {
         // ota3 has no alignment edges at all; normalization must not divide by 0.
         let circuit = generators::ota3();
         let graph = CircuitGraph::from_circuit(&circuit);
-        let features = Tensor::from_rows(&graph.feature_rows().to_vec());
+        let features = Tensor::from_rows(graph.feature_rows());
         let mut rng = StdRng::seed_from_u64(1);
         let mut layer = RgcnLayer::new(graph.feature_dim(), 8, None, &mut rng);
         let out = layer.forward(&graph, &features);

@@ -5,11 +5,11 @@
 //! maximum admissible floorplan aspect ratio `R_max = 11`, so that any
 //! reasonable placement of the circuit — including elongated ones — fits on
 //! the grid. Real block dimensions are mapped to grid cells with a ceiling so
-//! blocks are never under-approximated.
+//! blocks are never under-approximated
+//! ([`Floorplan::grid_footprint`](crate::Floorplan::grid_footprint), at the
+//! floorplan's own grid side).
 
-use serde::{Deserialize, Serialize};
-
-use afp_circuit::{Circuit, Shape};
+use afp_circuit::Circuit;
 
 /// Number of cells along each side of the placement grid (`32` in the paper).
 pub const GRID_SIZE: usize = 32;
@@ -20,11 +20,11 @@ pub const DEFAULT_MAX_ASPECT_RATIO: f64 = 11.0;
 
 /// A cell coordinate on the placement grid (column `x`, row `y`), with the
 /// origin at the lower-left corner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cell {
-    /// Column index, `0 ≤ x < GRID_SIZE`.
+    /// Column index, `0 ≤ x <` the floorplan's grid side.
     pub x: usize,
-    /// Row index, `0 ≤ y < GRID_SIZE`.
+    /// Row index, `0 ≤ y <` the floorplan's grid side.
     pub y: usize,
 }
 
@@ -33,23 +33,10 @@ impl Cell {
     pub fn new(x: usize, y: usize) -> Self {
         Cell { x, y }
     }
-
-    /// Linear index into a row-major `GRID_SIZE × GRID_SIZE` buffer.
-    pub fn index(self) -> usize {
-        self.y * GRID_SIZE + self.x
-    }
-
-    /// Builds a cell from a linear index.
-    pub fn from_index(index: usize) -> Self {
-        Cell {
-            x: index % GRID_SIZE,
-            y: index / GRID_SIZE,
-        }
-    }
 }
 
 /// The continuous canvas underlying the placement grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Canvas {
     /// Canvas width in µm.
     pub width_um: f64,
@@ -83,34 +70,6 @@ impl Canvas {
         }
     }
 
-    /// Width of one grid cell in µm.
-    pub fn cell_width_um(&self) -> f64 {
-        self.width_um / GRID_SIZE as f64
-    }
-
-    /// Height of one grid cell in µm.
-    pub fn cell_height_um(&self) -> f64 {
-        self.height_um / GRID_SIZE as f64
-    }
-
-    /// Maps a block shape to its footprint in grid cells, using the paper's
-    /// ceiling mapping `w_g = ⌈w · 32 / W⌉`, `h_g = ⌈h · 32 / H⌉` so real
-    /// dimensions are never under-approximated. The result is clamped to the
-    /// grid so degenerate inputs stay representable.
-    pub fn shape_to_cells(&self, shape: &Shape) -> (usize, usize) {
-        let wg = (shape.width_um * GRID_SIZE as f64 / self.width_um).ceil() as usize;
-        let hg = (shape.height_um * GRID_SIZE as f64 / self.height_um).ceil() as usize;
-        (wg.clamp(1, GRID_SIZE), hg.clamp(1, GRID_SIZE))
-    }
-
-    /// Converts a grid cell to the µm coordinate of its lower-left corner.
-    pub fn cell_to_um(&self, cell: Cell) -> (f64, f64) {
-        (
-            cell.x as f64 * self.cell_width_um(),
-            cell.y as f64 * self.cell_height_um(),
-        )
-    }
-
     /// Total canvas area in µm².
     pub fn area_um2(&self) -> f64 {
         self.width_um * self.height_um
@@ -123,42 +82,11 @@ mod tests {
     use afp_circuit::generators;
 
     #[test]
-    fn cell_index_roundtrip() {
-        for idx in [0, 1, 31, 32, 555, GRID_SIZE * GRID_SIZE - 1] {
-            assert_eq!(Cell::from_index(idx).index(), idx);
-        }
-        assert_eq!(Cell::new(3, 2).index(), 2 * GRID_SIZE + 3);
-    }
-
-    #[test]
     fn canvas_fits_total_area_with_margin() {
         let c = generators::ota8();
         let canvas = Canvas::for_circuit(&c);
         assert!(canvas.area_um2() >= c.total_block_area() * DEFAULT_MAX_ASPECT_RATIO * 0.999);
         assert_eq!(canvas.width_um, canvas.height_um);
-    }
-
-    #[test]
-    fn shape_mapping_uses_ceiling() {
-        let canvas = Canvas::new(32.0, 32.0); // 1 µm per cell
-        let (w, h) = canvas.shape_to_cells(&Shape::new(2.1, 0.9));
-        assert_eq!((w, h), (3, 1));
-    }
-
-    #[test]
-    fn shape_mapping_clamps_to_grid() {
-        let canvas = Canvas::new(10.0, 10.0);
-        let (w, h) = canvas.shape_to_cells(&Shape::new(100.0, 0.0001));
-        assert_eq!(w, GRID_SIZE);
-        assert_eq!(h, 1);
-    }
-
-    #[test]
-    fn cell_to_um_scales() {
-        let canvas = Canvas::new(64.0, 32.0);
-        let (x, y) = canvas.cell_to_um(Cell::new(2, 3));
-        assert_eq!(x, 4.0);
-        assert_eq!(y, 3.0);
     }
 
     #[test]

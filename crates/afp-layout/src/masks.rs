@@ -86,21 +86,39 @@ pub fn positional_masks(
     masks.map(|m| m.expect("all masks are built"))
 }
 
+/// Panics unless `floorplan` is on the agent's `GRID_SIZE × GRID_SIZE` grid:
+/// the observation planes have exactly that many cells.
+fn assert_agent_grid(floorplan: &Floorplan) {
+    assert_eq!(
+        floorplan.grid_side(),
+        GRID_SIZE,
+        "agent masks need a {GRID_SIZE}×{GRID_SIZE} floorplan grid"
+    );
+}
+
 /// The wire mask `f_w`: for every admissible cell, the increase in HPWL that
 /// placing `block` (with `shape`) there would cause, normalized to `[0, 1]`.
 /// Inadmissible cells are set to the maximum value `1.0`.
+///
+/// # Panics
+///
+/// Panics if the floorplan's grid side is not [`GRID_SIZE`].
 pub fn wire_mask(
     circuit: &Circuit,
     floorplan: &Floorplan,
     block: BlockId,
     shape: &Shape,
 ) -> Mask {
-    delta_mask(circuit, floorplan, block, shape, |c, f| hpwl(c, f))
+    delta_mask(circuit, floorplan, block, shape, hpwl)
 }
 
 /// The dead-space mask `f_ds`: normalized increase in floorplan dead space for
 /// placing `block` at each cell; occupied / invalid cells are set to `1.0`
 /// (paper §IV-D2).
+///
+/// # Panics
+///
+/// Panics if the floorplan's grid side is not [`GRID_SIZE`].
 pub fn dead_space_mask(
     circuit: &Circuit,
     floorplan: &Floorplan,
@@ -122,6 +140,7 @@ fn delta_mask<F>(
 where
     F: Fn(&Circuit, &Floorplan) -> f64,
 {
+    assert_agent_grid(floorplan);
     let (gw, gh) = floorplan.grid_footprint(shape);
     let baseline = metric(circuit, floorplan);
     let mut deltas = vec![f64::NAN; GRID_SIZE * GRID_SIZE];
@@ -176,12 +195,17 @@ impl StateMasks {
     /// Builds all six masks for the block about to be placed. The wire and
     /// dead-space masks are computed with the most-square candidate shape,
     /// since they are shape-agnostic guidance signals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the floorplan's grid side is not [`GRID_SIZE`].
     pub fn build(
         circuit: &Circuit,
         floorplan: &Floorplan,
         block: BlockId,
         shapes: &ShapeSet,
     ) -> Self {
+        assert_agent_grid(floorplan);
         let reference_shape = shapes.shape(shapes.most_square());
         StateMasks {
             grid: floorplan.grid().clone(),
@@ -302,6 +326,23 @@ mod tests {
             p.and_window(0, u64::MAX);
         }
         assert!(stuck.is_dead_end());
+    }
+
+    #[test]
+    #[should_panic(expected = "agent masks need a 32×32 floorplan grid")]
+    fn state_masks_reject_a_64_side_floorplan() {
+        let circuit = generators::ota3();
+        let fp = Floorplan::with_grid_side(Canvas::for_circuit(&circuit), 64);
+        let shapes = afp_circuit::shapes::shape_sets(&circuit);
+        StateMasks::build(&circuit, &fp, BlockId(0), &shapes[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "agent masks need a 32×32 floorplan grid")]
+    fn wire_mask_rejects_a_64_side_floorplan() {
+        let circuit = generators::ota3();
+        let fp = Floorplan::with_grid_side(Canvas::for_circuit(&circuit), 64);
+        wire_mask(&circuit, &fp, BlockId(0), &Shape::new(1.0, 1.0));
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //!   with the paper's weights α=1, β=5, γ=5 and the −50 constraint-violation
 //!   penalty (paper Eq. 5, §IV-D4).
 
-use serde::{Deserialize, Serialize};
-
 use afp_circuit::Circuit;
 
 use crate::constraints::has_violations;
 use crate::placement::Floorplan;
 
 /// Snapshot of the quality metrics of a (possibly partial) floorplan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FloorplanMetrics {
     /// Half-perimeter wirelength in µm, over nets with ≥ 2 placed blocks.
     pub hpwl_um: f64,

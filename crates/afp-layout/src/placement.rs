@@ -1,7 +1,5 @@
 //! Incremental floorplan state: which block sits where, on the grid and in µm.
 
-use serde::{Deserialize, Serialize};
-
 use afp_circuit::{BlockId, Shape};
 
 use crate::bitgrid::{BitGrid, OccupyError};
@@ -41,7 +39,7 @@ impl std::fmt::Display for PlaceError {
 impl std::error::Error for PlaceError {}
 
 /// A block that has been placed on the floorplan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacedBlock {
     /// The placed block.
     pub block: BlockId,
@@ -101,21 +99,13 @@ impl Floorplan {
     /// Creates an empty floorplan over the given canvas, on the paper's
     /// default `GRID_SIZE × GRID_SIZE` grid.
     pub fn new(canvas: Canvas) -> Self {
-        Floorplan {
-            canvas,
-            cell_w_um: canvas.cell_width_um(),
-            cell_h_um: canvas.cell_height_um(),
-            grid: BitGrid::new(),
-            placed: Vec::new(),
-            slot: Vec::new(),
-        }
+        Floorplan::with_grid_side(canvas, GRID_SIZE)
     }
 
     /// Creates an empty floorplan over the given canvas on a `side × side`
-    /// grid. At `side == GRID_SIZE` this is bit-identical to
-    /// [`Floorplan::new`] (same cell-size division, same footprint ceiling);
-    /// larger sides keep per-cell resolution sane for circuits whose block
-    /// count would otherwise saturate the 32×32 discretization.
+    /// grid: each cell is `canvas / side` µm. Larger sides keep per-cell
+    /// resolution sane for circuits whose block count would otherwise
+    /// saturate the 32×32 discretization.
     ///
     /// # Panics
     ///
@@ -173,17 +163,15 @@ impl Floorplan {
         &self.grid
     }
 
-    /// The grid footprint of a shape on this floorplan's canvas, using the
-    /// paper's ceiling mapping at this floorplan's grid side (identical to
-    /// [`Canvas::shape_to_cells`] on the default grid).
+    /// The grid footprint of a shape on this floorplan's canvas: the paper's
+    /// ceiling mapping `w_g = ⌈w · side / W⌉`, `h_g = ⌈h · side / H⌉` (side 32
+    /// in the paper), so real dimensions are never under-approximated,
+    /// clamped to the grid so degenerate inputs stay representable.
     pub fn grid_footprint(&self, shape: &Shape) -> (usize, usize) {
-        let side = self.grid.width();
-        if side == GRID_SIZE {
-            return self.canvas.shape_to_cells(shape);
-        }
-        let wg = (shape.width_um * side as f64 / self.canvas.width_um).ceil() as usize;
-        let hg = (shape.height_um * self.grid.height() as f64 / self.canvas.height_um).ceil() as usize;
-        (wg.clamp(1, side), hg.clamp(1, self.grid.height()))
+        let (w, h) = (self.grid.width(), self.grid.height());
+        let wg = (shape.width_um * w as f64 / self.canvas.width_um).ceil() as usize;
+        let hg = (shape.height_um * h as f64 / self.canvas.height_um).ceil() as usize;
+        (wg.clamp(1, w), hg.clamp(1, h))
     }
 
     /// Returns `true` if a footprint of `grid_w × grid_h` cells anchored at
@@ -306,6 +294,31 @@ mod tests {
         assert_eq!((p.grid_w, p.grid_h), (3, 2));
         assert_eq!(p.rect, Rect::from_origin_size(1.0, 1.0, 3.0, 2.0));
         assert_eq!(fp.block_center(BlockId(0)), Some((2.5, 2.0)));
+    }
+
+    #[test]
+    fn footprint_uses_ceiling_at_every_side() {
+        for side in [GRID_SIZE, 64] {
+            // 1 µm per cell.
+            let fp = Floorplan::with_grid_side(Canvas::new(side as f64, side as f64), side);
+            assert_eq!(fp.grid_footprint(&Shape::new(2.1, 0.9)), (3, 1));
+        }
+    }
+
+    #[test]
+    fn footprint_clamps_to_grid() {
+        for side in [GRID_SIZE, 64] {
+            let fp = Floorplan::with_grid_side(Canvas::new(10.0, 10.0), side);
+            assert_eq!(fp.grid_footprint(&Shape::new(100.0, 0.0001)), (side, 1));
+        }
+    }
+
+    #[test]
+    fn rect_origin_scales_with_cell_size() {
+        let mut fp = Floorplan::new(Canvas::new(64.0, 32.0)); // 2 µm × 1 µm cells
+        fp.place(BlockId(0), 0, Shape::new(1.0, 1.0), Cell::new(2, 3))
+            .unwrap();
+        assert_eq!(fp.placed()[0].rect, Rect::from_origin_size(4.0, 3.0, 1.0, 1.0));
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Axis-aligned rectangles in micrometre coordinates.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned rectangle `[x0, x1) × [y0, y1)` in µm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Left edge.
     pub x0: f64,

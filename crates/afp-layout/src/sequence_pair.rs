@@ -38,8 +38,6 @@
 //! placement order as the next sort's starting permutation
 //! (`sort_placement_order`), which changes no result.
 
-use serde::{Deserialize, Serialize};
-
 use afp_circuit::{Circuit, Shape};
 
 use crate::grid::{Canvas, Cell};
@@ -48,7 +46,7 @@ use crate::placement::Floorplan;
 use crate::rect::Rect;
 
 /// A sequence pair plus a chosen shape per block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequencePair {
     /// Positive sequence `s⁺` (block indices).
     pub positive: Vec<usize>,
@@ -262,8 +260,8 @@ pub fn realize_floorplan(
     // Place in increasing packed (y, x) order to keep occupancy consistent.
     let mut order = scratch.take_order();
     sort_placement_order(&mut order, &xs, &ys, n);
-    // Cell sizes at the floorplan's own grid side: identical bits to
-    // `canvas.cell_width_um()` on the default 32×32 grid (same division).
+    // Cell sizes at the floorplan's own grid side (the division `reset` and
+    // `with_grid_side` make).
     let side = fp.grid_side();
     let cw = canvas.width_um / side as f64;
     let ch = canvas.height_um / side as f64;

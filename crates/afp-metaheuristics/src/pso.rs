@@ -171,12 +171,12 @@ pub fn particle_swarm_on(
             break;
         }
         for p in &mut particles {
-            for d in 0..dim {
+            for (d, &global_best) in global_best_position.iter().enumerate() {
                 let r1: f64 = rng.gen();
                 let r2: f64 = rng.gen();
                 p.velocity[d] = config.inertia * p.velocity[d]
                     + config.cognitive * r1 * (p.best_position[d] - p.position[d])
-                    + config.social * r2 * (global_best_position[d] - p.position[d]);
+                    + config.social * r2 * (global_best - p.position[d]);
                 p.position[d] = (p.position[d] + p.velocity[d]).clamp(0.0, 1.0);
             }
         }

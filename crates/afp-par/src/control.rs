@@ -216,7 +216,7 @@ impl RunControl {
                 return Some(StopReason::Budget);
             }
         }
-        if tick % self.stride == 0 {
+        if tick.is_multiple_of(self.stride) {
             return self.check_interrupts();
         }
         None

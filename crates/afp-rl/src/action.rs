@@ -1,7 +1,5 @@
 //! The joint shape × position action space of the floorplanning MDP.
 
-use serde::{Deserialize, Serialize};
-
 use afp_circuit::SHAPES_PER_BLOCK;
 use afp_layout::{Cell, GRID_SIZE};
 
@@ -10,7 +8,7 @@ use afp_layout::{Cell, GRID_SIZE};
 pub const ACTION_SPACE: usize = SHAPES_PER_BLOCK * GRID_SIZE * GRID_SIZE;
 
 /// One placement action: a candidate shape and the lower-left grid cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Action {
     /// Index of the chosen candidate shape (0–2).
     pub shape_index: usize,
@@ -28,7 +26,7 @@ impl Action {
     /// `shape * 32 * 32 + y * 32 + x` — the same channel-major layout the
     /// deconvolutional policy head produces.
     pub fn to_index(self) -> usize {
-        self.shape_index * GRID_SIZE * GRID_SIZE + self.cell.index()
+        (self.shape_index * GRID_SIZE + self.cell.y) * GRID_SIZE + self.cell.x
     }
 
     /// Decodes a flat action index.
@@ -39,7 +37,7 @@ impl Action {
     pub fn from_index(index: usize) -> Self {
         assert!(index < ACTION_SPACE, "action index {index} out of range");
         let shape_index = index / (GRID_SIZE * GRID_SIZE);
-        let cell = Cell::from_index(index % (GRID_SIZE * GRID_SIZE));
+        let cell = Cell::new(index % GRID_SIZE, index / GRID_SIZE % GRID_SIZE);
         Action { shape_index, cell }
     }
 }
@@ -60,6 +58,8 @@ mod tests {
         }
         let a = Action::new(2, Cell::new(5, 7));
         assert_eq!(Action::from_index(a.to_index()), a);
+        // Channel-major, row-major within a channel.
+        assert_eq!(Action::new(1, Cell::new(3, 2)).to_index(), 1024 + 2 * 32 + 3);
     }
 
     #[test]

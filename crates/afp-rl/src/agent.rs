@@ -159,7 +159,7 @@ impl FloorplanAgent {
         &self.config
     }
 
-    /// The actor-critic policy (e.g. for checkpointing).
+    /// The actor-critic policy (e.g. to copy its weights into another agent).
     pub fn policy(&self) -> &ActorCritic {
         &self.policy
     }

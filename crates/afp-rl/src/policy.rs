@@ -16,7 +16,7 @@ use rand::Rng;
 use afp_circuit::SHAPES_PER_BLOCK;
 use afp_layout::{GRID_SIZE, STATE_CHANNELS};
 use afp_tensor::layers::{Activation, Conv2d, ConvTranspose2d, Dense, Flatten, Reshape, Sequential};
-use afp_tensor::{Layer, Param, StateDict, Tensor};
+use afp_tensor::{Layer, Param, Tensor};
 
 use crate::action::ACTION_SPACE;
 
@@ -297,43 +297,6 @@ impl ActorCritic {
     pub fn num_parameters(&self) -> usize {
         self.params().iter().map(|p| p.num_elements()).sum()
     }
-
-    /// Extracts all weights as a state dict.
-    pub fn state_dict(&self) -> StateDict {
-        let mut dict = StateDict::new();
-        for (i, p) in self.params().iter().enumerate() {
-            dict.insert(format!("{i}:{}", p.name), p.value.clone());
-        }
-        dict
-    }
-
-    /// Loads weights from a state dict produced by [`ActorCritic::state_dict`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string if the parameter count or any shape differs.
-    pub fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), String> {
-        let mut params = self.params_mut();
-        if params.len() != dict.len() {
-            return Err(format!(
-                "policy has {} parameters, checkpoint has {}",
-                params.len(),
-                dict.len()
-            ));
-        }
-        for (p, (_, value)) in params.iter_mut().zip(dict.iter()) {
-            if p.value.shape() != value.shape() {
-                return Err(format!(
-                    "shape mismatch for {}: {:?} vs {:?}",
-                    p.name,
-                    p.value.shape(),
-                    value.shape()
-                ));
-            }
-            p.value = value.clone();
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -389,12 +352,12 @@ mod tests {
     }
 
     #[test]
-    fn state_dict_roundtrip_reproduces_outputs() {
+    fn copied_values_reproduce_outputs() {
         let mut rng_a = StdRng::seed_from_u64(4);
         let mut net_a = ActorCritic::new(PolicyConfig::small(), &mut rng_a);
         let mut rng_b = StdRng::seed_from_u64(99);
         let mut net_b = ActorCritic::new(PolicyConfig::small(), &mut rng_b);
-        net_b.load_state_dict(&net_a.state_dict()).unwrap();
+        afp_tensor::copy_values(&mut net_b.params_mut(), &net_a.params()).unwrap();
         let (masks, g, n) = inputs(5);
         let oa = net_a.forward(&masks, &g, &n);
         let ob = net_b.forward(&masks, &g, &n);
@@ -403,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_architecture_mismatch() {
+    fn copy_rejects_architecture_mismatch() {
         let mut rng = StdRng::seed_from_u64(6);
         let net_small = ActorCritic::new(PolicyConfig::small(), &mut rng);
         let mut other = ActorCritic::new(
@@ -413,6 +376,6 @@ mod tests {
             },
             &mut rng,
         );
-        assert!(other.load_state_dict(&net_small.state_dict()).is_err());
+        assert!(afp_tensor::copy_values(&mut other.params_mut(), &net_small.params()).is_err());
     }
 }

@@ -123,7 +123,7 @@ pub fn build_tree(net: NetId, terminals: &[(f64, f64)], grid: &RoutingGrid) -> S
         let mut best: Option<(usize, Vec<RouteCell>)> = None;
         for (pos, (_, target)) in remaining.iter().enumerate() {
             if let Some(path) = grid.shortest_path_from_set(&connected, *target) {
-                if best.as_ref().map_or(true, |(_, b)| path.len() < b.len()) {
+                if best.as_ref().is_none_or(|(_, b)| path.len() < b.len()) {
                     best = Some((pos, path));
                 }
             }

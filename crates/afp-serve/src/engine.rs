@@ -168,6 +168,8 @@ pub struct JobOutcome {
 }
 
 /// Typed job lifecycle.
+// `Done` holds its outcome inline: callers match `JobState::Done(o)` by value.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum JobState {
     /// Submitted, not yet picked up by [`JobEngine::run_pending`].
@@ -238,7 +240,7 @@ struct Scheduled {
 enum SolveOutcome {
     /// The solve returned a result (complete or control-interrupted — check
     /// [`BaselineResult::stop`]).
-    Finished(BaselineResult),
+    Finished(Box<BaselineResult>),
     /// The solve panicked; the payload's message is retained.
     Panicked(String),
     /// The solve never started: the job's cancel token was already raised
@@ -491,7 +493,7 @@ impl JobEngine {
                         &control,
                     )
                 })) {
-                    Ok(result) => SolveOutcome::Finished(result),
+                    Ok(result) => SolveOutcome::Finished(Box::new(result)),
                     Err(payload) => SolveOutcome::Panicked(panic_message(payload)),
                 }
             });
@@ -503,6 +505,7 @@ impl JobEngine {
             for (idx, (scheduled, slot)) in to_run.iter().zip(outcomes).enumerate() {
                 let job_state = match slot {
                     SolveOutcome::Finished(result) => {
+                        let result = *result;
                         if result.stop == StopReason::Completed {
                             self.cache.insert(scheduled.fingerprint, result.clone());
                             memoized[idx] = Some(result.clone());
@@ -780,7 +783,7 @@ mod tests {
     fn heterogeneous_batch_matches_individual_runs() {
         // Jobs sharded across workers must equal the same solves run alone.
         let engine = engine(4);
-        let specs = vec![
+        let specs = [
             sa_spec(1),
             JobSpec::new(generators::ota3(), Baseline::Sa(SaConfig::small()), 2),
             JobSpec::new(generators::ota5(), Baseline::Ga(GaConfig::small()), 3),

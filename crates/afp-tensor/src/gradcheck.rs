@@ -39,8 +39,7 @@ pub fn check_layer_gradients<L: Layer + ?Sized>(layer: &mut L, input: &Tensor) -
     let mut max_err = 0.0f32;
 
     // Parameter gradients.
-    let n_params = layer.params().len();
-    for pi in 0..n_params {
+    for (pi, analytic_grad) in analytic_param_grads.iter().enumerate() {
         let n_el = layer.params()[pi].value.len();
         for j in 0..n_el {
             let orig = layer.params()[pi].value.data()[j];
@@ -50,7 +49,7 @@ pub fn check_layer_gradients<L: Layer + ?Sized>(layer: &mut L, input: &Tensor) -
             let (lm, _) = probe_loss(&layer.forward(input));
             layer.params_mut()[pi].value.data_mut()[j] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = analytic_param_grads[pi].data()[j];
+            let analytic = analytic_grad.data()[j];
             max_err = max_err.max(relative_error(numeric, analytic));
         }
     }

@@ -14,8 +14,8 @@
 //! * [`optim`]: SGD and Adam with gradient clipping,
 //! * [`loss`]: MSE / Huber regression losses, categorical cross-entropy and
 //!   entropy with analytic gradients (the pieces PPO needs),
-//! * [`serialize`]: a small text checkpoint format for transfer learning
-//!   (pre-trained R-GCN encoder → RL agent, zero-/few-shot fine-tuning),
+//! * [`copy_values`]: parameter-to-parameter weight copies between networks
+//!   of one architecture (how a trained agent is duplicated in process),
 //! * [`gradcheck`]: finite-difference gradient checking used across test
 //!   suites.
 //!
@@ -61,10 +61,8 @@ pub mod gradcheck;
 pub mod layers;
 pub mod loss;
 pub mod optim;
-pub mod serialize;
 
 pub use init::Init;
 pub use layer::Layer;
-pub use param::Param;
-pub use serialize::{SerializeError, StateDict};
+pub use param::{copy_values, Param};
 pub use tensor::Tensor;

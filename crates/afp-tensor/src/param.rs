@@ -1,7 +1,5 @@
 //! Learnable parameters: a value tensor paired with its gradient accumulator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Tensor;
 
 /// A learnable parameter of a layer.
@@ -9,9 +7,9 @@ use crate::Tensor;
 /// The gradient is accumulated across [`crate::layer::Layer::backward`] calls
 /// until it is explicitly cleared (see [`Param::zero_grad`]), which makes it
 /// easy to sum gradients over a minibatch by looping per-sample.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Param {
-    /// Human-readable parameter name, used in diagnostics and serialization.
+    /// Human-readable parameter name, used in diagnostics.
     pub name: String,
     /// Current parameter value.
     pub value: Tensor,
@@ -46,9 +44,44 @@ impl Param {
     }
 }
 
+/// Copies the values of `from` into `to`, parameter by parameter in order
+/// (gradients are left alone). Both lists must come from the same
+/// architecture, e.g. two networks' `params_mut()` and `params()`.
+///
+/// # Errors
+///
+/// Returns an error if the parameter counts or any pair of shapes differ;
+/// everything is checked before anything is written, so `to` is then
+/// unchanged.
+pub fn copy_values(to: &mut [&mut Param], from: &[&Param]) -> Result<(), String> {
+    if to.len() != from.len() {
+        return Err(format!(
+            "parameter count mismatch: target has {}, source has {}",
+            to.len(),
+            from.len()
+        ));
+    }
+    if let Some((t, f)) = to.iter().zip(from).find(|(t, f)| t.value.shape() != f.value.shape()) {
+        return Err(format!(
+            "shape mismatch for {}: {:?} vs {:?}",
+            t.name,
+            t.value.shape(),
+            f.value.shape()
+        ));
+    }
+    for (t, f) in to.iter_mut().zip(from) {
+        t.value.data_mut().copy_from_slice(f.value.data());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{Activation, Dense, Sequential};
+    use crate::Layer;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn new_param_has_zero_grad() {
@@ -64,5 +97,45 @@ mod tests {
         p.grad = Tensor::ones(&[3]);
         p.zero_grad();
         assert_eq!(p.grad.sum(), 0.0);
+    }
+
+    fn small_net(seed: u64) -> Sequential {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut net = Sequential::new();
+        net.push(Dense::new(3, 4, &mut rng));
+        net.push(Activation::relu());
+        net.push(Dense::new(4, 2, &mut rng));
+        net
+    }
+
+    #[test]
+    fn copy_values_transfers_weights() {
+        let mut src = small_net(1);
+        let mut dst = small_net(2);
+        copy_values(&mut dst.params_mut(), &src.params()).unwrap();
+        let x = Tensor::from_slice(&[0.2, -0.4, 0.9]);
+        assert_eq!(src.forward(&x).data(), dst.forward(&x).data());
+    }
+
+    #[test]
+    fn copy_values_rejects_mismatch_without_writing() {
+        let src = small_net(1);
+        let mut rng = StdRng::seed_from_u64(3);
+        // One layer fewer: the count differs.
+        let mut fewer = Sequential::new();
+        fewer.push(Dense::new(3, 4, &mut rng));
+        // Same count, but the last two shapes differ.
+        let mut wider = Sequential::new();
+        wider.push(Dense::new(3, 4, &mut rng));
+        wider.push(Dense::new(4, 3, &mut rng));
+        let values = |net: &Sequential| -> Vec<Tensor> {
+            net.params().iter().map(|p| p.value.clone()).collect()
+        };
+        for (net, what) in [(&mut fewer, "count"), (&mut wider, "shape")] {
+            let before = values(net);
+            let err = copy_values(&mut net.params_mut(), &src.params()).unwrap_err();
+            assert!(err.contains(what), "{err}");
+            assert_eq!(values(net), before);
+        }
     }
 }

@@ -14,8 +14,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernel::axpy;
 
 /// Block size of the matmul k-loop: 64 × 64 `f32` ≈ 16 KiB of the right-hand
@@ -48,7 +46,7 @@ fn exp_or_zero(x: f32) -> f32 {
 /// let c = a.matmul(&b);
 /// assert_eq!(c.data(), a.data());
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -460,8 +458,8 @@ impl Tensor {
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; n];
         for i in 0..m {
-            for j in 0..n {
-                out[j] += self.data[i * n + j];
+            for (o, &v) in out.iter_mut().zip(&self.data[i * n..(i + 1) * n]) {
+                *o += v;
             }
         }
         if m > 0 {

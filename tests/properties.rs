@@ -691,10 +691,13 @@ proptest! {
                 sp.shapes[i].width_um * scale,
                 sp.shapes[i].height_um * scale,
             );
-            let cell_x = ((px * scale) / canvas.cell_width_um()).round() as usize;
-            let cell_y = ((py * scale) / canvas.cell_height_um()).round() as usize;
-            let cell = Cell::new(cell_x.min(GRID_SIZE - 1), cell_y.min(GRID_SIZE - 1));
-            let (gw, gh) = canvas.shape_to_cells(&shape);
+            // The paper's mapping, written out: cells of W/32 µm, footprints
+            // of ⌈w·32/W⌉ cells clamped to the grid.
+            let cell_x = ((px * scale) / (canvas.width_um / 32.0)).round() as usize;
+            let cell_y = ((py * scale) / (canvas.height_um / 32.0)).round() as usize;
+            let cell = Cell::new(cell_x.min(31), cell_y.min(31));
+            let gw = ((shape.width_um * 32.0 / canvas.width_um).ceil() as usize).clamp(1, 32);
+            let gh = ((shape.height_um * 32.0 / canvas.height_um).ceil() as usize).clamp(1, 32);
             if let Some(cell) = grid.find_nearest_fit(cell, gw, gh) {
                 grid.set_rect(cell, gw, gh);
                 expected.push((circuit.blocks[i].id, cell, gw, gh));
